@@ -45,7 +45,7 @@ TWO_PI = 2.0 * math.pi
 
 _NUMERIC_ERRORS = (IntegrationError, InvalidRegimeError,
                    jsa.GridResolutionError, ZeroDivisionError,
-                   FloatingPointError)
+                   FloatingPointError, OverflowError)
 
 
 def _fmt(x: float) -> str:
@@ -138,14 +138,16 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     taus = _linspace(cfg["tau"], "tau", cfg.get("grid_override"))
     lines = _header_lines("dip", cfg)
     lines.append("# block columns: tau_ps, p_co")
-    for m, n in _photon_pairs(cfg):
-        for phi in cfg["phi"]:
-            pol_b = pol.rotate(pol_a, float(phi))
-            pair = fock.FockPair(m, n, pol_a, pol_b, prof_a, prof_b)
-            lines.append(f"# block m={m} n={n} phi={_fmt(phi)}")
-            lines.append("tau_ps,p_co")
-            for tau, p in fock.dip_curve(pair, taus, app):
-                lines.append(f"{_fmt(tau)},{_fmt(p)}")
+    blocks = [(phi, fock.FockPair(m, n, pol_a, pol.rotate(pol_a, float(phi)),
+                                  prof_a, prof_b))
+              for m, n in _photon_pairs(cfg) for phi in cfg["phi"]]
+    # cos(Theta(tau)) depends only on the spectra: one scan serves every block
+    cos_theta = spc.overlap_curve(prof_a, prof_b, taus) if blocks else None
+    for phi, pair in blocks:
+        lines.append(f"# block m={pair.m} n={pair.n} phi={_fmt(phi)}")
+        lines.append("tau_ps,p_co")
+        for tau, p in fock.dip_curve(pair, taus, app, cos_theta):
+            lines.append(f"{_fmt(tau)},{_fmt(p)}")
     _emit(out, lines)
 
 

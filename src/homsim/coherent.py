@@ -28,7 +28,7 @@ import numpy as np
 
 from . import polarization as pol
 from . import spectral as spc
-from .fock import Apparatus, BeamSplitter, IDEAL_APPARATUS
+from .fock import Apparatus, BeamSplitter, IDEAL_APPARATUS, mode_overlap
 
 __all__ = [
     "CoherentPair", "bessel_i0", "total_coincidence", "total_coincidence_series",
@@ -54,10 +54,7 @@ class CoherentPair:
             raise ValueError("mean photon numbers must be non-negative")
 
     def mode_overlap(self) -> float:
-        c = pol.cos_phi(self.pol_a, self.pol_b)
-        if self.spec_a is not None and self.spec_b is not None:
-            c *= spc.overlap(self.spec_a, self.spec_b).magnitude
-        return c
+        return mode_overlap(self.pol_a, self.pol_b, self.spec_a, self.spec_b)
 
 
 def bessel_i0(x: float) -> float:
@@ -139,7 +136,12 @@ def total_coincidence(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
     if c is None:
         c = pair.mode_overlap()
     ea, eb, fa, fb = _efficiencies(pair, app)
-    return _b5_terms(pair.mu_a, pair.mu_b, app.bs, ea, eb, fa, fb, c)
+    try:
+        return _b5_terms(pair.mu_a, pair.mu_b, app.bs, ea, eb, fa, fb, c)
+    except OverflowError:
+        raise OverflowError(
+            f"coherent coincidence overflows double precision at "
+            f"mu_a={pair.mu_a:.6g}, mu_b={pair.mu_b:.6g}") from None
 
 
 def total_coincidence_series(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
@@ -212,7 +214,11 @@ def coherent_visibility(mu: float, phi: float) -> float:
     if mu < 1e-4:
         c2 = math.cos(phi) ** 2
         return 0.5 * c2 * (1.0 + x * x / 16.0) / (1.0 + mu * mu / 12.0)
-    return (bessel_i0(x) - 1.0) / (2.0 * math.sinh(0.5 * mu) ** 2)
+    try:
+        return (bessel_i0(x) - 1.0) / (2.0 * math.sinh(0.5 * mu) ** 2)
+    except OverflowError:
+        raise OverflowError(
+            f"coherent visibility overflows double precision at mu={mu:.6g}") from None
 
 
 def visibility_from_params(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS) -> float:

@@ -27,7 +27,7 @@ from . import polarization as pol
 from . import spectral as spc
 
 __all__ = [
-    "BeamSplitter", "FockPair", "Apparatus", "InvalidRegimeError",
+    "BeamSplitter", "FockPair", "Apparatus", "InvalidRegimeError", "mode_overlap",
     "bunching_factor", "p_all_one_side", "coincidence", "coincidence_raw",
     "dip_curve", "visibility", "visibility_from_c", "visibility_vs_polarization",
 ]
@@ -59,6 +59,20 @@ class BeamSplitter:
         return BeamSplitter(0.5, 0.5)
 
 
+def mode_overlap(pol_a: pol.PolarizationVector, pol_b: pol.PolarizationVector,
+                 spec_a: spc.SpectralProfile | None = None,
+                 spec_b: spc.SpectralProfile | None = None) -> float:
+    """c = cos(Phi) cos(Theta) for two mode labels (Theta = 0 if no spectra).
+
+    The one place the combined overlap is formed; Fock and coherent pairs
+    both delegate here.
+    """
+    c = pol.cos_phi(pol_a, pol_b)
+    if spec_a is not None and spec_b is not None:
+        c *= spc.overlap(spec_a, spec_b).magnitude
+    return c
+
+
 @dataclass(frozen=True)
 class FockPair:
     """Photon-number inputs for the two arms with their mode labels."""
@@ -75,11 +89,7 @@ class FockPair:
             raise ValueError("photon numbers must be non-negative")
 
     def mode_overlap(self) -> float:
-        """c = cos(Phi) cos(Theta) for this pair (Theta = 0 if no spectra)."""
-        c = pol.cos_phi(self.pol_a, self.pol_b)
-        if self.spec_a is not None and self.spec_b is not None:
-            c *= spc.overlap(self.spec_a, self.spec_b).magnitude
-        return c
+        return mode_overlap(self.pol_a, self.pol_b, self.spec_a, self.spec_b)
 
 
 @dataclass(frozen=True)
@@ -159,22 +169,29 @@ def coincidence(pair: FockPair, app: Apparatus = IDEAL_APPARATUS) -> float:
 
 
 def dip_curve(pair: FockPair, taus: Iterable[float],
-              app: Apparatus = IDEAL_APPARATUS) -> list[tuple[float, float]]:
+              app: Apparatus = IDEAL_APPARATUS,
+              cos_theta: Sequence[float] | None = None) -> list[tuple[float, float]]:
     """Coincidence vs relative arrival delay of arm B (the HOM dip).
 
     Arm B's profile is shifted by each tau on top of its configured delay;
     polarization and detectors are held fixed, so only cos(Theta) moves.
+    cos(Theta(tau)) is computed once per scan by
+    :func:`spectral.overlap_curve`; callers sweeping several (m, n, Phi)
+    over the same spectra and delays pass that array as ``cos_theta``
+    so each point only evaluates :func:`coincidence_raw`.
     """
     if pair.spec_a is None or pair.spec_b is None:
         raise ValueError("dip_curve needs spectral profiles on both arms")
+    taus = list(taus)
     da, db = _deltas(pair.m, pair.n, pair.pol_a, pair.pol_b, app)
+    if cos_theta is None:
+        cos_theta = spc.overlap_curve(pair.spec_a, pair.spec_b, taus)
+    elif len(cos_theta) != len(taus):
+        raise ValueError("cos_theta needs one value per tau")
     cphi = pol.cos_phi(pair.pol_a, pair.pol_b)
-    out = []
-    for tau in taus:
-        ctheta = spc.overlap(pair.spec_a, pair.spec_b.delayed(tau)).magnitude
-        out.append((tau, coincidence_raw(pair.m, pair.n, cphi * ctheta,
-                                         app.bs, da, db)))
-    return out
+    return [(tau, coincidence_raw(pair.m, pair.n, cphi * float(ctheta),
+                                  app.bs, da, db))
+            for tau, ctheta in zip(taus, cos_theta)]
 
 
 def visibility_from_c(m: int, n: int, c0: float, app: Apparatus,

@@ -32,7 +32,7 @@ from .quadrature import IntegrationError, integrate
 
 __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
-    "amplitude", "time_envelope", "overlap", "overlap_magnitude",
+    "amplitude", "time_envelope", "overlap", "overlap_curve",
     "gaussian_overlap_closed_form", "fwhm", "norm_squared",
     "wavelength_width_to_frequency", "frequency_window",
     "SPEED_OF_LIGHT_NM_PS",
@@ -264,9 +264,14 @@ def overlap(a: SpectralProfile, b: SpectralProfile,
     return OverlapResult(value=value, magnitude=mag, theta=math.acos(mag))
 
 
-def overlap_magnitude(a: SpectralProfile, b: SpectralProfile) -> float:
-    """cos(Theta) between two profiles."""
-    return overlap(a, b).magnitude
+def overlap_curve(a: SpectralProfile, b: SpectralProfile, taus) -> np.ndarray:
+    """cos(Theta(tau)) = |overlap(a, b.delayed(tau))| for each delay tau.
+
+    The one owner of the delay family behind every HOM dip: cos(Theta)
+    depends only on the two spectra and tau, so a scan computes it once
+    and shares it across photon numbers and polarizations.
+    """
+    return np.array([overlap(a, b.delayed(tau)).magnitude for tau in taus])
 
 
 def _gaussian_pair_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:

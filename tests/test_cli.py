@@ -1,9 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from homsim import cli
+from homsim import config as cfgmod
+from homsim import fock
+from homsim import polarization as pol
+from homsim import spectral as spc
 
 
 def run(args, tmp_path, name="out.txt"):
@@ -125,6 +130,50 @@ def test_dip_two_photon_block_endpoints(tmp_path):
     assert vals[1] == pytest.approx(0.25, abs=1e-9)
 
 
+def test_dip_computes_each_overlap_once_per_tau(tmp_path, monkeypatch):
+    # the default job has 3 photon pairs x 3 Phi blocks; cos Theta(tau) is
+    # shared by all nine, so each delay reaches spectral.overlap once
+    delays = []
+    real_overlap = spc.overlap
+
+    def counting_overlap(a, b, *args, **kwargs):
+        delays.append(b.delay)
+        return real_overlap(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(spc, "overlap", counting_overlap)
+    rc, text = run(["dip"], tmp_path)
+    assert rc == 0
+    assert text.count("# block m=") == 9
+    taus = np.linspace(-6.0, 6.0, 241)
+    assert delays == list(taus)
+
+
+def test_dip_blocks_match_per_block_reference(tmp_path):
+    # reference: every block scans its own overlaps via fock.dip_curve
+    profile_a = {"shape": "sech", "center_thz": 193.55, "width_thz": 0.4}
+    profile_b = {"shape": "sinc", "center_thz": 193.75, "width_thz": 2.5}
+    det_a = {"eta_h": 0.9, "eta_v": 0.8}
+    det_b = {"eta_h": 0.85, "eta_v": 0.95}
+    rc, text = run(["dip", "--set", f"profile_a={json.dumps(profile_a)}",
+                    "--set", f"profile_b={json.dumps(profile_b)}",
+                    "--set", f"detector_a={json.dumps(det_a)}",
+                    "--set", f"detector_b={json.dumps(det_b)}",
+                    "--set", 'tau={"min":-4,"max":4,"steps":17}'], tmp_path)
+    assert rc == 0
+    app = fock.Apparatus(fock.BeamSplitter.balanced(),
+                         pol.Detector(0.9, 0.8), pol.Detector(0.85, 0.95))
+    a = cfgmod.parse_profile(profile_a, "profile_a")
+    b = cfgmod.parse_profile(profile_b, "profile_b")
+    taus = np.linspace(-4.0, 4.0, 17)
+    expected = []
+    for m, n in [(1, 1), (2, 2), (3, 3)]:
+        for phi in [0.0, 0.25 * math.pi, 0.5 * math.pi]:
+            pair = fock.FockPair(m, n, pol.H, pol.rotate(pol.H, phi), a, b)
+            expected += [f"{cli._fmt(t)},{cli._fmt(p)}"
+                         for t, p in fock.dip_curve(pair, taus, app)]
+    assert data_rows(text) == expected
+
+
 # ---------------------------------------------------------------------------
 # tables / contour
 # ---------------------------------------------------------------------------
@@ -161,6 +210,18 @@ def test_coherent_curve(tmp_path):
     assert rc == 0
     first = data_rows(text)[0].split(",")
     assert float(first[1]) == pytest.approx(0.5, abs=1e-4)
+
+
+def test_coherent_curve_high_mu_exits_3(tmp_path, capsys):
+    # math.exp overflows in bessel_i0 past x ~ 710: a clean numerical
+    # failure naming mu, not a traceback
+    rc = cli.main(["coherent", "--set", "mode=curve",
+                   "--set", 'mu_curve={"min":1,"max":2000,"steps":3}',
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "mu=1000.5" in err
+    assert "Traceback" not in err
 
 
 def test_coherent_ratio_map_max_at_unit_ratios(tmp_path):

@@ -188,3 +188,12 @@ def test_negative_mu_rejected():
         coh.CoherentPair(-0.1, 1.0)
     with pytest.raises(ValueError):
         coh.coherent_visibility(-1.0, 0.0)
+
+
+def test_high_mu_overflow_names_mu():
+    # math.exp overflows past x ~ 710; the error must say which mu did it
+    assert coh.coherent_visibility(709.0, 0.0) > 0.0
+    with pytest.raises(OverflowError, match="mu=2000"):
+        coh.coherent_visibility(2000.0, 0.0)
+    with pytest.raises(OverflowError, match="mu_a=1000, mu_b=4000"):
+        coh.total_coincidence(coh.CoherentPair(1000.0, 4000.0))

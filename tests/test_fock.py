@@ -203,6 +203,38 @@ def test_dip_curve_two_photon_endpoints():
     assert curve[8.0] == pytest.approx(7 / 8, abs=1e-9)
 
 
+def test_dip_curve_shared_cos_theta_matches_per_block_scan():
+    # one overlap scan shared by every (m, n, Phi) block gives exactly the
+    # numbers of each block scanning its own overlaps
+    a = spc.SpectralProfile(spc.Shape.SECH, CENTER, 0.8 * math.pi)
+    b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 1.2, 2.5)
+    app = fock.Apparatus(BALANCED, pol.Detector(0.9, 0.8), pol.Detector(0.85, 0.95))
+    taus = np.linspace(-4.0, 4.0, 17)
+    cos_theta = spc.overlap_curve(a, b, taus)
+    for (m, n), phi in itertools.product([(1, 1), (2, 2), (3, 3)],
+                                         [0.0, 0.25 * math.pi, 0.5 * math.pi]):
+        pair = fock.FockPair(m, n, pol.H, pol.rotate(pol.H, phi), a, b)
+        assert (fock.dip_curve(pair, taus, app, cos_theta)
+                == fock.dip_curve(pair, taus, app))
+
+
+def test_dip_curve_rejects_mismatched_cos_theta():
+    pair = fock.FockPair(1, 1, pol.H, pol.H, GAUSS, GAUSS)
+    with pytest.raises(ValueError):
+        fock.dip_curve(pair, [0.0, 1.0], cos_theta=[1.0])
+
+
+def test_mode_overlap_is_shared_by_fock_and_coherent_pairs():
+    from homsim import coherent as coh
+    pol_b = pol.rotate(pol.H, 0.4)
+    b = GAUSS.delayed(0.7)
+    c = pol.cos_phi(pol.H, pol_b) * spc.overlap(GAUSS, b).magnitude
+    assert fock.mode_overlap(pol.H, pol_b, GAUSS, b) == c
+    assert fock.FockPair(1, 2, pol.H, pol_b, GAUSS, b).mode_overlap() == c
+    assert coh.CoherentPair(0.5, 1.0, pol.H, pol_b, GAUSS, b).mode_overlap() == c
+    assert fock.mode_overlap(pol.H, pol_b) == pol.cos_phi(pol.H, pol_b)
+
+
 def test_visibility_values():
     pair = fock.FockPair(1, 1, pol.H, pol.H, GAUSS, GAUSS)
     assert fock.visibility(pair) == pytest.approx(1.0, abs=1e-12)

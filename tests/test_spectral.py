@@ -177,6 +177,17 @@ def test_sinc_rect_autocorrelation():
     assert spc.overlap(p, p.delayed(2.5)).magnitude == 0.0
 
 
+def test_overlap_curve_is_the_delayed_overlap_family():
+    a = profile("sech", 0.6)
+    b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 0.3, 2.5, delay=0.2)
+    taus = np.linspace(-3.0, 3.0, 13)
+    curve = spc.overlap_curve(a, b, taus)
+    assert curve.shape == taus.shape
+    for tau, got in zip(taus, curve):
+        assert got == spc.overlap(a, b.delayed(tau)).magnitude
+    assert spc.overlap_curve(a, b, []).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # closed forms and widths
 # ---------------------------------------------------------------------------
