@@ -21,8 +21,7 @@ from .fock import Apparatus, BeamSplitter, FockPair, InvalidRegimeError, \
     bunching_factor, coincidence, dip_curve, p_all_one_side, visibility, \
     visibility_vs_polarization
 from .jsa import GriddedJSA, GridSpec, PhaseMatching, Pump, SeparableJSA, \
-    SwapScenario, bsm_outcome_probability, build_gaussian_jsa, swap_fidelity, \
-    swap_fidelity_separable
+    SwapScenario, build_gaussian_jsa, swap_fidelity, swap_fidelity_separable
 from .polarization import Detector, PolarizationDensity, PolarizationVector, \
     click_probability, cos_phi, depolarize, effective_efficiency, \
     eigendecompose, rotate

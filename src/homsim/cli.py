@@ -41,8 +41,6 @@ from .config import ConfigError
 from .fock import InvalidRegimeError
 from .quadrature import IntegrationError
 
-TWO_PI = 2.0 * math.pi
-
 _NUMERIC_ERRORS = (IntegrationError, InvalidRegimeError,
                    jsa.GridResolutionError, ZeroDivisionError,
                    FloatingPointError, OverflowError)
@@ -91,8 +89,8 @@ def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _grid_n(cfg: dict, default: int) -> int:
-    return int(cfg.get("grid_override", cfg.get("grid_n", default)))
+def _grid_n(cfg: dict) -> int:
+    return int(cfg.get("grid_override", cfg["grid_n"]))
 
 
 def _photon_pairs(cfg: dict) -> list[tuple[int, int]]:
@@ -164,19 +162,8 @@ _CONTOUR_DEFAULTS = {
 }
 
 
-def _fixed_profile(cfg: dict) -> spc.SpectralProfile:
-    center = TWO_PI * float(cfg["center_thz"])
-    lam = TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / center
-    fw = spc.wavelength_width_to_frequency(lam, float(cfg["fwhm_nm"]))
-    try:
-        shape = spc.Shape(str(cfg["shape_a"]).lower())
-    except ValueError:
-        raise ConfigError(f"config field 'shape_a': unknown shape {cfg['shape_a']!r}") from None
-    return spc.SpectralProfile.from_fwhm(shape, center, fw)
-
-
 def _contour_axes(cfg: dict, prof_a: spc.SpectralProfile) -> tuple[np.ndarray, np.ndarray]:
-    n = _grid_n(cfg, 61)
+    n = _grid_n(cfg)
     fw = spc.fwhm(prof_a)
     centers = np.linspace(prof_a.center - float(cfg["center_span_fwhm"]) * fw,
                           prof_a.center + float(cfg["center_span_fwhm"]) * fw, n)
@@ -195,19 +182,29 @@ def _emit_grid(command: str, cfg: dict, out: str | None, xs, ys, grid,
     _emit(out, lines)
 
 
-def cmd_contour(cfg: dict, out: str | None) -> None:
-    prof_a = _fixed_profile(cfg)
-    try:
-        shape_b = spc.Shape(str(cfg["shape_b"]).lower())
-    except ValueError:
-        raise ConfigError(f"config field 'shape_b': unknown shape {cfg['shape_b']!r}") from None
-    app = cfgmod.parse_apparatus(cfg)
+def _emit_contour(command: str, cfg: dict, out: str | None,
+                  prof_a: spc.SpectralProfile,
+                  visibility_at: Callable[[float], float],
+                  pol_b: pol.PolarizationVector) -> None:
+    """Photon B's (center, FWHM) contour, shared by `contour` and
+    `coherent --set mode=contour`; ``visibility_at`` maps the mode overlap c
+    to the visibility of the command's input."""
+    shape_b = cfgmod.parse_shape(cfg["shape_b"], "shape_b")
     centers, fwhms = _contour_axes(cfg, prof_a)
-    grid = sweeps.visibility_contour_grid(int(cfg["m"]), int(cfg["n"]), prof_a,
-                                          shape_b, centers, fwhms,
-                                          float(cfg["phi"]), app)
-    _emit_grid("contour", cfg, out, centers, fwhms, grid,
+    grid = sweeps.contour_grid(visibility_at, prof_a, shape_b, centers, fwhms, pol_b)
+    _emit_grid(command, cfg, out, centers, fwhms, grid,
                ("center_b_rad_ps", "fwhm_b_rad_ps", "visibility"))
+
+
+def cmd_contour(cfg: dict, out: str | None) -> None:
+    center, fw = cfgmod.parse_center_fwhm(cfg)
+    prof_a = spc.SpectralProfile.from_fwhm(
+        cfgmod.parse_shape(cfg["shape_a"], "shape_a"), center, fw)
+    app = cfgmod.parse_apparatus(cfg)
+    m, n = int(cfg["m"]), int(cfg["n"])
+    pol_b = pol.rotate(pol.H, float(cfg["phi"]))
+    _emit_contour("contour", cfg, out, prof_a,
+                  lambda c: fock.visibility_from_c(m, n, c, app, pol.H, pol_b), pol_b)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +218,7 @@ _TABLES_DEFAULTS = {
 
 
 def cmd_tables(cfg: dict, out: str | None) -> None:
-    center = TWO_PI * float(cfg["center_thz"])
-    lam = TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / center
-    fw = spc.wavelength_width_to_frequency(lam, float(cfg["fwhm_nm"]))
+    center, fw = cfgmod.parse_center_fwhm(cfg)
     pairs = _photon_pairs(cfg)
     table = sweeps.max_visibility_table(center, fw, pairs)
     shapes = list(spc.Shape)
@@ -262,7 +257,7 @@ _COHERENT_DEFAULTS = {
 def cmd_coherent(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "ratio_map")
     app = cfgmod.parse_apparatus(cfg)
-    n = _grid_n(cfg, int(cfg.get("grid_n", 41)))
+    n = _grid_n(cfg)
     if mode == "ratio_map":
         ratios = sweeps.log_grid(1.0, float(cfg["ratio_factor"]), n)
         fixed = cfg.get("fixed_mu_b")
@@ -273,20 +268,10 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
                    ("mu_ratio", "tr_ratio", "visibility"))
     elif mode == "contour":
         prof_a = cfgmod.parse_profile(cfg["profile_a"], "profile_a")
-        try:
-            shape_b = spc.Shape(str(cfg["shape_b"]).lower())
-        except ValueError:
-            raise ConfigError(
-                f"config field 'shape_b': unknown shape {cfg['shape_b']!r}") from None
-        fw = spc.fwhm(prof_a)
-        centers = np.linspace(prof_a.center - float(cfg["center_span_fwhm"]) * fw,
-                              prof_a.center + float(cfg["center_span_fwhm"]) * fw, n)
-        fwhms = sweeps.log_grid(fw, float(cfg["width_factor"]), n)
-        grid = sweeps.coherent_contour_grid(float(cfg["mu_a"]), float(cfg["mu_b"]),
-                                            prof_a, shape_b, centers, fwhms,
-                                            float(cfg["phi"]), app)
-        _emit_grid("coherent", cfg, out, centers, fwhms, grid,
-                   ("center_b_rad_ps", "fwhm_b_rad_ps", "visibility"))
+        pol_b = pol.rotate(pol.H, float(cfg["phi"]))
+        pair = coh.CoherentPair(float(cfg["mu_a"]), float(cfg["mu_b"]), pol.H, pol_b)
+        _emit_contour("coherent", cfg, out, prof_a,
+                      lambda c: coh.visibility_from_params(pair, app, c), pol_b)
     elif mode == "curve":
         mus = _linspace(cfg["mu_curve"], "mu_curve", cfg.get("grid_override"))
         lines = _header_lines("coherent", cfg)
@@ -334,7 +319,7 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
     src_b = chn.SourceSpec(int(cfg["n"]),
                            cfgmod.parse_polarization(cfg["pol_b"], "pol_b"), prof_b)
     app = cfgmod.parse_apparatus(cfg)
-    n = _grid_n(cfg, int(cfg.get("grid_n", 21)))
+    n = _grid_n(cfg)
     # fixed per-arm channel literals; the swept parameter overrides its own
     # field on top of them
     base_a = cfgmod.parse_channel(cfg.get("channel_a", {}), "channel_a")
@@ -404,7 +389,7 @@ def _build_jsa(parsed, grid: jsa.GridSpec, bsm_axis_first: bool,
 
 def cmd_swap(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "angle_grid")
-    n = _grid_n(cfg, int(cfg.get("grid_n", 41)))
+    n = _grid_n(cfg)
     if mode == "pair":
         # one scenario from two JSA literals; signal axis = BSM photon
         parsed_ab, grid_ab = cfgmod.parse_jsa(cfg["jsa_ab"], "jsa_ab")

@@ -221,12 +221,16 @@ def coherent_visibility(mu: float, phi: float) -> float:
             f"coherent visibility overflows double precision at mu={mu:.6g}") from None
 
 
-def visibility_from_params(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS) -> float:
-    """General coherent visibility: dip at the pair's overlap vs c = 0 baseline."""
+def visibility_from_params(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
+                           c: float | None = None) -> float:
+    """General coherent visibility: dip at the pair's overlap vs c = 0 baseline.
+
+    ``c`` overrides the pair's overlap, as in :func:`total_coincidence`.
+    """
     p_inf = total_coincidence(pair, app, c=0.0)
     if p_inf == 0.0:
         raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
-    p_0 = total_coincidence(pair, app)
+    p_0 = total_coincidence(pair, app, c)
     return (p_inf - p_0) / p_inf
 
 

@@ -18,11 +18,13 @@ from . import jsa
 from . import polarization as pol
 from . import spectral as spc
 
-__all__ = ["ConfigError", "merge", "set_path", "parse_profile",
+__all__ = ["ConfigError", "merge", "set_path", "parse_shape",
+           "parse_center_fwhm", "parse_profile",
            "parse_polarization", "parse_detector", "parse_beam_splitter",
            "parse_apparatus", "parse_channel", "parse_jsa"]
 
 _POL_NAMES = {"H": pol.H, "V": pol.V, "D": pol.D, "A": pol.A}
+TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
@@ -61,50 +63,79 @@ def set_path(cfg: dict, dotted: str, raw: str) -> None:
     node[keys[-1]] = value
 
 
-def _number(obj: dict, field: str, key: str, default: float | None = None) -> float:
+def _number(obj: dict, field: str, key: str, default: float | None = None,
+            positive: bool = False) -> float:
+    name = f"{field}.{key}" if field else key  # field "" names a top-level key
     if key not in obj:
         if default is None:
-            raise _fail(f"{field}.{key}", "missing required value")
+            raise _fail(name, "missing required value")
         return default
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise _fail(f"{field}.{key}", f"expected a number, got {v!r}")
+        raise _fail(name, f"expected a number, got {v!r}")
+    if positive and v <= 0:
+        raise _fail(name, "must be positive")
     return float(v)
+
+
+def parse_shape(obj: Any, field: str) -> spc.Shape:
+    """Envelope family by name, case-insensitive."""
+    try:
+        return spc.Shape(str(obj).lower())
+    except ValueError:
+        raise _fail(field, f"unknown shape {obj!r}; use one of "
+                           f"{[s.value for s in spc.Shape]}") from None
+
+
+def _center(obj: dict, field: str) -> float:
+    """omega_0 in rad/ps from `center_thz` (ordinary frequency) or `center_nm`."""
+    if "center_thz" in obj:
+        return TWO_PI * _number(obj, field, "center_thz", positive=True)
+    if "center_nm" in obj:
+        center_nm = _number(obj, field, "center_nm", positive=True)
+        return TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / center_nm
+    raise _fail(field, "needs center_thz or center_nm")
+
+
+def _fwhm_from_nm(obj: dict, field: str, center: float) -> float:
+    """FWHM in rad/ps of a `fwhm_nm` bandwidth about omega_0 = ``center``."""
+    fwhm_nm = _number(obj, field, "fwhm_nm", positive=True)
+    return spc.wavelength_width_to_frequency(TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / center,
+                                             fwhm_nm)
+
+
+def parse_center_fwhm(cfg: dict) -> tuple[float, float]:
+    """(omega_0, FWHM) in rad/ps of photon A in `contour` and `tables`.
+
+    Read from the top-level keys `center_thz` and `fwhm_nm` with the
+    conversion that profile literals use.
+    """
+    center = _center(cfg, "")
+    return center, _fwhm_from_nm(cfg, "", center)
 
 
 def parse_profile(obj: Any, field: str) -> spc.SpectralProfile:
     """`{shape, center_thz | center_nm, width_thz | fwhm_nm, delay_ps, broadening}`."""
     if not isinstance(obj, dict):
         raise _fail(field, "expected a profile object")
-    try:
-        shape = spc.Shape(str(obj.get("shape", "")).lower())
-    except ValueError:
-        raise _fail(f"{field}.shape",
-                    f"unknown shape {obj.get('shape')!r}; use one of "
-                    f"{[s.value for s in spc.Shape]}") from None
+    shape = parse_shape(obj.get("shape"), f"{field}.shape")
     delay = _number(obj, field, "delay_ps", 0.0)
     broadening = _number(obj, field, "broadening", 1.0)
-    if "center_thz" in obj:
-        center = 2.0 * math.pi * _number(obj, field, "center_thz")
-    elif "center_nm" in obj:
-        center_nm = _number(obj, field, "center_nm")
-        if center_nm <= 0:
-            raise _fail(f"{field}.center_nm", "must be positive")
-        center = 2.0 * math.pi * spc.SPEED_OF_LIGHT_NM_PS / center_nm
+    center = _center(obj, field)
+    if "width_thz" in obj:
+        width = _number(obj, field, "width_thz")
+        build = spc.SpectralProfile
+        if shape is not spc.Shape.SINC:
+            width *= TWO_PI
+    elif "fwhm_nm" in obj:
+        width = _fwhm_from_nm(obj, field, center)
+        build = spc.SpectralProfile.from_fwhm
     else:
-        raise _fail(field, "needs center_thz or center_nm")
+        raise _fail(field, "needs width_thz or fwhm_nm")
     try:
-        if "width_thz" in obj:
-            width = _number(obj, field, "width_thz")
-            width = width if shape is spc.Shape.SINC else 2.0 * math.pi * width
-            return spc.SpectralProfile(shape, center, width, delay, broadening)
-        if "fwhm_nm" in obj:
-            lam = 2.0 * math.pi * spc.SPEED_OF_LIGHT_NM_PS / center
-            dw = spc.wavelength_width_to_frequency(lam, _number(obj, field, "fwhm_nm"))
-            return spc.SpectralProfile.from_fwhm(shape, center, dw, delay, broadening)
+        return build(shape, center, width, delay, broadening)
     except ValueError as exc:
         raise _fail(field, str(exc)) from None
-    raise _fail(field, "needs width_thz or fwhm_nm")
 
 
 def parse_polarization(obj: Any, field: str) -> pol.PolarizationVector:

@@ -32,7 +32,7 @@ __all__ = [
     "Pump", "PhaseMatching", "GridSpec", "SeparableJSA", "GriddedJSA",
     "SwapScenario", "GridResolutionError",
     "build_gaussian_jsa", "separable_to_grid", "schmidt_weights",
-    "bsm_outcome_probability", "bsm_outcome_probabilities",
+    "bsm_outcome_probabilities",
     "swap_fidelity", "swap_fidelity_separable", "detuned_bandwidth_sweep",
 ]
 
@@ -239,7 +239,13 @@ def _exchange_integral(scenario: SwapScenario, grid: GridSpec) -> float:
     wa = _trapezoid_weights(ab.axis_first)
     wd = _trapezoid_weights(cd.axis_second)
     # K_CDAB(w_D, w_A) = conj(K_ABCD(w_A, w_D)), so the integrand is |K|^2
-    return float(np.einsum("i,ij,j->", wa, np.abs(k) ** 2, wd).real)
+    x = float(np.einsum("i,ij,j->", wa, np.abs(k) ** 2, wd).real)
+    # Cauchy-Schwarz bounds it by 1 for normalized JSAs: clamp rounding
+    # excursions, reject anything larger (as spectral.overlap does)
+    if x > 1.0 + 1e-9:
+        raise GridResolutionError(
+            f"exchange integral {x:.6g} exceeds its Cauchy-Schwarz bound of 1")
+    return min(x, 1.0)
 
 
 def bsm_outcome_probabilities(scenario: SwapScenario) -> dict[str, float]:
@@ -250,23 +256,12 @@ def bsm_outcome_probabilities(scenario: SwapScenario) -> dict[str, float]:
     norms are cos^2(Phi)/16, sin^2(Phi)/16, sin^2(Phi)/16, cos^2(Phi)/16
     times the two JSA normalizations (only the sectors' signs differ
     between patterns).  Each pattern therefore sums to N_AB N_CD / 8
-    independent of the misalignment and of the spectra; the sectors are
-    assembled numerically here so the grid normalizations are exercised.
+    independent of the misalignment and of the spectra.
     """
     ab, cd = scenario.jsa_ab, scenario.jsa_cd
     n_ab = 1.0 if isinstance(ab, SeparableJSA) else ab.norm_squared()
     n_cd = 1.0 if isinstance(cd, SeparableJSA) else cd.norm_squared()
-    c2 = math.cos(scenario.phi) ** 2
-    s2 = math.sin(scenario.phi) ** 2
-    sectors = (c2, s2, s2, c2)
-    return {name: sum(sectors) * n_ab * n_cd / 16.0
-            for name in ("M0", "M1", "M2", "M3")}
-
-
-def bsm_outcome_probability(scenario: SwapScenario,
-                            grid: GridSpec = GridSpec()) -> float:
-    """Probability of one conclusive Bell-measurement pattern (= 1/8)."""
-    return bsm_outcome_probabilities(scenario)["M0"]
+    return dict.fromkeys(("M0", "M1", "M2", "M3"), n_ab * n_cd / 8.0)
 
 
 def swap_fidelity(scenario: SwapScenario, grid: GridSpec = GridSpec()) -> float:

@@ -1,27 +1,27 @@
 """Grid sweeps behind the command-line front end.
 
-Pure functions producing the data for the dip curves, the visibility
-contours over photon B's spectral parameters, the max-visibility tables
-(with the FWHM ratio at the optimum), and the coherent-source contours.
-Everything is deterministic: fixed grids, fixed golden-section iteration
-counts, no randomness.
+Pure functions producing the max-visibility tables (with the FWHM ratio
+at the optimum) and the visibility contours over photon B's spectral
+parameters, for Fock and coherent inputs alike.  Everything is
+deterministic: fixed grids, fixed golden-section iteration counts, no
+randomness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import coherent as coh
 from . import fock
 from . import polarization as pol
 from . import spectral as spc
 
 __all__ = [
     "TableEntry", "max_overlap_width", "max_visibility_table",
-    "visibility_contour_grid", "coherent_contour_grid", "log_grid",
+    "contour_grid", "log_grid",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -101,39 +101,21 @@ def max_visibility_table(center: float, fwhm_a: float,
     return out
 
 
-def visibility_contour_grid(m: int, n: int, profile_a: spc.SpectralProfile,
-                            shape_b: spc.Shape, centers_b: np.ndarray,
-                            fwhms_b: np.ndarray, phi: float = 0.0,
-                            app: fock.Apparatus = fock.IDEAL_APPARATUS
-                            ) -> np.ndarray:
-    """Fock-input visibility over photon B's (center, FWHM) grid.
+def contour_grid(visibility_at: Callable[[float], float],
+                 profile_a: spc.SpectralProfile, shape_b: spc.Shape,
+                 centers_b: np.ndarray, fwhms_b: np.ndarray,
+                 pol_b: pol.PolarizationVector) -> np.ndarray:
+    """Visibility over photon B's (center, FWHM) grid, photon A fixed.
 
-    Returns array indexed [i_center, j_fwhm].
+    Photon A is H-polarized and photon B carries ``pol_b``; at each grid
+    point the mode overlap c = cos(Phi) cos(Theta) comes from
+    :func:`fock.mode_overlap` and ``visibility_at(c)`` turns it into the
+    visibility of the input at hand (Fock or coherent, with its
+    apparatus).  Returns an array indexed [i_center, j_fwhm].
     """
-    pol_b = pol.rotate(pol.H, phi)
-    cphi = pol.cos_phi(pol.H, pol_b)
     out = np.empty((len(centers_b), len(fwhms_b)))
     for i, cb in enumerate(centers_b):
         for j, wb in enumerate(fwhms_b):
             prof_b = spc.SpectralProfile.from_fwhm(shape_b, cb, wb)
-            c = cphi * spc.overlap(profile_a, prof_b).magnitude
-            out[i, j] = fock.visibility_from_c(m, n, c, app, pol.H, pol_b)
-    return out
-
-
-def coherent_contour_grid(mu_a: float, mu_b: float,
-                          profile_a: spc.SpectralProfile, shape_b: spc.Shape,
-                          centers_b: np.ndarray, fwhms_b: np.ndarray,
-                          phi: float = 0.0,
-                          app: fock.Apparatus = fock.IDEAL_APPARATUS
-                          ) -> np.ndarray:
-    """Coherent-source visibility over photon B's (center, FWHM) grid."""
-    pol_b = pol.rotate(pol.H, phi)
-    out = np.empty((len(centers_b), len(fwhms_b)))
-    for i, cb in enumerate(centers_b):
-        for j, wb in enumerate(fwhms_b):
-            prof_b = spc.SpectralProfile.from_fwhm(shape_b, cb, wb)
-            pair = coh.CoherentPair(mu_a, mu_b, pol.H, pol_b,
-                                    profile_a, prof_b)
-            out[i, j] = coh.visibility_from_params(pair, app)
+            out[i, j] = visibility_at(fock.mode_overlap(pol.H, pol_b, profile_a, prof_b))
     return out

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,96 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+_BAD_PHOTON = '{"shape":"gaussian","center_thz":%s,"fwhm_nm":%s}'
+
+
+@pytest.mark.parametrize("args, key", [
+    (["contour", "--set", "center_thz=0"], "center_thz"),
+    (["tables", "--set", "center_thz=0"], "center_thz"),
+    (["dip", "--set", "profile_a=" + _BAD_PHOTON % (0, 1)], "profile_a.center_thz"),
+    (["contour", "--set", "center_thz=-5"], "center_thz"),
+    (["contour", "--set", "fwhm_nm=-1"], "fwhm_nm"),
+    (["tables", "--set", "fwhm_nm=-1"], "fwhm_nm"),
+    (["dip", "--set", "profile_a=" + _BAD_PHOTON % (193.55, -1)], "profile_a.fwhm_nm"),
+    (["contour", "--set", "center_thz=abc"], "center_thz"),
+    (["contour", "--set", "shape_a=box"], "shape_a"),
+    (["contour", "--set", "shape_b=box"], "shape_b"),
+    (["coherent", "--set", "mode=contour", "--set", "shape_b=box"], "shape_b"),
+])
+def test_bad_photon_literal_exits_2_naming_key(args, key, tmp_path, capsys):
+    rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"config field '{key}'" in err
+
+
+def test_parse_profile_wavelength_literals():
+    # center_nm and fwhm_nm are converted with d omega = 2 pi c d lambda / lambda^2
+    prof = cfgmod.parse_profile({"shape": "sech", "center_nm": 1550.0,
+                                 "fwhm_nm": 0.8}, "p")
+    ref = spc.SpectralProfile.from_wavelength("sech", 1550.0, 0.8)
+    assert prof.shape is spc.Shape.SECH
+    assert prof.center == pytest.approx(ref.center, rel=1e-15)
+    assert prof.width == pytest.approx(ref.width, rel=1e-13)
+    thz = cfgmod.parse_profile({"shape": "sinc", "center_thz": 193.55,
+                                "fwhm_nm": 1.0}, "p")
+    lam = 2 * math.pi * spc.SPEED_OF_LIGHT_NM_PS / thz.center
+    assert thz.center == 2 * math.pi * 193.55
+    assert spc.fwhm(thz) == pytest.approx(
+        spc.wavelength_width_to_frequency(lam, 1.0), rel=1e-12)
+
+
+# every command and mode at its defaults: the printed probabilities,
+# visibilities and fidelities all lie in [0, 1], with no tolerance
+_ALL_JOBS = ([["dip"], ["contour"], ["tables"], ["protocols"]]
+             + [["coherent", "--set", f"mode={m}"]
+                for m in ("ratio_map", "contour", "curve")]
+             + [["channels", "--set", f"mode={m}"]
+                for m in ("damping", "depolarizing", "broadening", "number_dist")]
+             + [["swap", "--set", f"mode={m}"]
+                for m in ("angle_grid", "bandwidth_sweep", "pump_sweep", "pair")])
+_BOUNDED = re.compile(r"p_co|visibility|probability|fidelity|M\d+|.+_(probability|fidelity)")
+
+
+def _bounded_values(text):
+    if text.startswith("{"):
+        def walk(node, key=""):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield from walk(v, k)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool) \
+                    and _BOUNDED.fullmatch(key):
+                yield key, node
+        yield from walk(json.loads(text))
+        return
+    if text.startswith("# homsim tables"):
+        for ln in text.splitlines():
+            if not ln.startswith("#"):
+                for vis in re.findall(r"(\S+) \| ", ln):
+                    yield "visibility", float(vis)
+        return
+    columns = []
+    for ln in text.splitlines():
+        if ln.startswith("#"):
+            continue
+        if ln[0].isalpha():
+            columns = ln.split(",")
+            continue
+        for name, value in zip(columns, ln.split(",")):
+            if _BOUNDED.fullmatch(name):
+                yield name, float(value)
+
+
+@pytest.mark.parametrize("args", _ALL_JOBS, ids=[" ".join(a) for a in _ALL_JOBS])
+def test_every_command_prints_values_in_unit_interval(args, tmp_path):
+    rc, text = run(args + ["--grid", "3"], tmp_path)
+    assert rc == 0
+    values = list(_bounded_values(text))
+    assert values
+    outside = [(k, v) for k, v in values if not 0.0 <= v <= 1.0]
+    assert not outside
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,14 @@ def make_scenario(phi=0.0, sigma_b=0.5, sigma_c=0.5, detune=0.0, grid_n=160):
     return jsa.SwapScenario(ab, cd, phi)
 
 
-def test_bsm_outcome_probability_is_one_eighth():
+def test_bsm_outcome_probabilities_are_one_eighth():
     for phi, det in ((0.0, 0.0), (math.pi / 3, 0.8), (1.2, 0.0)):
         s = make_scenario(phi=phi, sigma_b=0.4, sigma_c=0.9, detune=det)
-        assert jsa.bsm_outcome_probability(s) == pytest.approx(0.125, abs=1e-9)
+        assert jsa.bsm_outcome_probabilities(s)["M0"] == pytest.approx(0.125,
+                                                                       abs=1e-9)
     # four conclusive patterns make up the linear-optics 50% ceiling
-    assert 4 * jsa.bsm_outcome_probability(make_scenario()) == pytest.approx(0.5,
-                                                                             abs=1e-9)
+    probs = jsa.bsm_outcome_probabilities(make_scenario())
+    assert sum(probs.values()) == pytest.approx(0.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +168,22 @@ def test_entangled_jsa_lowers_fidelity():
     purity = float(np.sum(jsa.schmidt_weights(entangled, count=160) ** 2))
     assert f == pytest.approx(0.5 * (1.0 + purity), abs=1e-6)
     assert f < 0.95
+
+
+def test_fidelity_never_exceeds_one_from_rounding():
+    # identical separable sources: the gridded exchange integral lands a few
+    # ulp above its Cauchy-Schwarz bound of 1 and is clamped there
+    for n in (64, 160, 192, 256):
+        s = make_scenario(phi=0.0, sigma_b=0.5, sigma_c=0.5, grid_n=n)
+        assert jsa.swap_fidelity(s) <= 1.0
+
+
+def test_unnormalized_jsa_exceeding_bound_raises():
+    s = make_scenario(phi=0.0, sigma_b=0.5, sigma_c=0.5)
+    doubled = jsa.GriddedJSA(s.jsa_ab.axis_first, s.jsa_ab.axis_second,
+                             2.0 * s.jsa_ab.values)
+    with pytest.raises(jsa.GridResolutionError):
+        jsa.swap_fidelity(jsa.SwapScenario(doubled, s.jsa_cd, 0.0))
 
 
 def test_mismatched_shared_axis_raises():
