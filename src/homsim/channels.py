@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from . import polarization as pol
 from . import spectral as spc
-from .fock import Apparatus, IDEAL_APPARATUS, coincidence_raw
+from .fock import (Apparatus, IDEAL_APPARATUS, _deltas, coincidence_raw,
+                   dip_visibility, mode_overlap)
 
 __all__ = [
     "ChannelSpec", "SourceSpec", "MixedSource", "IDENTITY_CHANNEL",
@@ -132,21 +133,17 @@ def mixed_coincidence(src_a: MixedSource, src_b: MixedSource,
             weight = pka * wa * pkb * wb
             if ka + kb < 1:
                 continue
-            c = pol.cos_phi(va, vb) * ctheta
-            da = pol.click_probability(app.det_a, va, vb, ka, kb)
-            db = pol.click_probability(app.det_b, va, vb, ka, kb)
-            total += weight * coincidence_raw(ka, kb, c, app.bs, da, db)
+            da, db = _deltas(ka, kb, va, vb, app)
+            total += weight * coincidence_raw(ka, kb, mode_overlap(va, vb, ctheta),
+                                              app.bs, da, db)
     return total
 
 
 def mixed_visibility(src_a: MixedSource, src_b: MixedSource,
                      app: Apparatus = IDEAL_APPARATUS) -> float:
     """Visibility of the mixed-state dip against the analytic baseline."""
-    p_inf = mixed_coincidence(src_a, src_b, app, ctheta=0.0)
-    if p_inf == 0.0:
-        raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
-    p_0 = mixed_coincidence(src_a, src_b, app)
-    return (p_inf - p_0) / p_inf
+    return dip_visibility(lambda ct: mixed_coincidence(src_a, src_b, app, ct),
+                          spc.overlap(src_a.spec, src_b.spec).magnitude)
 
 
 def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
@@ -169,9 +166,8 @@ def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
             key = (ch_a.xi, ch_b.xi)
             if key not in overlap_cache:
                 overlap_cache[key] = spc.overlap(mixed_a.spec, mixed_b.spec).magnitude
-            ct = overlap_cache[key]
-            p_inf = mixed_coincidence(mixed_a, mixed_b, app, ctheta=0.0)
-            p_0 = mixed_coincidence(mixed_a, mixed_b, app, ctheta=ct)
-            row.append((p_inf - p_0) / p_inf)
+            row.append(dip_visibility(
+                lambda ct: mixed_coincidence(mixed_a, mixed_b, app, ct),
+                overlap_cache[key]))
         out.append(row)
     return out

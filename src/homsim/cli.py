@@ -93,17 +93,6 @@ def _grid_n(cfg: dict) -> int:
     return int(cfg.get("grid_override", cfg["grid_n"]))
 
 
-def _photon_pairs(cfg: dict) -> list[tuple[int, int]]:
-    pairs = cfg.get("photons", [[1, 1]])
-    out = []
-    for p in pairs:
-        if (not isinstance(p, (list, tuple)) or len(p) != 2
-                or any(not isinstance(v, int) or v < 0 for v in p)):
-            raise ConfigError(f"config field 'photons': bad entry {p!r}")
-        out.append((p[0], p[1]))
-    return out
-
-
 def _linspace(obj: dict, field: str, n_override: int | None = None) -> np.ndarray:
     lo = obj.get("min")
     hi = obj.get("max")
@@ -138,7 +127,7 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     lines.append("# block columns: tau_ps, p_co")
     blocks = [(phi, fock.FockPair(m, n, pol_a, pol.rotate(pol_a, float(phi)),
                                   prof_a, prof_b))
-              for m, n in _photon_pairs(cfg) for phi in cfg["phi"]]
+              for m, n in cfgmod.parse_photons(cfg) for phi in cfg["phi"]]
     # cos(Theta(tau)) depends only on the spectra: one scan serves every block
     cos_theta = spc.overlap_curve(prof_a, prof_b, taus) if blocks else None
     for phi, pair in blocks:
@@ -201,8 +190,10 @@ def cmd_contour(cfg: dict, out: str | None) -> None:
     prof_a = spc.SpectralProfile.from_fwhm(
         cfgmod.parse_shape(cfg["shape_a"], "shape_a"), center, fw)
     app = cfgmod.parse_apparatus(cfg)
-    m, n = int(cfg["m"]), int(cfg["n"])
-    pol_b = pol.rotate(pol.H, float(cfg["phi"]))
+    m, n = cfgmod.parse_count(cfg, "m"), cfgmod.parse_count(cfg, "n")
+    if m + n < 1:
+        raise ConfigError("config field 'm': m + n must be at least 1")
+    pol_b = pol.rotate(pol.H, cfgmod.parse_real(cfg, "phi"))
     _emit_contour("contour", cfg, out, prof_a,
                   lambda c: fock.visibility_from_c(m, n, c, app, pol.H, pol_b), pol_b)
 
@@ -219,7 +210,7 @@ _TABLES_DEFAULTS = {
 
 def cmd_tables(cfg: dict, out: str | None) -> None:
     center, fw = cfgmod.parse_center_fwhm(cfg)
-    pairs = _photon_pairs(cfg)
+    pairs = cfgmod.parse_photons(cfg)
     table = sweeps.max_visibility_table(center, fw, pairs)
     shapes = list(spc.Shape)
     lines = _header_lines("tables", cfg)
@@ -268,16 +259,19 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
                    ("mu_ratio", "tr_ratio", "visibility"))
     elif mode == "contour":
         prof_a = cfgmod.parse_profile(cfg["profile_a"], "profile_a")
-        pol_b = pol.rotate(pol.H, float(cfg["phi"]))
-        pair = coh.CoherentPair(float(cfg["mu_a"]), float(cfg["mu_b"]), pol.H, pol_b)
+        pol_b = pol.rotate(pol.H, cfgmod.parse_real(cfg, "phi"))
+        pair = coh.CoherentPair(cfgmod.parse_real(cfg, "mu_a", nonnegative=True),
+                                cfgmod.parse_real(cfg, "mu_b", nonnegative=True),
+                                pol.H, pol_b)
         _emit_contour("coherent", cfg, out, prof_a,
                       lambda c: coh.visibility_from_params(pair, app, c), pol_b)
     elif mode == "curve":
         mus = _linspace(cfg["mu_curve"], "mu_curve", cfg.get("grid_override"))
+        phi = cfgmod.parse_real(cfg, "phi")
         lines = _header_lines("coherent", cfg)
         lines.append("mu,visibility")
         for mu in mus:
-            lines.append(f"{_fmt(mu)},{_fmt(coh.coherent_visibility(float(mu), float(cfg['phi'])))}")
+            lines.append(f"{_fmt(mu)},{_fmt(coh.coherent_visibility(float(mu), phi))}")
         _emit(out, lines)
     else:
         raise ConfigError(f"config field 'mode': unknown coherent mode {mode!r}")
@@ -314,9 +308,9 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
 
     prof_a = cfgmod.parse_profile(cfg["profile_a"], "profile_a")
     prof_b = cfgmod.parse_profile(cfg.get("profile_b", cfg["profile_a"]), "profile_b")
-    src_a = chn.SourceSpec(int(cfg["m"]),
+    src_a = chn.SourceSpec(cfgmod.parse_count(cfg, "m"),
                            cfgmod.parse_polarization(cfg["pol_a"], "pol_a"), prof_a)
-    src_b = chn.SourceSpec(int(cfg["n"]),
+    src_b = chn.SourceSpec(cfgmod.parse_count(cfg, "n"),
                            cfgmod.parse_polarization(cfg["pol_b"], "pol_b"), prof_b)
     app = cfgmod.parse_apparatus(cfg)
     n = _grid_n(cfg)
@@ -437,13 +431,11 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
             pump = jsa.Pump(float(cfg["pump_center"]), float(sp))
             built = jsa.build_gaussian_jsa(pump, pm, grid_spec)
             # photon going to the BSM on the first axis for the CD source;
-            # the misalignment only scales the Phi-independent exchange term
+            # the misalignment scales the aligned fidelity by cos^2 Phi
             cd = built
             ab = jsa.GriddedJSA(built.axis_second, built.axis_first, built.values.T)
-            exchange = 2.0 * jsa.swap_fidelity(jsa.SwapScenario(ab, cd, 0.0),
-                                               grid_spec) - 1.0
-            row = [0.5 * math.cos(float(p)) ** 2 * (1.0 + exchange) for p in phis]
-            rows.append(row)
+            aligned = jsa.swap_fidelity(jsa.SwapScenario(ab, cd, 0.0), grid_spec)
+            rows.append([math.cos(float(p)) ** 2 * aligned for p in phis])
         _emit_grid("swap", cfg, out, sigmas, phis, rows,
                    ("pump_sigma_rad_ps", "phi_rad", "fidelity"))
     else:

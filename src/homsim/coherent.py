@@ -28,7 +28,8 @@ import numpy as np
 
 from . import polarization as pol
 from . import spectral as spc
-from .fock import Apparatus, BeamSplitter, IDEAL_APPARATUS, mode_overlap
+from .fock import (Apparatus, BeamSplitter, IDEAL_APPARATUS, _cos_theta,
+                   dip_visibility, mode_overlap)
 
 __all__ = [
     "CoherentPair", "bessel_i0", "total_coincidence", "total_coincidence_series",
@@ -54,7 +55,7 @@ class CoherentPair:
             raise ValueError("mean photon numbers must be non-negative")
 
     def mode_overlap(self) -> float:
-        return mode_overlap(self.pol_a, self.pol_b, self.spec_a, self.spec_b)
+        return mode_overlap(self.pol_a, self.pol_b, _cos_theta(self.spec_a, self.spec_b))
 
 
 def bessel_i0(x: float) -> float:
@@ -227,19 +228,15 @@ def visibility_from_params(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
 
     ``c`` overrides the pair's overlap, as in :func:`total_coincidence`.
     """
-    p_inf = total_coincidence(pair, app, c=0.0)
-    if p_inf == 0.0:
-        raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
-    p_0 = total_coincidence(pair, app, c)
-    return (p_inf - p_0) / p_inf
+    if c is None:
+        c = pair.mode_overlap()
+    return dip_visibility(lambda x: total_coincidence(pair, app, x), c)
 
 
 def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
                          app: Apparatus = IDEAL_APPARATUS, mu_mean: float = 1.0,
-                         pol_a: pol.PolarizationVector = pol.H,
-                         pol_b: pol.PolarizationVector = pol.H,
                          fixed_mu_b: float | None = None) -> np.ndarray:
-    """Visibility over (mu_A/mu_B, T/R) grids.
+    """Visibility over (mu_A/mu_B, T/R) grids for H-polarized inputs.
 
     By default the geometric mean of the two intensities is held at
     ``mu_mean``, which makes the arm-swap relabeling (both ratios
@@ -260,7 +257,7 @@ def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
         for j, s in enumerate(tr_ratios):
             t = s / (1.0 + s)
             bs = BeamSplitter(t, 1.0 - t)
-            pair = CoherentPair(mu_a, mu_b, pol_a, pol_b)
+            pair = CoherentPair(mu_a, mu_b)
             out[i, j] = visibility_from_params(
                 pair, Apparatus(bs, app.det_a, app.det_b))
     return out

@@ -18,8 +18,8 @@ from . import jsa
 from . import polarization as pol
 from . import spectral as spc
 
-__all__ = ["ConfigError", "merge", "set_path", "parse_shape",
-           "parse_center_fwhm", "parse_profile",
+__all__ = ["ConfigError", "merge", "set_path", "parse_real", "parse_count",
+           "parse_photons", "parse_shape", "parse_center_fwhm", "parse_profile",
            "parse_polarization", "parse_detector", "parse_beam_splitter",
            "parse_apparatus", "parse_channel", "parse_jsa"]
 
@@ -73,9 +73,41 @@ def _number(obj: dict, field: str, key: str, default: float | None = None,
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise _fail(name, f"expected a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise _fail(name, f"must be finite, got {v!r}")
     if positive and v <= 0:
         raise _fail(name, "must be positive")
     return float(v)
+
+
+def _is_count(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def parse_real(cfg: dict, key: str, nonnegative: bool = False) -> float:
+    """Required finite number at top-level `key` (>= 0 if ``nonnegative``)."""
+    v = _number(cfg, "", key)
+    if nonnegative and v < 0:
+        raise _fail(key, "must be non-negative")
+    return v
+
+
+def parse_count(cfg: dict, key: str) -> int:
+    """Required photon number at top-level `key`: a non-negative integer."""
+    v = cfg.get(key)
+    if not _is_count(v):
+        raise _fail(key, f"expected a non-negative integer, got {v!r}")
+    return v
+
+
+def parse_photons(cfg: dict) -> list[tuple[int, int]]:
+    """`photons`: a list of [m, n] photon-number pairs (default [[1, 1]])."""
+    out = []
+    for p in cfg.get("photons", [[1, 1]]):
+        if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(map(_is_count, p)):
+            raise _fail("photons", f"bad entry {p!r}")
+        out.append((p[0], p[1]))
+    return out
 
 
 def parse_shape(obj: Any, field: str) -> spc.Shape:

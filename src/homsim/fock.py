@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import polarization as pol
 from . import spectral as spc
@@ -29,7 +31,8 @@ from . import spectral as spc
 __all__ = [
     "BeamSplitter", "FockPair", "Apparatus", "InvalidRegimeError", "mode_overlap",
     "bunching_factor", "p_all_one_side", "coincidence", "coincidence_raw",
-    "dip_curve", "visibility", "visibility_from_c", "visibility_vs_polarization",
+    "dip_curve", "dip_visibility", "visibility", "visibility_from_c",
+    "visibility_vs_polarization",
 ]
 
 _LOG_BINOM_CUTOFF = 62  # exact integer binomials up to here, log-domain beyond
@@ -60,17 +63,22 @@ class BeamSplitter:
 
 
 def mode_overlap(pol_a: pol.PolarizationVector, pol_b: pol.PolarizationVector,
-                 spec_a: spc.SpectralProfile | None = None,
-                 spec_b: spc.SpectralProfile | None = None) -> float:
-    """c = cos(Phi) cos(Theta) for two mode labels (Theta = 0 if no spectra).
+                 cos_theta: float | np.ndarray = 1.0) -> float | np.ndarray:
+    """c = cos(Phi) cos(Theta) for two polarizations and a spectral overlap.
 
-    The one place the combined overlap is formed; Fock and coherent pairs
-    both delegate here.
+    The one place the combined overlap is formed: pairs, dips, contours
+    and mixed-state branches all come here with the cos(Theta) they hold
+    (1 without spectra).  An array of cos(Theta) gives an array of c.
     """
-    c = pol.cos_phi(pol_a, pol_b)
-    if spec_a is not None and spec_b is not None:
-        c *= spc.overlap(spec_a, spec_b).magnitude
-    return c
+    return pol.cos_phi(pol_a, pol_b) * cos_theta
+
+
+def _cos_theta(spec_a: spc.SpectralProfile | None,
+               spec_b: spc.SpectralProfile | None) -> float:
+    """cos(Theta) of a pair's spectra; 1 when either arm has none."""
+    if spec_a is None or spec_b is None:
+        return 1.0
+    return spc.overlap(spec_a, spec_b).magnitude
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ class FockPair:
             raise ValueError("photon numbers must be non-negative")
 
     def mode_overlap(self) -> float:
-        return mode_overlap(self.pol_a, self.pol_b, self.spec_a, self.spec_b)
+        return mode_overlap(self.pol_a, self.pol_b, _cos_theta(self.spec_a, self.spec_b))
 
 
 @dataclass(frozen=True)
@@ -136,10 +144,12 @@ def p_all_one_side(pair: FockPair, bs: BeamSplitter) -> tuple[float, float]:
     return (t**pair.m * r**pair.n * p, t**pair.n * r**pair.m * p)
 
 
-def _deltas(pair_m: int, pair_n: int, pol_a: pol.PolarizationVector,
+def _deltas(m: int, n: int, pol_a: pol.PolarizationVector,
             pol_b: pol.PolarizationVector, app: Apparatus) -> tuple[float, float]:
-    da = pol.click_probability(app.det_a, pol_a, pol_b, pair_m, pair_n)
-    db = pol.click_probability(app.det_b, pol_a, pol_b, pair_m, pair_n)
+    """Click terms (Delta_A, Delta_B) of one pure branch: m photons in
+    pol_a and n in pol_b reaching each detector."""
+    da = pol.click_probability(app.det_a, pol_a, pol_b, m, n)
+    db = pol.click_probability(app.det_b, pol_a, pol_b, m, n)
     return da, db
 
 
@@ -188,27 +198,32 @@ def dip_curve(pair: FockPair, taus: Iterable[float],
         cos_theta = spc.overlap_curve(pair.spec_a, pair.spec_b, taus)
     elif len(cos_theta) != len(taus):
         raise ValueError("cos_theta needs one value per tau")
-    cphi = pol.cos_phi(pair.pol_a, pair.pol_b)
-    return [(tau, coincidence_raw(pair.m, pair.n, cphi * float(ctheta),
-                                  app.bs, da, db))
-            for tau, ctheta in zip(taus, cos_theta)]
+    cs = mode_overlap(pair.pol_a, pair.pol_b, np.asarray(cos_theta, dtype=float))
+    return [(tau, coincidence_raw(pair.m, pair.n, float(c), app.bs, da, db))
+            for tau, c in zip(taus, cs)]
+
+
+def dip_visibility(p_at: Callable[[float], float], c: float) -> float:
+    """V = (P(0) - P(c)) / P(0): the dip at overlap c against its baseline.
+
+    ``p_at`` maps an overlap to a coincidence probability; the far-delay
+    baseline is its value at 0, where cos(Theta) -> 0 kills the overlap
+    (Riemann-Lebesgue for every envelope family).  The one visibility
+    rule: Fock, mixed-state and coherent inputs all come here.
+    """
+    p_inf = p_at(0.0)
+    if p_inf == 0.0:
+        raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
+    p_0 = p_at(c)
+    return (p_inf - p_0) / p_inf
 
 
 def visibility_from_c(m: int, n: int, c0: float, app: Apparatus,
                       pol_a: pol.PolarizationVector = pol.H,
                       pol_b: pol.PolarizationVector = pol.H) -> float:
-    """(P_inf - P_0) / P_inf with P_0 at overlap c0 and P_inf at c = 0.
-
-    c0 already includes cos(Phi); the infinite-delay baseline keeps the
-    polarization factor out because cos(Theta) -> 0 kills the whole
-    product (Riemann-Lebesgue for every envelope family).
-    """
+    """Fock visibility at the mode overlap c0 (which includes cos(Phi))."""
     da, db = _deltas(m, n, pol_a, pol_b, app)
-    p_inf = coincidence_raw(m, n, 0.0, app.bs, da, db)
-    if p_inf == 0.0:
-        raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
-    p_0 = coincidence_raw(m, n, c0, app.bs, da, db)
-    return (p_inf - p_0) / p_inf
+    return dip_visibility(lambda c: coincidence_raw(m, n, c, app.bs, da, db), c0)
 
 
 def visibility(pair: FockPair, app: Apparatus = IDEAL_APPARATUS) -> float:
@@ -224,6 +239,6 @@ def visibility_vs_polarization(m: int, n: int, phis: Sequence[float],
     out = []
     for phi in phis:
         pb = pol.rotate(pol.H, phi)
-        out.append((phi, visibility_from_c(m, n, pol.cos_phi(pol.H, pb),
+        out.append((phi, visibility_from_c(m, n, mode_overlap(pol.H, pb),
                                            app, pol.H, pb)))
     return out

@@ -264,21 +264,25 @@ def bsm_outcome_probabilities(scenario: SwapScenario) -> dict[str, float]:
     return dict.fromkeys(("M0", "M1", "M2", "M3"), n_ab * n_cd / 8.0)
 
 
+def _fidelity(phi: float, exchange: float) -> float:
+    """F = (cos^2 Phi / 2)(1 + X) from the exchange integral X: the one
+    place the swap fidelity is formed."""
+    return 0.5 * math.cos(phi) ** 2 * (1.0 + exchange)
+
+
 def swap_fidelity(scenario: SwapScenario, grid: GridSpec = GridSpec()) -> float:
     """Fidelity of the post-measurement AD pair with the singlet."""
-    x = _exchange_integral(scenario, grid)
-    return 0.5 * math.cos(scenario.phi) ** 2 * (1.0 + x)
+    return _fidelity(scenario.phi, _exchange_integral(scenario, grid))
 
 
 def swap_fidelity_separable(phi: float, theta_bc: float) -> float:
     """Closed form (cos^2 Phi / 2)(1 + cos^2 Theta_BC) for separable JSAs."""
-    return 0.5 * math.cos(phi) ** 2 * (1.0 + math.cos(theta_bc) ** 2)
+    return _fidelity(phi, math.cos(theta_bc) ** 2)
 
 
 def detuned_bandwidth_sweep(detunings: list[float], sigma_b_grid: list[float],
-                            sigma_c: float, phi: float = 0.0
-                            ) -> list[list[tuple[float, float]]]:
-    """Fidelity curves F(sigma_B) for each center detuning (Gaussian case).
+                            sigma_c: float) -> list[list[tuple[float, float]]]:
+    """Aligned (Phi = 0) fidelity curves F(sigma_B) per center detuning.
 
     Uses the Gaussian overlap closed form; one curve (list of (sigma_B, F))
     per detuning value.
@@ -288,6 +292,6 @@ def detuned_bandwidth_sweep(detunings: list[float], sigma_b_grid: list[float],
         curve = []
         for sb in sigma_b_grid:
             ov = spc.gaussian_overlap_closed_form(sb, sigma_c, d, 0.0)
-            curve.append((sb, 0.5 * math.cos(phi) ** 2 * (1.0 + ov * ov)))
+            curve.append((sb, _fidelity(0.0, ov * ov)))
         curves.append(curve)
     return curves

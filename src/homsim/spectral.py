@@ -4,8 +4,9 @@ Four normalized envelope families are supported (Gaussian, sinc, Lorentzian,
 hyperbolic secant), each parameterized by a center frequency, one width
 parameter, an arrival-time delay tau (a pure phase e^{i omega tau} on the
 amplitude) and a multiplicative broadening factor.  All frequencies are
-angular, in rad/ps; times are in ps.  Constructors are provided for inputs
-quoted in THz ordinary frequency or nm wavelength.
+angular, in rad/ps; times are in ps.  Inputs quoted in THz ordinary
+frequency or nm wavelength are converted by the config literals
+(:mod:`homsim.config`).
 
 The spectro-temporal mismatch between two wavepackets is the magnitude of
 
@@ -34,13 +35,15 @@ __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
     "amplitude", "time_envelope", "overlap", "overlap_curve",
     "gaussian_overlap_closed_form", "fwhm", "norm_squared",
-    "wavelength_width_to_frequency", "frequency_window",
+    "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
 ]
 
 SPEED_OF_LIGHT_NM_PS = 299792.458  # nm / ps
 
 TWO_PI = 2.0 * math.pi
+_REL_TOL = 1e-10  # relative accuracy of every overlap and norm quadrature
+_TAIL_EPS = 1e-16  # tail mass of G(t)^2 left outside the time support
 
 
 class Shape(enum.Enum):
@@ -103,32 +106,12 @@ class SpectralProfile:
         return replace(self, delay=self.delay + tau)
 
     @staticmethod
-    def from_thz(shape: Shape | str, center_thz: float, width_thz: float,
-                 delay_ps: float = 0.0, broadening: float = 1.0) -> "SpectralProfile":
-        """Build from ordinary frequencies in THz (multiplied by 2 pi).
-
-        For the sinc family ``width_thz`` is not a frequency: the duration
-        T is passed through in ps unchanged.
-        """
-        shape = Shape(shape)
-        width = width_thz if shape is Shape.SINC else TWO_PI * width_thz
-        return SpectralProfile(shape, TWO_PI * center_thz, width, delay_ps, broadening)
-
-    @staticmethod
     def from_fwhm(shape: Shape | str, center: float, fwhm: float,
                   delay_ps: float = 0.0, broadening: float = 1.0) -> "SpectralProfile":
         """Build from a target FWHM of |phi|^2 in rad/ps (gamma for Lorentzian)."""
         shape = Shape(shape)
         return SpectralProfile(shape, center, _width_from_fwhm(shape, fwhm),
                                delay_ps, broadening)
-
-    @staticmethod
-    def from_wavelength(shape: Shape | str, center_nm: float, fwhm_nm: float,
-                        delay_ps: float = 0.0, broadening: float = 1.0) -> "SpectralProfile":
-        """Build from a center wavelength and FWHM bandwidth, both in nm."""
-        center = TWO_PI * SPEED_OF_LIGHT_NM_PS / center_nm
-        dw = wavelength_width_to_frequency(center_nm, fwhm_nm)
-        return SpectralProfile.from_fwhm(shape, center, dw, delay_ps, broadening)
 
 
 @dataclass(frozen=True)
@@ -203,48 +186,25 @@ def time_envelope(profile: SpectralProfile, t) -> np.ndarray | float:
     raise ValueError(f"unknown shape {profile.shape}")  # pragma: no cover
 
 
-def _time_radius(profile: SpectralProfile, eps: float = 1e-16) -> float:
-    """Half-width of the support of G(t)^2 up to tail mass ~eps."""
+def _time_radius(profile: SpectralProfile) -> float:
+    """Half-width of the support of G(t)^2 up to tail mass ~_TAIL_EPS."""
     w = profile.effective_width
     if profile.shape is Shape.GAUSSIAN:
-        return math.sqrt(-math.log(eps) / 2.0) / w
+        return math.sqrt(-math.log(_TAIL_EPS) / 2.0) / w
     if profile.shape is Shape.SINC:
         return 0.5 * w
     if profile.shape is Shape.LORENTZIAN:
-        return -math.log(eps) / w
+        return -math.log(_TAIL_EPS) / w
     if profile.shape is Shape.SECH:
-        return -math.log(eps / 4.0) / (math.pi * w)
+        return -math.log(_TAIL_EPS / 4.0) / (math.pi * w)
     raise ValueError(f"unknown shape {profile.shape}")  # pragma: no cover
-
-
-def frequency_window(profile: SpectralProfile, eps: float = 1e-12) -> tuple[float, float]:
-    """Frequency window outside which the tail mass of |phi|^2 is < eps.
-
-    Used to seed frequency-domain quadratures (normalization checks, FWHM
-    bracketing).  The Lorentzian's x^-4 intensity tail forces a window of
-    order gamma * eps^(-1/3); the sinc's 1/x^2 tail cannot reach small eps
-    in the frequency domain at all, so a generous lobe-count window is
-    returned and accurate sinc integrals are done in the time domain.
-    """
-    w = profile.effective_width
-    c = profile.center
-    if profile.shape is Shape.GAUSSIAN:
-        r = 2.0 * w * math.sqrt(max(-math.log(eps), 1.0))
-    elif profile.shape is Shape.LORENTZIAN:
-        r = w * max((1.0 / (6.0 * math.pi * eps)) ** (1.0 / 3.0), 4.0)
-    elif profile.shape is Shape.SECH:
-        r = 0.5 * w * max(-math.log(eps), 4.0)
-    else:  # sinc: 400 side lobes
-        r = 400.0 * TWO_PI / w
-    return (c - r, c + r)
 
 
 # ---------------------------------------------------------------------------
 # overlap
 # ---------------------------------------------------------------------------
 
-def overlap(a: SpectralProfile, b: SpectralProfile,
-            rel_tol: float = 1e-10) -> OverlapResult:
+def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
     """Overlap integral int phi_a*(omega) phi_b(omega) d omega.
 
     Identical Gaussians-with-Gaussians use the closed form; all other
@@ -255,7 +215,7 @@ def overlap(a: SpectralProfile, b: SpectralProfile,
     if a.shape is Shape.GAUSSIAN and b.shape is Shape.GAUSSIAN:
         value = _gaussian_pair_overlap(a, b)
     else:
-        value = _quadrature_overlap(a, b, rel_tol)
+        value = _quadrature_overlap(a, b)
     mag = abs(value)
     if mag > 1.0 + 1e-9:
         raise IntegrationError("overlap magnitude exceeds Cauchy-Schwarz bound",
@@ -295,8 +255,7 @@ def _gaussian_pair_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
     return complex(val)
 
 
-def _quadrature_overlap(a: SpectralProfile, b: SpectralProfile,
-                        rel_tol: float) -> complex:
+def _quadrature_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
     ra, rb = _time_radius(a), _time_radius(b)
     lo = max(a.delay - ra, b.delay - rb)
     hi = min(a.delay + ra, b.delay + rb)
@@ -313,7 +272,7 @@ def _quadrature_overlap(a: SpectralProfile, b: SpectralProfile,
     pts = _seed_points(a, b, lo, hi, dw)
     # overlaps are bounded by 1, so 1e-12 absolute keeps cos(Theta) two
     # orders under the relative target even when the integral is tiny
-    return integrate(f, pts, rel_tol=rel_tol, abs_tol=1e-12)
+    return integrate(f, pts, rel_tol=_REL_TOL, abs_tol=1e-12)
 
 
 def _seed_points(a: SpectralProfile, b: SpectralProfile,
@@ -425,7 +384,7 @@ def _width_from_fwhm(shape: Shape, target: float) -> float:
     return target / _unit_fwhm(Shape.SECH)
 
 
-def norm_squared(profile: SpectralProfile, rel_tol: float = 1e-10) -> float:
+def norm_squared(profile: SpectralProfile) -> float:
     """int |phi|^2 d omega, evaluated in the time domain (== int G^2 dt)."""
     r = _time_radius(profile)
 
@@ -436,4 +395,4 @@ def norm_squared(profile: SpectralProfile, rel_tol: float = 1e-10) -> float:
     scale = r / 8.0
     pts = sorted({-r, -4 * scale, -2 * scale, -scale, 0.0, scale, 2 * scale,
                   4 * scale, r})
-    return float(integrate(f, pts, rel_tol=rel_tol).real)
+    return float(integrate(f, pts, rel_tol=_REL_TOL).real)

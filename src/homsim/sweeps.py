@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_WIDTH_SPAN = 64.0  # golden-section bracket: photon A's FWHM / and * this
+_GOLDEN_ITERS = 90
 
 
 def log_grid(center: float, factor: float, n: int) -> np.ndarray:
@@ -41,8 +43,8 @@ class TableEntry:
     fwhm_ratio: float
 
 
-def max_overlap_width(profile_a: spc.SpectralProfile, shape_b: spc.Shape,
-                      span_factor: float = 64.0, iters: int = 90) -> tuple[float, float]:
+def max_overlap_width(profile_a: spc.SpectralProfile,
+                      shape_b: spc.Shape) -> tuple[float, float]:
     """(best FWHM for photon B, cos Theta there) at matched centers.
 
     Golden-section search on log(FWHM_B) around photon A's width; matched
@@ -56,13 +58,13 @@ def max_overlap_width(profile_a: spc.SpectralProfile, shape_b: spc.Shape,
                                                math.exp(log_w))
         return spc.overlap(profile_a, prof_b).magnitude
 
-    lo = math.log(target / span_factor)
-    hi = math.log(target * span_factor)
+    lo = math.log(target / _WIDTH_SPAN)
+    hi = math.log(target * _WIDTH_SPAN)
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = cos_at(c), cos_at(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -76,8 +78,7 @@ def max_overlap_width(profile_a: spc.SpectralProfile, shape_b: spc.Shape,
 
 
 def max_visibility_table(center: float, fwhm_a: float,
-                         photon_pairs: list[tuple[int, int]],
-                         shapes: list[spc.Shape] | None = None
+                         photon_pairs: list[tuple[int, int]]
                          ) -> dict[tuple[spc.Shape, spc.Shape], TableEntry]:
     """Optimal-visibility table over all (shape_B row, shape_A column) pairs.
 
@@ -85,7 +86,7 @@ def max_visibility_table(center: float, fwhm_a: float,
     The reported ratio is fwhm(B at optimum) / fwhm(A).  The optimum width
     is photon-number independent, so all requested (m, n) reuse it.
     """
-    shapes = shapes or list(spc.Shape)
+    shapes = list(spc.Shape)
     out: dict[tuple[spc.Shape, spc.Shape], TableEntry] = {}
     app = fock.IDEAL_APPARATUS
     for shape_a in shapes:
@@ -117,5 +118,6 @@ def contour_grid(visibility_at: Callable[[float], float],
     for i, cb in enumerate(centers_b):
         for j, wb in enumerate(fwhms_b):
             prof_b = spc.SpectralProfile.from_fwhm(shape_b, cb, wb)
-            out[i, j] = visibility_at(fock.mode_overlap(pol.H, pol_b, profile_a, prof_b))
+            cos_theta = spc.overlap(profile_a, prof_b).magnitude
+            out[i, j] = visibility_at(fock.mode_overlap(pol.H, pol_b, cos_theta))
     return out

@@ -123,11 +123,44 @@ def test_bad_photon_literal_exits_2_naming_key(args, key, tmp_path, capsys):
     assert f"config field '{key}'" in err
 
 
+_NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
+
+
+@pytest.mark.parametrize("args, key", [
+    (["contour", "--set", "m=2.5"], "m"),
+    (["contour", "--set", "m=true"], "m"),
+    (["contour", "--set", "m=-1"], "m"),
+    (["contour", "--set", "m=0", "--set", "n=0"], "m"),
+    (["contour", "--set", "phi=abc"], "phi"),
+    (["channels", "--set", "m=1.7"], "m"),
+    (["channels", "--set", "m=-1"], "m"),
+    (["channels", "--set", "n=false"], "n"),
+    (["dip", "--set", "photons=[[true,1]]"], "photons"),
+    (["tables", "--set", "photons=[[1,2.0]]"], "photons"),
+    (["coherent", "--set", "mode=contour", "--set", "mu_a=-1"], "mu_a"),
+    (["coherent", "--set", "mode=contour", "--set", "mu_b=-0.5"], "mu_b"),
+    (["coherent", "--set", "mode=contour", "--set", "phi=true"], "phi"),
+    (["coherent", "--set", "mode=curve", "--set", "phi=NaN"], "phi"),
+    (["contour", "--set", "center_thz=NaN"], "center_thz"),
+    (["contour", "--set", "fwhm_nm=Infinity"], "fwhm_nm"),
+    (["tables", "--set", "fwhm_nm=-Infinity"], "fwhm_nm"),
+    (["dip", "--set", "profile_a=" + _NAN_PHOTON], "profile_a.center_thz"),
+])
+def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
+    rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"config field '{key}'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_parse_profile_wavelength_literals():
     # center_nm and fwhm_nm are converted with d omega = 2 pi c d lambda / lambda^2
     prof = cfgmod.parse_profile({"shape": "sech", "center_nm": 1550.0,
                                  "fwhm_nm": 0.8}, "p")
-    ref = spc.SpectralProfile.from_wavelength("sech", 1550.0, 0.8)
+    center = 2 * math.pi * spc.SPEED_OF_LIGHT_NM_PS / 1550.0
+    ref = spc.SpectralProfile.from_fwhm(
+        "sech", center, spc.wavelength_width_to_frequency(1550.0, 0.8))
     assert prof.shape is spc.Shape.SECH
     assert prof.center == pytest.approx(ref.center, rel=1e-15)
     assert prof.width == pytest.approx(ref.width, rel=1e-13)
@@ -137,6 +170,18 @@ def test_parse_profile_wavelength_literals():
     assert thz.center == 2 * math.pi * 193.55
     assert spc.fwhm(thz) == pytest.approx(
         spc.wavelength_width_to_frequency(lam, 1.0), rel=1e-12)
+
+
+def test_parse_profile_width_thz_literals():
+    # width_thz is an ordinary frequency (times 2 pi), except for the sinc,
+    # whose width is its duration T in ps and passes through unchanged
+    p = cfgmod.parse_profile({"shape": "gaussian", "center_thz": 193.55,
+                              "width_thz": 0.5}, "p")
+    assert p.center == pytest.approx(2 * math.pi * 193.55)
+    assert p.width == pytest.approx(math.pi)
+    sincp = cfgmod.parse_profile({"shape": "sinc", "center_thz": 193.55,
+                                  "width_thz": 2.0}, "p")
+    assert sincp.width == 2.0
 
 
 # every command and mode at its defaults: the printed probabilities,
@@ -333,6 +378,14 @@ def test_channels_damping_corner(tmp_path):
             (ln.split(",") for ln in data_rows(text))]
     corner = next(v for a, b, v in rows if a == 0.0 and b == 0.0)
     assert corner == pytest.approx(1.0, abs=1e-9)
+
+
+def test_channels_vanishing_baseline_exits_3(tmp_path, capsys):
+    # at gamma_A = gamma_B = 1 every photon is lost, so P(0) = 0
+    rc = cli.main(["channels", "--grid", "5", "--set", "gamma_max=1.0",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "baseline coincidence vanishes" in capsys.readouterr().err
 
 
 def test_channels_number_dist(tmp_path):

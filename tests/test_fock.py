@@ -229,7 +229,7 @@ def test_mode_overlap_is_shared_by_fock_and_coherent_pairs():
     pol_b = pol.rotate(pol.H, 0.4)
     b = GAUSS.delayed(0.7)
     c = pol.cos_phi(pol.H, pol_b) * spc.overlap(GAUSS, b).magnitude
-    assert fock.mode_overlap(pol.H, pol_b, GAUSS, b) == c
+    assert fock.mode_overlap(pol.H, pol_b, spc.overlap(GAUSS, b).magnitude) == c
     assert fock.FockPair(1, 2, pol.H, pol_b, GAUSS, b).mode_overlap() == c
     assert coh.CoherentPair(0.5, 1.0, pol.H, pol_b, GAUSS, b).mode_overlap() == c
     assert fock.mode_overlap(pol.H, pol_b) == pol.cos_phi(pol.H, pol_b)

@@ -1,4 +1,4 @@
-"""Coarse golden outputs of the contour, tables and dip commands.
+"""Coarse golden outputs of every command.
 
 Each file under ``tests/golden/`` holds the stdout of one command.  Header
 and label text must match exactly; every number in a data line must agree
@@ -29,6 +29,21 @@ CASES = {
         ["coherent", "--set", "mode=contour", "--grid", "5", "--set", "shape_b=sech"],
     "tables.txt": ["tables"],
     "dip.csv": ["dip", "--grid", "5"],
+    "channels_damping_m2n1.csv":
+        ["channels", "--grid", "3", "--set", "m=2", "--set", "n=1"],
+    "channels_depolarizing_pol_b_D.csv":
+        ["channels", "--grid", "3", "--set", "mode=depolarizing", "--set", "pol_b=D"],
+    "channels_broadening.csv":
+        ["channels", "--grid", "3", "--set", "mode=broadening"],
+    "channels_number_dist.csv": ["channels", "--set", "mode=number_dist"],
+    "coherent_ratio_map_lossy_fixed_mu_b.csv":
+        ["coherent", "--grid", "5", "--set", "fixed_mu_b=1.0"] + FIG9_DETECTORS,
+    "coherent_curve.csv": ["coherent", "--set", "mode=curve", "--grid", "5"],
+    "swap_angle_grid.csv": ["swap", "--grid", "3"],
+    "swap_bandwidth_sweep.csv": ["swap", "--set", "mode=bandwidth_sweep", "--grid", "5"],
+    "swap_pump_sweep.csv": ["swap", "--set", "mode=pump_sweep", "--grid", "3"],
+    "swap_pair.json": ["swap", "--set", "mode=pair"],
+    "protocols.json": ["protocols"],
 }
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
 
