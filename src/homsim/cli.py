@@ -20,6 +20,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -65,7 +66,7 @@ def _emit(out_path: str | None, lines: list[str]) -> None:
 
 
 def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
-    cfg = dict(defaults)
+    cfg = copy.deepcopy(defaults)  # a dotted --set writes into nested objects
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -125,9 +126,10 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     taus = _linspace(cfg["tau"], "tau", cfg.get("grid_override"))
     lines = _header_lines("dip", cfg)
     lines.append("# block columns: tau_ps, p_co")
-    blocks = [(phi, fock.FockPair(m, n, pol_a, pol.rotate(pol_a, float(phi)),
-                                  prof_a, prof_b))
-              for m, n in cfgmod.parse_photons(cfg) for phi in cfg["phi"]]
+    pairs = cfgmod.parse_photons(cfg)
+    phis = cfgmod.parse_reals(cfg, "phi")
+    blocks = [(phi, fock.FockPair(m, n, pol_a, pol.rotate(pol_a, phi), prof_a, prof_b))
+              for m, n in pairs for phi in phis]
     # cos(Theta(tau)) depends only on the spectra: one scan serves every block
     cos_theta = spc.overlap_curve(prof_a, prof_b, taus) if blocks else None
     for phi, pair in blocks:
@@ -154,9 +156,9 @@ _CONTOUR_DEFAULTS = {
 def _contour_axes(cfg: dict, prof_a: spc.SpectralProfile) -> tuple[np.ndarray, np.ndarray]:
     n = _grid_n(cfg)
     fw = spc.fwhm(prof_a)
-    centers = np.linspace(prof_a.center - float(cfg["center_span_fwhm"]) * fw,
-                          prof_a.center + float(cfg["center_span_fwhm"]) * fw, n)
-    fwhms = sweeps.log_grid(fw, float(cfg["width_factor"]), n)
+    span = cfgmod.parse_real(cfg, "center_span_fwhm", positive=True)
+    centers = np.linspace(prof_a.center - span * fw, prof_a.center + span * fw, n)
+    fwhms = sweeps.log_grid(fw, cfgmod.parse_real(cfg, "width_factor", positive=True), n)
     return centers, fwhms
 
 
@@ -250,11 +252,14 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
     app = cfgmod.parse_apparatus(cfg)
     n = _grid_n(cfg)
     if mode == "ratio_map":
-        ratios = sweeps.log_grid(1.0, float(cfg["ratio_factor"]), n)
+        factor = cfgmod.parse_real(cfg, "ratio_factor", positive=True)
+        ratios = sweeps.log_grid(1.0, factor, n)
+        mu_mean = cfgmod.parse_real(cfg, "mu_mean", nonnegative=True)
         fixed = cfg.get("fixed_mu_b")
-        grid = coh.visibility_ratio_map(
-            ratios, ratios, app, mu_mean=float(cfg["mu_mean"]),
-            fixed_mu_b=None if fixed is None else float(fixed))
+        if fixed is not None:
+            fixed = cfgmod.parse_real(cfg, "fixed_mu_b", nonnegative=True)
+        grid = coh.visibility_ratio_map(ratios, ratios, app, mu_mean=mu_mean,
+                                        fixed_mu_b=fixed)
         _emit_grid("coherent", cfg, out, ratios, ratios, grid,
                    ("mu_ratio", "tr_ratio", "visibility"))
     elif mode == "contour":
@@ -296,12 +301,12 @@ _CHANNELS_DEFAULTS = {
 def cmd_channels(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "damping")
     if mode == "number_dist":
-        nd = cfg["number_dist"]
-        n_in = int(nd.get("n", 4))
+        n_in = cfgmod.parse_count(cfg, "number_dist.n", 4)
+        gammas = cfgmod.parse_reals(cfg, "number_dist.gammas", [0.0])
         lines = _header_lines("channels", cfg)
         lines.append("gamma,k,probability")
-        for g in nd.get("gammas", [0.0]):
-            for k, p in chn.damp_number(n_in, float(g)):
+        for g in gammas:
+            for k, p in chn.damp_number(n_in, g):
                 lines.append(f"{_fmt(g)},{k},{_fmt(p)}")
         _emit(out, lines)
         return
@@ -319,16 +324,17 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
     base_a = cfgmod.parse_channel(cfg.get("channel_a", {}), "channel_a")
     base_b = cfgmod.parse_channel(cfg.get("channel_b", {}), "channel_b")
     if mode == "damping":
-        vals = np.linspace(0.0, float(cfg["gamma_max"]), n)
+        vals = np.linspace(0.0, cfgmod.parse_real(cfg, "gamma_max", nonnegative=True), n)
         sweep = [{"gamma": float(g)} for g in vals]
         labels = ("gamma_a", "gamma_b", "visibility")
     elif mode == "depolarizing":
-        vals = np.linspace(0.0, float(cfg["p_max"]), n)
+        vals = np.linspace(0.0, cfgmod.parse_real(cfg, "p_max", nonnegative=True), n)
         sweep = [{"p_depol": float(p)} for p in vals]
         labels = ("p_a", "p_b", "visibility")
     elif mode == "broadening":
-        vals = np.exp(np.linspace(math.log(float(cfg["xi_min"])),
-                                  math.log(float(cfg["xi_max"])), n))
+        xi_min = cfgmod.parse_real(cfg, "xi_min", positive=True)
+        xi_max = cfgmod.parse_real(cfg, "xi_max", positive=True)
+        vals = np.exp(np.linspace(math.log(xi_min), math.log(xi_max), n))
         sweep = [{"xi": float(x)} for x in vals]
         labels = ("xi_a", "xi_b", "visibility")
     else:

@@ -32,11 +32,13 @@ from .fock import (Apparatus, BeamSplitter, IDEAL_APPARATUS, _cos_theta,
                    dip_visibility, mode_overlap)
 
 __all__ = [
-    "CoherentPair", "bessel_i0", "total_coincidence", "total_coincidence_series",
+    "CoherentPair", "bessel_i0", "bessel_i0e", "total_coincidence",
+    "total_coincidence_series",
     "coherent_visibility", "visibility_from_params", "visibility_ratio_map",
 ]
 
 _I0_SERIES_CUTOFF = 15.0
+_MU_DIRECT = 700.0  # coherent_visibility's direct form holds up to here
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,22 @@ def bessel_i0(x: float) -> float:
             total += term
             if term < 1e-18 * total:
                 return total
-    # asymptotic: a_k = ((2k-1)!!)^2 / (8^k k!), truncate at smallest term
+    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * _i0_asymptotic_sum(x)
+
+
+def bessel_i0e(x: float) -> float:
+    """Exponentially scaled I0: e^{-x} I0(x), finite for every x >= 0.
+
+    The asymptotic branch never forms e^x, so it holds where I0 overflows
+    (x >~ 710), as Cephes' i0e does.
+    """
+    if x < _I0_SERIES_CUTOFF:
+        return bessel_i0(x) * math.exp(-x)
+    return _i0_asymptotic_sum(x) / math.sqrt(2.0 * math.pi * x)
+
+
+def _i0_asymptotic_sum(x: float) -> float:
+    """sum_k a_k x^-k, a_k = ((2k-1)!!)^2 / (8^k k!), truncated at its smallest term."""
     total = 1.0
     term = 1.0
     k = 0
@@ -88,7 +105,7 @@ def bessel_i0(x: float) -> float:
         if term > abs(total) or term < 1e-18 * total:
             break
         total += term
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
+    return total
 
 
 def _b5_terms(mu_a: float, mu_b: float, bs: BeamSplitter,
@@ -207,7 +224,12 @@ def coherent_visibility(mu: float, phi: float) -> float:
     """Spectrally matched coherent visibility (I0(mu cos Phi) - 1)/(2 sinh^2(mu/2)).
 
     The mu -> 0 limit is cos^2(Phi)/2 (ceiling 1/2); below mu = 1e-4 the
-    series form is used to dodge the 0/0 cancellation.
+    series form is used to dodge the 0/0 cancellation.  Above mu = 700,
+    where I0 and sinh^2 are about to overflow, the same ratio is taken in
+    the log domain, 2 (i0e(x) e^{x - mu} - e^{-mu}) / (1 - e^{-mu})^2 with
+    x = mu cos Phi, which stays finite for every mu.  The direct form is
+    kept below: the log-domain form cancels e^{-mu} against i0e(x) e^{x-mu}
+    and would move small-mu values in the 12th digit.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
@@ -215,11 +237,9 @@ def coherent_visibility(mu: float, phi: float) -> float:
     if mu < 1e-4:
         c2 = math.cos(phi) ** 2
         return 0.5 * c2 * (1.0 + x * x / 16.0) / (1.0 + mu * mu / 12.0)
-    try:
+    if mu <= _MU_DIRECT:
         return (bessel_i0(x) - 1.0) / (2.0 * math.sinh(0.5 * mu) ** 2)
-    except OverflowError:
-        raise OverflowError(
-            f"coherent visibility overflows double precision at mu={mu:.6g}") from None
+    return 2.0 * (bessel_i0e(x) * math.exp(x - mu) - math.exp(-mu)) / math.expm1(-mu) ** 2
 
 
 def visibility_from_params(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,

@@ -18,7 +18,7 @@ from . import jsa
 from . import polarization as pol
 from . import spectral as spc
 
-__all__ = ["ConfigError", "merge", "set_path", "parse_real", "parse_count",
+__all__ = ["ConfigError", "merge", "set_path", "parse_real", "parse_reals", "parse_count",
            "parse_photons", "parse_shape", "parse_center_fwhm", "parse_profile",
            "parse_polarization", "parse_detector", "parse_beam_splitter",
            "parse_apparatus", "parse_channel", "parse_jsa"]
@@ -63,14 +63,8 @@ def set_path(cfg: dict, dotted: str, raw: str) -> None:
     node[keys[-1]] = value
 
 
-def _number(obj: dict, field: str, key: str, default: float | None = None,
-            positive: bool = False) -> float:
-    name = f"{field}.{key}" if field else key  # field "" names a top-level key
-    if key not in obj:
-        if default is None:
-            raise _fail(name, "missing required value")
-        return default
-    v = obj[key]
+def _real(v: Any, name: str, positive: bool = False) -> float:
+    """A finite JSON number (not a boolean) named ``name`` in errors."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise _fail(name, f"expected a number, got {v!r}")
     if isinstance(v, float) and not math.isfinite(v):
@@ -80,21 +74,57 @@ def _number(obj: dict, field: str, key: str, default: float | None = None,
     return float(v)
 
 
+def _number(obj: dict, field: str, key: str, default: float | None = None,
+            positive: bool = False) -> float:
+    name = f"{field}.{key}" if field else key  # field "" names a top-level key
+    if key not in obj:
+        if default is None:
+            raise _fail(name, "missing required value")
+        return default
+    return _real(obj[key], name, positive)
+
+
+def _lookup(cfg: dict, key: str, default: Any = None) -> Any:
+    """Value at the dotted path ``key``, the path a --set override names;
+    ``default`` when absent (required when None)."""
+    node = cfg
+    parts = key.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(node, dict):
+            raise _fail(".".join(parts[:i]), "expected an object")
+        if part not in node:
+            if default is None:
+                raise _fail(key, "missing required value")
+            return default
+        node = node[part]
+    return node
+
+
 def _is_count(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
-def parse_real(cfg: dict, key: str, nonnegative: bool = False) -> float:
-    """Required finite number at top-level `key` (>= 0 if ``nonnegative``)."""
-    v = _number(cfg, "", key)
+def parse_real(cfg: dict, key: str, nonnegative: bool = False,
+               positive: bool = False) -> float:
+    """Required finite number at `key` (>= 0 if ``nonnegative``, > 0 if
+    ``positive``)."""
+    v = _real(_lookup(cfg, key), key, positive)
     if nonnegative and v < 0:
         raise _fail(key, "must be non-negative")
     return v
 
 
-def parse_count(cfg: dict, key: str) -> int:
-    """Required photon number at top-level `key`: a non-negative integer."""
-    v = cfg.get(key)
+def parse_reals(cfg: dict, key: str, default: list | None = None) -> list[float]:
+    """List of finite numbers at `key`; a bad entry is named `key[i]`."""
+    v = _lookup(cfg, key, default)
+    if not isinstance(v, list):
+        raise _fail(key, f"expected a list of numbers, got {v!r}")
+    return [_real(x, f"{key}[{i}]") for i, x in enumerate(v)]
+
+
+def parse_count(cfg: dict, key: str, default: int | None = None) -> int:
+    """Photon number at `key`: a non-negative integer."""
+    v = _lookup(cfg, key, default)
     if not _is_count(v):
         raise _fail(key, f"expected a non-negative integer, got {v!r}")
     return v

@@ -29,11 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import IntegrationError, integrate
+from .quadrature import IntegrationError, integrate, integrate_family
 
 __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
-    "amplitude", "time_envelope", "overlap", "overlap_curve",
+    "amplitude", "time_envelope", "overlap", "overlaps", "overlap_curve",
     "gaussian_overlap_closed_form", "fwhm", "norm_squared",
     "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
@@ -43,6 +43,9 @@ SPEED_OF_LIGHT_NM_PS = 299792.458  # nm / ps
 
 TWO_PI = 2.0 * math.pi
 _REL_TOL = 1e-10  # relative accuracy of every overlap and norm quadrature
+# overlaps are bounded by 1, so 1e-12 absolute keeps cos(Theta) two orders
+# under the relative target even when the integral is tiny
+_ABS_TOL = 1e-12
 _TAIL_EPS = 1e-16  # tail mass of G(t)^2 left outside the time support
 
 
@@ -174,16 +177,43 @@ def time_envelope(profile: SpectralProfile, t) -> np.ndarray | float:
     evaluation exact and fast (the sinc's G is a rectangle).
     """
     w = profile.effective_width
-    t = np.asarray(t, dtype=float)
-    if profile.shape is Shape.GAUSSIAN:
-        return (2.0 * w * w / math.pi) ** 0.25 * np.exp(-(w * t) ** 2)
-    if profile.shape is Shape.SINC:
-        return np.where(np.abs(t) <= 0.5 * w, 1.0 / math.sqrt(w), 0.0)
-    if profile.shape is Shape.LORENTZIAN:
-        return math.sqrt(0.5 * w) * np.exp(-0.5 * w * np.abs(t))
-    if profile.shape is Shape.SECH:
-        return 0.5 * math.sqrt(math.pi * w) / np.cosh(np.clip(0.5 * math.pi * w * t, -700, 700))
-    raise ValueError(f"unknown shape {profile.shape}")  # pragma: no cover
+    return _envelope(profile.shape, w, _envelope_norm(profile.shape, w),
+                     np.asarray(t, dtype=float))
+
+
+def _envelope_norm(shape: Shape, w: float) -> float:
+    """Peak-normalization prefactor of G(t) for effective width ``w``.
+
+    Python scalar arithmetic, one call per profile: numpy's vectorised
+    power and sqrt may round differently in the last place.
+    """
+    if shape is Shape.GAUSSIAN:
+        return (2.0 * w * w / math.pi) ** 0.25
+    if shape is Shape.SINC:
+        return 1.0 / math.sqrt(w)
+    if shape is Shape.LORENTZIAN:
+        return math.sqrt(0.5 * w)
+    if shape is Shape.SECH:
+        return 0.5 * math.sqrt(math.pi * w)
+    raise ValueError(f"unknown shape {shape}")  # pragma: no cover
+
+
+def _envelope(shape: Shape, w, norm, t: np.ndarray) -> np.ndarray:
+    """G(t) of the family ``shape``: the four envelope formulas.
+
+    ``w`` and ``norm`` (from :func:`_envelope_norm`) are floats for one
+    profile or columns that broadcast one profile's values over its
+    quadrature nodes; either way each node sees the same operations.
+    """
+    if shape is Shape.GAUSSIAN:
+        return norm * np.exp(-(w * t) ** 2)
+    if shape is Shape.SINC:
+        return np.where(np.abs(t) <= 0.5 * w, norm, 0.0)
+    if shape is Shape.LORENTZIAN:
+        return norm * np.exp(-0.5 * w * np.abs(t))
+    if shape is Shape.SECH:
+        return norm / np.cosh(np.clip(0.5 * math.pi * w * t, -700, 700))
+    raise ValueError(f"unknown shape {shape}")  # pragma: no cover
 
 
 def _time_radius(profile: SpectralProfile) -> float:
@@ -216,12 +246,53 @@ def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
         value = _gaussian_pair_overlap(a, b)
     else:
         value = _quadrature_overlap(a, b)
+    mag = _magnitude(value)
+    return OverlapResult(value=value, magnitude=mag, theta=math.acos(mag))
+
+
+def overlaps(a: SpectralProfile, bs) -> np.ndarray:
+    """|overlap(a, b)| for each profile b of ``bs``, all of one shape.
+
+    Equal, bit for bit, to calling :func:`overlap` on each b, but the
+    quadratures run as one lockstep family
+    (:func:`~homsim.quadrature.integrate_family`), so a contour row pays
+    the per-call overhead once.  Errors stay per b: the first b in order
+    whose overlap fails raises its own :class:`IntegrationError`.
+    """
+    bs = list(bs)
+    if not bs:
+        return np.empty(0)
+    if any(b.shape is not bs[0].shape for b in bs):
+        raise ValueError("overlaps() needs profiles of one shape")
+    if a.shape is Shape.GAUSSIAN and bs[0].shape is Shape.GAUSSIAN:
+        values = [_gaussian_pair_overlap(a, b) for b in bs]
+    else:
+        values = [0.0 + 0.0j] * len(bs)
+        windows = [_overlap_window(a, b) for b in bs]
+        meet = [k for k, win in enumerate(windows) if win is not None]
+        if meet:
+            found = integrate_family(
+                _overlap_integrand(a, [bs[k] for k in meet]),
+                [_seed_points(a, bs[k], *windows[k]) for k in meet],
+                rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+            for k, value in zip(meet, found):
+                values[k] = value
+    return np.array([_magnitude(value) for value in values])
+
+
+def _magnitude(value) -> float:
+    """cos(Theta) = |value|, clamped to 1 within the Cauchy-Schwarz slack.
+
+    ``value`` may be the IntegrationError a family member ran into; it is
+    raised here, in the member's order.
+    """
+    if isinstance(value, IntegrationError):
+        raise value
     mag = abs(value)
     if mag > 1.0 + 1e-9:
         raise IntegrationError("overlap magnitude exceeds Cauchy-Schwarz bound",
                                mag - 1.0)
-    mag = min(mag, 1.0)
-    return OverlapResult(value=value, magnitude=mag, theta=math.acos(mag))
+    return min(mag, 1.0)
 
 
 def overlap_curve(a: SpectralProfile, b: SpectralProfile, taus) -> np.ndarray:
@@ -229,7 +300,9 @@ def overlap_curve(a: SpectralProfile, b: SpectralProfile, taus) -> np.ndarray:
 
     The one owner of the delay family behind every HOM dip: cos(Theta)
     depends only on the two spectra and tau, so a scan computes it once
-    and shares it across photon numbers and polarizations.
+    and shares it across photon numbers and polarizations.  It stays one
+    quadrature per tau: in a lockstep family its narrowband members would
+    all run to the panel budget together.
     """
     return np.array([overlap(a, b.delayed(tau)).magnitude for tau in taus])
 
@@ -255,29 +328,51 @@ def _gaussian_pair_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
     return complex(val)
 
 
-def _quadrature_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
+def _overlap_window(a: SpectralProfile, b: SpectralProfile) -> tuple[float, float] | None:
+    """Intersection (lo, hi) of the two envelope supports; None if empty."""
     ra, rb = _time_radius(a), _time_radius(b)
     lo = max(a.delay - ra, b.delay - rb)
     hi = min(a.delay + ra, b.delay + rb)
-    if lo >= hi:
+    return (lo, hi) if lo < hi else None
+
+
+def _overlap_integrand(a: SpectralProfile, bs: list[SpectralProfile]):
+    """Family integrand of the overlaps of ``a`` with each b of ``bs``.
+
+    f(t, k) = G_a(t - tau_a) G_b(t - tau_b) e^{i (phase - dw t)} for
+    b = bs[k], all b of one shape.  Each b's parameters are computed with
+    Python scalars, as for a single pair, and gathered per panel by the
+    member column ``k`` (an int for a single pair).
+    """
+    shape = bs[0].shape
+    wa = a.effective_width
+    norm_a = _envelope_norm(a.shape, wa)
+    wb, norm_b, delay_b, dw, static_phase = np.array(
+        [(b.effective_width, _envelope_norm(shape, b.effective_width), b.delay,
+          b.center - a.center, b.center * b.delay - a.center * a.delay)
+         for b in bs]).T
+
+    def f(t: np.ndarray, k) -> np.ndarray:
+        ga = _envelope(a.shape, wa, norm_a, t - a.delay)
+        gb = _envelope(shape, wb[k], norm_b[k], t - delay_b[k])
+        return ga * gb * np.exp(1j * (static_phase[k] - dw[k] * t))
+
+    return f
+
+
+def _quadrature_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
+    window = _overlap_window(a, b)
+    if window is None:
         return 0.0 + 0.0j
-    dw = b.center - a.center
-    static_phase = b.center * b.delay - a.center * a.delay
-
-    def f(t: np.ndarray) -> np.ndarray:
-        ga = time_envelope(a, t - a.delay)
-        gb = time_envelope(b, t - b.delay)
-        return ga * gb * np.exp(1j * (static_phase - dw * t))
-
-    pts = _seed_points(a, b, lo, hi, dw)
-    # overlaps are bounded by 1, so 1e-12 absolute keeps cos(Theta) two
-    # orders under the relative target even when the integral is tiny
-    return integrate(f, pts, rel_tol=_REL_TOL, abs_tol=1e-12)
+    f = _overlap_integrand(a, [b])
+    return integrate(lambda t: f(t, 0), _seed_points(a, b, *window),
+                     rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
 
 
 def _seed_points(a: SpectralProfile, b: SpectralProfile,
-                 lo: float, hi: float, dw: float) -> list[float]:
+                 lo: float, hi: float) -> list[float]:
     """Initial panel boundaries: kinks, envelope scales, beat period."""
+    dw = b.center - a.center
     pts = {lo, hi}
     for p in (a, b):
         # envelope scale ladder about each arrival time

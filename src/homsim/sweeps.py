@@ -112,12 +112,13 @@ def contour_grid(visibility_at: Callable[[float], float],
     point the mode overlap c = cos(Phi) cos(Theta) comes from
     :func:`fock.mode_overlap` and ``visibility_at(c)`` turns it into the
     visibility of the input at hand (Fock or coherent, with its
-    apparatus).  Returns an array indexed [i_center, j_fwhm].
+    apparatus).  Each row (one center, every FWHM) gets its cos(Theta)
+    values from one :func:`spectral.overlaps` call.  Returns an array
+    indexed [i_center, j_fwhm].
     """
     out = np.empty((len(centers_b), len(fwhms_b)))
     for i, cb in enumerate(centers_b):
-        for j, wb in enumerate(fwhms_b):
-            prof_b = spc.SpectralProfile.from_fwhm(shape_b, cb, wb)
-            cos_theta = spc.overlap(profile_a, prof_b).magnitude
+        row = [spc.SpectralProfile.from_fwhm(shape_b, cb, wb) for wb in fwhms_b]
+        for j, cos_theta in enumerate(spc.overlaps(profile_a, row).tolist()):
             out[i, j] = visibility_at(fock.mode_overlap(pol.H, pol_b, cos_theta))
     return out

@@ -74,6 +74,18 @@ def test_unknown_shape_exits_2(tmp_path, capsys):
     assert "profile_a.shape" in capsys.readouterr().err
 
 
+def test_nested_set_does_not_leak_into_later_runs(tmp_path):
+    # a dotted --set writes into a nested default object; it must not stay
+    # there for the next in-process run
+    rc, _ = run(["channels", "--set", "mode=number_dist", "--set", "number_dist.n=2"],
+                tmp_path, "first.txt")
+    assert rc == 0
+    rc, text = run(["channels", "--set", "mode=number_dist"], tmp_path, "second.txt")
+    assert rc == 0
+    assert '"number_dist":{"gammas":[0.0,0.2,0.5,0.8],"n":4}' in text
+    assert max(int(ln.split(",")[1]) for ln in data_rows(text)) == 4
+
+
 def test_bad_set_syntax_exits_2(tmp_path):
     assert cli.main(["dip", "--set", "oops", "--out", str(tmp_path / "x")]) == 2
 
@@ -145,6 +157,29 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
     (["contour", "--set", "fwhm_nm=Infinity"], "fwhm_nm"),
     (["tables", "--set", "fwhm_nm=-Infinity"], "fwhm_nm"),
     (["dip", "--set", "profile_a=" + _NAN_PHOTON], "profile_a.center_thz"),
+    # contour axes and the ratio map's axis (the grids the contour rows feed)
+    (["contour", "--set", "width_factor=NaN"], "width_factor"),
+    (["contour", "--set", "width_factor=0"], "width_factor"),
+    (["contour", "--set", "width_factor=-2"], "width_factor"),
+    (["contour", "--set", "center_span_fwhm=true"], "center_span_fwhm"),
+    (["coherent", "--set", "mode=contour", "--set", "center_span_fwhm=-1"],
+     "center_span_fwhm"),
+    (["coherent", "--set", "ratio_factor=NaN"], "ratio_factor"),
+    (["coherent", "--set", "mu_mean=NaN"], "mu_mean"),
+    (["coherent", "--set", "fixed_mu_b=-1"], "fixed_mu_b"),
+    # the remaining flat keys that took bare float()/int()
+    (["dip", "--set", "phi=[true]"], "phi[0]"),
+    (["dip", "--set", "phi=[0.1,NaN]"], "phi[1]"),
+    (["dip", "--set", "phi=0.5"], "phi"),
+    (["channels", "--set", "mode=number_dist", "--set", "number_dist.n=2.5"],
+     "number_dist.n"),
+    (["channels", "--set", "mode=number_dist", "--set", "number_dist.gammas=[NaN]"],
+     "number_dist.gammas[0]"),
+    (["channels", "--set", "gamma_max=NaN"], "gamma_max"),
+    (["channels", "--set", "gamma_max=-0.5"], "gamma_max"),
+    (["channels", "--set", "mode=depolarizing", "--set", "p_max=NaN"], "p_max"),
+    (["channels", "--set", "mode=broadening", "--set", "xi_min=0"], "xi_min"),
+    (["channels", "--set", "mode=broadening", "--set", "xi_max=true"], "xi_max"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
@@ -348,15 +383,32 @@ def test_coherent_curve(tmp_path):
     assert float(first[1]) == pytest.approx(0.5, abs=1e-4)
 
 
-def test_coherent_curve_high_mu_exits_3(tmp_path, capsys):
-    # math.exp overflows in bessel_i0 past x ~ 710: a clean numerical
-    # failure naming mu, not a traceback
-    rc = cli.main(["coherent", "--set", "mode=curve",
-                   "--set", 'mu_curve={"min":1,"max":2000,"steps":3}',
+@pytest.mark.parametrize("phi", ["0", "1.5707963"])
+def test_coherent_curve_high_mu_prints_values(phi, tmp_path):
+    # past mu ~ 710 the closed form is evaluated in the log domain, so the
+    # curve has a value where I0 and sinh^2 alone overflow
+    rc, text = run(["coherent", "--set", "mode=curve", "--set", f"phi={phi}",
+                    "--set", 'mu_curve={"min":1,"max":2000,"steps":3}'], tmp_path)
+    assert rc == 0
+    values = {float(mu): float(v) for mu, v in
+              (ln.split(",") for ln in data_rows(text))}
+    assert sorted(values) == [1.0, 1000.5, 2000.0]
+    assert all(0.0 <= v <= 0.5 for v in values.values())
+    if phi == "0":
+        # I0(mu) / (2 sinh^2(mu/2)) -> 2 / sqrt(2 pi mu) for large mu
+        assert values[2000.0] == pytest.approx(2.0 / math.sqrt(2.0 * math.pi * 2000.0),
+                                               rel=1e-4)
+
+
+def test_coherent_high_mu_coincidence_exits_3(tmp_path, capsys):
+    # the general closed form still overflows at mu ~ 1000: a clean
+    # numerical failure naming the intensities, not a traceback
+    rc = cli.main(["coherent", "--set", "mode=contour", "--grid", "2",
+                   "--set", "mu_a=1000", "--set", "mu_b=4000",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "mu=1000.5" in err
+    assert "numerical failure" in err and "mu_a=1000, mu_b=4000" in err
     assert "Traceback" not in err
 
 

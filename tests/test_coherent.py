@@ -191,9 +191,39 @@ def test_negative_mu_rejected():
 
 
 def test_high_mu_overflow_names_mu():
-    # math.exp overflows past x ~ 710; the error must say which mu did it
+    # math.exp overflows past x ~ 710 in the general closed form; the error
+    # must say which intensities did it
     assert coh.coherent_visibility(709.0, 0.0) > 0.0
-    with pytest.raises(OverflowError, match="mu=2000"):
-        coh.coherent_visibility(2000.0, 0.0)
     with pytest.raises(OverflowError, match="mu_a=1000, mu_b=4000"):
         coh.total_coincidence(coh.CoherentPair(1000.0, 4000.0))
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, 1.0, math.pi / 2])
+def test_coherent_visibility_at_high_mu(phi):
+    # (I0(x) - 1)/(2 sinh^2(mu/2)) = 2 (i0e(x) e^(x-mu) - e^-mu)/(1 - e^-mu)^2,
+    # x = mu cos Phi, checked against mpmath at 50 digits where I0 and
+    # sinh^2 alone overflow (x is rounded to double first, as the code does)
+    mpmath = pytest.importorskip("mpmath")
+    for mu in (711.0, 2000.0, 1e5):
+        with mpmath.workdps(50):
+            x = mpmath.mpf(mu * math.cos(phi))
+            ref = (mpmath.besseli(0, x) - 1) / (2 * mpmath.sinh(mpmath.mpf(mu) / 2) ** 2)
+        assert coh.coherent_visibility(mu, phi) == pytest.approx(float(ref), rel=1e-12,
+                                                                 abs=1e-300)
+
+
+def test_coherent_visibility_continuous_at_log_domain_switch():
+    # the direct form below the switch and the log-domain form above agree
+    for phi in (0.0, 0.7, 1.4):
+        lo = coh.coherent_visibility(math.nextafter(700.0, 0.0), phi)
+        hi = coh.coherent_visibility(math.nextafter(700.0, 1e3), phi)
+        assert hi == pytest.approx(lo, rel=1e-12)
+
+
+def test_bessel_i0e_is_scaled_i0():
+    from scipy import special
+    for x in (0.0, 0.5, 14.999, 15.0, 40.0, 700.0, 1e4):
+        assert coh.bessel_i0e(x) == pytest.approx(special.i0e(x), rel=1e-13)
+    for x in (0.5, 14.999, 15.0, 40.0, 700.0):
+        assert coh.bessel_i0e(x) == pytest.approx(coh.bessel_i0(x) * math.exp(-x),
+                                                  rel=1e-14)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homsim import polarization as pol
+from homsim import quadrature
 from homsim import spectral as spc
-from homsim.quadrature import integrate
+from homsim import sweeps
+from homsim.quadrature import IntegrationError, integrate
 
 CENTER = 2 * math.pi * 193.55  # telecom C-band, rad/ps
 
@@ -192,6 +195,63 @@ def test_overlap_curve_is_the_delayed_overlap_family():
     for tau, got in zip(taus, curve):
         assert got == spc.overlap(a, b.delayed(tau)).magnitude
     assert spc.overlap_curve(a, b, []).shape == (0,)
+
+
+@pytest.mark.parametrize("shape_b", SHAPES)
+@pytest.mark.parametrize("shape_a", SHAPES)
+def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b):
+    # each row is one lockstep family; every value must be the one a
+    # separate overlap() call gives, bit for bit
+    prof_a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, 2.4)
+    fw = spc.fwhm(prof_a)
+    centers = np.linspace(CENTER - 4.0 * fw, CENTER + 4.0 * fw, 5)
+    fwhms = sweeps.log_grid(fw, 8.0, 5)
+    grid = sweeps.contour_grid(lambda c: c, prof_a, shape_b, centers, fwhms, pol.H)
+    ref = [[spc.overlap(prof_a, spc.SpectralProfile.from_fwhm(shape_b, cb, wb)).magnitude
+            for wb in fwhms] for cb in centers]
+    assert grid.tolist() == ref
+
+
+def test_overlaps_follow_each_points_panels(monkeypatch):
+    # the family evaluates exactly the nodes the separate quadratures do,
+    # in as many integrand calls as its slowest member needs
+    calls = []
+    panel_values = quadrature._panel_values
+
+    def counted(f, lo, hi, member):
+        calls.append(lo.size)
+        return panel_values(f, lo, hi, member)
+
+    monkeypatch.setattr(quadrature, "_panel_values", counted)
+    a = spc.SpectralProfile.from_fwhm("sech", CENTER, 1.3)
+    row = [spc.SpectralProfile.from_fwhm("lorentzian", CENTER + 0.7, w)
+           for w in (0.2, 0.6, 1.3, 3.0, 9.0)]
+    alone = []
+    for b in row:
+        calls.clear()
+        spc.overlap(a, b)
+        alone.append(list(calls))
+    calls.clear()
+    spc.overlaps(a, row)
+    assert sum(calls) == sum(map(sum, alone))
+    assert len(calls) == max(map(len, alone))
+
+
+def test_overlaps_raise_the_first_failing_point(monkeypatch):
+    a = profile("sech", 0.5)
+    row = [profile("sinc", w) for w in (1.0, 2.0, 3.0)]
+    failures = [IntegrationError("second", 1.0), IntegrationError("third", 2.0)]
+    monkeypatch.setattr(spc, "integrate_family",
+                        lambda f, points, **kw: [0.5 + 0j] + failures)
+    with pytest.raises(IntegrationError, match="second"):
+        spc.overlaps(a, row)
+
+
+def test_overlaps_need_one_shape():
+    a = profile("sech", 0.5)
+    with pytest.raises(ValueError):
+        spc.overlaps(a, [profile("sinc", 1.0), profile("gaussian", 1.0)])
+    assert spc.overlaps(a, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
