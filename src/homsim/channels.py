@@ -18,7 +18,7 @@ per pure branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import polarization as pol
 from . import spectral as spc
@@ -67,11 +67,16 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class MixedSource:
-    """Channel output: photon-number mixture, 2x2 polarization, spectrum."""
+    """Channel output: photon-number mixture, 2x2 polarization, spectrum.
+
+    ``branches`` holds the (photon number k, P(k), eigenweight w,
+    eigenvector) terms of the mixture, decomposed once on construction.
+    """
 
     number_dist: tuple[tuple[int, float], ...]
     pol: pol.PolarizationDensity
     spec: spc.SpectralProfile
+    branches: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = math.fsum(p for _, p in self.number_dist)
@@ -79,6 +84,7 @@ class MixedSource:
             raise ValueError(f"number distribution sums to {total}, not 1")
         if any(k < 0 or p < -1e-15 for k, p in self.number_dist):
             raise ValueError("number distribution needs k >= 0 and p >= 0")
+        object.__setattr__(self, "branches", _branches(self))
 
     @staticmethod
     def pure(src: SourceSpec) -> "MixedSource":
@@ -108,11 +114,36 @@ def apply_channel(src: SourceSpec, ch: ChannelSpec) -> MixedSource:
     )
 
 
-def _branches(src: MixedSource):
+def _branches(src: MixedSource) -> tuple:
+    """(k, P(k), w, v) over photon numbers x polarization eigenbranches,
+    dropping zero-weight terms; built once per :class:`MixedSource`."""
     pol_branches = [(w, v) for w, v in pol.eigendecompose(src.pol) if w > 1e-15]
-    return [(k, pk, w, v)
-            for k, pk in src.number_dist if pk > 1e-15
-            for w, v in pol_branches]
+    return tuple((k, pk, w, v)
+                 for k, pk in src.number_dist if pk > 1e-15
+                 for w, v in pol_branches)
+
+
+def _branch_pairs(src_a: MixedSource, src_b: MixedSource, app: Apparatus) -> list:
+    """(weight, ka, kb, va, vb, Delta_A, Delta_B) of every branch pair that
+    holds a photon: the parts of a pair's term that do not depend on the
+    spectral overlap, formed once and shared by a dip and its baseline."""
+    terms = []
+    for ka, pka, wa, va in src_a.branches:
+        for kb, pkb, wb, vb in src_b.branches:
+            if ka + kb < 1:
+                continue
+            terms.append((pka * wa * pkb * wb, ka, kb, va, vb,
+                          *_deltas(ka, kb, va, vb, app)))
+    return terms
+
+
+def _branch_sum(terms: list, app: Apparatus, ctheta: float) -> float:
+    """Weighted sum of the pure-branch coincidences at spectral overlap ctheta."""
+    total = 0.0
+    for weight, ka, kb, va, vb, da, db in terms:
+        total += weight * coincidence_raw(ka, kb, mode_overlap(va, vb, ctheta),
+                                          app.bs, da, db)
+    return total
 
 
 def mixed_coincidence(src_a: MixedSource, src_b: MixedSource,
@@ -127,23 +158,22 @@ def mixed_coincidence(src_a: MixedSource, src_b: MixedSource,
     """
     if ctheta is None:
         ctheta = spc.overlap(src_a.spec, src_b.spec).magnitude
-    total = 0.0
-    for ka, pka, wa, va in _branches(src_a):
-        for kb, pkb, wb, vb in _branches(src_b):
-            weight = pka * wa * pkb * wb
-            if ka + kb < 1:
-                continue
-            da, db = _deltas(ka, kb, va, vb, app)
-            total += weight * coincidence_raw(ka, kb, mode_overlap(va, vb, ctheta),
-                                              app.bs, da, db)
-    return total
+    return _branch_sum(_branch_pairs(src_a, src_b, app), app, ctheta)
 
 
 def mixed_visibility(src_a: MixedSource, src_b: MixedSource,
-                     app: Apparatus = IDEAL_APPARATUS) -> float:
-    """Visibility of the mixed-state dip against the analytic baseline."""
-    return dip_visibility(lambda ct: mixed_coincidence(src_a, src_b, app, ct),
-                          spc.overlap(src_a.spec, src_b.spec).magnitude)
+                     app: Apparatus = IDEAL_APPARATUS,
+                     ctheta: float | None = None) -> float:
+    """Visibility of the mixed-state dip against the analytic baseline.
+
+    ``ctheta`` overrides the spectral overlap, as in
+    :func:`mixed_coincidence`.  The branch pairs are formed once and serve
+    both the dip and its baseline.
+    """
+    if ctheta is None:
+        ctheta = spc.overlap(src_a.spec, src_b.spec).magnitude
+    terms = _branch_pairs(src_a, src_b, app)
+    return dip_visibility(lambda ct: _branch_sum(terms, app, ct), ctheta)
 
 
 def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
@@ -153,21 +183,20 @@ def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
     """Visibility grid over per-arm channel parameter lists.
 
     Entry [i][j] applies channels_a[i] to arm A and channels_b[j] to arm
-    B.  Spectral overlaps are recomputed only when the broadening factors
-    change.
+    B.  Each arm's channel output is built (and its density decomposed)
+    once per channel value.  Spectral overlaps are recomputed only when
+    the broadening factors change.
     """
     out: list[list[float]] = []
     overlap_cache: dict[tuple[float, float], float] = {}
+    mixed_bs = [apply_channel(src_b, ch_b) for ch_b in channels_b]
     for ch_a in channels_a:
         row = []
         mixed_a = apply_channel(src_a, ch_a)
-        for ch_b in channels_b:
-            mixed_b = apply_channel(src_b, ch_b)
+        for ch_b, mixed_b in zip(channels_b, mixed_bs):
             key = (ch_a.xi, ch_b.xi)
             if key not in overlap_cache:
                 overlap_cache[key] = spc.overlap(mixed_a.spec, mixed_b.spec).magnitude
-            row.append(dip_visibility(
-                lambda ct: mixed_coincidence(mixed_a, mixed_b, app, ct),
-                overlap_cache[key]))
+            row.append(mixed_visibility(mixed_a, mixed_b, app, overlap_cache[key]))
         out.append(row)
     return out

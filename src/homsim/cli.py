@@ -397,7 +397,7 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         cd = _build_jsa(parsed_cd, grid_cd, bsm_axis_first=True)
         ab = _build_jsa(parsed_ab, grid_ab, bsm_axis_first=False,
                         shared=cd.axis_first)
-        phi = float(cfg.get("phi", 0.0))
+        phi = cfgmod.parse_real(cfg, "phi")
         scenario = jsa.SwapScenario(ab, cd, phi)
         report = {
             "phi": phi,
@@ -413,28 +413,34 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         _emit_grid("swap", cfg, out, phis, thetas, grid,
                    ("phi_rad", "theta_bc_rad", "fidelity"))
     elif mode == "bandwidth_sweep":
-        bw = cfg["bandwidth"]
-        sigma_c = float(bw["sigma_c"])
-        sigmas = sweeps.log_grid(sigma_c, float(bw["factor"]),
-                                 cfg.get("grid_override") or int(bw["steps"]))
-        curves = jsa.detuned_bandwidth_sweep([float(d) for d in bw["detunings"]],
-                                             list(sigmas), sigma_c)
+        sigma_c = cfgmod.parse_real(cfg, "bandwidth.sigma_c", positive=True)
+        factor = cfgmod.parse_real(cfg, "bandwidth.factor", positive=True)
+        steps = cfgmod.parse_count(cfg, "bandwidth.steps")
+        detunings = cfgmod.parse_reals(cfg, "bandwidth.detunings")
+        sigmas = sweeps.log_grid(sigma_c, factor, cfg.get("grid_override") or steps)
+        curves = jsa.detuned_bandwidth_sweep(detunings, list(sigmas), sigma_c)
         lines = _header_lines("swap", cfg)
         lines.append("detuning,sigma_b,fidelity")
-        for d, curve in zip(bw["detunings"], curves):
+        for d, curve in zip(detunings, curves):
             for sb, f in curve:
                 lines.append(f"{_fmt(d)},{_fmt(sb)},{_fmt(f)}")
         _emit(out, lines)
     elif mode == "pump_sweep":
-        grid_spec = jsa.GridSpec(n=int(cfg["jsa_grid"].get("n", 256)),
-                                 span=float(cfg["jsa_grid"].get("span", 6.0)))
+        n_nodes = cfgmod.parse_count(cfg, "jsa_grid.n", 256)
+        span = cfgmod.parse_real(cfg, "jsa_grid.span", positive=True, default=6.0)
+        try:
+            grid_spec = jsa.GridSpec(n_nodes, span)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'jsa_grid': {exc}") from None
         sigmas = _linspace(cfg["pump_sigma"], "pump_sigma", cfg.get("grid_override"))
-        phis = np.linspace(0.0, 0.5 * math.pi, int(cfg["phi_steps"]))
-        pm = jsa.PhaseMatching(float(cfg["pmf_sigma"]), float(cfg["slope_s"]),
-                               float(cfg["slope_i"]))
+        phis = np.linspace(0.0, 0.5 * math.pi, cfgmod.parse_count(cfg, "phi_steps"))
+        pm = jsa.PhaseMatching(cfgmod.parse_real(cfg, "pmf_sigma", positive=True),
+                               cfgmod.parse_real(cfg, "slope_s"),
+                               cfgmod.parse_real(cfg, "slope_i"))
+        center = cfgmod.parse_real(cfg, "pump_center")
         rows = []
         for sp in sigmas:
-            pump = jsa.Pump(float(cfg["pump_center"]), float(sp))
+            pump = jsa.Pump(center, float(sp))
             built = jsa.build_gaussian_jsa(pump, pm, grid_spec)
             # photon going to the BSM on the first axis for the CD source;
             # the misalignment scales the aligned fidelity by cos^2 Phi

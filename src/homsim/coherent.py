@@ -114,34 +114,43 @@ def _b5_terms(mu_a: float, mu_b: float, bs: BeamSplitter,
     """Evaluate the closed form with explicit efficiency assignments.
 
     eta_aa / eta_ab: detector A's efficiency for arm-A / arm-B photons;
-    eta_ba / eta_bb: the same for detector B.
+    eta_ba / eta_bb: the same for detector B.  Raises a named
+    :class:`OverflowError` where a term leaves double precision.
     """
     t, r = bs.transmissivity, bs.reflectivity
     ca = mu_a * r * (1.0 - eta_ba)
     cb = mu_b * t * (1.0 - eta_bb)
     cc = mu_a * t * (1.0 - eta_aa)
     cd = mu_b * r * (1.0 - eta_ab)
-    val = (1.0
-           - math.exp(-mu_a * eta_ba - mu_b * eta_bb)
-           - math.exp(-mu_a * eta_aa - mu_b * eta_ab)
-           + math.exp(mu_a * (eta_aa * eta_ba - eta_aa - eta_ba)
-                      + mu_b * (eta_ab * eta_bb - eta_ab - eta_bb))
-           - math.exp(-mu_a - mu_b)
-           * (math.exp(mu_a * r + mu_b * t) + math.exp(mu_a * t + mu_b * r))
-           * bessel_i0(2.0 * math.sqrt(mu_a * mu_b * r * t) * c)
-           + math.exp(-mu_a - mu_b + ca + cb) * bessel_i0(2.0 * math.sqrt(ca * cb) * c)
-           + math.exp(-mu_a - mu_b + cc + cd) * bessel_i0(2.0 * math.sqrt(cc * cd) * c))
+    try:
+        val = (1.0
+               - math.exp(-mu_a * eta_ba - mu_b * eta_bb)
+               - math.exp(-mu_a * eta_aa - mu_b * eta_ab)
+               + math.exp(mu_a * (eta_aa * eta_ba - eta_aa - eta_ba)
+                          + mu_b * (eta_ab * eta_bb - eta_ab - eta_bb))
+               - math.exp(-mu_a - mu_b)
+               * (math.exp(mu_a * r + mu_b * t) + math.exp(mu_a * t + mu_b * r))
+               * bessel_i0(2.0 * math.sqrt(mu_a * mu_b * r * t) * c)
+               + math.exp(-mu_a - mu_b + ca + cb) * bessel_i0(2.0 * math.sqrt(ca * cb) * c)
+               + math.exp(-mu_a - mu_b + cc + cd) * bessel_i0(2.0 * math.sqrt(cc * cd) * c))
+    except OverflowError:
+        raise OverflowError(
+            f"coherent coincidence overflows double precision at "
+            f"mu_a={mu_a:.6g}, mu_b={mu_b:.6g}") from None
     # not clamped: like the Fock formula, the expression can leave [0, 1]
     # outside the detection model's validity regime, and the series oracle
     # must see the same raw value
     return val
 
 
-def _efficiencies(pair: CoherentPair, app: Apparatus) -> tuple[float, float, float, float]:
-    return (pol.effective_efficiency(app.det_a, pair.pol_a),
-            pol.effective_efficiency(app.det_a, pair.pol_b),
-            pol.effective_efficiency(app.det_b, pair.pol_a),
-            pol.effective_efficiency(app.det_b, pair.pol_b))
+def _efficiencies(pol_a: pol.PolarizationVector, pol_b: pol.PolarizationVector,
+                  app: Apparatus) -> tuple[float, float, float, float]:
+    """(eta_aa, eta_ab, eta_ba, eta_bb) of :func:`_b5_terms` for two arms'
+    polarizations."""
+    return (pol.effective_efficiency(app.det_a, pol_a),
+            pol.effective_efficiency(app.det_a, pol_b),
+            pol.effective_efficiency(app.det_b, pol_a),
+            pol.effective_efficiency(app.det_b, pol_b))
 
 
 def total_coincidence(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
@@ -153,13 +162,8 @@ def total_coincidence(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
     """
     if c is None:
         c = pair.mode_overlap()
-    ea, eb, fa, fb = _efficiencies(pair, app)
-    try:
-        return _b5_terms(pair.mu_a, pair.mu_b, app.bs, ea, eb, fa, fb, c)
-    except OverflowError:
-        raise OverflowError(
-            f"coherent coincidence overflows double precision at "
-            f"mu_a={pair.mu_a:.6g}, mu_b={pair.mu_b:.6g}") from None
+    return _b5_terms(pair.mu_a, pair.mu_b, app.bs,
+                     *_efficiencies(pair.pol_a, pair.pol_b, app), c)
 
 
 def total_coincidence_series(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
@@ -177,7 +181,7 @@ def total_coincidence_series(pair: CoherentPair, app: Apparatus = IDEAL_APPARATU
     n_b = _poisson_cutoff(pair.mu_b, tail_mass)
     w_a = _poisson_weights(pair.mu_a, n_a)
     w_b = _poisson_weights(pair.mu_b, n_b)
-    ea, eb, fa, fb = _efficiencies(pair, app)
+    ea, eb, fa, fb = _efficiencies(pair.pol_a, pair.pol_b, app)
     t, r = app.bs.transmissivity, app.bs.reflectivity
 
     m = np.arange(n_a + 1)[:, None]
@@ -265,7 +269,15 @@ def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
     B's intensity constant while mu_A sweeps; in that convention
     polarization-dependent detector losses visibly displace the optimum.
     Returns an array indexed [i_mu_ratio, j_tr_ratio].
+
+    Each cell is :func:`visibility_from_params` of its pair: the detector
+    efficiencies and the overlap are formed once per map, each column's
+    beam splitter once and each row's intensities once, so a cell only
+    evaluates the closed form at its dip and its baseline.
     """
+    efficiencies = _efficiencies(pol.H, pol.H, app)
+    c = mode_overlap(pol.H, pol.H)
+    splitters = [BeamSplitter(t, 1.0 - t) for t in (s / (1.0 + s) for s in tr_ratios)]
     out = np.empty((len(mu_ratios), len(tr_ratios)))
     for i, q in enumerate(mu_ratios):
         if fixed_mu_b is None:
@@ -274,10 +286,8 @@ def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
         else:
             mu_b = fixed_mu_b
             mu_a = q * fixed_mu_b
-        for j, s in enumerate(tr_ratios):
-            t = s / (1.0 + s)
-            bs = BeamSplitter(t, 1.0 - t)
-            pair = CoherentPair(mu_a, mu_b)
-            out[i, j] = visibility_from_params(
-                pair, Apparatus(bs, app.det_a, app.det_b))
+        pair = CoherentPair(mu_a, mu_b)
+        for j, bs in enumerate(splitters):
+            out[i, j] = dip_visibility(
+                lambda x: _b5_terms(pair.mu_a, pair.mu_b, bs, *efficiencies, x), c)
     return out

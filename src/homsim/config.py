@@ -105,10 +105,10 @@ def _is_count(v: Any) -> bool:
 
 
 def parse_real(cfg: dict, key: str, nonnegative: bool = False,
-               positive: bool = False) -> float:
-    """Required finite number at `key` (>= 0 if ``nonnegative``, > 0 if
-    ``positive``)."""
-    v = _real(_lookup(cfg, key), key, positive)
+               positive: bool = False, default: float | None = None) -> float:
+    """Finite number at `key` (>= 0 if ``nonnegative``, > 0 if
+    ``positive``); required unless a ``default`` is given."""
+    v = _real(_lookup(cfg, key, default), key, positive)
     if nonnegative and v < 0:
         raise _fail(key, "must be non-negative")
     return v

@@ -23,6 +23,7 @@ in which a member's panels are held.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -101,7 +102,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
         ``max(rel_tol * |integral|, abs_tol)``.
     max_panels : int
         Subdivision budget; exceeding it raises :class:`IntegrationError`
-        with the residual achieved so far.
+        with the residual achieved so far.  A NaN or infinite integrand
+        value raises it as soon as it reaches the error estimate.
 
     Returns
     -------
@@ -148,7 +150,8 @@ def integrate_family(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     -------
     list
         Per member, the integral (complex) or the :class:`IntegrationError`
-        it ran into; one member's failure leaves the others' values alone.
+        it ran into (over budget, or a non-finite value); one member's
+        failure leaves the others' values alone.
     """
     return _lockstep(f, points_list, rel_tol, abs_tol, max_panels)
 
@@ -181,11 +184,17 @@ def _lockstep(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         # each member's share of its error budget; inf for a finished
         # member, so that none of its panels splits
         shares = [math.inf] * len(seeds)
-        start = 0
-        for k, n in zip(live, counts):
-            stop = start + n
-            total = complex(math.fsum(re[start:stop]), math.fsum(im[start:stop]))
+        ends = list(itertools.accumulate(counts))
+        for k, n, start, stop in zip(live, counts, [0] + ends, ends):
             err_total = math.fsum(er[start:stop])
+            if not math.isfinite(err_total):
+                # a NaN or infinite node value makes its panel's error
+                # non-finite (so a finite sum means finite values): such a
+                # member would never converge, and with NaN never split
+                results[k] = IntegrationError("integrand returned a non-finite value",
+                                              err_total)
+                continue
+            total = complex(math.fsum(re[start:stop]), math.fsum(im[start:stop]))
             bound = max(rel_tol * abs(total), abs_tol)
             if err_total <= bound:
                 results[k] = total
@@ -194,7 +203,6 @@ def _lockstep(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                                               err_total)
             else:
                 shares[k] = bound / (2.0 * n)
-            start = stop
         refining = [k for k in live if results[k] is None]
         if not refining:
             return results

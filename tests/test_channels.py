@@ -239,3 +239,59 @@ def test_mixed_source_validation():
         chn.MixedSource(((1, 0.6), (0, 0.3)), pol.H.density(), GAUSS)
     with pytest.raises(ValueError):
         chn.SourceSpec(-1, pol.H, GAUSS)
+
+
+# ---------------------------------------------------------------------------
+# the contour against its cells
+# ---------------------------------------------------------------------------
+
+def test_mixed_source_decomposes_its_density_once(monkeypatch):
+    calls = []
+    real = pol.eigendecompose
+    monkeypatch.setattr(pol, "eigendecompose", lambda rho: calls.append(rho) or real(rho))
+    mixed = chn.MixedSource(((2, 0.5), (1, 0.5)), pol.depolarize(pol.D.density(), 0.3),
+                            GAUSS)
+    assert len(calls) == 1
+    assert len(mixed.branches) == 4  # 2 photon numbers x 2 eigenbranches
+    chn.mixed_coincidence(mixed, mixed)
+    chn.mixed_visibility(mixed, mixed)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_contour_decomposes_each_channel_output_once(n, monkeypatch):
+    calls = []
+    real = pol.eigendecompose
+    monkeypatch.setattr(pol, "eigendecompose", lambda rho: calls.append(rho) or real(rho))
+    chans = [chn.ChannelSpec(gamma=g, p_depol=0.5 * g) for g in np.linspace(0.0, 0.8, n)]
+    grid = chn.channel_visibility_contour(src(2), src(1, pol.D), chans, chans)
+    assert np.shape(grid) == (n, n)
+    assert len(calls) <= 2 * n + 2
+
+
+_DETECTORS = fock.Apparatus(fock.BeamSplitter.balanced(), pol.Detector(0.9, 0.86),
+                            pol.Detector(0.97, 0.88))
+# damping leaves single photons, and a lone photon against vacuum leaves
+# [0, 1] at any efficiency below 1 (ROADMAP item 2): the damping cases give
+# H photons eta_h = 1
+_H_LOSSLESS = fock.Apparatus(fock.BeamSplitter(0.45, 0.55), pol.Detector(1.0, 0.85),
+                             pol.Detector(1.0, 0.92))
+
+
+@pytest.mark.parametrize("field, values, m, n, pol_b, app", [
+    ("gamma", [0.0, 0.45, 0.9], 2, 1, pol.H, fock.IDEAL_APPARATUS),
+    ("gamma", [0.0, 0.3, 0.6, 0.9], 3, 3, pol.H, _H_LOSSLESS),
+    ("p_depol", [0.0, 0.375, 0.75], 1, 1, pol.D, _DETECTORS),
+    ("p_depol", [0.0, 0.2, 0.5, 0.75], 2, 1, pol.D, _DETECTORS),
+    ("xi", [0.5, 1.0, 3.0], 3, 3, pol.H, _DETECTORS),
+    ("xi", [0.6, 1.7], 1, 2, pol.H, fock.IDEAL_APPARATUS),
+])
+def test_contour_equals_per_cell_mixed_visibility(field, values, m, n, pol_b, app):
+    src_a = src(m, pol.H, GAUSS)
+    src_b = src(n, pol_b, spc.SpectralProfile(spc.Shape.SECH, CENTER + 0.4, 2.5))
+    chans = [chn.ChannelSpec(**{field: v}) for v in values]
+    grid = chn.channel_visibility_contour(src_a, src_b, chans, chans, app)
+    reference = [[chn.mixed_visibility(chn.apply_channel(src_a, ch_a),
+                                       chn.apply_channel(src_b, ch_b), app)
+                  for ch_b in chans] for ch_a in chans]
+    assert grid == reference  # bit for bit, not approximately

@@ -180,6 +180,26 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
     (["channels", "--set", "mode=depolarizing", "--set", "p_max=NaN"], "p_max"),
     (["channels", "--set", "mode=broadening", "--set", "xi_min=0"], "xi_min"),
     (["channels", "--set", "mode=broadening", "--set", "xi_max=true"], "xi_max"),
+    # the swap scalars
+    (["swap", "--set", "mode=pump_sweep", "--set", "pmf_sigma=NaN"], "pmf_sigma"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "pmf_sigma=0"], "pmf_sigma"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "slope_s=NaN"], "slope_s"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "slope_i=true"], "slope_i"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "pump_center=abc"], "pump_center"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "jsa_grid.n=2.5"], "jsa_grid.n"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "jsa_grid.n=8"], "jsa_grid"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "jsa_grid.span=-1"], "jsa_grid.span"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "phi_steps=2.5"], "phi_steps"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.sigma_c=-1"],
+     "bandwidth.sigma_c"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.factor=NaN"],
+     "bandwidth.factor"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.steps=2.5"],
+     "bandwidth.steps"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.detunings=[0,NaN]"],
+     "bandwidth.detunings[1]"),
+    (["swap", "--set", "mode=pair", "--set", "phi=true"], "phi"),
+    (["swap", "--set", "mode=pair", "--set", "phi=Infinity"], "phi"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
@@ -438,6 +458,22 @@ def test_channels_vanishing_baseline_exits_3(tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "baseline coincidence vanishes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["mu_mean=2000"],
+     "coherent coincidence overflows double precision at mu_a=1000, mu_b=4000"),
+    (["mu_mean=0"], "baseline coincidence vanishes; visibility undefined"),
+    (["fixed_mu_b=0"], "baseline coincidence vanishes; visibility undefined"),
+])
+def test_ratio_map_numerical_failures_exit_3(sets, message, tmp_path, capsys):
+    args = ["coherent", "--grid", "3"]
+    for item in sets:
+        args += ["--set", item]
+    rc = cli.main(args + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_channels_number_dist(tmp_path):

@@ -227,3 +227,38 @@ def test_bessel_i0e_is_scaled_i0():
     for x in (0.5, 14.999, 15.0, 40.0, 700.0):
         assert coh.bessel_i0e(x) == pytest.approx(coh.bessel_i0(x) * math.exp(-x),
                                                   rel=1e-14)
+
+
+def _ratio_map_reference(mu_ratios, tr_ratios, app, mu_mean=1.0, fixed_mu_b=None):
+    """Each cell on its own through the public visibility_from_params."""
+    out = np.empty((len(mu_ratios), len(tr_ratios)))
+    for i, q in enumerate(mu_ratios):
+        if fixed_mu_b is None:
+            mu_a, mu_b = mu_mean * math.sqrt(q), mu_mean / math.sqrt(q)
+        else:
+            mu_a, mu_b = q * fixed_mu_b, fixed_mu_b
+        for j, s in enumerate(tr_ratios):
+            t = s / (1.0 + s)
+            cell_app = fock.Apparatus(fock.BeamSplitter(t, 1.0 - t), app.det_a, app.det_b)
+            out[i, j] = coh.visibility_from_params(coh.CoherentPair(mu_a, mu_b), cell_app)
+    return out
+
+
+FIG9 = fock.Apparatus(BALANCED, pol.Detector(0.8, 0.83), pol.Detector(0.78, 0.85))
+
+
+@pytest.mark.parametrize("app", [fock.IDEAL_APPARATUS, FIG9], ids=["ideal", "fig9"])
+@pytest.mark.parametrize("mu_mean, fixed_mu_b", [(0.01, None), (1.0, None),
+                                                 (1.0, 0.7), (1.0, 0.01)])
+def test_ratio_map_equals_per_cell_reference(app, mu_mean, fixed_mu_b):
+    mu_ratios = np.exp(np.linspace(math.log(0.25), math.log(4.0), 7))
+    tr_ratios = np.exp(np.linspace(math.log(0.2), math.log(3.0), 6))
+    got = coh.visibility_ratio_map(mu_ratios, tr_ratios, app, mu_mean=mu_mean,
+                                   fixed_mu_b=fixed_mu_b)
+    want = _ratio_map_reference(mu_ratios, tr_ratios, app, mu_mean, fixed_mu_b)
+    assert np.array_equal(got, want)  # bit for bit, not approximately
+
+
+def test_ratio_map_overflow_names_mu():
+    with pytest.raises(OverflowError, match="mu_a=1000, mu_b=4000"):
+        coh.visibility_ratio_map([0.25], [1.0], mu_mean=2000.0)

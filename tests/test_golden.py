@@ -35,9 +35,15 @@ CASES = {
         ["channels", "--grid", "3", "--set", "mode=depolarizing", "--set", "pol_b=D"],
     "channels_broadening.csv":
         ["channels", "--grid", "3", "--set", "mode=broadening"],
+    "channels_depolarizing_m2n1_lossy.csv":
+        ["channels", "--grid", "7", "--set", "mode=depolarizing", "--set", "m=2",
+         "--set", "n=1", "--set", 'detector_a={"eta_h":0.9,"eta_v":0.86}',
+         "--set", 'detector_b={"eta_h":0.97,"eta_v":0.88}'],
     "channels_number_dist.csv": ["channels", "--set", "mode=number_dist"],
     "coherent_ratio_map_lossy_fixed_mu_b.csv":
         ["coherent", "--grid", "5", "--set", "fixed_mu_b=1.0"] + FIG9_DETECTORS,
+    "coherent_ratio_map_fig9_mu_0p01.csv":
+        ["coherent", "--grid", "7", "--set", "mu_mean=0.01"] + FIG9_DETECTORS,
     "coherent_curve.csv": ["coherent", "--set", "mode=curve", "--grid", "5"],
     "swap_angle_grid.csv": ["swap", "--grid", "3"],
     "swap_bandwidth_sweep.csv": ["swap", "--set", "mode=bandwidth_sweep", "--grid", "5"],

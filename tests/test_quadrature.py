@@ -138,3 +138,29 @@ def test_family_member_over_budget_fails_alone():
 def test_family_rejects_a_degenerate_member():
     with pytest.raises(ValueError):
         integrate_family(lambda x, k: x + 0j, [[0.0, 1.0], [2.0, 2.0]])
+
+
+# ---------------------------------------------------------------------------
+# non-finite integrands
+# ---------------------------------------------------------------------------
+
+@pytest.mark.time_limit(5)
+def test_nan_integrand_raises_instead_of_hanging():
+    # a NaN error estimate never exceeds a panel's share, so the loop once
+    # split nothing and never reached its panel budget
+    with pytest.raises(IntegrationError, match="non-finite value"):
+        integrate(lambda x: x * np.nan + 0j, [0.0, 1.0])
+
+
+@pytest.mark.time_limit(5)
+def test_family_member_with_non_finite_values_fails_alone():
+    def f(x, k):
+        value = np.exp(-x * x) * (k + 1.0) + 0j
+        return np.where(k == 1, np.where(x > 0.3, np.nan, value), value)
+
+    points = [[-6.0, 0.0, 6.0], [-6.0, 0.0, 6.0], [-3.0, 1.0, 4.0]]
+    got = integrate_family(f, points)
+    assert isinstance(got[1], IntegrationError)
+    assert "non-finite value" in str(got[1])
+    for k in (0, 2):
+        assert got[k] == integrate(lambda x, k=k: f(x, k), points[k])
