@@ -91,18 +91,25 @@ def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
 
 
 def _grid_n(cfg: dict) -> int:
-    return int(cfg.get("grid_override", cfg["grid_n"]))
+    """Grid side: --grid when given, else `grid_n` (checked either way)."""
+    n = cfgmod.parse_count(cfg, "grid_n")
+    if n < 2:
+        raise ConfigError("config field 'grid_n': must be at least 2")
+    return cfg.get("grid_override") or n
 
 
-def _linspace(obj: dict, field: str, n_override: int | None = None) -> np.ndarray:
-    lo = obj.get("min")
-    hi = obj.get("max")
-    steps = n_override or obj.get("steps")
-    if lo is None or hi is None or steps is None:
-        raise ConfigError(f"config field '{field}': needs min, max, steps")
-    if int(steps) < 2 or hi <= lo:
+def _linspace(cfg: dict, field: str, nonnegative: bool = False,
+              positive: bool = False) -> np.ndarray:
+    """The `field` range `{min, max, steps}`; --grid overrides the steps.
+
+    ``nonnegative`` and ``positive`` apply to `min` (and so to every value).
+    """
+    lo = cfgmod.parse_real(cfg, f"{field}.min", nonnegative=nonnegative, positive=positive)
+    hi = cfgmod.parse_real(cfg, f"{field}.max")
+    steps = cfgmod.parse_count(cfg, f"{field}.steps")
+    if steps < 2 or hi <= lo:
         raise ConfigError(f"config field '{field}': needs max > min and steps >= 2")
-    return np.linspace(float(lo), float(hi), int(steps))
+    return np.linspace(lo, hi, cfg.get("grid_override") or steps)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +130,7 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     prof_b = cfgmod.parse_profile(cfg.get("profile_b", cfg["profile_a"]), "profile_b")
     pol_a = cfgmod.parse_polarization(cfg.get("pol_a", "H"), "pol_a")
     app = cfgmod.parse_apparatus(cfg)
-    taus = _linspace(cfg["tau"], "tau", cfg.get("grid_override"))
+    taus = _linspace(cfg, "tau")
     lines = _header_lines("dip", cfg)
     lines.append("# block columns: tau_ps, p_co")
     pairs = cfgmod.parse_photons(cfg)
@@ -271,7 +278,7 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
         _emit_contour("coherent", cfg, out, prof_a,
                       lambda c: coh.visibility_from_params(pair, app, c), pol_b)
     elif mode == "curve":
-        mus = _linspace(cfg["mu_curve"], "mu_curve", cfg.get("grid_override"))
+        mus = _linspace(cfg, "mu_curve", nonnegative=True)
         phi = cfgmod.parse_real(cfg, "phi")
         lines = _header_lines("coherent", cfg)
         lines.append("mu,visibility")
@@ -432,7 +439,7 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
             grid_spec = jsa.GridSpec(n_nodes, span)
         except ValueError as exc:
             raise ConfigError(f"config field 'jsa_grid': {exc}") from None
-        sigmas = _linspace(cfg["pump_sigma"], "pump_sigma", cfg.get("grid_override"))
+        sigmas = _linspace(cfg, "pump_sigma", positive=True)
         phis = np.linspace(0.0, 0.5 * math.pi, cfgmod.parse_count(cfg, "phi_steps"))
         pm = jsa.PhaseMatching(cfgmod.parse_real(cfg, "pmf_sigma", positive=True),
                                cfgmod.parse_real(cfg, "slope_s"),
@@ -471,8 +478,20 @@ _PROTOCOLS_DEFAULTS = {
 
 
 def cmd_protocols(cfg: dict, out: str | None) -> None:
-    mdi_cfg = cfg["mdi"]
-    phi, theta = float(mdi_cfg["phi"]), float(mdi_cfg["theta"])
+    phi = cfgmod.parse_real(cfg, "mdi.phi")
+    theta = cfgmod.parse_real(cfg, "mdi.theta")
+    budget_terms = {key: cfgmod.parse_real(cfg, f"error_budget.{key}", default=0.0)
+                    for key in ("e_background", "e_asymmetry", "e_polarization",
+                                "e_temporal")}
+    rate_terms = {key: cfgmod.parse_real(cfg, f"key_rate.{key}")
+                  for key in ("p_z11", "y_z11", "e_z11", "q_z", "e_z")}
+    rate_terms["f_e"] = cfgmod.parse_real(cfg, "key_rate.f_e", default=1.16)
+    n_noon = cfgmod.parse_count(cfg, "noon.n")
+    noon_theta = cfgmod.parse_real(cfg, "noon.theta")
+    noon_phase = cfgmod.parse_real(cfg, "noon.phase")
+    cl_theta = cfgmod.parse_real(cfg, "classifier.theta")
+    cl_theta_perp = cfgmod.parse_real(cfg, "classifier.theta_perp")
+    fusion_theta = cfgmod.parse_real(cfg, "fusion.theta")
     try:
         table = {f"{sa}{sb}": proto.mdi_outcome_table(
                      proto.MdiScenario(sa, sb, phi, theta))
@@ -480,38 +499,20 @@ def cmd_protocols(cfg: dict, out: str | None) -> None:
     except ValueError as exc:
         raise ConfigError(f"config field 'mdi': {exc}") from None
     e_f = proto.spectral_error(theta)
-    eb = cfg["error_budget"]
     try:
-        budget = proto.ErrorBudget(
-            e_background=float(eb.get("e_background", 0.0)),
-            e_asymmetry=float(eb.get("e_asymmetry", 0.0)),
-            e_polarization=float(eb.get("e_polarization", 0.0)),
-            e_temporal=float(eb.get("e_temporal", 0.0)),
-            e_spectral=e_f)
-        kr = cfg["key_rate"]
-        rate = proto.key_rate_bound(proto.KeyRateInputs(
-            p_z11=float(kr["p_z11"]), y_z11=float(kr["y_z11"]),
-            e_z11=float(kr["e_z11"]), q_z=float(kr["q_z"]),
-            e_z=float(kr["e_z"]), f_e=float(kr.get("f_e", 1.16))))
-        noon_cfg = cfg["noon"]
-        ncfg = int(noon_cfg["n"])
-        noon = {
-            "signal": proto.noon_signal(ncfg, float(noon_cfg["theta"]),
-                                        float(noon_cfg["phase"])),
-        }
+        budget = proto.ErrorBudget(**budget_terms, e_spectral=e_f)
+        rate = proto.key_rate_bound(proto.KeyRateInputs(**rate_terms))
+        noon = {"signal": proto.noon_signal(n_noon, noon_theta, noon_phase)}
         try:
-            noon["sensitivity_scale"] = proto.noon_sensitivity_scale(
-                ncfg, float(noon_cfg["theta"]))
+            noon["sensitivity_scale"] = proto.noon_sensitivity_scale(n_noon, noon_theta)
         except ZeroDivisionError:
             noon["sensitivity_scale"] = None
-        cl = cfg["classifier"]
         classifier = {
-            "p0": proto.classifier_coincidence(float(cl["theta"]),
-                                               float(cl["theta_perp"])),
-            "floor": proto.classifier_floor(float(cl["theta"])),
+            "p0": proto.classifier_coincidence(cl_theta, cl_theta_perp),
+            "floor": proto.classifier_floor(cl_theta),
         }
-        fusion = proto.fusion_fidelity(float(cfg["fusion"]["theta"]))
-    except (ValueError, KeyError) as exc:
+        fusion = proto.fusion_fidelity(fusion_theta)
+    except ValueError as exc:
         raise ConfigError(f"protocols config: {exc}") from None
     total = proto.total_error(budget)
     report = {

@@ -122,12 +122,16 @@ def parse_reals(cfg: dict, key: str, default: list | None = None) -> list[float]
     return [_real(x, f"{key}[{i}]") for i, x in enumerate(v)]
 
 
+def _count(v: Any, name: str) -> int:
+    """A non-negative JSON integer (not a boolean) named ``name`` in errors."""
+    if not _is_count(v):
+        raise _fail(name, f"expected a non-negative integer, got {v!r}")
+    return v
+
+
 def parse_count(cfg: dict, key: str, default: int | None = None) -> int:
     """Photon number at `key`: a non-negative integer."""
-    v = _lookup(cfg, key, default)
-    if not _is_count(v):
-        raise _fail(key, f"expected a non-negative integer, got {v!r}")
-    return v
+    return _count(_lookup(cfg, key, default), key)
 
 
 def parse_photons(cfg: dict) -> list[tuple[int, int]]:
@@ -266,9 +270,12 @@ def parse_jsa(obj: Any, field: str) -> tuple[Any, jsa.GridSpec]:
     if not isinstance(obj, dict):
         raise _fail(field, "expected a JSA object")
     grid_obj = obj.get("grid", {})
+    if not isinstance(grid_obj, dict):
+        raise _fail(f"{field}.grid", "expected {n, span}")
+    n = _count(grid_obj.get("n", 256), f"{field}.grid.n")
+    span = _number(grid_obj, f"{field}.grid", "span", 5.0)
     try:
-        grid = jsa.GridSpec(n=int(_number(grid_obj, f"{field}.grid", "n", 256)),
-                            span=_number(grid_obj, f"{field}.grid", "span", 5.0))
+        grid = jsa.GridSpec(n=n, span=span)
     except ValueError as exc:
         raise _fail(f"{field}.grid", str(exc)) from None
     if "separable" in obj:

@@ -255,9 +255,11 @@ def overlaps(a: SpectralProfile, bs) -> np.ndarray:
 
     Equal, bit for bit, to calling :func:`overlap` on each b, but the
     quadratures run as one lockstep family
-    (:func:`~homsim.quadrature.integrate_family`), so a contour row pays
-    the per-call overhead once.  Errors stay per b: the first b in order
-    whose overlap fails raises its own :class:`IntegrationError`.
+    (:func:`~homsim.quadrature.integrate_family`), so a contour row or a
+    delay scan pays the per-call overhead once per round.  Errors stay per
+    b: the first b in order whose overlap fails, in its quadrature or in
+    the Cauchy-Schwarz check, raises its own :class:`IntegrationError`, as
+    a loop over :func:`overlap` would.
     """
     bs = list(bs)
     if not bs:
@@ -300,11 +302,14 @@ def overlap_curve(a: SpectralProfile, b: SpectralProfile, taus) -> np.ndarray:
 
     The one owner of the delay family behind every HOM dip: cos(Theta)
     depends only on the two spectra and tau, so a scan computes it once
-    and shares it across photon numbers and polarizations.  It stays one
-    quadrature per tau: in a lockstep family its narrowband members would
-    all run to the panel budget together.
+    and shares it across photon numbers and polarizations.  The delays are
+    one :func:`overlaps` family, so the scan pays the per-call overhead of
+    the quadrature once per round, not once per tau.  A narrowband delay
+    that fails costs no more than it does alone: the family runs such a
+    member by itself and stops at the first failure (see
+    :mod:`~homsim.quadrature`).
     """
-    return np.array([overlap(a, b.delayed(tau)).magnitude for tau in taus])
+    return overlaps(a, [b.delayed(tau) for tau in taus])
 
 
 def _gaussian_pair_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
@@ -370,10 +375,14 @@ def _quadrature_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
 
 
 def _seed_points(a: SpectralProfile, b: SpectralProfile,
-                 lo: float, hi: float) -> list[float]:
-    """Initial panel boundaries: kinks, envelope scales, beat period."""
+                 lo: float, hi: float) -> np.ndarray:
+    """Initial panel boundaries: kinks, envelope scales, beat period.
+
+    In no particular order and possibly repeated; the quadrature sorts
+    them and drops repeats.
+    """
     dw = b.center - a.center
-    pts = {lo, hi}
+    pts = [lo, hi]
     for p in (a, b):
         # envelope scale ladder about each arrival time
         scale = 1.0 / p.effective_width if p.shape is not Shape.SINC \
@@ -381,17 +390,19 @@ def _seed_points(a: SpectralProfile, b: SpectralProfile,
         for k in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0):
             x = p.delay + k * scale
             if lo < x < hi:
-                pts.add(x)
+                pts.append(x)
         if p.shape in (Shape.LORENTZIAN, Shape.SECH):
             if lo < p.delay < hi:
-                pts.add(p.delay)  # kink / peak
+                pts.append(p.delay)  # kink / peak
     if dw != 0.0:
         period = TWO_PI / abs(dw)
         n = int((hi - lo) / period) + 1
         if n > 2:
-            step = (hi - lo) / min(n, 2000)
-            pts.update(lo + i * step for i in range(1, min(n, 2000)))
-    return sorted(pts)
+            m = min(n, 2000)
+            step = (hi - lo) / m
+            # the same bits as lo + i * step in scalar code, for i < m
+            return np.concatenate([pts, lo + np.arange(1, m) * step])
+    return np.array(pts)
 
 
 def gaussian_overlap_closed_form(sigma_b: float, sigma_c: float,

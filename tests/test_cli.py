@@ -200,9 +200,50 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
      "bandwidth.detunings[1]"),
     (["swap", "--set", "mode=pair", "--set", "phi=true"], "phi"),
     (["swap", "--set", "mode=pair", "--set", "phi=Infinity"], "phi"),
+    # a JSA literal's grid size and the protocols literals
+    (["swap", "--set", "mode=pair", "--set", "jsa_ab.grid.n=192.7"], "jsa_ab.grid.n"),
+    (["swap", "--set", "mode=pair", "--set", "jsa_cd.grid.n=true"], "jsa_cd.grid.n"),
+    (["swap", "--set", "mode=pair", "--set", "jsa_ab.grid=5"], "jsa_ab.grid"),
+    (["protocols", "--set", 'mdi={"phi":"x","theta":0}'], "mdi.phi"),
+    (["protocols", "--set", "mdi.phi=true"], "mdi.phi"),
+    (["protocols", "--set", "mdi.theta=NaN"], "mdi.theta"),
+    (["protocols", "--set", "noon.n=2.5"], "noon.n"),
+    (["protocols", "--set", "noon.phase=abc"], "noon.phase"),
+    (["protocols", "--set", "error_budget.e_temporal=true"], "error_budget.e_temporal"),
+    (["protocols", "--set", "key_rate.f_e=NaN"], "key_rate.f_e"),
+    (["protocols", "--set", "classifier.theta_perp=[0]"], "classifier.theta_perp"),
+    (["protocols", "--set", "fusion.theta=Infinity"], "fusion.theta"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"config field '{key}'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (["dip", "--set", 'tau={"min":-1,"max":1,"steps":2.5}'], "tau.steps"),
+    (["dip", "--set", 'tau={"min":-1,"max":NaN,"steps":3}'], "tau.max"),
+    (["dip", "--set", 'tau={"min":true,"max":1,"steps":3}'], "tau.min"),
+    (["dip", "--grid", "3", "--set", 'tau={"min":-1,"max":1,"steps":2.5}'], "tau.steps"),
+    (["dip", "--set", 'tau={"min":1,"max":-1,"steps":3}'], "tau"),
+    (["coherent", "--set", "mode=curve",
+      "--set", 'mu_curve={"min":0.1,"max":1,"steps":"5"}'], "mu_curve.steps"),
+    (["swap", "--set", "mode=pump_sweep",
+      "--set", 'pump_sigma={"min":0.1,"max":Infinity,"steps":3}'], "pump_sigma.max"),
+    (["swap", "--set", "mode=pump_sweep",
+      "--set", 'pump_sigma={"min":0,"max":1,"steps":3}'], "pump_sigma.min"),
+    (["coherent", "--set", "mode=curve",
+      "--set", 'mu_curve={"min":-1,"max":1,"steps":3}'], "mu_curve.min"),
+    (["contour", "--set", "grid_n=2.5"], "grid_n"),
+    (["contour", "--set", "grid_n=1"], "grid_n"),
+    (["coherent", "--set", "grid_n=true"], "grid_n"),
+    (["channels", "--grid", "3", "--set", "grid_n=-4"], "grid_n"),
+])
+def test_bad_range_exits_2_naming_key(args, key, tmp_path, capsys):
+    # ranges and grid sides, with and without --grid overriding them
+    rc = cli.main(args + ["--out", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert f"config field '{key}'" in err
@@ -323,20 +364,34 @@ def test_dip_two_photon_block_endpoints(tmp_path):
 
 def test_dip_computes_each_overlap_once_per_tau(tmp_path, monkeypatch):
     # the default job has 3 photon pairs x 3 Phi blocks; cos Theta(tau) is
-    # shared by all nine, so each delay reaches spectral.overlap once
-    delays = []
-    real_overlap = spc.overlap
+    # shared by all nine, so the scan is one overlaps() call over the
+    # delays, and a quadrature pair one family with a member per delay
+    scans, members = [], []
+    real_overlaps, real_family = spc.overlaps, spc.integrate_family
 
-    def counting_overlap(a, b, *args, **kwargs):
-        delays.append(b.delay)
-        return real_overlap(a, b, *args, **kwargs)
+    def counting_overlaps(a, bs):
+        bs = list(bs)
+        scans.append([b.delay for b in bs])
+        return real_overlaps(a, bs)
 
-    monkeypatch.setattr(spc, "overlap", counting_overlap)
-    rc, text = run(["dip"], tmp_path)
-    assert rc == 0
-    assert text.count("# block m=") == 9
+    def counting_family(f, points_list, **kwargs):
+        members.append(len(points_list))
+        return real_family(f, points_list, **kwargs)
+
+    monkeypatch.setattr(spc, "overlaps", counting_overlaps)
+    monkeypatch.setattr(spc, "integrate_family", counting_family)
     taus = np.linspace(-6.0, 6.0, 241)
-    assert delays == list(taus)
+    sech_vs_sinc = ["--set", 'profile_a={"shape":"sech","center_thz":193.55,"width_thz":0.2}',
+                    "--set", 'profile_b={"shape":"sinc","center_thz":193.7,"width_thz":2.5}']
+    # the default Gaussian pair has a closed form; the other is integrated
+    for extra, families in (([], []), (sech_vs_sinc, [len(taus)])):
+        scans.clear()
+        members.clear()
+        rc, text = run(["dip"] + extra, tmp_path)
+        assert rc == 0
+        assert text.count("# block m=") == 9
+        assert scans == [list(taus)]
+        assert members == families
 
 
 def test_dip_blocks_match_per_block_reference(tmp_path):

@@ -29,6 +29,14 @@ CASES = {
         ["coherent", "--set", "mode=contour", "--grid", "5", "--set", "shape_b=sech"],
     "tables.txt": ["tables"],
     "dip.csv": ["dip", "--grid", "5"],
+    "dip_sech_vs_sinc_detuned.csv":
+        ["dip", "--set", 'profile_a={"shape":"sech","center_thz":193.55,"width_thz":0.4}',
+         "--set", 'profile_b={"shape":"sinc","center_thz":193.75,"width_thz":2.5}',
+         "--set", 'tau={"min":-4,"max":4,"steps":9}'],
+    "dip_lorentzian_vs_sech.csv":
+        ["dip", "--set", 'profile_a={"shape":"lorentzian","center_thz":193.55,"width_thz":0.3}',
+         "--set", 'profile_b={"shape":"sech","center_thz":193.6,"width_thz":0.35}',
+         "--set", 'tau={"min":-6,"max":6,"steps":13}'],
     "channels_damping_m2n1.csv":
         ["channels", "--grid", "3", "--set", "m=2", "--set", "n=1"],
     "channels_depolarizing_pol_b_D.csv":

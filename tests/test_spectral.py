@@ -240,11 +240,63 @@ def test_overlaps_follow_each_points_panels(monkeypatch):
 def test_overlaps_raise_the_first_failing_point(monkeypatch):
     a = profile("sech", 0.5)
     row = [profile("sinc", w) for w in (1.0, 2.0, 3.0)]
-    failures = [IntegrationError("second", 1.0), IntegrationError("third", 2.0)]
-    monkeypatch.setattr(spc, "integrate_family",
-                        lambda f, points, **kw: [0.5 + 0j] + failures)
-    with pytest.raises(IntegrationError, match="second"):
-        spc.overlaps(a, row)
+    for family, message in (
+            # a family ends at its first failing member
+            ([0.5 + 0j, IntegrationError("second", 1.0)], "second"),
+            # an earlier member over the Cauchy-Schwarz bound raises first
+            ([0.5 + 0j, 1.5 + 0j, IntegrationError("third", 2.0)], "Cauchy-Schwarz")):
+        monkeypatch.setattr(spc, "integrate_family", lambda f, points, **kw: family)
+        with pytest.raises(IntegrationError, match=message):
+            spc.overlaps(a, row)
+
+
+@pytest.mark.parametrize("detuning", [0.0, 0.7, 40.0, 5000.0])
+def test_seed_points_match_the_scalar_beat_ladder(detuning):
+    # the beat seeds are built as one array; each must carry the bits of
+    # lo + i * step in Python floats
+    fw = 0.01 if detuning > 100 else 1.0
+    a = spc.SpectralProfile.from_fwhm("lorentzian", CENTER, fw)
+    b = spc.SpectralProfile.from_fwhm("sech", CENTER + detuning * fw, fw, delay_ps=0.3 / fw)
+    lo, hi = spc._overlap_window(a, b)
+    got = np.unique(spc._seed_points(a, b, lo, hi))
+    n = int((hi - lo) / (2 * math.pi / abs(b.center - a.center))) + 1 if detuning else 0
+    ref = {lo, hi}
+    for p in (a, b):
+        scale = 1.0 / p.effective_width
+        ref.update(x for x in (p.delay + k * scale for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8))
+                   if lo < x < hi)
+        ref.update(x for x in (p.delay,) if lo < x < hi)
+    if n > 2:
+        step = (hi - lo) / min(n, 2000)
+        ref.update(lo + i * step for i in range(1, min(n, 2000)))
+    assert got.tolist() == sorted(ref)
+
+
+@pytest.mark.time_limit(10)
+def test_narrowband_scan_fails_as_its_first_delay_alone(monkeypatch):
+    # detuned by 5,000 FWHM, the first delay already runs out of panels;
+    # the scan must raise that error after the same work as the delay alone
+    fw = 0.01
+    a = spc.SpectralProfile.from_fwhm("lorentzian", CENTER, fw)
+    b = spc.SpectralProfile.from_fwhm("sech", CENTER + 5000.0 * fw, fw)
+    taus = np.linspace(-3.0 / fw, 3.0 / fw, 21)
+    nodes = []
+    panel_values = quadrature._panel_values
+
+    def counted(f, lo, hi, member):
+        nodes.append(15 * lo.size)
+        return panel_values(f, lo, hi, member)
+
+    monkeypatch.setattr(quadrature, "_panel_values", counted)
+    with pytest.raises(IntegrationError) as alone:
+        spc.overlap(a, b.delayed(taus[0]))
+    alone_nodes = sum(nodes)
+    nodes.clear()
+    with pytest.raises(IntegrationError) as scan:
+        spc.overlap_curve(a, b, taus)
+    assert str(scan.value) == str(alone.value)
+    assert scan.value.residual == alone.value.residual
+    assert sum(nodes) == alone_nodes
 
 
 def test_overlaps_need_one_shape():
