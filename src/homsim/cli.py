@@ -138,7 +138,7 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     blocks = [(phi, fock.FockPair(m, n, pol_a, pol.rotate(pol_a, phi), prof_a, prof_b))
               for m, n in pairs for phi in phis]
     # cos(Theta(tau)) depends only on the spectra: one scan serves every block
-    cos_theta = spc.overlap_curve(prof_a, prof_b, taus) if blocks else None
+    cos_theta = spc.overlap_curve(prof_a, prof_b, taus)
     for phi, pair in blocks:
         lines.append(f"# block m={pair.m} n={pair.n} phi={_fmt(phi)}")
         lines.append("tau_ps,p_co")
@@ -310,6 +310,9 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
     if mode == "number_dist":
         n_in = cfgmod.parse_count(cfg, "number_dist.n", 4)
         gammas = cfgmod.parse_reals(cfg, "number_dist.gammas", [0.0])
+        for i, g in enumerate(gammas):
+            if not 0.0 <= g <= 1.0:
+                raise ConfigError(f"config field 'number_dist.gammas[{i}]': must lie in [0, 1]")
         lines = _header_lines("channels", cfg)
         lines.append("gamma,k,probability")
         for g in gammas:
@@ -440,7 +443,10 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         except ValueError as exc:
             raise ConfigError(f"config field 'jsa_grid': {exc}") from None
         sigmas = _linspace(cfg, "pump_sigma", positive=True)
-        phis = np.linspace(0.0, 0.5 * math.pi, cfgmod.parse_count(cfg, "phi_steps"))
+        phi_steps = cfgmod.parse_count(cfg, "phi_steps")
+        if phi_steps < 2:
+            raise ConfigError("config field 'phi_steps': must be at least 2")
+        phis = np.linspace(0.0, 0.5 * math.pi, phi_steps)
         pm = jsa.PhaseMatching(cfgmod.parse_real(cfg, "pmf_sigma", positive=True),
                                cfgmod.parse_real(cfg, "slope_s"),
                                cfgmod.parse_real(cfg, "slope_i"))

@@ -115,10 +115,11 @@ def parse_real(cfg: dict, key: str, nonnegative: bool = False,
 
 
 def parse_reals(cfg: dict, key: str, default: list | None = None) -> list[float]:
-    """List of finite numbers at `key`; a bad entry is named `key[i]`."""
+    """Non-empty list of finite numbers at `key` (a sweep with no points is
+    an error); a bad entry is named `key[i]`."""
     v = _lookup(cfg, key, default)
-    if not isinstance(v, list):
-        raise _fail(key, f"expected a list of numbers, got {v!r}")
+    if not isinstance(v, list) or not v:
+        raise _fail(key, f"expected a non-empty list of numbers, got {v!r}")
     return [_real(x, f"{key}[{i}]") for i, x in enumerate(v)]
 
 
@@ -135,9 +136,13 @@ def parse_count(cfg: dict, key: str, default: int | None = None) -> int:
 
 
 def parse_photons(cfg: dict) -> list[tuple[int, int]]:
-    """`photons`: a list of [m, n] photon-number pairs (default [[1, 1]])."""
+    """`photons`: a non-empty list of [m, n] photon-number pairs (default
+    [[1, 1]])."""
+    pairs = cfg.get("photons", [[1, 1]])
+    if not isinstance(pairs, list) or not pairs:
+        raise _fail("photons", f"expected a non-empty list of [m, n] pairs, got {pairs!r}")
     out = []
-    for p in cfg.get("photons", [[1, 1]]):
+    for p in pairs:
         if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(map(_is_count, p)):
             raise _fail("photons", f"bad entry {p!r}")
         out.append((p[0], p[1]))

@@ -31,7 +31,7 @@ from . import spectral as spc
 __all__ = [
     "Pump", "PhaseMatching", "GridSpec", "SeparableJSA", "GriddedJSA",
     "SwapScenario", "GridResolutionError",
-    "build_gaussian_jsa", "separable_to_grid", "schmidt_weights",
+    "build_gaussian_jsa", "separable_to_grid",
     "bsm_outcome_probabilities",
     "swap_fidelity", "swap_fidelity_separable", "detuned_bandwidth_sweep",
 ]
@@ -204,15 +204,6 @@ def _normalized_grid(a1: np.ndarray, a2: np.ndarray,
         raise GridResolutionError(
             f"grid too coarse for this JSA (half-resolution residual {residual:.2e})")
     return GriddedJSA(a1, a2, values / math.sqrt(norm))
-
-
-def schmidt_weights(jsa: GriddedJSA, count: int = 8) -> np.ndarray:
-    """Leading Schmidt weights (squared singular values, summing to 1)."""
-    w1, w2 = jsa.weights()
-    g = np.sqrt(w1)[:, None] * jsa.values * np.sqrt(w2)[None, :]
-    s = np.linalg.svd(g, compute_uv=False)
-    lam = s**2
-    return lam[:count] / lam.sum()
 
 
 def _overlap_kernel(jsa_ab: GriddedJSA, jsa_cd: GriddedJSA) -> np.ndarray:

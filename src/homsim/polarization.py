@@ -19,7 +19,7 @@ __all__ = [
     "PolarizationVector", "PolarizationDensity", "Detector",
     "H", "V", "D", "A",
     "cos_phi", "rotate", "effective_efficiency", "click_probability",
-    "depolarize", "eigendecompose", "orthogonal", "bloch_vector",
+    "depolarize", "eigendecompose", "orthogonal",
 ]
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,16 +134,6 @@ def depolarize(rho: PolarizationDensity, p: float) -> PolarizationDensity:
     out = (1.0 - p) * r + (p / 3.0) * (
         _PAULI_X @ r @ _PAULI_X + _PAULI_Y @ r @ _PAULI_Y + _PAULI_Z @ r @ _PAULI_Z)
     return PolarizationDensity(out)
-
-
-def bloch_vector(rho: PolarizationDensity) -> np.ndarray:
-    """(x, y, z) Bloch components of a 2x2 density matrix."""
-    r = rho.rho
-    return np.array([
-        np.trace(_PAULI_X @ r).real,
-        np.trace(_PAULI_Y @ r).real,
-        np.trace(_PAULI_Z @ r).real,
-    ])
 
 
 def eigendecompose(rho: PolarizationDensity

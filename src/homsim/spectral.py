@@ -16,8 +16,14 @@ evaluated here in the time domain via Plancherel's theorem.  Every envelope
 has a closed-form time profile (the sinc's is a rectangle of duration T,
 the Lorentzian's a two-sided exponential), which turns the slowly decaying
 or oscillatory frequency-domain tails into compactly supported or
-exponentially decaying integrands that the adaptive quadrature resolves to
-the requested 1e-10.
+exponentially decaying integrands.  Three kinds of pairing follow:
+
+* Gaussian with Gaussian: a closed form in the frequency domain;
+* sinc or Lorentzian with sinc or Lorentzian: the time-domain product is
+  piecewise exponential, so the integral is elementary and exact (at most
+  three segments, vectorised over a dip scan or a contour row);
+* every pairing with a sech, and Gaussian with sinc or Lorentzian:
+  adaptive quadrature of the time-domain product to the requested 1e-10.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ class Shape(enum.Enum):
     SINC = "sinc"
     LORENTZIAN = "lorentzian"
     SECH = "sech"
+
+
+# families whose time envelopes are piecewise exponential (closed-form pairs)
+_EXPONENTIAL = (Shape.SINC, Shape.LORENTZIAN)
 
 
 @dataclass(frozen=True)
@@ -237,13 +247,16 @@ def _time_radius(profile: SpectralProfile) -> float:
 def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
     """Overlap integral int phi_a*(omega) phi_b(omega) d omega.
 
-    Identical Gaussians-with-Gaussians use the closed form; all other
-    pairings integrate the product of time envelopes against the beat
-    oscillation e^{-i (omega_b - omega_a) t}, over the intersection of the
-    two envelope supports.  The magnitude is cos(Theta) in [0, 1].
+    Gaussian pairs use their closed form and pairs of sinc and Lorentzian
+    envelopes the exact piecewise-exponential sum; every other pairing
+    integrates the product of time envelopes against the beat oscillation
+    e^{-i (omega_b - omega_a) t} by quadrature, over the intersection of
+    the two envelope supports.  The magnitude is cos(Theta) in [0, 1].
     """
     if a.shape is Shape.GAUSSIAN and b.shape is Shape.GAUSSIAN:
         value = _gaussian_pair_overlap(a, b)
+    elif a.shape in _EXPONENTIAL and b.shape in _EXPONENTIAL:
+        value = complex(_exponential_overlaps(a, [b])[0])
     else:
         value = _quadrature_overlap(a, b)
     mag = _magnitude(value)
@@ -253,8 +266,9 @@ def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
 def overlaps(a: SpectralProfile, bs) -> np.ndarray:
     """|overlap(a, b)| for each profile b of ``bs``, all of one shape.
 
-    Equal, bit for bit, to calling :func:`overlap` on each b, but the
-    quadratures run as one lockstep family
+    Equal, bit for bit, to calling :func:`overlap` on each b.  A pair of
+    sinc and Lorentzian shapes is one vectorised closed form over ``bs``;
+    a pairing that needs quadrature runs as one lockstep family
     (:func:`~homsim.quadrature.integrate_family`), so a contour row or a
     delay scan pays the per-call overhead once per round.  Errors stay per
     b: the first b in order whose overlap fails, in its quadrature or in
@@ -268,6 +282,8 @@ def overlaps(a: SpectralProfile, bs) -> np.ndarray:
         raise ValueError("overlaps() needs profiles of one shape")
     if a.shape is Shape.GAUSSIAN and bs[0].shape is Shape.GAUSSIAN:
         values = [_gaussian_pair_overlap(a, b) for b in bs]
+    elif a.shape in _EXPONENTIAL and bs[0].shape in _EXPONENTIAL:
+        values = _exponential_overlaps(a, bs).tolist()
     else:
         values = [0.0 + 0.0j] * len(bs)
         windows = [_overlap_window(a, b) for b in bs]
@@ -303,11 +319,12 @@ def overlap_curve(a: SpectralProfile, b: SpectralProfile, taus) -> np.ndarray:
     The one owner of the delay family behind every HOM dip: cos(Theta)
     depends only on the two spectra and tau, so a scan computes it once
     and shares it across photon numbers and polarizations.  The delays are
-    one :func:`overlaps` family, so the scan pays the per-call overhead of
-    the quadrature once per round, not once per tau.  A narrowband delay
-    that fails costs no more than it does alone: the family runs such a
-    member by itself and stops at the first failure (see
-    :mod:`~homsim.quadrature`).
+    one :func:`overlaps` call: for a pair of sinc and Lorentzian shapes one
+    vectorised closed form over every tau, otherwise one quadrature family
+    that pays the per-call overhead once per round, not once per tau.  A
+    narrowband delay whose quadrature fails costs no more than it does
+    alone: the family runs such a member by itself and stops at the first
+    failure (see :mod:`~homsim.quadrature`).
     """
     return overlaps(a, [b.delayed(tau) for tau in taus])
 
@@ -331,6 +348,60 @@ def _gaussian_pair_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
     val = (norm * math.sqrt(math.pi / alpha)
            * np.exp(beta * beta / (4.0 * alpha) - 0.25 * alpha * d * d + 1j * wbar * dt))
     return complex(val)
+
+
+def _exponential_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.ndarray:
+    """Exact overlaps of ``a`` with each b of ``bs``, sinc or Lorentzian.
+
+    On its support each of these envelopes is N e^{-g |t - tau|}: g = 0
+    on the sinc's rectangle |t - tau| <= T/2, g = gamma/2 everywhere for
+    the Lorentzian.  Between the support ends and the two kinks (at most
+    three segments) the integrand G_a G_b e^{i(phase - dw t)} is therefore
+    F0 e^{kappa s}, s the distance from an anchoring end where it equals
+    F0.  Each segment is anchored at the end from which it decays, so
+    Re kappa <= 0 and it integrates to F0 L expm1(kappa L) / (kappa L) (F0 L
+    at kappa L = 0), or -F0 / kappa when it runs to infinity.  Disjoint
+    supports give exactly 0.  Times are taken from tau_a, so the large
+    phase omega_b (tau_b - tau_a) multiplies the sum once.  Vectorised over
+    ``bs`` (one shape); each b's columns are gathered as in
+    :func:`_overlap_integrand`.
+    """
+    wa, norm_a = a.effective_width, _envelope_norm(a.shape, a.effective_width)
+    wb, norm_b, dt, dw, center_b = np.array(
+        [(b.effective_width, _envelope_norm(b.shape, b.effective_width),
+          b.delay - a.delay, b.center - a.center, b.center) for b in bs]).T
+
+    def support(shape, w, arrival):
+        """Support ends and decay rate g of an envelope arriving at ``arrival``."""
+        if shape is Shape.SINC:
+            return arrival - 0.5 * w, arrival + 0.5 * w, 0.0 * w
+        return arrival - np.inf, arrival + np.inf, 0.5 * w
+
+    lo_a, hi_a, ga = support(a.shape, wa, 0.0)
+    lo_b, hi_b, gb = support(bs[0].shape, wb, dt)
+    lo, hi = np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b)
+    kink_a, kink_b = np.clip(0.0, lo, hi), np.clip(dt, lo, hi)
+    ends = [lo, np.minimum(kink_a, kink_b), np.maximum(kink_a, kink_b), hi]
+    total = np.zeros(len(bs), dtype=complex)
+    for x0, x1 in zip(ends, ends[1:]):
+        # each envelope rises towards its kink and falls away from it
+        kappa = (np.where(x1 <= 0.0, ga, -ga) + np.where(x1 <= dt, gb, -gb)
+                 - 1j * dw)
+        forward = kappa.real <= 0.0
+        anchor = np.where(forward, x0, x1)
+        kappa = np.where(forward, kappa, -kappa)
+        f0 = np.exp(-ga * np.abs(anchor) - gb * np.abs(anchor - dt) - 1j * dw * anchor)
+        length = x1 - x0
+        infinite = np.isinf(length)
+        length = np.where(infinite, 0.0, length)
+        z = kappa * length
+        finite = length * np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+        tail = np.divide(-1.0, kappa, out=np.zeros_like(kappa), where=infinite)
+        total += f0 * np.where(infinite, tail, finite)
+    # not in place: numpy's in-place complex product of one element rounds
+    # differently from its product over a longer array
+    total = total * (norm_a * norm_b * np.exp(1j * center_b * dt))
+    return np.where(lo < hi, total, 0.0)
 
 
 def _overlap_window(a: SpectralProfile, b: SpectralProfile) -> tuple[float, float] | None:

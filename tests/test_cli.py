@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -213,6 +214,11 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
     (["protocols", "--set", "key_rate.f_e=NaN"], "key_rate.f_e"),
     (["protocols", "--set", "classifier.theta_perp=[0]"], "classifier.theta_perp"),
     (["protocols", "--set", "fusion.theta=Infinity"], "fusion.theta"),
+    # rules only the model checked
+    (["channels", "--set", "mode=number_dist", "--set", "number_dist.gammas=[1.5]"],
+     "number_dist.gammas[0]"),
+    (["channels", "--set", "mode=number_dist", "--set", "number_dist.gammas=[0.5,-0.1]"],
+     "number_dist.gammas[1]"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
@@ -240,6 +246,16 @@ def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     (["contour", "--set", "grid_n=1"], "grid_n"),
     (["coherent", "--set", "grid_n=true"], "grid_n"),
     (["channels", "--grid", "3", "--set", "grid_n=-4"], "grid_n"),
+    # sweeps with no points
+    (["swap", "--set", "mode=pump_sweep", "--set", "phi_steps=0"], "phi_steps"),
+    (["swap", "--set", "mode=pump_sweep", "--set", "phi_steps=1"], "phi_steps"),
+    (["dip", "--set", "phi=[]"], "phi"),
+    (["dip", "--set", "photons=[]"], "photons"),
+    (["tables", "--set", "photons=[]"], "photons"),
+    (["channels", "--set", "mode=number_dist", "--set", "number_dist.gammas=[]"],
+     "number_dist.gammas"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.detunings=[]"],
+     "bandwidth.detunings"),
 ])
 def test_bad_range_exits_2_naming_key(args, key, tmp_path, capsys):
     # ranges and grid sides, with and without --grid overriding them
@@ -418,6 +434,51 @@ def test_dip_blocks_match_per_block_reference(tmp_path):
             expected += [f"{cli._fmt(t)},{cli._fmt(p)}"
                          for t, p in fock.dip_curve(pair, taus, app)]
     assert data_rows(text) == expected
+
+
+def lorentzian_overlap_by_residues(a, b):
+    """|int phi_a* phi_b d omega| of two Lorentzians, by the residue theorem.
+
+    With x = omega - omega_a the integrand is e^{i x dt} over (x^2 + ha^2)
+    ((x - d)^2 + hb^2) times the normalisations; the contour closes in the
+    half plane where e^{i x dt} decays, around one pole of each factor.
+    """
+    with mpmath.workdps(30):
+        ha, hb = mpmath.mpf(a.effective_width) / 2, mpmath.mpf(b.effective_width) / 2
+        d = mpmath.mpf(b.center) - mpmath.mpf(a.center)
+        dt = mpmath.mpf(b.delay) - mpmath.mpf(a.delay)
+        s = 1 if dt >= 0 else -1
+        pa, pb = s * 1j * ha, d + s * 1j * hb
+        residues = (mpmath.exp(1j * pa * dt) / (2 * pa * ((pa - d) ** 2 + hb ** 2))
+                    + mpmath.exp(1j * pb * dt) / ((pb ** 2 + ha ** 2) * 2 * (pb - d)))
+        norm = mpmath.sqrt((2 * ha) ** 3 * (2 * hb) ** 3) / (4 * mpmath.pi)
+        return float(abs(2 * mpmath.pi * 1j * s * norm * residues))
+
+
+@pytest.mark.time_limit(10)
+def test_narrowband_lorentzian_dip_is_exact(tmp_path):
+    # FWHM 0.01 rad/ps, detuned by 5,000 FWHM, delays within 3 / FWHM: far
+    # more beat periods than a quadrature can seed, none for the closed form
+    fw = 0.01
+    profile_a = {"shape": "lorentzian", "center_thz": 193.55, "width_thz": fw / (2 * math.pi)}
+    profile_b = dict(profile_a, center_thz=193.55 + 5000.0 * fw / (2 * math.pi))
+    rc, text = run(["dip", "--set", f"profile_a={json.dumps(profile_a)}",
+                    "--set", f"profile_b={json.dumps(profile_b)}",
+                    "--set", 'tau={"min":-300,"max":300,"steps":21}'], tmp_path)
+    assert rc == 0
+    a = cfgmod.parse_profile(profile_a, "profile_a")
+    b = cfgmod.parse_profile(profile_b, "profile_b")
+    taus = np.linspace(-300.0, 300.0, 21)
+    cos_theta = [lorentzian_overlap_by_residues(a, b.delayed(float(t))) for t in taus]
+    expected = []
+    for m, n in [(1, 1), (2, 2), (3, 3)]:
+        for phi in [0.0, 0.25 * math.pi, 0.5 * math.pi]:
+            pair = fock.FockPair(m, n, pol.H, pol.rotate(pol.H, phi), a, b)
+            expected += [p for _, p in fock.dip_curve(pair, taus, cos_theta=cos_theta)]
+    printed = [float(ln.split(",")[1]) for ln in data_rows(text)]
+    assert len(printed) == len(expected)
+    assert all(0.0 <= p <= 1.0 for p in printed)
+    assert max(abs(p - q) for p, q in zip(printed, expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ def gauss(center, sigma):
     return spc.SpectralProfile(spc.Shape.GAUSSIAN, center, sigma)
 
 
+def schmidt_weights(j: jsa.GriddedJSA, count: int = 8) -> np.ndarray:
+    """Leading Schmidt weights (squared singular values, summing to 1)."""
+    w1, w2 = j.weights()
+    g = np.sqrt(w1)[:, None] * j.values * np.sqrt(w2)[None, :]
+    lam = np.linalg.svd(g, compute_uv=False) ** 2
+    return lam[:count] / lam.sum()
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -36,7 +44,7 @@ def test_separability_at_balanced_slopes():
     j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, sigma),
                                jsa.PhaseMatching(sigma, 1.0, -1.0),
                                jsa.GridSpec(n=160, span=6.0))
-    lam = jsa.schmidt_weights(j)
+    lam = schmidt_weights(j)
     assert lam[0] > 1.0 - 1e-3
 
 
@@ -44,7 +52,7 @@ def test_one_sided_slope_with_broad_pump_is_separable():
     j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 50.0),
                                jsa.PhaseMatching(0.5, 1.0, 0.0),
                                jsa.GridSpec(n=160, span=6.0))
-    lam = jsa.schmidt_weights(j)
+    lam = schmidt_weights(j)
     assert lam[0] > 1.0 - 1e-3
 
 
@@ -65,7 +73,7 @@ def test_narrow_pump_is_anticorrelated():
 def test_schmidt_weights_sum_to_one():
     j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.4),
                                jsa.PhaseMatching(0.9), jsa.GridSpec(n=128, span=6.0))
-    lam = jsa.schmidt_weights(j, count=128)
+    lam = schmidt_weights(j, count=128)
     assert lam.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -165,7 +173,7 @@ def test_entangled_jsa_lowers_fidelity():
     ab = jsa.GriddedJSA(entangled.axis_second, entangled.axis_first,
                         entangled.values.T)
     f = jsa.swap_fidelity(jsa.SwapScenario(ab, entangled, 0.0), spec)
-    purity = float(np.sum(jsa.schmidt_weights(entangled, count=160) ** 2))
+    purity = float(np.sum(schmidt_weights(entangled, count=160) ** 2))
     assert f == pytest.approx(0.5 * (1.0 + purity), abs=1e-6)
     assert f < 0.95
 

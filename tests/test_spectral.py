@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,14 +188,19 @@ def test_sinc_rect_autocorrelation():
 
 
 def test_overlap_curve_is_the_delayed_overlap_family():
-    a = profile("sech", 0.6)
-    b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 0.3, 2.5, delay=0.2)
-    taus = np.linspace(-3.0, 3.0, 13)
-    curve = spc.overlap_curve(a, b, taus)
-    assert curve.shape == taus.shape
-    for tau, got in zip(taus, curve):
-        assert got == spc.overlap(a, b.delayed(tau)).magnitude
-    assert spc.overlap_curve(a, b, []).shape == (0,)
+    # a quadrature pairing and the four closed-form ones, whose scan is one
+    # array formula: each delay must carry the bits of its own overlap()
+    width = {"sech": 0.6, "sinc": 2.5, "lorentzian": 0.6}
+    for shape_a, shape_b in [("sech", "sinc"), ("sinc", "sinc"), ("sinc", "lorentzian"),
+                             ("lorentzian", "sinc"), ("lorentzian", "lorentzian")]:
+        a = profile(shape_a, width[shape_a])
+        b = spc.SpectralProfile(spc.Shape(shape_b), CENTER + 0.3, width[shape_b], delay=0.2)
+        taus = np.linspace(-3.0, 3.0, 13)
+        curve = spc.overlap_curve(a, b, taus)
+        assert curve.shape == taus.shape
+        for tau, got in zip(taus, curve):
+            assert got == spc.overlap(a, b.delayed(tau)).magnitude
+        assert spc.overlap_curve(a, b, []).shape == (0,)
 
 
 @pytest.mark.parametrize("shape_b", SHAPES)
@@ -297,6 +303,99 @@ def test_narrowband_scan_fails_as_its_first_delay_alone(monkeypatch):
     assert str(scan.value) == str(alone.value)
     assert scan.value.residual == alone.value.residual
     assert sum(nodes) == alone_nodes
+
+
+EXPONENTIAL = [spc.Shape.SINC, spc.Shape.LORENTZIAN]
+
+
+def mp_overlap_magnitude(a, b):
+    """|overlap(a, b)| by 30-digit mpmath quadrature of the analytic time
+    envelopes, split at the sinc edges and the Lorentzian kinks.
+
+    Times are measured from a's arrival, so the unit-modulus phase
+    e^{i omega_b (tau_b - tau_a)} drops out of the magnitude.  Lorentzian
+    tails are cut where the product has fallen by e^-80, and every piece
+    is split so that beat phase plus decay exponent stay below about 12
+    across it, which the Gauss-Legendre rule resolves quickly.
+    """
+    with mpmath.workdps(30):
+        dt = mpmath.mpf(b.delay) - mpmath.mpf(a.delay)
+        dw = mpmath.mpf(b.center) - mpmath.mpf(a.center)
+
+        def envelope(p, arrival):
+            w = mpmath.mpf(p.effective_width)
+            if p.shape is spc.Shape.SINC:
+                return (lambda t: 1 / mpmath.sqrt(w)), arrival - w / 2, arrival + w / 2, 0, []
+            norm = mpmath.sqrt(w / 2)
+            return ((lambda t: norm * mpmath.exp(-w / 2 * abs(t - arrival))),
+                    -mpmath.inf, mpmath.inf, w / 2, [arrival])
+
+        ga, lo_a, hi_a, rate_a, kinks_a = envelope(a, mpmath.mpf(0))
+        gb, lo_b, hi_b, rate_b, kinks_b = envelope(b, dt)
+        kinks = kinks_a + kinks_b
+        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+        if kinks:
+            reach = 80 / (rate_a + rate_b)
+            lo, hi = max(lo, min(kinks) - reach), min(hi, max(kinks) + reach)
+        if lo >= hi:
+            return 0.0
+        cuts = sorted({lo, hi} | {k for k in kinks if lo < k < hi})
+        points = cuts[:1]
+        for x0, x1 in zip(cuts, cuts[1:]):
+            n = int(mpmath.ceil((x1 - x0) * (abs(dw) + rate_a + rate_b) / 12)) + 1
+            points += [x0 + (x1 - x0) * k / n for k in range(1, n + 1)]
+        return float(abs(mpmath.quad(lambda t: ga(t) * gb(t) * mpmath.expj(-dw * t),
+                                     points, method="gauss-legendre")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sa=st.sampled_from(EXPONENTIAL), sb=st.sampled_from(EXPONENTIAL),
+    fwhm_a=st.floats(0.5, 5.0), log_ratio=st.floats(-2.0, 2.0),
+    detuning=st.floats(-2.0, 2.0), delay_a=st.floats(-10.0, 10.0),
+    delay_b=st.floats(-10.0, 10.0), xi_a=st.floats(0.5, 2.0), xi_b=st.floats(0.5, 2.0),
+)
+def test_exponential_pairings_match_mpmath(sa, sb, fwhm_a, log_ratio, detuning,
+                                           delay_a, delay_b, xi_a, xi_b):
+    # widths in ratio up to e^2 either way, detuning up to 2 FWHM, delays
+    # up to 10 / FWHM, both photons broadened
+    fwhm_b = fwhm_a * math.exp(log_ratio)
+    a = spc.SpectralProfile.from_fwhm(sa, CENTER, fwhm_a, delay_a / fwhm_a, xi_a)
+    b = spc.SpectralProfile.from_fwhm(sb, CENTER + detuning * fwhm_a, fwhm_b,
+                                      delay_b / fwhm_b, xi_b)
+    assert abs(spc.overlap(a, b).magnitude - mp_overlap_magnitude(a, b)) < 1e-12
+
+
+def test_disjoint_rectangles_overlap_exactly_zero():
+    a = profile("sinc", 2.0)
+    b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 0.3, 1.0, delay=1.5)
+    assert spc.overlap(a, b).value == 0.0
+    assert spc.overlaps(a, [b, b.delayed(0.1)]).tolist() == [0.0, 0.0]
+
+
+def test_matched_lorentzians_overlap_to_one():
+    for gamma in (0.01, 0.7, 30.0):
+        p = profile("lorentzian", gamma, delay=0.4)
+        assert spc.overlap(p, p).magnitude == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("tau", [-3.0, -0.25, 1e-9, 0.8, 40.0])
+def test_equal_lorentzians_delayed_without_detuning(tau):
+    # between the two kinks the product is flat (kappa = 0): the segment
+    # must contribute its length, not 0/0
+    gamma = 1.3
+    a = profile("lorentzian", gamma, delay=0.2)
+    b = a.delayed(tau)
+    x = 0.5 * gamma * abs(tau)
+    assert spc.overlap(a, b).magnitude == pytest.approx((1.0 + x) * math.exp(-x),
+                                                        rel=1e-14, abs=1e-300)
+
+
+def test_lorentzian_width_ratio_overlap():
+    # matched centres, gamma_b = gamma_a / 8: cos^2 Theta = 4 r / (1 + r)^2
+    a = profile("lorentzian", 0.8)
+    b = profile("lorentzian", 0.1)
+    assert spc.overlap(a, b).magnitude ** 2 == pytest.approx(32.0 / 81.0, abs=1e-15)
 
 
 def test_overlaps_need_one_shape():
