@@ -334,23 +334,29 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
     base_a = cfgmod.parse_channel(cfg.get("channel_a", {}), "channel_a")
     base_b = cfgmod.parse_channel(cfg.get("channel_b", {}), "channel_b")
     if mode == "damping":
-        vals = np.linspace(0.0, cfgmod.parse_real(cfg, "gamma_max", nonnegative=True), n)
+        key = "gamma_max"
+        vals = np.linspace(0.0, cfgmod.parse_real(cfg, key, nonnegative=True), n)
         sweep = [{"gamma": float(g)} for g in vals]
         labels = ("gamma_a", "gamma_b", "visibility")
     elif mode == "depolarizing":
-        vals = np.linspace(0.0, cfgmod.parse_real(cfg, "p_max", nonnegative=True), n)
+        key = "p_max"
+        vals = np.linspace(0.0, cfgmod.parse_real(cfg, key, nonnegative=True), n)
         sweep = [{"p_depol": float(p)} for p in vals]
         labels = ("p_a", "p_b", "visibility")
     elif mode == "broadening":
+        key = "xi_max"
         xi_min = cfgmod.parse_real(cfg, "xi_min", positive=True)
-        xi_max = cfgmod.parse_real(cfg, "xi_max", positive=True)
+        xi_max = cfgmod.parse_real(cfg, key, positive=True)
         vals = np.exp(np.linspace(math.log(xi_min), math.log(xi_max), n))
         sweep = [{"xi": float(x)} for x in vals]
         labels = ("xi_a", "xi_b", "visibility")
     else:
         raise ConfigError(f"config field 'mode': unknown channels mode {mode!r}")
-    ch_a = [dataclasses.replace(base_a, **kw) for kw in sweep]
-    ch_b = [dataclasses.replace(base_b, **kw) for kw in sweep]
+    try:
+        ch_a = [dataclasses.replace(base_a, **kw) for kw in sweep]
+        ch_b = [dataclasses.replace(base_b, **kw) for kw in sweep]
+    except ValueError as exc:  # the swept range leaves the channel's domain
+        raise ConfigError(f"config field '{key}': {exc}") from None
     grid = chn.channel_visibility_contour(src_a, src_b, ch_a, ch_b, app)
     _emit_grid("channels", cfg, out, vals, vals, grid, labels)
 
@@ -380,38 +386,37 @@ _SWAP_DEFAULTS = {
 }
 
 
-def _build_jsa(parsed, grid: jsa.GridSpec, bsm_axis_first: bool,
-               shared=None) -> jsa.GriddedJSA:
-    """Realize a parsed JSA literal with the relay-bound photon placed on
-    the requested axis (the literal's signal photon is the one sent to the
-    Bell measurement)."""
-    if isinstance(parsed, jsa.SeparableJSA):
-        if bsm_axis_first:
-            return jsa.separable_to_grid(parsed, grid, axis_first=shared)
-        flipped = jsa.SeparableJSA(parsed.spec_second, parsed.spec_first)
-        return jsa.separable_to_grid(flipped, grid, axis_second=shared)
-    pump, pm = parsed
-    built = jsa.build_gaussian_jsa(pump, pm, grid)
-    if bsm_axis_first:
-        return built
-    return jsa.GriddedJSA(built.axis_second, built.axis_first, built.values.T)
+def _bsm_photon_second(j: jsa.JointSpectralAmplitude) -> jsa.JointSpectralAmplitude:
+    """The JSA with its axes swapped: a literal's signal photon goes to the
+    Bell measurement, which ``SwapScenario`` wants on AB's second axis."""
+    if isinstance(j, jsa.SeparableJSA):
+        return jsa.SeparableJSA(j.spec_second, j.spec_first)
+    return jsa.GriddedJSA(j.axis_second, j.axis_first, j.values.T)
 
 
 def cmd_swap(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "angle_grid")
     n = _grid_n(cfg)
     if mode == "pair":
-        # one scenario from two JSA literals; signal axis = BSM photon
+        # one scenario from two JSA literals; only a pump literal is sampled
+        # here, and a separable one against it uses its own literal's grid
         parsed_ab, grid_ab = cfgmod.parse_jsa(cfg["jsa_ab"], "jsa_ab")
         parsed_cd, grid_cd = cfgmod.parse_jsa(cfg["jsa_cd"], "jsa_cd")
-        cd = _build_jsa(parsed_cd, grid_cd, bsm_axis_first=True)
-        ab = _build_jsa(parsed_ab, grid_ab, bsm_axis_first=False,
-                        shared=cd.axis_first)
+        ab, cd = (parsed if isinstance(parsed, jsa.SeparableJSA)
+                  else jsa.build_gaussian_jsa(*parsed, grid)
+                  for parsed, grid in ((parsed_ab, grid_ab), (parsed_cd, grid_cd)))
+        sampled = grid_ab if isinstance(ab, jsa.SeparableJSA) else grid_cd
         phi = cfgmod.parse_real(cfg, "phi")
-        scenario = jsa.SwapScenario(ab, cd, phi)
+        scenario = jsa.SwapScenario(_bsm_photon_second(ab), cd, phi)
+        try:
+            fidelity = jsa.swap_fidelity(scenario, sampled)
+        except jsa.GridResolutionError:
+            raise
+        except ValueError as exc:  # two pump literals whose BSM axes differ
+            raise ConfigError(f"config fields 'jsa_ab' and 'jsa_cd': {exc}") from None
         report = {
             "phi": phi,
-            "fidelity": jsa.swap_fidelity(scenario),
+            "fidelity": fidelity,
             "bsm_outcome_probabilities": jsa.bsm_outcome_probabilities(scenario),
         }
         _emit(out, [json.dumps(report, sort_keys=True, indent=2)])
@@ -426,6 +431,8 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         sigma_c = cfgmod.parse_real(cfg, "bandwidth.sigma_c", positive=True)
         factor = cfgmod.parse_real(cfg, "bandwidth.factor", positive=True)
         steps = cfgmod.parse_count(cfg, "bandwidth.steps")
+        if steps < 2:
+            raise ConfigError("config field 'bandwidth.steps': must be at least 2")
         detunings = cfgmod.parse_reals(cfg, "bandwidth.detunings")
         sigmas = sweeps.log_grid(sigma_c, factor, cfg.get("grid_override") or steps)
         curves = jsa.detuned_bandwidth_sweep(detunings, list(sigmas), sigma_c)
@@ -455,11 +462,10 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         for sp in sigmas:
             pump = jsa.Pump(center, float(sp))
             built = jsa.build_gaussian_jsa(pump, pm, grid_spec)
-            # photon going to the BSM on the first axis for the CD source;
-            # the misalignment scales the aligned fidelity by cos^2 Phi
-            cd = built
-            ab = jsa.GriddedJSA(built.axis_second, built.axis_first, built.values.T)
-            aligned = jsa.swap_fidelity(jsa.SwapScenario(ab, cd, 0.0), grid_spec)
+            # both sources are this one; the misalignment scales the
+            # aligned fidelity by cos^2 Phi
+            aligned = jsa.swap_fidelity(
+                jsa.SwapScenario(_bsm_photon_second(built), built, 0.0))
             rows.append([math.cos(float(p)) ** 2 * aligned for p in phis])
         _emit_grid("swap", cfg, out, sigmas, phis, rows,
                    ("pump_sigma_rad_ps", "phi_rad", "fidelity"))

@@ -136,8 +136,8 @@ def parse_count(cfg: dict, key: str, default: int | None = None) -> int:
 
 
 def parse_photons(cfg: dict) -> list[tuple[int, int]]:
-    """`photons`: a non-empty list of [m, n] photon-number pairs (default
-    [[1, 1]])."""
+    """`photons`: a non-empty list of [m, n] photon-number pairs, each with
+    at least one photon (default [[1, 1]])."""
     pairs = cfg.get("photons", [[1, 1]])
     if not isinstance(pairs, list) or not pairs:
         raise _fail("photons", f"expected a non-empty list of [m, n] pairs, got {pairs!r}")
@@ -145,6 +145,8 @@ def parse_photons(cfg: dict) -> list[tuple[int, int]]:
     for p in pairs:
         if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(map(_is_count, p)):
             raise _fail("photons", f"bad entry {p!r}")
+        if p[0] + p[1] < 1:
+            raise _fail("photons", f"entry {p!r} needs at least one photon")
         out.append((p[0], p[1]))
     return out
 
@@ -269,8 +271,8 @@ def parse_channel(obj: Any, field: str) -> chn.ChannelSpec:
 def parse_jsa(obj: Any, field: str) -> tuple[Any, jsa.GridSpec]:
     """`{separable: {signal, idler}}` or `{pump, pmf, grid}` literals.
 
-    Returns (SeparableJSA | (Pump, PhaseMatching)) plus the grid spec so the
-    caller controls orientation when sampling.
+    Returns (SeparableJSA | (Pump, PhaseMatching)) plus the grid spec the
+    caller samples a pump literal on, or a separable one against a pump.
     """
     if not isinstance(obj, dict):
         raise _fail(field, "expected a JSA object")

@@ -32,7 +32,6 @@ __all__ = [
     "BeamSplitter", "FockPair", "Apparatus", "InvalidRegimeError", "mode_overlap",
     "bunching_factor", "p_all_one_side", "coincidence", "coincidence_raw",
     "dip_curve", "dip_visibility", "visibility", "visibility_from_c",
-    "visibility_vs_polarization",
 ]
 
 _LOG_BINOM_CUTOFF = 62  # exact integer binomials up to here, log-domain beyond
@@ -230,15 +229,3 @@ def visibility(pair: FockPair, app: Apparatus = IDEAL_APPARATUS) -> float:
     """HOM visibility of the dip at the pair's configured delays."""
     return visibility_from_c(pair.m, pair.n, pair.mode_overlap(), app,
                              pair.pol_a, pair.pol_b)
-
-
-def visibility_vs_polarization(m: int, n: int, phis: Sequence[float],
-                               app: Apparatus = IDEAL_APPARATUS
-                               ) -> list[tuple[float, float]]:
-    """Visibility as the polarization mismatch angle sweeps (Theta = 0)."""
-    out = []
-    for phi in phis:
-        pb = pol.rotate(pol.H, phi)
-        out.append((phi, visibility_from_c(m, n, mode_overlap(pol.H, pb),
-                                           app, pol.H, pb)))
-    return out

@@ -221,10 +221,10 @@ def _exchange_integral(scenario: SwapScenario, grid: GridSpec) -> float:
     ab, cd = scenario.jsa_ab, scenario.jsa_cd
     if isinstance(ab, SeparableJSA) and isinstance(cd, SeparableJSA):
         return spc.overlap(ab.spec_second, cd.spec_first).magnitude ** 2
+    # a separable JSA is sampled on the gridded one's beam-splitter axis
     if isinstance(ab, SeparableJSA):
-        shared = cd.axis_first if isinstance(cd, GriddedJSA) else None
-        ab = separable_to_grid(ab, grid, axis_second=shared)
-    if isinstance(cd, SeparableJSA):
+        ab = separable_to_grid(ab, grid, axis_second=cd.axis_first)
+    elif isinstance(cd, SeparableJSA):
         cd = separable_to_grid(cd, grid, axis_first=ab.axis_second)
     k = _overlap_kernel(ab, cd)
     wa = _trapezoid_weights(ab.axis_first)
@@ -262,7 +262,8 @@ def _fidelity(phi: float, exchange: float) -> float:
 
 
 def swap_fidelity(scenario: SwapScenario, grid: GridSpec = GridSpec()) -> float:
-    """Fidelity of the post-measurement AD pair with the singlet."""
+    """Fidelity of the post-measurement AD pair with the singlet; ``grid``
+    sets the outer axis of a separable JSA that meets a gridded one."""
     return _fidelity(scenario.phi, _exchange_integral(scenario, grid))
 
 

@@ -14,16 +14,14 @@ MDI-QKD outcome table
 
 Also here: the additive error budget with the spectral term sin^2(Theta)/2,
 the secret-key lower bound, the NOON-state phase-sensing signal, the
-two-photon optical-classifier coincidence kernel with its sigmoid/entropy
-companions, and the cluster-state fusion fidelity.
+two-photon optical-classifier coincidence kernel, and the cluster-state
+fusion fidelity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import polarization as pol
 
@@ -32,8 +30,7 @@ __all__ = [
     "mdi_outcome_table", "mdi_conclusive_probability", "spectral_error",
     "total_error", "binary_entropy", "key_rate_bound",
     "noon_signal", "noon_sensitivity_scale",
-    "classifier_coincidence", "classifier_floor", "transverse_overlap_2d",
-    "sigmoid", "binary_cross_entropy", "fusion_fidelity",
+    "classifier_coincidence", "classifier_floor", "fusion_fidelity",
 ]
 
 BB84State = str  # one of "H", "V", "D", "A"
@@ -195,36 +192,6 @@ def classifier_coincidence(theta_ab: float, theta_perp: float) -> float:
 def classifier_floor(theta_ab: float) -> float:
     """Residual floor sin^2(Theta)/2 when the transverse mismatch is tuned out."""
     return 0.5 * math.sin(theta_ab) ** 2
-
-
-def transverse_overlap_2d(sigma_ax: float, sigma_ay: float,
-                          sigma_bx: float, sigma_by: float,
-                          dx: float = 0.0, dy: float = 0.0) -> float:
-    """cos(Theta_perp) of two separable 2-D Gaussian transverse profiles.
-
-    The product of the two 1-D overlap factors, each with the Gaussian
-    closed form; dx/dy are the transverse center offsets.
-    """
-    from .spectral import gaussian_overlap_closed_form
-    return (gaussian_overlap_closed_form(sigma_ax, sigma_bx, dx, 0.0)
-            * gaussian_overlap_closed_form(sigma_ay, sigma_by, dy, 0.0))
-
-
-def sigmoid(x: float) -> float:
-    """Logistic activation used on the classifier's model prediction."""
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
-def binary_cross_entropy(y: float, f: float) -> float:
-    """-y ln(f) - (1-y) ln(1-f) for a target y and activation f in (0, 1)."""
-    if not 0.0 <= y <= 1.0:
-        raise ValueError("target must lie in [0, 1]")
-    if not 0.0 < f < 1.0:
-        raise ValueError("activation must lie strictly inside (0, 1)")
-    return -y * math.log(f) - (1.0 - y) * math.log(1.0 - f)
 
 
 def fusion_fidelity(theta_ab: float) -> float:

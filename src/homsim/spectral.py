@@ -16,7 +16,8 @@ evaluated here in the time domain via Plancherel's theorem.  Every envelope
 has a closed-form time profile (the sinc's is a rectangle of duration T,
 the Lorentzian's a two-sided exponential), which turns the slowly decaying
 or oscillatory frequency-domain tails into compactly supported or
-exponentially decaying integrands.  Three kinds of pairing follow:
+exponentially decaying integrands.  One dispatch, behind :func:`overlap`
+and :func:`overlaps` alike, sorts the pairings into three kinds:
 
 * Gaussian with Gaussian: a closed form in the frequency domain;
 * sinc or Lorentzian with sinc or Lorentzian: the time-domain product is
@@ -247,18 +248,11 @@ def _time_radius(profile: SpectralProfile) -> float:
 def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
     """Overlap integral int phi_a*(omega) phi_b(omega) d omega.
 
-    Gaussian pairs use their closed form and pairs of sinc and Lorentzian
-    envelopes the exact piecewise-exponential sum; every other pairing
-    integrates the product of time envelopes against the beat oscillation
-    e^{-i (omega_b - omega_a) t} by quadrature, over the intersection of
-    the two envelope supports.  The magnitude is cos(Theta) in [0, 1].
+    The one-member case of :func:`overlaps`, whose pairing dispatch it
+    shares, with the complex value kept: the magnitude is cos(Theta) in
+    [0, 1] and ``theta`` its angle.
     """
-    if a.shape is Shape.GAUSSIAN and b.shape is Shape.GAUSSIAN:
-        value = _gaussian_pair_overlap(a, b)
-    elif a.shape in _EXPONENTIAL and b.shape in _EXPONENTIAL:
-        value = complex(_exponential_overlaps(a, [b])[0])
-    else:
-        value = _quadrature_overlap(a, b)
+    (value,) = _overlap_values(a, [b])
     mag = _magnitude(value)
     return OverlapResult(value=value, magnitude=mag, theta=math.acos(mag))
 
@@ -266,36 +260,44 @@ def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
 def overlaps(a: SpectralProfile, bs) -> np.ndarray:
     """|overlap(a, b)| for each profile b of ``bs``, all of one shape.
 
-    Equal, bit for bit, to calling :func:`overlap` on each b.  A pair of
-    sinc and Lorentzian shapes is one vectorised closed form over ``bs``;
-    a pairing that needs quadrature runs as one lockstep family
-    (:func:`~homsim.quadrature.integrate_family`), so a contour row or a
-    delay scan pays the per-call overhead once per round.  Errors stay per
-    b: the first b in order whose overlap fails, in its quadrature or in
-    the Cauchy-Schwarz check, raises its own :class:`IntegrationError`, as
-    a loop over :func:`overlap` would.
+    Equal, bit for bit, to calling :func:`overlap` on each b.  A closed
+    form runs over ``bs`` b by b or, for sinc and Lorentzian, as one array
+    formula; a quadrature pairing runs as one lockstep family
+    (:func:`~homsim.quadrature.integrate_family`) that pays the per-call
+    overhead once per round.  The first b in order whose overlap fails, in
+    its quadrature or the Cauchy-Schwarz check, raises its own
+    :class:`IntegrationError`, as a loop over :func:`overlap` would.
     """
-    bs = list(bs)
+    return np.array([_magnitude(value) for value in _overlap_values(a, list(bs))])
+
+
+def _overlap_values(a: SpectralProfile,
+                    bs: list[SpectralProfile]) -> list[complex | IntegrationError]:
+    """The one pairing dispatch: the complex overlap of ``a`` with each b,
+    in order, up to the first b whose quadrature fails; the list then ends
+    with that b's :class:`IntegrationError`."""
     if not bs:
-        return np.empty(0)
-    if any(b.shape is not bs[0].shape for b in bs):
+        return []
+    shape = bs[0].shape
+    if any(b.shape is not shape for b in bs):
         raise ValueError("overlaps() needs profiles of one shape")
-    if a.shape is Shape.GAUSSIAN and bs[0].shape is Shape.GAUSSIAN:
-        values = [_gaussian_pair_overlap(a, b) for b in bs]
-    elif a.shape in _EXPONENTIAL and bs[0].shape in _EXPONENTIAL:
-        values = _exponential_overlaps(a, bs).tolist()
-    else:
-        values = [0.0 + 0.0j] * len(bs)
-        windows = [_overlap_window(a, b) for b in bs]
-        meet = [k for k, win in enumerate(windows) if win is not None]
-        if meet:
-            found = integrate_family(
-                _overlap_integrand(a, [bs[k] for k in meet]),
-                [_seed_points(a, bs[k], *windows[k]) for k in meet],
-                rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-            for k, value in zip(meet, found):
-                values[k] = value
-    return np.array([_magnitude(value) for value in values])
+    if a.shape is Shape.GAUSSIAN and shape is Shape.GAUSSIAN:
+        return [_gaussian_pair_overlap(a, b) for b in bs]
+    if a.shape in _EXPONENTIAL and shape in _EXPONENTIAL:
+        return _exponential_overlaps(a, bs).tolist()
+    values: list = [0.0 + 0.0j] * len(bs)
+    windows = [_overlap_window(a, b) for b in bs]
+    meet = [k for k, win in enumerate(windows) if win is not None]
+    if meet:
+        found = integrate_family(
+            _overlap_integrand(a, [bs[k] for k in meet]),
+            [_seed_points(a, bs[k], *windows[k]) for k in meet],
+            rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+        for k, value in zip(meet, found):
+            values[k] = value
+        if isinstance(found[-1], IntegrationError):
+            del values[meet[len(found) - 1] + 1:]
+    return values
 
 
 def _magnitude(value) -> float:
@@ -317,14 +319,9 @@ def overlap_curve(a: SpectralProfile, b: SpectralProfile, taus) -> np.ndarray:
     """cos(Theta(tau)) = |overlap(a, b.delayed(tau))| for each delay tau.
 
     The one owner of the delay family behind every HOM dip: cos(Theta)
-    depends only on the two spectra and tau, so a scan computes it once
-    and shares it across photon numbers and polarizations.  The delays are
-    one :func:`overlaps` call: for a pair of sinc and Lorentzian shapes one
-    vectorised closed form over every tau, otherwise one quadrature family
-    that pays the per-call overhead once per round, not once per tau.  A
-    narrowband delay whose quadrature fails costs no more than it does
-    alone: the family runs such a member by itself and stops at the first
-    failure (see :mod:`~homsim.quadrature`).
+    depends only on the two spectra and tau, so a scan computes it once,
+    as one :func:`overlaps` call, and shares it across photon numbers and
+    polarizations.
     """
     return overlaps(a, [b.delayed(tau) for tau in taus])
 
@@ -434,15 +431,6 @@ def _overlap_integrand(a: SpectralProfile, bs: list[SpectralProfile]):
         return ga * gb * np.exp(1j * (static_phase[k] - dw[k] * t))
 
     return f
-
-
-def _quadrature_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
-    window = _overlap_window(a, b)
-    if window is None:
-        return 0.0 + 0.0j
-    f = _overlap_integrand(a, [b])
-    return integrate(lambda t: f(t, 0), _seed_points(a, b, *window),
-                     rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
 
 
 def _seed_points(a: SpectralProfile, b: SpectralProfile,

@@ -219,6 +219,10 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
      "number_dist.gammas[0]"),
     (["channels", "--set", "mode=number_dist", "--set", "number_dist.gammas=[0.5,-0.1]"],
      "number_dist.gammas[1]"),
+    (["channels", "--set", "gamma_max=2"], "gamma_max"),
+    (["channels", "--set", "mode=depolarizing", "--set", "p_max=1.5"], "p_max"),
+    (["dip", "--set", "photons=[[0,0]]"], "photons"),
+    (["tables", "--set", "photons=[[1,1],[0,0]]"], "photons"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
@@ -256,6 +260,10 @@ def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
      "number_dist.gammas"),
     (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.detunings=[]"],
      "bandwidth.detunings"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.steps=0"],
+     "bandwidth.steps"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.steps=1"],
+     "bandwidth.steps"),
 ])
 def test_bad_range_exits_2_naming_key(args, key, tmp_path, capsys):
     # ranges and grid sides, with and without --grid overriding them
@@ -625,6 +633,65 @@ def test_swap_pair_mode_from_jsa_literals(tmp_path):
     assert report["fidelity"] == pytest.approx(expected, abs=1e-6)
     for p in report["bsm_outcome_probabilities"].values():
         assert p == pytest.approx(0.125, abs=1e-9)
+
+
+def _separable_literal(signal_thz):
+    return {"separable": {
+        "signal": {"shape": "gaussian", "center_thz": 193.55, "width_thz": signal_thz},
+        "idler": {"shape": "gaussian", "center_thz": 193.55, "width_thz": 0.1}},
+        "grid": {"n": 192, "span": 6.0}}
+
+
+_PUMP_LITERAL = {"pump": {"center": 2432.2, "sigma": 0.5}, "pmf": {"sigma": 0.5},
+                 "grid": {"n": 192, "span": 6.0}}
+
+
+def test_swap_pair_of_separable_literals_is_exact(tmp_path):
+    # two separable JSAs give F = (cos^2 Phi / 2)(1 + cos^2 Theta_BC) with
+    # Theta_BC from the overlap of the two signal photons, and four 1/8
+    # patterns; a sampled grid missed this pair by 9.5e-10
+    ab, cd = _separable_literal(0.08), _separable_literal(0.1068258411)
+    phi = 0.07993416494
+    rc, text = run(["swap", "--set", "mode=pair", "--set", f"phi={phi}",
+                    "--set", f"jsa_ab={json.dumps(ab)}",
+                    "--set", f"jsa_cd={json.dumps(cd)}"], tmp_path)
+    assert rc == 0
+    report = json.loads(text)
+    cos_bc = spc.overlap(cfgmod.parse_profile(ab["separable"]["signal"], "b"),
+                         cfgmod.parse_profile(cd["separable"]["signal"], "c")).magnitude
+    expected = 0.5 * math.cos(phi) ** 2 * (1.0 + cos_bc ** 2)
+    assert abs(report["fidelity"] - expected) <= 1e-15
+    assert report["bsm_outcome_probabilities"] == dict.fromkeys(
+        ("M0", "M1", "M2", "M3"), 0.125)
+
+
+def test_swap_pair_pump_against_separable_in_either_order(tmp_path):
+    # the separable literal is sampled on the pump's BSM axis whichever
+    # source the pump feeds, so mirroring the job keeps the fidelity
+    pump = json.dumps(_PUMP_LITERAL)
+    fidelities = []
+    for key in ("jsa_ab", "jsa_cd"):
+        rc, text = run(["swap", "--set", "mode=pair", "--set", f"{key}={pump}"], tmp_path)
+        assert rc == 0, key
+        fidelities.append(json.loads(text)["fidelity"])
+    assert fidelities[1] == 0.8943382023854343
+    assert abs(fidelities[0] - fidelities[1]) <= 1e-12
+
+
+def test_swap_pair_pumps_with_different_bsm_axes_exit_2(tmp_path, capsys):
+    # two pump literals sample their BSM photons on axes of their own; when
+    # those differ the two photons meeting at the beam splitter cannot be
+    # paired, and the error names both literals
+    other = dict(_PUMP_LITERAL, pump={"center": 2432.2, "sigma": 0.8})
+    rc = cli.main(["swap", "--set", "mode=pair",
+                   "--set", f"jsa_ab={json.dumps(_PUMP_LITERAL)}",
+                   "--set", f"jsa_cd={json.dumps(other)}",
+                   "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "config fields 'jsa_ab' and 'jsa_cd'" in err
+    assert "ValueError" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_channels_fixed_literal_composes_with_sweep(tmp_path):

@@ -28,10 +28,10 @@ def test_bessel_reference_points():
 
 
 def test_bessel_against_extended_precision_series():
-    mpmath.mp.dps = 40
     for x in [0.0, 1e-3, 0.5, 2.0, 7.5, 14.0, 14.999, 15.0, 15.001, 18.0,
               25.0, 60.0, 150.0, 400.0]:
-        ref = float(mpmath.besseli(0, x))
+        with mpmath.workdps(40):
+            ref = float(mpmath.besseli(0, x))
         assert coh.bessel_i0(x) == pytest.approx(ref, rel=1e-13)
 
 

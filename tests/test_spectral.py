@@ -218,6 +218,34 @@ def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b):
     assert grid.tolist() == ref
 
 
+@pytest.mark.parametrize("shape_b", SHAPES)
+@pytest.mark.parametrize("shape_a", SHAPES)
+def test_overlap_is_the_one_member_overlaps(shape_a, shape_b, monkeypatch):
+    # one pairing dispatch serves overlap() and overlaps(): with spectral's
+    # `integrate` out of reach overlap() still answers on every pairing, with
+    # the bits overlaps() gives; a quadrature pairing's value is the one
+    # `integrate` gives run on that pair alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("overlap() took a route of its own")
+
+    monkeypatch.setattr(spc, "integrate", refuse)
+    a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, 2.4)
+    for b in (spc.SpectralProfile.from_fwhm(shape_b, CENTER, 2.4),
+              spc.SpectralProfile.from_fwhm(shape_b, CENTER + 1.1, 4.0, delay_ps=0.7)):
+        got = spc.overlap(a, b)
+        assert [got.magnitude] == spc.overlaps(a, [b]).tolist()
+        assert got.magnitude == min(abs(got.value), 1.0)
+        assert got.theta == math.acos(got.magnitude)
+        closed = a.shape is b.shape is spc.Shape.GAUSSIAN or (
+            a.shape in EXPONENTIAL and b.shape in EXPONENTIAL)
+        if not closed:
+            f = spc._overlap_integrand(a, [b])
+            alone = quadrature.integrate(
+                lambda t: f(t, 0), spc._seed_points(a, b, *spc._overlap_window(a, b)),
+                rel_tol=spc._REL_TOL, abs_tol=spc._ABS_TOL)
+            assert got.value == alone
+
+
 def test_overlaps_follow_each_points_panels(monkeypatch):
     # the family evaluates exactly the nodes the separate quadratures do,
     # in as many integrand calls as its slowest member needs
