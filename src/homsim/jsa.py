@@ -207,9 +207,15 @@ def _normalized_grid(a1: np.ndarray, a2: np.ndarray,
 
 
 def _overlap_kernel(jsa_ab: GriddedJSA, jsa_cd: GriddedJSA) -> np.ndarray:
-    """K(w_A, w_D) = integral f_AB(w_A, w) f_CD*(w, w_D) dw."""
-    if jsa_ab.axis_second.shape != jsa_cd.axis_first.shape or not np.allclose(
-            jsa_ab.axis_second, jsa_cd.axis_first):
+    """K(w_A, w_D) = integral f_AB(w_A, w) f_CD*(w, w_D) dw.
+
+    The two beam-splitter axes may differ by rounding only, 1e-9 of their
+    spacing: an offset of a sizeable fraction of a spacing would pair two
+    detuned photons as if they met at the same frequencies.
+    """
+    axis_b, axis_c = jsa_ab.axis_second, jsa_cd.axis_first
+    if axis_b.shape != axis_c.shape or np.max(np.abs(axis_b - axis_c)) > (
+            1e-9 * np.min(np.abs(np.diff(axis_b)))):
         raise ValueError("jsa_ab second axis must match jsa_cd first axis "
                          "(the two photons meeting at the beam splitter)")
     w = _trapezoid_weights(jsa_ab.axis_second)

@@ -17,14 +17,19 @@ has a closed-form time profile (the sinc's is a rectangle of duration T,
 the Lorentzian's a two-sided exponential), which turns the slowly decaying
 or oscillatory frequency-domain tails into compactly supported or
 exponentially decaying integrands.  One dispatch, behind :func:`overlap`
-and :func:`overlaps` alike, sorts the pairings into three kinds:
+and :func:`overlaps` alike, sorts the 16 ordered pairings into four kinds;
+the first three, 9 pairings, are exact closed forms:
 
 * Gaussian with Gaussian: a closed form in the frequency domain;
 * sinc or Lorentzian with sinc or Lorentzian: the time-domain product is
   piecewise exponential, so the integral is elementary and exact (at most
   three segments, vectorised over a dip scan or a contour row);
-* every pairing with a sech, and Gaussian with sinc or Lorentzian:
-  adaptive quadrature of the time-domain product to the requested 1e-10.
+* Gaussian with sinc or Lorentzian, in either order: a Gaussian times a
+  rectangle or a two-sided exponential, a few values of the Faddeeva
+  function (Weideman's rational form in numpy, one evaluation per call,
+  vectorised likewise);
+* the 7 pairings with a sech: adaptive quadrature of the time-domain
+  product to the requested 1e-10.
 """
 
 from __future__ import annotations
@@ -261,8 +266,8 @@ def overlaps(a: SpectralProfile, bs) -> np.ndarray:
     """|overlap(a, b)| for each profile b of ``bs``, all of one shape.
 
     Equal, bit for bit, to calling :func:`overlap` on each b.  A closed
-    form runs over ``bs`` b by b or, for sinc and Lorentzian, as one array
-    formula; a quadrature pairing runs as one lockstep family
+    form runs over ``bs`` b by b for Gaussian pairs and as one array
+    formula otherwise; a quadrature pairing runs as one lockstep family
     (:func:`~homsim.quadrature.integrate_family`) that pays the per-call
     overhead once per round.  The first b in order whose overlap fails, in
     its quadrature or the Cauchy-Schwarz check, raises its own
@@ -285,6 +290,8 @@ def _overlap_values(a: SpectralProfile,
         return [_gaussian_pair_overlap(a, b) for b in bs]
     if a.shape in _EXPONENTIAL and shape in _EXPONENTIAL:
         return _exponential_overlaps(a, bs).tolist()
+    if Shape.SECH not in (a.shape, shape):  # a Gaussian with a sinc or Lorentzian
+        return _gaussian_exp_overlaps(a, bs).tolist()
     values: list = [0.0 + 0.0j] * len(bs)
     windows = [_overlap_window(a, b) for b in bs]
     meet = [k for k, win in enumerate(windows) if win is not None]
@@ -399,6 +406,95 @@ def _exponential_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.n
     # differently from its product over a longer array
     total = total * (norm_a * norm_b * np.exp(1j * center_b * dt))
     return np.where(lo < hi, total, 0.0)
+
+
+def _gaussian_exp_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.ndarray:
+    """Exact overlaps of a Gaussian with sinc or Lorentzian photons, either order.
+
+    Times are taken from the Gaussian's arrival, with dt = tau_E - tau_G and
+    dw = omega_E - omega_G for the other photon E and x = dw / 2 sigma, so
+    that V = int phi_G* phi_E = e^{i omega_E dt} N_G N_E (sqrt(pi) / 2 sigma) S
+    with the Faddeeva function w:
+
+    * sinc: S = e^{-x^2} [erf(u1) - erf(u0)], u = sigma s + i x at the
+      edges s0, s1 = dt -+ T/2;
+    * Lorentzian: S = A(dt, dw) + A(-dt, -dw), with
+      A = e^{-sigma^2 dt^2 - i dw dt} w(iu), u = sigma dt + gamma / 4 sigma + i x.
+
+    erfc(u) = e^{-u^2} w(iu), and each argument in the lower half plane is
+    reflected, w(z) = 2 e^{-z^2} - w(-z), with the prefactor's exponent
+    folded into e^{-z^2}, so every exponential stays at or below 1.  All
+    arguments of the call go through one :func:`_faddeeva` evaluation.
+    With the Gaussian second the value is the complex conjugate.
+    """
+    gaussian_first = a.shape is Shape.GAUSSIAN
+    shape = bs[0].shape if gaussian_first else a.shape
+    pairs = ((a, b) if gaussian_first else (b, a) for b in bs)
+    sigma, norm_g, we, norm_e, dt, dw, center_e = np.array(
+        [(g.effective_width, _envelope_norm(Shape.GAUSSIAN, g.effective_width),
+          e.effective_width, _envelope_norm(shape, e.effective_width),
+          e.delay - g.delay, e.center - g.center, e.center) for g, e in pairs]).T
+    x, q = dw / (2.0 * sigma), sigma * dt
+    if shape is Shape.SINC:
+        r = q + np.array([[-0.5], [0.5]]) * (sigma * we)  # sigma s at both edges
+        flip = r < 0.0
+        sign = np.where(flip, -1.0, 1.0)
+        # e^{-x^2} erfc(u) = e^{-r^2 - 2irx} w(iu) for r >= 0, and 2 e^{-x^2}
+        # minus the same with w(-iu) for r < 0
+        f = sign * np.exp(-r * (r + 2j * x)) * _faddeeva(sign * 1j * (r + 1j * x))
+        total = 2.0 * np.exp(-x * x) * (flip[0] & ~flip[1]) + f[0] - f[1]
+    else:
+        h = 0.25 * we / sigma
+        p = np.array([[1.0], [-1.0]]) * (q + 1j * x)  # A(dt, dw), A(-dt, -dw)
+        z = 1j * (h + p)
+        flip = z.imag < 0.0
+        sign = np.where(flip, -1.0, 1.0)
+        # a reflected term's e^{-q^2 - 2iqx - z^2}, written with its large
+        # parts cancelled; -inf leaves the other terms at 0
+        folded = np.where(flip, 2.0 * h * p + h * h - x * x, -np.inf)
+        terms = (sign * np.exp(-q * (q + 2j * x)) * _faddeeva(sign * z)
+                 + 2.0 * np.exp(folded))
+        total = terms[0] + terms[1]
+    value = (norm_g * norm_e * math.sqrt(math.pi) / (2.0 * sigma)
+             * np.exp(1j * center_e * dt) * total)
+    return value if gaussian_first else np.conj(value)
+
+
+_W_TERMS = 40  # Weideman's N: about 2e-15 absolute in the upper half plane
+_W_L = math.sqrt(_W_TERMS / math.sqrt(2.0))
+
+
+@lru_cache(maxsize=None)
+def _weideman_coefficients() -> np.ndarray:
+    """Coefficients of Weideman's polynomial, lowest power first.
+
+    The real-even discrete Fourier transform of
+    f(t) = e^{-t^2} (L^2 + t^2) at t = L tan(k pi / 4N), k = 1-2N .. 2N-1,
+    written as a cosine sum; formed on first use, so that importing homsim
+    costs nothing for it.
+    """
+    m = 2 * _W_TERMS
+    k = np.arange(1 - m, m)
+    t = _W_L * np.tan(0.5 * math.pi * k / m)
+    f = np.exp(-t * t) * (_W_L * _W_L + t * t)
+    return np.cos(np.outer(np.arange(1, _W_TERMS + 1), k) * (math.pi / m)) @ f / (2 * m)
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) = e^{-z^2} erfc(-iz) for Im z >= 0, elementwise.
+
+    Weideman's rational approximation (SIAM J. Numer. Anal. 31, 1994):
+    w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)) with
+    Z = (L + iz) / (L - iz), |Z| <= 1.  p is evaluated for every argument
+    at once as a power matrix times the coefficients.
+    """
+    iz = 1j * z.ravel()
+    d = _W_L - iz
+    powers = np.empty((d.size, _W_TERMS), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = ((_W_L + iz) / d)[:, None]
+    poly = np.cumprod(powers, axis=1) @ _weideman_coefficients()
+    return (2.0 * poly / (d * d) + 1.0 / (math.sqrt(math.pi) * d)).reshape(z.shape)
 
 
 def _overlap_window(a: SpectralProfile, b: SpectralProfile) -> tuple[float, float] | None:

@@ -49,14 +49,19 @@ def max_overlap_width(profile_a: spc.SpectralProfile,
 
     Golden-section search on log(FWHM_B) around photon A's width; matched
     centers are optimal for all four families (their time envelopes are
-    non-negative, so any detuning only dephases the product).
+    non-negative, so any detuning only dephases the product).  Once the
+    bracket reaches floating-point resolution the steps revisit widths
+    already probed, so each width's overlap is computed once.
     """
     target = spc.fwhm(profile_a)
+    probed: dict[spc.SpectralProfile, float] = {}
 
     def cos_at(log_w: float) -> float:
         prof_b = spc.SpectralProfile.from_fwhm(shape_b, profile_a.center,
                                                math.exp(log_w))
-        return spc.overlap(profile_a, prof_b).magnitude
+        if prof_b not in probed:
+            probed[prof_b] = spc.overlap(profile_a, prof_b).magnitude
+        return probed[prof_b]
 
     lo = math.log(target / _WIDTH_SPAN)
     hi = math.log(target * _WIDTH_SPAN)

@@ -49,6 +49,21 @@ def test_byte_identical_across_processes(tmp_path):
     assert "visibility" in outs[0]
 
 
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: importing homsim and running a dip on
+    # a Faddeeva pairing (Gaussian against Lorentzian) must not load it
+    import subprocess
+    import sys
+    args = ["dip", "--grid", "5", "--out", str(tmp_path / "dip.csv"), "--set",
+            'profile_b={"shape": "lorentzian", "center_thz": 193.6, "width_thz": 0.3}']
+    code = ("import sys, homsim.cli\n"
+            f"assert homsim.cli.main({args!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_header_embeds_resolved_config(tmp_path):
     rc, text = run(["dip", "--set", "photons=[[2,2]]", "--set", "phi=[0]",
                     "--grid", "9"], tmp_path)
@@ -691,6 +706,21 @@ def test_swap_pair_pumps_with_different_bsm_axes_exit_2(tmp_path, capsys):
     assert rc == 2, err
     assert "config fields 'jsa_ab' and 'jsa_cd'" in err
     assert "ValueError" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_swap_pair_pumps_with_offset_bsm_axes_exit_2(tmp_path, capsys):
+    # pump centres 0.02 rad/ps apart offset the two BSM axes by 0.01 rad/ps,
+    # a fifth of their spacing: the photons meeting at the beam splitter are
+    # detuned and must not be integrated as if they shared an axis
+    other = dict(_PUMP_LITERAL, pump={"center": 2432.22, "sigma": 0.5})
+    rc = cli.main(["swap", "--set", "mode=pair",
+                   "--set", f"jsa_ab={json.dumps(_PUMP_LITERAL)}",
+                   "--set", f"jsa_cd={json.dumps(other)}",
+                   "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "config fields 'jsa_ab' and 'jsa_cd'" in err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -204,6 +204,21 @@ def test_mismatched_shared_axis_raises():
         jsa.swap_fidelity(jsa.SwapScenario(ab, cd, 0.0))
 
 
+def test_shared_axis_tolerates_rounding_only():
+    # an axis one ulp off pairs as the shared one; one offset by a fifth of
+    # its spacing carries detuned photons and is refused
+    s = make_scenario(phi=0.3, sigma_c=0.8)
+    shared = s.jsa_cd.axis_first
+
+    def paired_on(axis):
+        cd = jsa.GriddedJSA(axis, s.jsa_cd.axis_second, s.jsa_cd.values)
+        return jsa.swap_fidelity(jsa.SwapScenario(s.jsa_ab, cd, 0.3))
+
+    assert paired_on(np.nextafter(shared, np.inf)) == jsa.swap_fidelity(s)
+    with pytest.raises(ValueError):
+        paired_on(shared + 0.2 * (shared[1] - shared[0]))
+
+
 # ---------------------------------------------------------------------------
 # detuned bandwidth sweep
 # ---------------------------------------------------------------------------

@@ -188,11 +188,13 @@ def test_sinc_rect_autocorrelation():
 
 
 def test_overlap_curve_is_the_delayed_overlap_family():
-    # a quadrature pairing and the four closed-form ones, whose scan is one
+    # a quadrature pairing and the eight closed-form ones whose scan is one
     # array formula: each delay must carry the bits of its own overlap()
-    width = {"sech": 0.6, "sinc": 2.5, "lorentzian": 0.6}
+    width = {"sech": 0.6, "sinc": 2.5, "lorentzian": 0.6, "gaussian": 0.4}
     for shape_a, shape_b in [("sech", "sinc"), ("sinc", "sinc"), ("sinc", "lorentzian"),
-                             ("lorentzian", "sinc"), ("lorentzian", "lorentzian")]:
+                             ("lorentzian", "sinc"), ("lorentzian", "lorentzian"),
+                             ("gaussian", "sinc"), ("gaussian", "lorentzian"),
+                             ("sinc", "gaussian"), ("lorentzian", "gaussian")]:
         a = profile(shape_a, width[shape_a])
         b = spc.SpectralProfile(spc.Shape(shape_b), CENTER + 0.3, width[shape_b], delay=0.2)
         taus = np.linspace(-3.0, 3.0, 13)
@@ -218,6 +220,25 @@ def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b):
     assert grid.tolist() == ref
 
 
+def test_width_search_probes_each_width_once(monkeypatch):
+    # the golden-section bracket reaches floating-point resolution before
+    # its last steps; those steps must reuse the widths already probed
+    probes = []
+    overlap = spc.overlap
+
+    def counted(a, b):
+        probes.append(b)
+        return overlap(a, b)
+
+    monkeypatch.setattr(spc, "overlap", counted)
+    a = spc.SpectralProfile.from_fwhm("sech", CENTER, 2.0)
+    best = sweeps.max_overlap_width(a, spc.Shape.GAUSSIAN)
+    assert len(probes) == len(set(probes)) == 79
+    monkeypatch.setattr(spc, "overlap", overlap)
+    assert spc.overlap(a, spc.SpectralProfile.from_fwhm("gaussian", CENTER, best[0])
+                       ).magnitude == best[1]
+
+
 @pytest.mark.parametrize("shape_b", SHAPES)
 @pytest.mark.parametrize("shape_a", SHAPES)
 def test_overlap_is_the_one_member_overlaps(shape_a, shape_b, monkeypatch):
@@ -236,8 +257,7 @@ def test_overlap_is_the_one_member_overlaps(shape_a, shape_b, monkeypatch):
         assert [got.magnitude] == spc.overlaps(a, [b]).tolist()
         assert got.magnitude == min(abs(got.value), 1.0)
         assert got.theta == math.acos(got.magnitude)
-        closed = a.shape is b.shape is spc.Shape.GAUSSIAN or (
-            a.shape in EXPONENTIAL and b.shape in EXPONENTIAL)
+        closed = spc.Shape.SECH not in (a.shape, b.shape)
         if not closed:
             f = spc._overlap_integrand(a, [b])
             alone = quadrature.integrate(
@@ -338,31 +358,38 @@ EXPONENTIAL = [spc.Shape.SINC, spc.Shape.LORENTZIAN]
 
 def mp_overlap_magnitude(a, b):
     """|overlap(a, b)| by 30-digit mpmath quadrature of the analytic time
-    envelopes, split at the sinc edges and the Lorentzian kinks.
+    envelopes, split at the sinc edges, the Lorentzian kinks and the
+    Gaussian peak.
 
     Times are measured from a's arrival, so the unit-modulus phase
-    e^{i omega_b (tau_b - tau_a)} drops out of the magnitude.  Lorentzian
-    tails are cut where the product has fallen by e^-80, and every piece
-    is split so that beat phase plus decay exponent stay below about 12
-    across it, which the Gauss-Legendre rule resolves quickly.
+    e^{i omega_b (tau_b - tau_a)} drops out of the magnitude.  A Gaussian
+    is cut 9 / sigma from its peak (e^-81) and Lorentzian tails where the
+    product has fallen by e^-80; every piece is split so that beat phase
+    plus the change of the envelopes' exponents stay below about 12 across
+    it, which the Gauss-Legendre rule resolves quickly.
     """
     with mpmath.workdps(30):
         dt = mpmath.mpf(b.delay) - mpmath.mpf(a.delay)
         dw = mpmath.mpf(b.center) - mpmath.mpf(a.center)
 
         def envelope(p, arrival):
+            """G, support ends, exponential decay rate, exponent slope, kinks."""
             w = mpmath.mpf(p.effective_width)
             if p.shape is spc.Shape.SINC:
-                return (lambda t: 1 / mpmath.sqrt(w)), arrival - w / 2, arrival + w / 2, 0, []
+                return (lambda t: 1 / mpmath.sqrt(w)), arrival - w / 2, arrival + w / 2, 0, 0, []
+            if p.shape is spc.Shape.GAUSSIAN:
+                norm = (2 * w * w / mpmath.pi) ** mpmath.mpf(0.25)
+                return ((lambda t: norm * mpmath.exp(-(w * (t - arrival)) ** 2)),
+                        arrival - 9 / w, arrival + 9 / w, 0, 18 * w, [arrival])
             norm = mpmath.sqrt(w / 2)
             return ((lambda t: norm * mpmath.exp(-w / 2 * abs(t - arrival))),
-                    -mpmath.inf, mpmath.inf, w / 2, [arrival])
+                    -mpmath.inf, mpmath.inf, w / 2, w / 2, [arrival])
 
-        ga, lo_a, hi_a, rate_a, kinks_a = envelope(a, mpmath.mpf(0))
-        gb, lo_b, hi_b, rate_b, kinks_b = envelope(b, dt)
+        ga, lo_a, hi_a, rate_a, slope_a, kinks_a = envelope(a, mpmath.mpf(0))
+        gb, lo_b, hi_b, rate_b, slope_b, kinks_b = envelope(b, dt)
         kinks = kinks_a + kinks_b
         lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-        if kinks:
+        if rate_a + rate_b:
             reach = 80 / (rate_a + rate_b)
             lo, hi = max(lo, min(kinks) - reach), min(hi, max(kinks) + reach)
         if lo >= hi:
@@ -370,7 +397,7 @@ def mp_overlap_magnitude(a, b):
         cuts = sorted({lo, hi} | {k for k in kinks if lo < k < hi})
         points = cuts[:1]
         for x0, x1 in zip(cuts, cuts[1:]):
-            n = int(mpmath.ceil((x1 - x0) * (abs(dw) + rate_a + rate_b) / 12)) + 1
+            n = int(mpmath.ceil((x1 - x0) * (abs(dw) + slope_a + slope_b) / 12)) + 1
             points += [x0 + (x1 - x0) * k / n for k in range(1, n + 1)]
         return float(abs(mpmath.quad(lambda t: ga(t) * gb(t) * mpmath.expj(-dw * t),
                                      points, method="gauss-legendre")))
@@ -392,6 +419,73 @@ def test_exponential_pairings_match_mpmath(sa, sb, fwhm_a, log_ratio, detuning,
     b = spc.SpectralProfile.from_fwhm(sb, CENTER + detuning * fwhm_a, fwhm_b,
                                       delay_b / fwhm_b, xi_b)
     assert abs(spc.overlap(a, b).magnitude - mp_overlap_magnitude(a, b)) < 1e-12
+
+
+GAUSSIAN_EXPONENTIAL = [(spc.Shape.GAUSSIAN, spc.Shape.SINC),
+                        (spc.Shape.GAUSSIAN, spc.Shape.LORENTZIAN),
+                        (spc.Shape.SINC, spc.Shape.GAUSSIAN),
+                        (spc.Shape.LORENTZIAN, spc.Shape.GAUSSIAN)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.sampled_from(GAUSSIAN_EXPONENTIAL),
+    fwhm_a=st.floats(0.5, 5.0), log_ratio=st.floats(-2.0, 2.0),
+    detuning=st.floats(-2.0, 2.0), delay_a=st.floats(-10.0, 10.0),
+    delay_b=st.floats(-10.0, 10.0), xi_a=st.floats(0.5, 2.0), xi_b=st.floats(0.5, 2.0),
+)
+def test_gaussian_exponential_pairings_match_mpmath(shapes, fwhm_a, log_ratio, detuning,
+                                                    delay_a, delay_b, xi_a, xi_b):
+    # the Faddeeva closed forms, over the ranges of the exponential pairings
+    fwhm_b = fwhm_a * math.exp(log_ratio)
+    a = spc.SpectralProfile.from_fwhm(shapes[0], CENTER, fwhm_a, delay_a / fwhm_a, xi_a)
+    b = spc.SpectralProfile.from_fwhm(shapes[1], CENTER + detuning * fwhm_a, fwhm_b,
+                                      delay_b / fwhm_b, xi_b)
+    assert abs(spc.overlap(a, b).magnitude - mp_overlap_magnitude(a, b)) < 1e-12
+
+
+def test_gaussian_exponential_value_is_conjugate_in_reverse():
+    g = spc.SpectralProfile.from_fwhm("gaussian", CENTER, 1.3, delay_ps=0.4)
+    for shape in ("sinc", "lorentzian"):
+        e = spc.SpectralProfile.from_fwhm(shape, CENTER + 0.9, 2.1, delay_ps=-0.8)
+        assert spc.overlap(e, g).value == spc.overlap(g, e).value.conjugate()
+
+
+def test_faddeeva_matches_scipy():
+    from scipy.special import wofz
+    rng = np.random.default_rng(7)
+    z = [rng.uniform(-r, r, 2000) + 1j * rng.uniform(0.0, r, 2000)
+         for r in (1e-3, 0.1, 1.0, 5.0, 30.0, 1e3, 1e5)]
+    # towards and on the real axis, and far along both axes
+    x = rng.uniform(-40.0, 40.0, 2000)
+    z += [x + 1j * 10.0 ** rng.uniform(-12.0, -1.0, 2000), x + 0j,
+          np.array([1e5, -1e5, 1e5j, 3e4 + 7e4j, -7e4 + 1e-8j, 0j])]
+    z = np.concatenate(z)
+    assert np.max(np.abs(spc._faddeeva(z) - wofz(z))) <= 1e-14
+    # one call keeps the shape of its argument
+    assert spc._faddeeva(z.reshape(2, -1)).shape == (2, z.size // 2)
+
+
+@pytest.mark.time_limit(30)
+def test_gaussian_exponential_overlaps_never_raise():
+    # narrow to broad photons, widths e^+-4 apart, detuned by up to 10^4
+    # FWHM and delayed by up to 100 / FWHM: every value is finite and a
+    # magnitude, with no overflow or invalid operation on the way (the
+    # suite turns every RuntimeWarning into an error, see pyproject.toml)
+    count = 0
+    for shape_a, shape_b in GAUSSIAN_EXPONENTIAL:
+        for fw in (0.01, 0.1, 1.0, 10.0):
+            for log_ratio in (-4.0, -1.5, 0.0, 1.5, 4.0):
+                for detuning in (0.0, 0.3, -3.0, 30.0, -100.0, 3e3, 1e4):
+                    a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, fw)
+                    b = spc.SpectralProfile.from_fwhm(
+                        shape_b, CENTER + detuning * fw, fw * math.exp(log_ratio))
+                    taus = np.linspace(-100.0 / fw, 100.0 / fw, 41)
+                    got = spc.overlap_curve(a, b, taus)
+                    assert np.all(np.isfinite(got))
+                    assert np.all((got >= 0.0) & (got <= 1.0))
+                    count += got.size
+    assert count == 4 * 4 * 5 * 7 * 41
 
 
 def test_disjoint_rectangles_overlap_exactly_zero():
