@@ -2,7 +2,8 @@
 
 Library layout:
 
-* :mod:`homsim.spectral` -- envelope families, overlaps, FWHM, quadrature
+* :mod:`homsim.spectral` -- envelope families, closed-form overlaps, FWHM
+* :mod:`homsim.quadrature` -- adaptive Gauss-Kronrod rule (a test reference)
 * :mod:`homsim.polarization` -- polarization states and detector response
 * :mod:`homsim.fock` -- multi-photon coincidence and visibility
 * :mod:`homsim.oracle` -- exact operator-expansion reference engine

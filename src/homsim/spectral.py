@@ -16,20 +16,26 @@ evaluated here in the time domain via Plancherel's theorem.  Every envelope
 has a closed-form time profile (the sinc's is a rectangle of duration T,
 the Lorentzian's a two-sided exponential), which turns the slowly decaying
 or oscillatory frequency-domain tails into compactly supported or
-exponentially decaying integrands.  One dispatch, behind :func:`overlap`
-and :func:`overlaps` alike, sorts the 16 ordered pairings into four kinds;
-the first three, 9 pairings, are exact closed forms:
+exponentially decaying integrands.  All 16 ordered pairings are exact
+closed forms, behind one dispatch that serves :func:`overlap` and
+:func:`overlaps` alike:
 
 * Gaussian with Gaussian: a closed form in the frequency domain;
 * sinc or Lorentzian with sinc or Lorentzian: the time-domain product is
   piecewise exponential, so the integral is elementary and exact (at most
-  three segments, vectorised over a dip scan or a contour row);
+  three segments);
 * Gaussian with sinc or Lorentzian, in either order: a Gaussian times a
   rectangle or a two-sided exponential, a few values of the Faddeeva
-  function (Weideman's rational form in numpy, one evaluation per call,
-  vectorised likewise);
-* the 7 pairings with a sech: adaptive quadrature of the time-domain
-  product to the requested 1e-10.
+  function (Weideman's rational form in numpy, one evaluation per call);
+* a sech with any envelope: the sech is the alternating series
+  sech(u) = 2 sum_k (-1)^k e^{-(2k+1)|u|} of Lorentzian-type envelopes,
+  summed by the Cohen-Rodriguez Villegas-Zagier acceleration from its
+  first 24 terms to within 2 (3 + sqrt 8)^-24 < 1e-18, so its overlap is
+  a fixed weighted sum of overlaps of the two kinds above (24 x 24 terms
+  for sech with sech).
+
+All but the Gaussian pairs run as one array formula over a dip scan or a
+contour row.
 """
 
 from __future__ import annotations
@@ -41,12 +47,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import IntegrationError, integrate, integrate_family
+from .quadrature import IntegrationError
 
 __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
     "amplitude", "time_envelope", "overlap", "overlaps", "overlap_curve",
-    "gaussian_overlap_closed_form", "fwhm", "norm_squared",
+    "gaussian_overlap_closed_form", "fwhm",
     "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
 ]
@@ -54,11 +60,7 @@ __all__ = [
 SPEED_OF_LIGHT_NM_PS = 299792.458  # nm / ps
 
 TWO_PI = 2.0 * math.pi
-_REL_TOL = 1e-10  # relative accuracy of every overlap and norm quadrature
-# overlaps are bounded by 1, so 1e-12 absolute keeps cos(Theta) two orders
-# under the relative target even when the integral is tiny
-_ABS_TOL = 1e-12
-_TAIL_EPS = 1e-16  # tail mass of G(t)^2 left outside the time support
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class Shape(enum.Enum):
@@ -66,10 +68,6 @@ class Shape(enum.Enum):
     SINC = "sinc"
     LORENTZIAN = "lorentzian"
     SECH = "sech"
-
-
-# families whose time envelopes are piecewise exponential (closed-form pairs)
-_EXPONENTIAL = (Shape.SINC, Shape.LORENTZIAN)
 
 
 @dataclass(frozen=True)
@@ -183,6 +181,7 @@ def amplitude(profile: SpectralProfile, omega) -> np.ndarray | complex:
     return complex(out) if np.isscalar(omega) else out
 
 
+
 def time_envelope(profile: SpectralProfile, t) -> np.ndarray | float:
     """Real time-domain envelope G(t): phi's inverse Fourier transform.
 
@@ -193,8 +192,15 @@ def time_envelope(profile: SpectralProfile, t) -> np.ndarray | float:
     evaluation exact and fast (the sinc's G is a rectangle).
     """
     w = profile.effective_width
-    return _envelope(profile.shape, w, _envelope_norm(profile.shape, w),
-                     np.asarray(t, dtype=float))
+    norm = _envelope_norm(profile.shape, w)
+    t = np.asarray(t, dtype=float)
+    if profile.shape is Shape.GAUSSIAN:
+        return norm * np.exp(-(w * t) ** 2)
+    if profile.shape is Shape.SINC:
+        return np.where(np.abs(t) <= 0.5 * w, norm, 0.0)
+    if profile.shape is Shape.LORENTZIAN:
+        return norm * np.exp(-0.5 * w * np.abs(t))
+    return norm / np.cosh(np.clip(0.5 * math.pi * w * t, -700, 700))
 
 
 def _envelope_norm(shape: Shape, w: float) -> float:
@@ -214,38 +220,6 @@ def _envelope_norm(shape: Shape, w: float) -> float:
     raise ValueError(f"unknown shape {shape}")  # pragma: no cover
 
 
-def _envelope(shape: Shape, w, norm, t: np.ndarray) -> np.ndarray:
-    """G(t) of the family ``shape``: the four envelope formulas.
-
-    ``w`` and ``norm`` (from :func:`_envelope_norm`) are floats for one
-    profile or columns that broadcast one profile's values over its
-    quadrature nodes; either way each node sees the same operations.
-    """
-    if shape is Shape.GAUSSIAN:
-        return norm * np.exp(-(w * t) ** 2)
-    if shape is Shape.SINC:
-        return np.where(np.abs(t) <= 0.5 * w, norm, 0.0)
-    if shape is Shape.LORENTZIAN:
-        return norm * np.exp(-0.5 * w * np.abs(t))
-    if shape is Shape.SECH:
-        return norm / np.cosh(np.clip(0.5 * math.pi * w * t, -700, 700))
-    raise ValueError(f"unknown shape {shape}")  # pragma: no cover
-
-
-def _time_radius(profile: SpectralProfile) -> float:
-    """Half-width of the support of G(t)^2 up to tail mass ~_TAIL_EPS."""
-    w = profile.effective_width
-    if profile.shape is Shape.GAUSSIAN:
-        return math.sqrt(-math.log(_TAIL_EPS) / 2.0) / w
-    if profile.shape is Shape.SINC:
-        return 0.5 * w
-    if profile.shape is Shape.LORENTZIAN:
-        return -math.log(_TAIL_EPS) / w
-    if profile.shape is Shape.SECH:
-        return -math.log(_TAIL_EPS / 4.0) / (math.pi * w)
-    raise ValueError(f"unknown shape {profile.shape}")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # overlap
 # ---------------------------------------------------------------------------
@@ -257,7 +231,7 @@ def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
     shares, with the complex value kept: the magnitude is cos(Theta) in
     [0, 1] and ``theta`` its angle.
     """
-    (value,) = _overlap_values(a, [b])
+    value = complex(_overlap_values(a, [b])[0])
     mag = _magnitude(value)
     return OverlapResult(value=value, magnitude=mag, theta=math.acos(mag))
 
@@ -265,60 +239,44 @@ def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
 def overlaps(a: SpectralProfile, bs) -> np.ndarray:
     """|overlap(a, b)| for each profile b of ``bs``, all of one shape.
 
-    Equal, bit for bit, to calling :func:`overlap` on each b.  A closed
-    form runs over ``bs`` b by b for Gaussian pairs and as one array
-    formula otherwise; a quadrature pairing runs as one lockstep family
-    (:func:`~homsim.quadrature.integrate_family`) that pays the per-call
-    overhead once per round.  The first b in order whose overlap fails, in
-    its quadrature or the Cauchy-Schwarz check, raises its own
-    :class:`IntegrationError`, as a loop over :func:`overlap` would.
+    Equal, bit for bit, to calling :func:`overlap` on each b.  Gaussian
+    pairs run b by b; every other pairing runs as one array formula over
+    ``bs``.  The first b in order whose magnitude fails the Cauchy-Schwarz
+    check raises its :class:`IntegrationError`, as a loop over
+    :func:`overlap` would.
     """
-    return np.array([_magnitude(value) for value in _overlap_values(a, list(bs))])
+    return np.array([_magnitude(value) for value in _overlap_values(a, list(bs)).tolist()])
 
 
-def _overlap_values(a: SpectralProfile,
-                    bs: list[SpectralProfile]) -> list[complex | IntegrationError]:
-    """The one pairing dispatch: the complex overlap of ``a`` with each b,
-    in order, up to the first b whose quadrature fails; the list then ends
-    with that b's :class:`IntegrationError`."""
+def _overlap_values(a: SpectralProfile, bs: list[SpectralProfile]) -> np.ndarray:
+    """The one pairing dispatch: the complex overlap of ``a`` with each b."""
     if not bs:
-        return []
-    shape = bs[0].shape
-    if any(b.shape is not shape for b in bs):
+        return np.zeros(0, dtype=complex)
+    if any(b.shape is not bs[0].shape for b in bs):
         raise ValueError("overlaps() needs profiles of one shape")
-    if a.shape is Shape.GAUSSIAN and shape is Shape.GAUSSIAN:
-        return [_gaussian_pair_overlap(a, b) for b in bs]
-    if a.shape in _EXPONENTIAL and shape in _EXPONENTIAL:
-        return _exponential_overlaps(a, bs).tolist()
-    if Shape.SECH not in (a.shape, shape):  # a Gaussian with a sinc or Lorentzian
-        return _gaussian_exp_overlaps(a, bs).tolist()
-    values: list = [0.0 + 0.0j] * len(bs)
-    windows = [_overlap_window(a, b) for b in bs]
-    meet = [k for k, win in enumerate(windows) if win is not None]
-    if meet:
-        found = integrate_family(
-            _overlap_integrand(a, [bs[k] for k in meet]),
-            [_seed_points(a, bs[k], *windows[k]) for k in meet],
-            rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-        for k, value in zip(meet, found):
-            values[k] = value
-        if isinstance(found[-1], IntegrationError):
-            del values[meet[len(found) - 1] + 1:]
-    return values
+    if a.shape is Shape.GAUSSIAN and bs[0].shape is Shape.GAUSSIAN:
+        return np.array([_gaussian_pair_overlap(a, b) for b in bs])
+    ca, cb = _columns([a], 0), _columns(bs, 1)
+    if ca[0] is Shape.GAUSSIAN:
+        values = _gaussian_exp_overlaps(ca, cb)
+    elif cb[0] is Shape.GAUSSIAN:
+        values = np.conj(_gaussian_exp_overlaps(cb, ca))
+    else:
+        values = _exponential_overlaps(ca, cb)
+    # a sech's terms, summed one after another for each b, so that b's value
+    # does not depend on the other bs
+    return np.add.accumulate(values.reshape(-1, len(bs)), axis=0)[-1]
 
 
-def _magnitude(value) -> float:
+def _magnitude(value: complex) -> float:
     """cos(Theta) = |value|, clamped to 1 within the Cauchy-Schwarz slack.
 
-    ``value`` may be the IntegrationError a family member ran into; it is
-    raised here, in the member's order.
+    A larger or non-finite magnitude raises :class:`IntegrationError`.
     """
-    if isinstance(value, IntegrationError):
-        raise value
     mag = abs(value)
-    if mag > 1.0 + 1e-9:
-        raise IntegrationError("overlap magnitude exceeds Cauchy-Schwarz bound",
-                               mag - 1.0)
+    if not mag <= 1.0 + 1e-9:
+        raise IntegrationError("overlap magnitude is not finite or exceeds the "
+                               "Cauchy-Schwarz bound", mag - 1.0)
     return min(mag, 1.0)
 
 
@@ -354,8 +312,61 @@ def _gaussian_pair_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
     return complex(val)
 
 
-def _exponential_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.ndarray:
-    """Exact overlaps of ``a`` with each b of ``bs``, sinc or Lorentzian.
+_SECH_TERMS = 24  # the series' a-priori error, 2 (3 + sqrt 8)^-24, is below 1e-18
+
+
+def _sech_series() -> tuple[np.ndarray, np.ndarray]:
+    """Lorentzian widths, per unit sech width, and weights of the sech series.
+
+    1/cosh(pi w t / 2) = 2 sum_k (-1)^k e^{-(2k+1) pi w |t| / 2}: term k is
+    the envelope of a Lorentzian of width (2k+1) pi w.  Against any partner
+    the terms' overlaps are the moments of a complex measure on [0, 1]
+    (x = e^{-pi w |t|}), so Algorithm 1 of Cohen, Rodriguez Villegas and
+    Zagier (Experimental Math. 9, 2000) sums the series from its first N
+    terms, with weights c_k / d that carry the signs, to within
+    2 (3 + sqrt 8)^-N times the measure's total variation; since
+    e^{-|u|} <= sech u, Cauchy-Schwarz bounds that variation by 1, detuned
+    and delayed partners alike.  Each weight here includes the factor 2.
+    """
+    n = _SECH_TERMS
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = 0.5 * (d + 1.0 / d)
+    b, c, weights = -1.0, -d, []
+    for k in range(n):
+        c = b - c
+        weights.append(2.0 * c / d)
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
+    return math.pi * (2.0 * np.arange(n) + 1.0), np.array(weights)
+
+
+_SECH_WIDTHS, _SECH_WEIGHTS = _sech_series()
+
+
+def _columns(profiles: list[SpectralProfile], axis: int) -> tuple:
+    """The kernels' view of photons of one shape: (kind, width, norm,
+    delay, centre).
+
+    ``kind`` is the envelope family the kernels see, and the four columns
+    hold each profile's values, computed with Python scalars as for a single
+    pair, along the last of three axes.  A sech photon is its series of
+    Lorentzian-type terms (kind Lorentzian), laid along ``axis``: 0 for
+    photon a and 1 for the photons b, so that the kernels pair every term
+    of a with every term of each b.
+    """
+    shape = profiles[0].shape
+    width, norm, delay, center = np.array(
+        [(p.effective_width, _envelope_norm(shape, p.effective_width), p.delay, p.center)
+         for p in profiles]).T[:, None, None, :]
+    if shape is not Shape.SECH:
+        return shape, width, norm, delay, center
+    terms = (-1,) + (1,) * (2 - axis)
+    return (Shape.LORENTZIAN, width * _SECH_WIDTHS.reshape(terms),
+            norm * _SECH_WEIGHTS.reshape(terms), delay, center)
+
+
+def _exponential_overlaps(a: tuple, b: tuple) -> np.ndarray:
+    """Exact overlaps of sinc or Lorentzian photons, ``a``'s columns
+    against ``b``'s (see :func:`_columns`), broadcast.
 
     On its support each of these envelopes is N e^{-g |t - tau|}: g = 0
     on the sinc's rectangle |t - tau| <= T/2, g = gamma/2 everywhere for
@@ -363,17 +374,15 @@ def _exponential_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.n
     three segments) the integrand G_a G_b e^{i(phase - dw t)} is therefore
     F0 e^{kappa s}, s the distance from an anchoring end where it equals
     F0.  Each segment is anchored at the end from which it decays, so
-    Re kappa <= 0 and it integrates to F0 L expm1(kappa L) / (kappa L) (F0 L
-    at kappa L = 0), or -F0 / kappa when it runs to infinity.  Disjoint
-    supports give exactly 0.  Times are taken from tau_a, so the large
-    phase omega_b (tau_b - tau_a) multiplies the sum once.  Vectorised over
-    ``bs`` (one shape); each b's columns are gathered as in
-    :func:`_overlap_integrand`.
+    Re kappa <= 0 and it integrates to F0 L expm1(kappa L) / (kappa L)
+    (F0 L once |kappa L| is below the smallest normal float), or -F0 / kappa
+    when it runs to infinity.  Disjoint supports give exactly 0.  Times are
+    taken from tau_a, so the large phase omega_b (tau_b - tau_a) multiplies
+    the sum once.
     """
-    wa, norm_a = a.effective_width, _envelope_norm(a.shape, a.effective_width)
-    wb, norm_b, dt, dw, center_b = np.array(
-        [(b.effective_width, _envelope_norm(b.shape, b.effective_width),
-          b.delay - a.delay, b.center - a.center, b.center) for b in bs]).T
+    shape_a, wa, norm_a, delay_a, center_a = a
+    shape_b, wb, norm_b, delay_b, center_b = b
+    dt, dw = delay_b - delay_a, center_b - center_a
 
     def support(shape, w, arrival):
         """Support ends and decay rate g of an envelope arriving at ``arrival``."""
@@ -381,12 +390,12 @@ def _exponential_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.n
             return arrival - 0.5 * w, arrival + 0.5 * w, 0.0 * w
         return arrival - np.inf, arrival + np.inf, 0.5 * w
 
-    lo_a, hi_a, ga = support(a.shape, wa, 0.0)
-    lo_b, hi_b, gb = support(bs[0].shape, wb, dt)
+    lo_a, hi_a, ga = support(shape_a, wa, 0.0)
+    lo_b, hi_b, gb = support(shape_b, wb, dt)
     lo, hi = np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b)
     kink_a, kink_b = np.clip(0.0, lo, hi), np.clip(dt, lo, hi)
     ends = [lo, np.minimum(kink_a, kink_b), np.maximum(kink_a, kink_b), hi]
-    total = np.zeros(len(bs), dtype=complex)
+    total = 0.0
     for x0, x1 in zip(ends, ends[1:]):
         # each envelope rises towards its kink and falls away from it
         kappa = (np.where(x1 <= 0.0, ga, -ga) + np.where(x1 <= dt, gb, -gb)
@@ -399,17 +408,24 @@ def _exponential_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.n
         infinite = np.isinf(length)
         length = np.where(infinite, 0.0, length)
         z = kappa * length
-        finite = length * np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+        # expm1(z) / z is 1 below the smallest normal float, where numpy's
+        # complex division gives NaN, and on the infinite segments (length
+        # 0 here), which skip the costly complex expm1
+        big = np.abs(z) >= _TINY
+        ratio = np.divide(np.expm1(z, out=np.zeros_like(z), where=big), z,
+                          out=np.ones_like(z), where=big)
+        finite = length * ratio
         tail = np.divide(-1.0, kappa, out=np.zeros_like(kappa), where=infinite)
-        total += f0 * np.where(infinite, tail, finite)
+        total = total + f0 * np.where(infinite, tail, finite)
     # not in place: numpy's in-place complex product of one element rounds
     # differently from its product over a longer array
     total = total * (norm_a * norm_b * np.exp(1j * center_b * dt))
     return np.where(lo < hi, total, 0.0)
 
 
-def _gaussian_exp_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.ndarray:
-    """Exact overlaps of a Gaussian with sinc or Lorentzian photons, either order.
+def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
+    """Exact overlaps of Gaussian photons ``g`` with sinc or Lorentzian
+    photons ``e``, columns as from :func:`_columns`, broadcast.
 
     Times are taken from the Gaussian's arrival, with dt = tau_E - tau_G and
     dw = omega_E - omega_G for the other photon E and x = dw / 2 sigma, so
@@ -425,18 +441,14 @@ def _gaussian_exp_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.
     reflected, w(z) = 2 e^{-z^2} - w(-z), with the prefactor's exponent
     folded into e^{-z^2}, so every exponential stays at or below 1.  All
     arguments of the call go through one :func:`_faddeeva` evaluation.
-    With the Gaussian second the value is the complex conjugate.
+    With the Gaussian second the overlap is the complex conjugate.
     """
-    gaussian_first = a.shape is Shape.GAUSSIAN
-    shape = bs[0].shape if gaussian_first else a.shape
-    pairs = ((a, b) if gaussian_first else (b, a) for b in bs)
-    sigma, norm_g, we, norm_e, dt, dw, center_e = np.array(
-        [(g.effective_width, _envelope_norm(Shape.GAUSSIAN, g.effective_width),
-          e.effective_width, _envelope_norm(shape, e.effective_width),
-          e.delay - g.delay, e.center - g.center, e.center) for g, e in pairs]).T
+    _, sigma, norm_g, delay_g, center_g = g
+    shape, we, norm_e, delay_e, center_e = e
+    dt, dw = delay_e - delay_g, center_e - center_g
     x, q = dw / (2.0 * sigma), sigma * dt
     if shape is Shape.SINC:
-        r = q + np.array([[-0.5], [0.5]]) * (sigma * we)  # sigma s at both edges
+        r = q + np.multiply.outer([-0.5, 0.5], sigma * we)  # sigma s at both edges
         flip = r < 0.0
         sign = np.where(flip, -1.0, 1.0)
         # e^{-x^2} erfc(u) = e^{-r^2 - 2irx} w(iu) for r >= 0, and 2 e^{-x^2}
@@ -445,7 +457,7 @@ def _gaussian_exp_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.
         total = 2.0 * np.exp(-x * x) * (flip[0] & ~flip[1]) + f[0] - f[1]
     else:
         h = 0.25 * we / sigma
-        p = np.array([[1.0], [-1.0]]) * (q + 1j * x)  # A(dt, dw), A(-dt, -dw)
+        p = np.multiply.outer([1.0, -1.0], q + 1j * x)  # A(dt, dw), A(-dt, -dw)
         z = 1j * (h + p)
         flip = z.imag < 0.0
         sign = np.where(flip, -1.0, 1.0)
@@ -455,9 +467,8 @@ def _gaussian_exp_overlaps(a: SpectralProfile, bs: list[SpectralProfile]) -> np.
         terms = (sign * np.exp(-q * (q + 2j * x)) * _faddeeva(sign * z)
                  + 2.0 * np.exp(folded))
         total = terms[0] + terms[1]
-    value = (norm_g * norm_e * math.sqrt(math.pi) / (2.0 * sigma)
-             * np.exp(1j * center_e * dt) * total)
-    return value if gaussian_first else np.conj(value)
+    return (norm_g * norm_e * math.sqrt(math.pi) / (2.0 * sigma)
+            * np.exp(1j * center_e * dt) * total)
 
 
 _W_TERMS = 40  # Weideman's N: about 2e-15 absolute in the upper half plane
@@ -495,69 +506,6 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     powers[:, 1:] = ((_W_L + iz) / d)[:, None]
     poly = np.cumprod(powers, axis=1) @ _weideman_coefficients()
     return (2.0 * poly / (d * d) + 1.0 / (math.sqrt(math.pi) * d)).reshape(z.shape)
-
-
-def _overlap_window(a: SpectralProfile, b: SpectralProfile) -> tuple[float, float] | None:
-    """Intersection (lo, hi) of the two envelope supports; None if empty."""
-    ra, rb = _time_radius(a), _time_radius(b)
-    lo = max(a.delay - ra, b.delay - rb)
-    hi = min(a.delay + ra, b.delay + rb)
-    return (lo, hi) if lo < hi else None
-
-
-def _overlap_integrand(a: SpectralProfile, bs: list[SpectralProfile]):
-    """Family integrand of the overlaps of ``a`` with each b of ``bs``.
-
-    f(t, k) = G_a(t - tau_a) G_b(t - tau_b) e^{i (phase - dw t)} for
-    b = bs[k], all b of one shape.  Each b's parameters are computed with
-    Python scalars, as for a single pair, and gathered per panel by the
-    member column ``k`` (an int for a single pair).
-    """
-    shape = bs[0].shape
-    wa = a.effective_width
-    norm_a = _envelope_norm(a.shape, wa)
-    wb, norm_b, delay_b, dw, static_phase = np.array(
-        [(b.effective_width, _envelope_norm(shape, b.effective_width), b.delay,
-          b.center - a.center, b.center * b.delay - a.center * a.delay)
-         for b in bs]).T
-
-    def f(t: np.ndarray, k) -> np.ndarray:
-        ga = _envelope(a.shape, wa, norm_a, t - a.delay)
-        gb = _envelope(shape, wb[k], norm_b[k], t - delay_b[k])
-        return ga * gb * np.exp(1j * (static_phase[k] - dw[k] * t))
-
-    return f
-
-
-def _seed_points(a: SpectralProfile, b: SpectralProfile,
-                 lo: float, hi: float) -> np.ndarray:
-    """Initial panel boundaries: kinks, envelope scales, beat period.
-
-    In no particular order and possibly repeated; the quadrature sorts
-    them and drops repeats.
-    """
-    dw = b.center - a.center
-    pts = [lo, hi]
-    for p in (a, b):
-        # envelope scale ladder about each arrival time
-        scale = 1.0 / p.effective_width if p.shape is not Shape.SINC \
-            else 0.25 * p.effective_width
-        for k in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0):
-            x = p.delay + k * scale
-            if lo < x < hi:
-                pts.append(x)
-        if p.shape in (Shape.LORENTZIAN, Shape.SECH):
-            if lo < p.delay < hi:
-                pts.append(p.delay)  # kink / peak
-    if dw != 0.0:
-        period = TWO_PI / abs(dw)
-        n = int((hi - lo) / period) + 1
-        if n > 2:
-            m = min(n, 2000)
-            step = (hi - lo) / m
-            # the same bits as lo + i * step in scalar code, for i < m
-            return np.concatenate([pts, lo + np.arange(1, m) * step])
-    return np.array(pts)
 
 
 def gaussian_overlap_closed_form(sigma_b: float, sigma_c: float,
@@ -643,17 +591,3 @@ def _width_from_fwhm(shape: Shape, target: float) -> float:
     if shape is Shape.SINC:
         return _unit_fwhm(Shape.SINC) / target
     return target / _unit_fwhm(Shape.SECH)
-
-
-def norm_squared(profile: SpectralProfile) -> float:
-    """int |phi|^2 d omega, evaluated in the time domain (== int G^2 dt)."""
-    r = _time_radius(profile)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        g = time_envelope(profile, t)
-        return (g * g).astype(complex)
-
-    scale = r / 8.0
-    pts = sorted({-r, -4 * scale, -2 * scale, -scale, 0.0, scale, 2 * scale,
-                  4 * scale, r})
-    return float(integrate(f, pts, rel_tol=_REL_TOL).real)
