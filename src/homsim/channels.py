@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import polarization as pol
 from . import spectral as spc
 from .fock import (Apparatus, IDEAL_APPARATUS, _deltas, coincidence_raw,
@@ -184,19 +186,15 @@ def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
 
     Entry [i][j] applies channels_a[i] to arm A and channels_b[j] to arm
     B.  Each arm's channel output is built (and its density decomposed)
-    once per channel value.  Spectral overlaps are recomputed only when
-    the broadening factors change.
+    once per channel value, and each row's spectral overlaps are one
+    :func:`spectral.overlaps` call on arm B's family of broadened spectra.
     """
-    out: list[list[float]] = []
-    overlap_cache: dict[tuple[float, float], float] = {}
     mixed_bs = [apply_channel(src_b, ch_b) for ch_b in channels_b]
+    spec_bs = src_b.spec.broadened(np.array([ch_b.xi for ch_b in channels_b]))
+    out: list[list[float]] = []
     for ch_a in channels_a:
-        row = []
         mixed_a = apply_channel(src_a, ch_a)
-        for ch_b, mixed_b in zip(channels_b, mixed_bs):
-            key = (ch_a.xi, ch_b.xi)
-            if key not in overlap_cache:
-                overlap_cache[key] = spc.overlap(mixed_a.spec, mixed_b.spec).magnitude
-            row.append(mixed_visibility(mixed_a, mixed_b, app, overlap_cache[key]))
-        out.append(row)
+        cos_theta = spc.overlaps(mixed_a.spec, spec_bs).tolist()
+        out.append([mixed_visibility(mixed_a, mixed_b, app, ct)
+                    for mixed_b, ct in zip(mixed_bs, cos_theta)])
     return out

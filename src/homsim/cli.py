@@ -138,7 +138,7 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     blocks = [(phi, fock.FockPair(m, n, pol_a, pol.rotate(pol_a, phi), prof_a, prof_b))
               for m, n in pairs for phi in phis]
     # cos(Theta(tau)) depends only on the spectra: one scan serves every block
-    cos_theta = spc.overlap_curve(prof_a, prof_b, taus)
+    cos_theta = spc.overlaps(prof_a, prof_b.delayed(taus))
     for phi, pair in blocks:
         lines.append(f"# block m={pair.m} n={pair.n} phi={_fmt(phi)}")
         lines.append("tau_ps,p_co")
@@ -165,6 +165,9 @@ def _contour_axes(cfg: dict, prof_a: spc.SpectralProfile) -> tuple[np.ndarray, n
     fw = spc.fwhm(prof_a)
     span = cfgmod.parse_real(cfg, "center_span_fwhm", positive=True)
     centers = np.linspace(prof_a.center - span * fw, prof_a.center + span * fw, n)
+    if not centers[0] > 0.0:
+        raise ConfigError("config field 'center_span_fwhm': the lowest center "
+                          f"frequency of photon B, {_fmt(centers[0])} rad/ps, must be positive")
     fwhms = sweeps.log_grid(fw, cfgmod.parse_real(cfg, "width_factor", positive=True), n)
     return centers, fwhms
 

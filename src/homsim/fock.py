@@ -184,17 +184,17 @@ def dip_curve(pair: FockPair, taus: Iterable[float],
 
     Arm B's profile is shifted by each tau on top of its configured delay;
     polarization and detectors are held fixed, so only cos(Theta) moves.
-    cos(Theta(tau)) is computed once per scan by
-    :func:`spectral.overlap_curve`; callers sweeping several (m, n, Phi)
-    over the same spectra and delays pass that array as ``cos_theta``
-    so each point only evaluates :func:`coincidence_raw`.
+    cos(Theta(tau)) is one :func:`spectral.overlaps` call per scan, on
+    arm B's family of delayed profiles; callers sweeping several (m, n,
+    Phi) over the same spectra and delays pass that array as
+    ``cos_theta`` so each point only evaluates :func:`coincidence_raw`.
     """
     if pair.spec_a is None or pair.spec_b is None:
         raise ValueError("dip_curve needs spectral profiles on both arms")
     taus = list(taus)
     da, db = _deltas(pair.m, pair.n, pair.pol_a, pair.pol_b, app)
     if cos_theta is None:
-        cos_theta = spc.overlap_curve(pair.spec_a, pair.spec_b, taus)
+        cos_theta = spc.overlaps(pair.spec_a, pair.spec_b.delayed(np.asarray(taus, float)))
     elif len(cos_theta) != len(taus):
         raise ValueError("cos_theta needs one value per tau")
     cs = mode_overlap(pair.pol_a, pair.pol_b, np.asarray(cos_theta, dtype=float))

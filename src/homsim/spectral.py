@@ -34,8 +34,9 @@ closed forms, behind one dispatch that serves :func:`overlap` and
   a fixed weighted sum of overlaps of the two kinds above (24 x 24 terms
   for sech with sech).
 
-All but the Gaussian pairs run as one array formula over a dip scan or a
-contour row.
+A profile with numpy array fields is a *profile family*: :func:`overlaps`
+evaluates every pairing as one array formula over it (a dip scan, a
+contour row, a width-search round), and :func:`overlap` is its 0-d case.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .quadrature import IntegrationError
 
 __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
-    "amplitude", "time_envelope", "overlap", "overlaps", "overlap_curve",
+    "amplitude", "time_envelope", "overlap", "overlaps",
     "gaussian_overlap_closed_form", "fwhm",
     "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
@@ -72,40 +73,44 @@ class Shape(enum.Enum):
 
 @dataclass(frozen=True)
 class SpectralProfile:
-    """A normalized single-photon spectral amplitude.
+    """A normalized single-photon spectral amplitude, or a family of them.
 
     Attributes
     ----------
     shape : Shape
         Envelope family.
-    center : float
+    center : float or ndarray
         Central angular frequency omega_0, rad/ps.
-    width : float
+    width : float or ndarray
         Shape parameter: sigma (rad/ps) for Gaussian and sech, the photon
         duration T (ps) for sinc, the conventional linewidth gamma (rad/ps)
         for Lorentzian.
-    delay : float
+    delay : float or ndarray
         Arrival time tau in ps; multiplies the amplitude by e^{i omega tau}
         and leaves |phi| unchanged.
-    broadening : float
+    broadening : float or ndarray
         Dimensionless factor xi > 0 scaling the spectral width (for the
         sinc this divides the duration T, so the spectrum broadens for
         xi > 1 for every family).
+
+    Numeric fields may be numpy arrays that broadcast together: such a
+    profile family stands for one photon per element of the broadcast
+    shape, and serves :func:`overlaps`, :func:`fwhm`, :meth:`delayed` and
+    :meth:`broadened`.  :func:`overlap`, :func:`amplitude`,
+    :func:`time_envelope` and hashing take scalar fields.
     """
 
     shape: Shape
-    center: float
-    width: float
-    delay: float = 0.0
-    broadening: float = 1.0
+    center: float | np.ndarray
+    width: float | np.ndarray
+    delay: float | np.ndarray = 0.0
+    broadening: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
-        if self.broadening <= 0:
-            raise ValueError("broadening must be positive")
-        if self.center <= 0:
-            raise ValueError("center frequency must be positive")
+        for value, name in ((self.width, "width"), (self.broadening, "broadening"),
+                            (self.center, "center frequency")):
+            if not _positive(value):
+                raise ValueError(f"{name} must be positive")
 
     @property
     def effective_width(self) -> float:
@@ -114,21 +119,29 @@ class SpectralProfile:
             return self.width / self.broadening
         return self.width * self.broadening
 
-    def broadened(self, xi: float) -> "SpectralProfile":
-        """Profile with an additional broadening factor applied."""
+    def broadened(self, xi) -> "SpectralProfile":
+        """Profile with an additional broadening factor applied (an array
+        of factors gives a family)."""
         return replace(self, broadening=self.broadening * xi)
 
-    def delayed(self, tau: float) -> "SpectralProfile":
-        """Profile with an additional arrival delay tau (ps)."""
+    def delayed(self, tau) -> "SpectralProfile":
+        """Profile with an additional arrival delay tau (ps) (an array of
+        delays gives a family)."""
         return replace(self, delay=self.delay + tau)
 
     @staticmethod
-    def from_fwhm(shape: Shape | str, center: float, fwhm: float,
-                  delay_ps: float = 0.0, broadening: float = 1.0) -> "SpectralProfile":
-        """Build from a target FWHM of |phi|^2 in rad/ps (gamma for Lorentzian)."""
+    def from_fwhm(shape: Shape | str, center, fwhm,
+                  delay_ps=0.0, broadening=1.0) -> "SpectralProfile":
+        """Build from a target FWHM of |phi|^2 in rad/ps (gamma for
+        Lorentzian); arrays give a family."""
         shape = Shape(shape)
         return SpectralProfile(shape, center, _width_from_fwhm(shape, fwhm),
                                delay_ps, broadening)
+
+
+def _positive(x) -> bool:
+    """x > 0, for every element of an array x; NaN is not positive."""
+    return np.greater(x, 0.0).all() if isinstance(x, np.ndarray) else x > 0
 
 
 @dataclass(frozen=True)
@@ -203,20 +216,20 @@ def time_envelope(profile: SpectralProfile, t) -> np.ndarray | float:
     return norm / np.cosh(np.clip(0.5 * math.pi * w * t, -700, 700))
 
 
-def _envelope_norm(shape: Shape, w: float) -> float:
-    """Peak-normalization prefactor of G(t) for effective width ``w``.
+def _envelope_norm(shape: Shape, w):
+    """Peak-normalization prefactor of G(t) for effective width(s) ``w``.
 
-    Python scalar arithmetic, one call per profile: numpy's vectorised
-    power and sqrt may round differently in the last place.
+    ``np.float_power`` calls libm's pow, as Python's ``**`` does;
+    ``np.power`` may round differently in the last place.
     """
     if shape is Shape.GAUSSIAN:
-        return (2.0 * w * w / math.pi) ** 0.25
+        return np.float_power(2.0 * w * w / math.pi, 0.25)
     if shape is Shape.SINC:
-        return 1.0 / math.sqrt(w)
+        return 1.0 / np.sqrt(w)
     if shape is Shape.LORENTZIAN:
-        return math.sqrt(0.5 * w)
+        return np.sqrt(0.5 * w)
     if shape is Shape.SECH:
-        return 0.5 * math.sqrt(math.pi * w)
+        return 0.5 * np.sqrt(math.pi * w)
     raise ValueError(f"unknown shape {shape}")  # pragma: no cover
 
 
@@ -227,89 +240,86 @@ def _envelope_norm(shape: Shape, w: float) -> float:
 def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
     """Overlap integral int phi_a*(omega) phi_b(omega) d omega.
 
-    The one-member case of :func:`overlaps`, whose pairing dispatch it
-    shares, with the complex value kept: the magnitude is cos(Theta) in
-    [0, 1] and ``theta`` its angle.
+    The 0-d case of :func:`overlaps`, with the same bits and the complex
+    value kept: the magnitude is cos(Theta) in [0, 1], ``theta`` its angle.
     """
-    value = complex(_overlap_values(a, [b])[0])
-    mag = _magnitude(value)
-    return OverlapResult(value=value, magnitude=mag, theta=math.acos(mag))
+    value, mag = _checked_overlaps(a, b)
+    return OverlapResult(value=complex(value), magnitude=float(mag), theta=math.acos(mag))
 
 
-def overlaps(a: SpectralProfile, bs) -> np.ndarray:
-    """|overlap(a, b)| for each profile b of ``bs``, all of one shape.
+def overlaps(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
+    """|overlap(a, b_i)| for one photon ``a`` and each photon b_i of the
+    profile family ``b``, in its broadcast shape, as one array formula.
 
-    Equal, bit for bit, to calling :func:`overlap` on each b.  Gaussian
-    pairs run b by b; every other pairing runs as one array formula over
-    ``bs``.  The first b in order whose magnitude fails the Cauchy-Schwarz
-    check raises its :class:`IntegrationError`, as a loop over
-    :func:`overlap` would.
+    Each element equals :func:`overlap` on its photon, bit for bit.  The
+    first point in C order that fails the Cauchy-Schwarz check raises an
+    :class:`IntegrationError` naming it.
     """
-    return np.array([_magnitude(value) for value in _overlap_values(a, list(bs)).tolist()])
+    return _checked_overlaps(a, b)[1]
 
 
-def _overlap_values(a: SpectralProfile, bs: list[SpectralProfile]) -> np.ndarray:
-    """The one pairing dispatch: the complex overlap of ``a`` with each b."""
-    if not bs:
-        return np.zeros(0, dtype=complex)
-    if any(b.shape is not bs[0].shape for b in bs):
-        raise ValueError("overlaps() needs profiles of one shape")
-    if a.shape is Shape.GAUSSIAN and bs[0].shape is Shape.GAUSSIAN:
-        return np.array([_gaussian_pair_overlap(a, b) for b in bs])
-    ca, cb = _columns([a], 0), _columns(bs, 1)
-    if ca[0] is Shape.GAUSSIAN:
+def _checked_overlaps(a: SpectralProfile, b: SpectralProfile) -> tuple:
+    """(complex overlaps, cos(Theta) = |value| clamped to 1 within the
+    Cauchy-Schwarz slack).  The kernels run without numpy's warnings: a
+    point that overflows ends non-finite and fails the check."""
+    with np.errstate(all="ignore"):
+        values = _overlap_values(a, b)
+    # hypot, as Python's abs(complex): numpy's complex abs may round differently
+    mag = np.hypot(values.real, values.imag)
+    bad = ~(mag <= 1.0 + 1e-9)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        center, width, delay = (np.broadcast_to(x, bad.shape)[at]
+                                for x in (b.center, b.effective_width, b.delay))
+        raise IntegrationError(
+            f"{a.shape.value}-{b.shape.value} overlap magnitude is not finite or "
+            f"exceeds the Cauchy-Schwarz bound at B center {center:.6g} rad/ps, "
+            f"effective width {width:.6g}, delay {delay:.6g} ps", mag[at] - 1.0)
+    return values, np.minimum(mag, 1.0)
+
+
+def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
+    """The one pairing dispatch: the complex overlap of ``a`` with each of
+    ``b``'s photons, in ``b``'s broadcast shape."""
+    ca, cb = _columns(a, 0), _columns(b, 1)
+    if ca[0] is Shape.GAUSSIAN and cb[0] is Shape.GAUSSIAN:
+        values = _gaussian_overlaps(ca, cb)
+    elif ca[0] is Shape.GAUSSIAN:
         values = _gaussian_exp_overlaps(ca, cb)
     elif cb[0] is Shape.GAUSSIAN:
         values = np.conj(_gaussian_exp_overlaps(cb, ca))
     else:
         values = _exponential_overlaps(ca, cb)
-    # a sech's terms, summed one after another for each b, so that b's value
-    # does not depend on the other bs
-    return np.add.accumulate(values.reshape(-1, len(bs)), axis=0)[-1]
+    # a sech's terms, summed one after another for each point, so that a
+    # point's value does not depend on the other points
+    terms, points = values.shape[0] * values.shape[1], values.shape[2]
+    total = np.add.accumulate(values.reshape(terms, points), axis=0)[-1]
+    return total.reshape(np.broadcast(b.width, b.broadening, b.delay, b.center).shape)
 
 
-def _magnitude(value: complex) -> float:
-    """cos(Theta) = |value|, clamped to 1 within the Cauchy-Schwarz slack.
+def _gaussian_overlaps(a: tuple, b: tuple) -> np.ndarray:
+    """Exact overlaps of Gaussian photons, ``a``'s columns against ``b``'s
+    (see :func:`_columns`), broadcast.
 
-    A larger or non-finite magnitude raises :class:`IntegrationError`.
+    Written in the frequency domain about the mean center (u = omega -
+    (c_a + c_b)/2), so the exponent carries only the detuning d and delay
+    difference dt; the naive completion of the square about omega = 0
+    loses ~6 digits to cancellation at telecom center frequencies.
     """
-    mag = abs(value)
-    if not mag <= 1.0 + 1e-9:
-        raise IntegrationError("overlap magnitude is not finite or exceeds the "
-                               "Cauchy-Schwarz bound", mag - 1.0)
-    return min(mag, 1.0)
-
-
-def overlap_curve(a: SpectralProfile, b: SpectralProfile, taus) -> np.ndarray:
-    """cos(Theta(tau)) = |overlap(a, b.delayed(tau))| for each delay tau.
-
-    The one owner of the delay family behind every HOM dip: cos(Theta)
-    depends only on the two spectra and tau, so a scan computes it once,
-    as one :func:`overlaps` call, and shares it across photon numbers and
-    polarizations.
-    """
-    return overlaps(a, [b.delayed(tau) for tau in taus])
-
-
-def _gaussian_pair_overlap(a: SpectralProfile, b: SpectralProfile) -> complex:
-    """Closed-form Gaussian-Gaussian overlap including delays and detuning.
-
-    Written about the mean center (u = omega - (c_a + c_b)/2) so the
-    exponent carries only the detuning d and delay difference dt; the
-    naive completion of the square about omega = 0 loses ~6 digits to
-    cancellation at telecom center frequencies.
-    """
-    sa, sb = a.effective_width, b.effective_width
-    d = b.center - a.center
-    dt = b.delay - a.delay
-    wbar = 0.5 * (a.center + b.center)
+    _, sa, _, delay_a, center_a = a
+    _, sb, _, delay_b, center_b = b
+    d = center_b - center_a
+    dt = delay_b - delay_a
+    wbar = 0.5 * (center_a + center_b)
     # phi_a*(u) phi_b(u) = N exp(-(u+d/2)^2/(4sa^2) - (u-d/2)^2/(4sb^2) + i(u+wbar)dt)
     alpha = 0.25 / (sa * sa) + 0.25 / (sb * sb)
-    beta = complex(0.25 * d * (1.0 / (sb * sb) - 1.0 / (sa * sa)), dt)
-    norm = (1.0 / (sa * math.sqrt(TWO_PI))) ** 0.5 * (1.0 / (sb * math.sqrt(TWO_PI))) ** 0.5
-    val = (norm * math.sqrt(math.pi / alpha)
-           * np.exp(beta * beta / (4.0 * alpha) - 0.25 * alpha * d * d + 1j * wbar * dt))
-    return complex(val)
+    beta = 0.25 * d * (1.0 / (sb * sb) - 1.0 / (sa * sa))
+    # (beta + i dt)^2 / (4 alpha) - alpha d^2 / 4 + i wbar dt, in real arithmetic
+    exponent_re = (beta * beta - dt * dt) / (4.0 * alpha) - 0.25 * alpha * d * d
+    exponent_im = (beta * dt + dt * beta) / (4.0 * alpha) + wbar * dt
+    norm = (np.float_power(1.0 / (sa * math.sqrt(TWO_PI)), 0.5)
+            * np.float_power(1.0 / (sb * math.sqrt(TWO_PI)), 0.5))
+    return norm * np.sqrt(math.pi / alpha) * np.exp(exponent_re + 1j * exponent_im)
 
 
 _SECH_TERMS = 24  # the series' a-priori error, 2 (3 + sqrt 8)^-24, is below 1e-18
@@ -342,23 +352,23 @@ def _sech_series() -> tuple[np.ndarray, np.ndarray]:
 _SECH_WIDTHS, _SECH_WEIGHTS = _sech_series()
 
 
-def _columns(profiles: list[SpectralProfile], axis: int) -> tuple:
-    """The kernels' view of photons of one shape: (kind, width, norm,
-    delay, centre).
+def _columns(p: SpectralProfile, axis: int) -> tuple:
+    """(kind, width, norm, delay, centre): the kernels' view of ``p``.
 
     ``kind`` is the envelope family the kernels see, and the four columns
-    hold each profile's values, computed with Python scalars as for a single
-    pair, along the last of three axes.  A sech photon is its series of
+    hold the photons' values, in C order of the fields' broadcast shape,
+    along the last of three axes.  A sech photon is its series of
     Lorentzian-type terms (kind Lorentzian), laid along ``axis``: 0 for
     photon a and 1 for the photons b, so that the kernels pair every term
     of a with every term of each b.
     """
-    shape = profiles[0].shape
-    width, norm, delay, center = np.array(
-        [(p.effective_width, _envelope_norm(shape, p.effective_width), p.delay, p.center)
-         for p in profiles]).T[:, None, None, :]
-    if shape is not Shape.SECH:
-        return shape, width, norm, delay, center
+    w = p.effective_width
+    cols = np.empty((3,) + np.broadcast(w, p.delay, p.center).shape)
+    cols[0], cols[1], cols[2] = w, p.delay, p.center
+    width, delay, center = cols.reshape(3, 1, 1, -1)
+    norm = _envelope_norm(p.shape, width)
+    if p.shape is not Shape.SECH:
+        return p.shape, width, norm, delay, center
     terms = (-1,) + (1,) * (2 - axis)
     return (Shape.LORENTZIAN, width * _SECH_WIDTHS.reshape(terms),
             norm * _SECH_WEIGHTS.reshape(terms), delay, center)
@@ -416,10 +426,13 @@ def _exponential_overlaps(a: tuple, b: tuple) -> np.ndarray:
                           out=np.ones_like(z), where=big)
         finite = length * ratio
         tail = np.divide(-1.0, kappa, out=np.zeros_like(kappa), where=infinite)
-        total = total + f0 * np.where(infinite, tail, finite)
-    # not in place: numpy's in-place complex product of one element rounds
-    # differently from its product over a longer array
-    total = total * (norm_a * norm_b * np.exp(1j * center_b * dt))
+        segment = np.where(infinite, tail, finite)
+        total = total + f0 * segment
+    # named factors, not in place: numpy reuses a large temporary right factor
+    # in place, swapping the factors of a complex product, which rounds a
+    # point differently in a longer family, as does an in-place product
+    phase = norm_a * norm_b * np.exp(1j * center_b * dt)
+    total = total * phase
     return np.where(lo < hi, total, 0.0)
 
 
@@ -581,8 +594,8 @@ def fwhm(profile: SpectralProfile) -> float:
     return _unit_fwhm(Shape.SECH) * w
 
 
-def _width_from_fwhm(shape: Shape, target: float) -> float:
-    if target <= 0:
+def _width_from_fwhm(shape: Shape, target):
+    if not _positive(target):
         raise ValueError("FWHM must be positive")
     if shape is Shape.GAUSSIAN:
         return target / (2.0 * math.sqrt(2.0 * math.log(2.0)))

@@ -3,8 +3,9 @@
 Pure functions producing the max-visibility tables (with the FWHM ratio
 at the optimum) and the visibility contours over photon B's spectral
 parameters, for Fock and coherent inputs alike.  Everything is
-deterministic: fixed grids, fixed golden-section iteration counts, no
-randomness.
+deterministic: fixed grids, a fixed number of width-search rounds, no
+randomness.  Each sweep row, and each width-search round, is one
+:func:`spectral.overlaps` call on a profile family.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ __all__ = [
     "contour_grid", "log_grid",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_WIDTH_SPAN = 64.0  # golden-section bracket: photon A's FWHM / and * this
-_GOLDEN_ITERS = 90
+_WIDTH_SPAN = 64.0  # width search bracket: photon A's FWHM / and * this
+_WIDTH_ROUNDS = 9  # each round narrows the bracket 16-fold, to 1e-10 in log FWHM
+_WIDTH_POINTS = 33
 
 
 def log_grid(center: float, factor: float, n: int) -> np.ndarray:
@@ -47,39 +48,23 @@ def max_overlap_width(profile_a: spc.SpectralProfile,
                       shape_b: spc.Shape) -> tuple[float, float]:
     """(best FWHM for photon B, cos Theta there) at matched centers.
 
-    Golden-section search on log(FWHM_B) around photon A's width; matched
-    centers are optimal for all four families (their time envelopes are
-    non-negative, so any detuning only dephases the product).  Once the
-    bracket reaches floating-point resolution the steps revisit widths
-    already probed, so each width's overlap is computed once.
+    Each round of the search on log(FWHM_B) around photon A's width is one
+    :func:`spectral.overlaps` call on a log-spaced grid, and narrows the
+    bracket to the best point's neighbours.  Matched centers are optimal
+    for all four families (their time envelopes are non-negative, so any
+    detuning only dephases the product).
     """
     target = spc.fwhm(profile_a)
-    probed: dict[spc.SpectralProfile, float] = {}
-
-    def cos_at(log_w: float) -> float:
-        prof_b = spc.SpectralProfile.from_fwhm(shape_b, profile_a.center,
-                                               math.exp(log_w))
-        if prof_b not in probed:
-            probed[prof_b] = spc.overlap(profile_a, prof_b).magnitude
-        return probed[prof_b]
-
-    lo = math.log(target / _WIDTH_SPAN)
-    hi = math.log(target * _WIDTH_SPAN)
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = cos_at(c), cos_at(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = cos_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = cos_at(d)
-    best = 0.5 * (a + b)
-    return math.exp(best), cos_at(best)
+    lo, hi = math.log(target / _WIDTH_SPAN), math.log(target * _WIDTH_SPAN)
+    for _ in range(_WIDTH_ROUNDS):
+        log_w = np.linspace(lo, hi, _WIDTH_POINTS)
+        widths = np.exp(log_w)
+        cos = spc.overlaps(profile_a, spc.SpectralProfile.from_fwhm(
+            shape_b, profile_a.center, widths))
+        k = int(np.argmax(cos))
+        lo, hi = log_w[max(k - 1, 0)], log_w[min(k + 1, _WIDTH_POINTS - 1)]
+    best = spc.SpectralProfile.from_fwhm(shape_b, profile_a.center, float(widths[k]))
+    return float(widths[k]), spc.overlap(profile_a, best).magnitude
 
 
 def max_visibility_table(center: float, fwhm_a: float,
@@ -118,12 +103,12 @@ def contour_grid(visibility_at: Callable[[float], float],
     :func:`fock.mode_overlap` and ``visibility_at(c)`` turns it into the
     visibility of the input at hand (Fock or coherent, with its
     apparatus).  Each row (one center, every FWHM) gets its cos(Theta)
-    values from one :func:`spectral.overlaps` call.  Returns an array
-    indexed [i_center, j_fwhm].
+    values from one :func:`spectral.overlaps` call on the row's profile
+    family.  Returns an array indexed [i_center, j_fwhm].
     """
     out = np.empty((len(centers_b), len(fwhms_b)))
     for i, cb in enumerate(centers_b):
-        row = [spc.SpectralProfile.from_fwhm(shape_b, cb, wb) for wb in fwhms_b]
+        row = spc.SpectralProfile.from_fwhm(shape_b, cb, fwhms_b)
         for j, cos_theta in enumerate(spc.overlaps(profile_a, row).tolist()):
             out[i, j] = visibility_at(fock.mode_overlap(pol.H, pol_b, cos_theta))
     return out

@@ -286,11 +286,18 @@ _H_LOSSLESS = fock.Apparatus(fock.BeamSplitter(0.45, 0.55), pol.Detector(1.0, 0.
     ("xi", [0.5, 1.0, 3.0], 3, 3, pol.H, _DETECTORS),
     ("xi", [0.6, 1.7], 1, 2, pol.H, fock.IDEAL_APPARATUS),
 ])
-def test_contour_equals_per_cell_mixed_visibility(field, values, m, n, pol_b, app):
+def test_contour_equals_per_cell_mixed_visibility(field, values, m, n, pol_b, app,
+                                                  monkeypatch):
+    # each row's overlaps are one overlaps() call on arm B's broadened family
+    calls = []
+    real_overlaps = spc.overlaps
+    monkeypatch.setattr(spc, "overlaps", lambda a, b: calls.append(b) or real_overlaps(a, b))
     src_a = src(m, pol.H, GAUSS)
     src_b = src(n, pol_b, spc.SpectralProfile(spc.Shape.SECH, CENTER + 0.4, 2.5))
     chans = [chn.ChannelSpec(**{field: v}) for v in values]
     grid = chn.channel_visibility_contour(src_a, src_b, chans, chans, app)
+    assert len(calls) == len(chans)
+    assert all(np.shape(b.broadening) == (len(chans),) for b in calls)
     reference = [[chn.mixed_visibility(chn.apply_channel(src_a, ch_a),
                                        chn.apply_channel(src_b, ch_b), app)
                   for ch_b in chans] for ch_a in chans]

@@ -279,6 +279,10 @@ def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
      "bandwidth.steps"),
     (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.steps=1"],
      "bandwidth.steps"),
+    # a centre axis reaching zero frequency
+    (["contour", "--grid", "3", "--set", "center_span_fwhm=1e6"], "center_span_fwhm"),
+    (["coherent", "--set", "mode=contour", "--grid", "3",
+      "--set", "center_span_fwhm=1e6"], "center_span_fwhm"),
 ])
 def test_bad_range_exits_2_naming_key(args, key, tmp_path, capsys):
     # ranges and grid sides, with and without --grid overriding them
@@ -403,14 +407,14 @@ def test_dip_two_photon_block_endpoints(tmp_path):
 
 def test_dip_computes_each_overlap_once_per_tau(tmp_path, monkeypatch):
     # the default job has 3 photon pairs x 3 Phi blocks; cos Theta(tau) is
-    # shared by all nine, so the scan is one overlaps() call over the delays
+    # shared by all nine, so the scan is one overlaps() call on photon B's
+    # family of delays
     scans = []
     real_overlaps = spc.overlaps
 
-    def counting_overlaps(a, bs):
-        bs = list(bs)
-        scans.append([b.delay for b in bs])
-        return real_overlaps(a, bs)
+    def counting_overlaps(a, b):
+        scans.append(np.broadcast_to(b.delay, np.shape(b.delay)).tolist())
+        return real_overlaps(a, b)
 
     monkeypatch.setattr(spc, "overlaps", counting_overlaps)
     taus = np.linspace(-6.0, 6.0, 241)
@@ -573,6 +577,26 @@ def test_coherent_high_mu_coincidence_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err and "mu_a=1000, mu_b=4000" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, point", [
+    (["contour", "--grid", "3", "--set", "width_factor=1e200"],
+     "B center 1212.97 rad/ps, effective width 3.33417e-201, delay 0 ps"),
+    (["channels", "--set", "mode=broadening", "--grid", "3", "--set", "xi_max=1e300"],
+     "B center 1216.11 rad/ps, effective width 3.14159e+300, delay 0 ps"),
+], ids=["contour", "channels"])
+def test_overflowing_overlaps_exit_3_naming_the_point(args, point):
+    # a separate process, so that numpy's RuntimeWarnings would reach stderr
+    # rather than fail the test
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-m", "homsim.cli"] + args,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == (
+        "numerical failure: gaussian-gaussian overlap magnitude is not finite or "
+        f"exceeds the Cauchy-Schwarz bound at {point} (residual nan)\n")
 
 
 def test_coherent_ratio_map_max_at_unit_ratios(tmp_path):

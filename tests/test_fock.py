@@ -214,19 +214,25 @@ def test_dip_curve_two_photon_endpoints():
     assert curve[8.0] == pytest.approx(7 / 8, abs=1e-9)
 
 
-def test_dip_curve_shared_cos_theta_matches_per_block_scan():
+def test_dip_curve_shared_cos_theta_matches_per_block_scan(monkeypatch):
     # one overlap scan shared by every (m, n, Phi) block gives exactly the
-    # numbers of each block scanning its own overlaps
+    # numbers of each block scanning its own overlaps, one overlaps() call
+    # on arm B's family of delays per scan
     a = spc.SpectralProfile(spc.Shape.SECH, CENTER, 0.8 * math.pi)
     b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 1.2, 2.5)
     app = fock.Apparatus(BALANCED, pol.Detector(0.9, 0.8), pol.Detector(0.85, 0.95))
     taus = np.linspace(-4.0, 4.0, 17)
-    cos_theta = spc.overlap_curve(a, b, taus)
+    cos_theta = spc.overlaps(a, b.delayed(taus))
+    real_overlaps = spc.overlaps
     for (m, n), phi in itertools.product([(1, 1), (2, 2), (3, 3)],
                                          [0.0, 0.25 * math.pi, 0.5 * math.pi]):
         pair = fock.FockPair(m, n, pol.H, pol.rotate(pol.H, phi), a, b)
+        calls = []
+        monkeypatch.setattr(spc, "overlaps",
+                            lambda a, b: calls.append(b) or real_overlaps(a, b))
         assert (fock.dip_curve(pair, taus, app, cos_theta)
                 == fock.dip_curve(pair, taus, app))
+        assert [b.delay.tolist() for b in calls] == [taus.tolist()]
 
 
 def test_dip_curve_rejects_mismatched_cos_theta():

@@ -216,59 +216,113 @@ def test_sinc_rect_autocorrelation():
     assert spc.overlap(p, p.delayed(2.5)).magnitude == 0.0
 
 
+def member(family, index):
+    """The scalar profile at ``index`` of a profile family."""
+    fields = (family.center, family.width, family.delay, family.broadening)
+    shape = np.broadcast(*fields).shape
+    return spc.SpectralProfile(family.shape, *(float(np.broadcast_to(x, shape)[index])
+                                               for x in fields))
+
+
+def assert_pointwise(a, family):
+    """Each element of overlaps(a, family) carries the bits of overlap() on
+    that element's photon."""
+    got = spc.overlaps(a, family)
+    assert got.shape == np.broadcast(family.center, family.width, family.delay,
+                                     family.broadening).shape
+    for index in np.ndindex(got.shape):
+        assert got[index] == spc.overlap(a, member(family, index)).magnitude
+
+
+PAIRINGS = [(sa, sb) for sa in SHAPES for sb in SHAPES]
+
+
 def test_overlap_curve_is_the_delayed_overlap_family():
-    # every pairing whose scan is one array formula: each delay must carry
-    # the bits of its own overlap()
+    # a dip scan is one overlaps() call on photon B's family of delays; on
+    # every pairing each delay must carry the bits of its own overlap()
     width = {"sech": 0.6, "sinc": 2.5, "lorentzian": 0.6, "gaussian": 0.4}
-    for shape_a, shape_b in [("sech", "sinc"), ("sinc", "sech"), ("sech", "sech"),
-                             ("sech", "lorentzian"), ("lorentzian", "sech"),
-                             ("sech", "gaussian"), ("gaussian", "sech"),
-                             ("sinc", "sinc"), ("sinc", "lorentzian"),
-                             ("lorentzian", "sinc"), ("lorentzian", "lorentzian"),
-                             ("gaussian", "sinc"), ("gaussian", "lorentzian"),
-                             ("sinc", "gaussian"), ("lorentzian", "gaussian")]:
-        a = profile(shape_a, width[shape_a])
-        b = spc.SpectralProfile(spc.Shape(shape_b), CENTER + 0.3, width[shape_b], delay=0.2)
-        taus = np.linspace(-3.0, 3.0, 13)
-        curve = spc.overlap_curve(a, b, taus)
+    taus = np.linspace(-3.0, 3.0, 13)
+    for shape_a, shape_b in PAIRINGS:
+        a = profile(shape_a, width[shape_a.value])
+        b = spc.SpectralProfile(shape_b, CENTER + 0.3, width[shape_b.value], delay=0.2)
+        curve = spc.overlaps(a, b.delayed(taus))
         assert curve.shape == taus.shape
         for tau, got in zip(taus, curve):
             assert got == spc.overlap(a, b.delayed(tau)).magnitude
-        assert spc.overlap_curve(a, b, []).shape == (0,)
+        assert spc.overlaps(a, b.delayed(np.array([]))).shape == (0,)
 
 
 @pytest.mark.parametrize("shape_b", SHAPES)
 @pytest.mark.parametrize("shape_a", SHAPES)
-def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b):
-    # each row is one overlaps() call; every value must be the one a
-    # separate overlap() call gives, bit for bit
+def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b, monkeypatch):
+    # each row is one overlaps() call on a family; every value must be the
+    # one a separate overlap() call gives, bit for bit
+    calls = []
+    real_overlaps = spc.overlaps
+    monkeypatch.setattr(spc, "overlaps", lambda a, b: calls.append(b) or real_overlaps(a, b))
     prof_a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, 2.4)
     fw = spc.fwhm(prof_a)
     centers = np.linspace(CENTER - 4.0 * fw, CENTER + 4.0 * fw, 5)
     fwhms = sweeps.log_grid(fw, 8.0, 5)
     grid = sweeps.contour_grid(lambda c: c, prof_a, shape_b, centers, fwhms, pol.H)
+    assert len(calls) == len(centers)
     ref = [[spc.overlap(prof_a, spc.SpectralProfile.from_fwhm(shape_b, cb, wb)).magnitude
             for wb in fwhms] for cb in centers]
     assert grid.tolist() == ref
+    # 0-d, (n,), (n, m) and mixed broadcast fields
+    width = spc.SpectralProfile.from_fwhm(shape_b, CENTER, fwhms).width
+    delays = np.linspace(-2.0, 2.0, 3) / fw
+    grid_c, grid_w = np.meshgrid(centers, width, indexing="ij")
+    for family in (
+            spc.SpectralProfile(shape_b, CENTER + 0.3 * fw, width[1], 0.5 / fw),
+            spc.SpectralProfile(shape_b, centers, width, delays[2]),
+            spc.SpectralProfile(shape_b, grid_c, grid_w, np.full(grid_c.shape, delays[0]),
+                                np.full(grid_c.shape, 1.3)),
+            spc.SpectralProfile(shape_b, centers[:, None, None], width[:, None], delays,
+                                np.array([0.8, 1.25, 2.0]))):
+        assert_pointwise(prof_a, family)
 
 
-def test_width_search_probes_each_width_once(monkeypatch):
-    # the golden-section bracket reaches floating-point resolution before
-    # its last steps; those steps must reuse the widths already probed
-    probes = []
-    overlap = spc.overlap
+def test_overlaps_of_an_empty_family_are_empty():
+    a = profile("sech", 0.5)
+    for shape in SHAPES:
+        assert spc.overlaps(a, profile(shape, np.array([]))).shape == (0,)
+        assert spc.overlaps(a, profile(shape, 1.0, delay=np.zeros((0, 3)))).shape == (0, 3)
 
-    def counted(a, b):
-        probes.append(b)
-        return overlap(a, b)
 
-    monkeypatch.setattr(spc, "overlap", counted)
-    a = spc.SpectralProfile.from_fwhm("sech", CENTER, 2.0)
-    best = sweeps.max_overlap_width(a, spc.Shape.GAUSSIAN)
-    assert len(probes) == len(set(probes)) == 79
-    monkeypatch.setattr(spc, "overlap", overlap)
-    assert spc.overlap(a, spc.SpectralProfile.from_fwhm("gaussian", CENTER, best[0])
-                       ).magnitude == best[1]
+@pytest.mark.parametrize("field, message", [
+    ("width", "width must be positive"), ("broadening", "broadening must be positive"),
+    ("center", "center frequency must be positive")])
+def test_family_with_a_bad_element_raises(field, message):
+    values = {"width": 0.5, "broadening": 1.0, "center": CENTER}
+    for bad in (0.0, -1.0, np.nan):
+        values[field] = np.array([[values[field], bad], [values[field]] * 2])
+        with pytest.raises(ValueError, match=message):
+            spc.SpectralProfile(spc.Shape.SECH, values["center"], values["width"],
+                                broadening=values["broadening"])
+        values[field] = values[field][1, 0]
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    (sa, sb) for sa, sb in PAIRINGS if sa is not sb])
+def test_width_search_is_fixed_rounds_of_one_call(shape_a, shape_b, monkeypatch):
+    # one overlaps() call per round; the optimum matches a dense log grid
+    # over the same bracket, and its cos Theta is overlap() at that width,
+    # the last round's best element
+    calls = []
+    real_overlaps = spc.overlaps
+    monkeypatch.setattr(spc, "overlaps", lambda a, b: calls.append(b) or real_overlaps(a, b))
+    a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, 2.0)
+    best_fwhm, best_cos = sweeps.max_overlap_width(a, shape_b)
+    assert len(calls) == sweeps._WIDTH_ROUNDS
+    assert all(np.shape(b.width) == (sweeps._WIDTH_POINTS,) for b in calls)
+    span = sweeps._WIDTH_SPAN
+    dense = np.exp(np.linspace(math.log(2.0 / span), math.log(2.0 * span), 20_001))
+    dense_max = max(real_overlaps(a, spc.SpectralProfile.from_fwhm(shape_b, CENTER, part)).max()
+                    for part in np.array_split(dense, 21))
+    assert best_cos >= dense_max - 1e-15
+    assert spc.overlap(a, spc.SpectralProfile.from_fwhm(shape_b, CENTER, best_fwhm)
+                       ).magnitude == best_cos == real_overlaps(a, calls[-1]).max()
 
 
 @pytest.mark.parametrize("shape_b", SHAPES)
@@ -276,7 +330,7 @@ def test_width_search_probes_each_width_once(monkeypatch):
 def test_overlap_is_the_one_member_overlaps(shape_a, shape_b, monkeypatch):
     # one pairing dispatch serves overlap() and overlaps(), and with the
     # quadrature out of reach overlap() still answers on every pairing,
-    # with the bits overlaps() gives
+    # with the bits overlaps() gives on a 0-d profile and on a family
     def refuse(*args, **kwargs):
         raise AssertionError("an overlap ran a quadrature")
 
@@ -285,22 +339,31 @@ def test_overlap_is_the_one_member_overlaps(shape_a, shape_b, monkeypatch):
     for b in (spc.SpectralProfile.from_fwhm(shape_b, CENTER, 2.4),
               spc.SpectralProfile.from_fwhm(shape_b, CENTER + 1.1, 4.0, delay_ps=0.7)):
         got = spc.overlap(a, b)
-        assert [got.magnitude] == spc.overlaps(a, [b]).tolist()
+        zero_d = spc.overlaps(a, b)
+        assert zero_d.shape == () and zero_d.item() == got.magnitude
+        assert spc.overlaps(a, b.delayed(np.zeros(3))).tolist() == [got.magnitude] * 3
         assert got.magnitude == min(abs(got.value), 1.0)
         assert got.theta == math.acos(got.magnitude)
 
 
 def test_overlaps_raise_the_first_failing_point(monkeypatch):
-    # the first b in order whose magnitude fails the Cauchy-Schwarz check
-    # raises, as a loop over overlap() would; a NaN magnitude fails it too
+    # the first point in C order whose magnitude fails the Cauchy-Schwarz
+    # check raises, naming it, as a loop over overlap() would; a NaN
+    # magnitude fails it too
     a = profile("sech", 0.5)
-    row = [profile("sinc", w) for w in (1.0, 2.0, 3.0)]
-    for values, first_bad in (([0.5, 1.5, np.nan], 1.5), ([0.5, np.nan, 1.5], np.nan)):
+    for values, widths, first_bad, width in (
+            ([0.5, 1.5, np.nan], [1.0, 2.0, 3.0], 1.5, 2.0),
+            ([0.5, np.nan, 1.5], [1.0, 2.0, 3.0], np.nan, 2.0),
+            ([[0.5, 0.9, 0.1], [1.5, np.nan, 0.2]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+             1.5, 4.0)):
         monkeypatch.setattr(spc, "_overlap_values",
-                            lambda a, bs, values=values: np.array(values, dtype=complex))
+                            lambda a, b, values=values: np.array(values, dtype=complex))
         with pytest.raises(IntegrationError, match="Cauchy-Schwarz") as err:
-            spc.overlaps(a, row)
+            spc.overlaps(a, profile("sinc", np.array(widths)))
         assert err.value.residual == pytest.approx(first_bad - 1.0, nan_ok=True)
+        assert (f"sech-sinc overlap magnitude is not finite or exceeds the Cauchy-Schwarz "
+                f"bound at B center {CENTER:.6g} rad/ps, effective width {width:.6g}, "
+                f"delay 0 ps") in str(err.value)
 
 
 EXPONENTIAL = [spc.Shape.SINC, spc.Shape.LORENTZIAN]
@@ -465,8 +528,10 @@ def _scan_overlap_curves(pairings):
     """Delay scans over narrow to broad photons, widths e^+-4 apart, detuned
     by up to 10^4 FWHM and delayed by up to 100 / FWHM; asserts that every
     value is finite and a magnitude, with no overflow or invalid operation
-    on the way (the suite turns every RuntimeWarning into an error, see
-    pyproject.toml), and returns how many values it checked."""
+    on the way, and returns how many values it checked.  The kernels are
+    called directly, outside the floating-point error state overlaps()
+    sets, so that the suite turns any of numpy's RuntimeWarnings into an
+    error (see pyproject.toml)."""
     count = 0
     for shape_a, shape_b in pairings:
         for fw in (0.01, 0.1, 1.0, 10.0):
@@ -475,8 +540,9 @@ def _scan_overlap_curves(pairings):
                     a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, fw)
                     b = spc.SpectralProfile.from_fwhm(
                         shape_b, CENTER + detuning * fw, fw * math.exp(log_ratio))
-                    taus = np.linspace(-100.0 / fw, 100.0 / fw, 41)
-                    got = spc.overlap_curve(a, b, taus)
+                    scan = b.delayed(np.linspace(-100.0 / fw, 100.0 / fw, 41))
+                    spc._overlap_values(a, scan)
+                    got = spc.overlaps(a, scan)
                     assert np.all(np.isfinite(got))
                     assert np.all((got >= 0.0) & (got <= 1.0))
                     count += got.size
@@ -492,7 +558,7 @@ def test_disjoint_rectangles_overlap_exactly_zero():
     a = profile("sinc", 2.0)
     b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 0.3, 1.0, delay=1.5)
     assert spc.overlap(a, b).value == 0.0
-    assert spc.overlaps(a, [b, b.delayed(0.1)]).tolist() == [0.0, 0.0]
+    assert spc.overlaps(a, b.delayed(np.array([0.0, 0.1]))).tolist() == [0.0, 0.0]
 
 
 def test_matched_lorentzians_overlap_to_one():
@@ -518,13 +584,6 @@ def test_lorentzian_width_ratio_overlap():
     a = profile("lorentzian", 0.8)
     b = profile("lorentzian", 0.1)
     assert spc.overlap(a, b).magnitude ** 2 == pytest.approx(32.0 / 81.0, abs=1e-15)
-
-
-def test_overlaps_need_one_shape():
-    a = profile("sech", 0.5)
-    with pytest.raises(ValueError):
-        spc.overlaps(a, [profile("sinc", 1.0), profile("gaussian", 1.0)])
-    assert spc.overlaps(a, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
