@@ -140,10 +140,8 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     # cos(Theta(tau)) depends only on the spectra: one scan serves every block
     cos_theta = spc.overlaps(prof_a, prof_b.delayed(taus))
     for phi, pair in blocks:
-        lines.append(f"# block m={pair.m} n={pair.n} phi={_fmt(phi)}")
-        lines.append("tau_ps,p_co")
-        for tau, p in fock.dip_curve(pair, taus, app, cos_theta):
-            lines.append(f"{_fmt(tau)},{_fmt(p)}")
+        lines += [f"# block m={pair.m} n={pair.n} phi={_fmt(phi)}", "tau_ps,p_co"]
+        lines += [f"{_fmt(tau)},{_fmt(p)}" for tau, p in fock.dip_curve(pair, taus, app, cos_theta)]
     _emit(out, lines)
 
 
@@ -185,11 +183,11 @@ def _emit_grid(command: str, cfg: dict, out: str | None, xs, ys, grid,
 
 def _emit_contour(command: str, cfg: dict, out: str | None,
                   prof_a: spc.SpectralProfile,
-                  visibility_at: Callable[[float], float],
+                  visibility_at: Callable[[np.ndarray], np.ndarray],
                   pol_b: pol.PolarizationVector) -> None:
     """Photon B's (center, FWHM) contour, shared by `contour` and
-    `coherent --set mode=contour`; ``visibility_at`` maps the mode overlap c
-    to the visibility of the command's input."""
+    `coherent --set mode=contour`; ``visibility_at`` maps a row of mode
+    overlaps c to the visibilities of the command's input."""
     shape_b = cfgmod.parse_shape(cfg["shape_b"], "shape_b")
     centers, fwhms = _contour_axes(cfg, prof_a)
     grid = sweeps.contour_grid(visibility_at, prof_a, shape_b, centers, fwhms, pol_b)
@@ -278,8 +276,10 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
         pair = coh.CoherentPair(cfgmod.parse_real(cfg, "mu_a", nonnegative=True),
                                 cfgmod.parse_real(cfg, "mu_b", nonnegative=True),
                                 pol.H, pol_b)
+        # the coherent closed form takes one c at a time
         _emit_contour("coherent", cfg, out, prof_a,
-                      lambda c: coh.visibility_from_params(pair, app, c), pol_b)
+                      lambda cs: [coh.visibility_from_params(pair, app, c)
+                                  for c in cs.tolist()], pol_b)
     elif mode == "curve":
         mus = _linspace(cfg, "mu_curve", nonnegative=True)
         phi = cfgmod.parse_real(cfg, "phi")
@@ -336,30 +336,25 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
     # field on top of them
     base_a = cfgmod.parse_channel(cfg.get("channel_a", {}), "channel_a")
     base_b = cfgmod.parse_channel(cfg.get("channel_b", {}), "channel_b")
-    if mode == "damping":
-        key = "gamma_max"
-        vals = np.linspace(0.0, cfgmod.parse_real(cfg, key, nonnegative=True), n)
-        sweep = [{"gamma": float(g)} for g in vals]
-        labels = ("gamma_a", "gamma_b", "visibility")
-    elif mode == "depolarizing":
-        key = "p_max"
-        vals = np.linspace(0.0, cfgmod.parse_real(cfg, key, nonnegative=True), n)
-        sweep = [{"p_depol": float(p)} for p in vals]
-        labels = ("p_a", "p_b", "visibility")
-    elif mode == "broadening":
-        key = "xi_max"
+    # mode -> (config key of the range's end, ChannelSpec field, axis label)
+    swept = {"damping": ("gamma_max", "gamma", "gamma"),
+             "depolarizing": ("p_max", "p_depol", "p"),
+             "broadening": ("xi_max", "xi", "xi")}
+    if mode not in swept:
+        raise ConfigError(f"config field 'mode': unknown channels mode {mode!r}")
+    key, field, label = swept[mode]
+    if mode == "broadening":
         xi_min = cfgmod.parse_real(cfg, "xi_min", positive=True)
         xi_max = cfgmod.parse_real(cfg, key, positive=True)
         vals = np.exp(np.linspace(math.log(xi_min), math.log(xi_max), n))
-        sweep = [{"xi": float(x)} for x in vals]
-        labels = ("xi_a", "xi_b", "visibility")
     else:
-        raise ConfigError(f"config field 'mode': unknown channels mode {mode!r}")
+        vals = np.linspace(0.0, cfgmod.parse_real(cfg, key, nonnegative=True), n)
     try:
-        ch_a = [dataclasses.replace(base_a, **kw) for kw in sweep]
-        ch_b = [dataclasses.replace(base_b, **kw) for kw in sweep]
+        ch_a = [dataclasses.replace(base_a, **{field: float(v)}) for v in vals]
+        ch_b = [dataclasses.replace(base_b, **{field: float(v)}) for v in vals]
     except ValueError as exc:  # the swept range leaves the channel's domain
         raise ConfigError(f"config field '{key}': {exc}") from None
+    labels = (f"{label}_a", f"{label}_b", "visibility")
     grid = chn.channel_visibility_contour(src_a, src_b, ch_a, ch_b, app)
     _emit_grid("channels", cfg, out, vals, vals, grid, labels)
 
@@ -538,13 +533,7 @@ def cmd_protocols(cfg: dict, out: str | None) -> None:
             "spectral_error": e_f,
         },
         "error_budget": {
-            "contributions": {
-                "e_background": budget.e_background,
-                "e_asymmetry": budget.e_asymmetry,
-                "e_polarization": budget.e_polarization,
-                "e_temporal": budget.e_temporal,
-                "e_spectral": budget.e_spectral,
-            },
+            "contributions": dataclasses.asdict(budget),
             "total": total,
             "useless_regime": total > 0.5,
         },

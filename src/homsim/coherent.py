@@ -231,13 +231,13 @@ def coherent_visibility(mu: float, phi: float) -> float:
     series form is used to dodge the 0/0 cancellation.  Above mu = 700,
     where I0 and sinh^2 are about to overflow, the same ratio is taken in
     the log domain, 2 (i0e(x) e^{x - mu} - e^{-mu}) / (1 - e^{-mu})^2 with
-    x = mu cos Phi, which stays finite for every mu.  The direct form is
+    x = mu |cos Phi|, which stays finite for every mu.  The direct form is
     kept below: the log-domain form cancels e^{-mu} against i0e(x) e^{x-mu}
     and would move small-mu values in the 12th digit.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    x = mu * math.cos(phi)
+    x = mu * abs(math.cos(phi))  # I0 is even
     if mu < 1e-4:
         c2 = math.cos(phi) ** 2
         return 0.5 * c2 * (1.0 + x * x / 16.0) / (1.0 + mu * mu / 12.0)

@@ -14,11 +14,12 @@ can push the value negative for very lossy detectors under strong
 bunching; that regime raises :class:`InvalidRegimeError`.  The tau ->
 infinity baseline used by the visibility is evaluated analytically by
 sending the spectral overlap to zero (P_bunch -> 1), which every envelope
-family satisfies.
+family satisfies.  Each formula takes c as a float or an array (a sweep row).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -111,64 +112,94 @@ class Apparatus:
 IDEAL_APPARATUS = Apparatus()
 
 
-def _binom(n: int, k: int) -> float:
-    if n <= _LOG_BINOM_CUTOFF:
-        return float(math.comb(n, k))
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+def _log_binom(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def bunching_factor(m: int, n: int, c: float) -> float:
-    """P_bunch = sum_{j=0}^{min(m,n)} C(m,j) C(n,j) c^{2j}; >= 1, symmetric."""
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be non-negative")
-    if not 0.0 <= c <= 1.0 + 1e-12:
+@functools.lru_cache(maxsize=4096)
+def _binom_products(m: int, n: int) -> tuple[float, ...]:
+    """C(m,j) C(n,j), j = 0..min(m, n): exact integers up to the cutoff."""
+    def binom(k, j):
+        return float(math.comb(k, j)) if k <= _LOG_BINOM_CUTOFF else math.exp(_log_binom(k, j))
+    return tuple(binom(m, j) * binom(n, j) for j in range(min(m, n) + 1))
+
+
+def _even_series(coefs: Iterable[float], c: float | np.ndarray) -> float | np.ndarray:
+    """sum_j coefs[j] c^{2j}, shaped like the overlap c (checked to lie in
+    [0, 1]); an array squares through libm's pow, as a float's ``**`` does
+    (``c * c`` differs on about 0.1% of inputs)."""
+    array = isinstance(c, np.ndarray)
+    if not (np.all((c >= 0.0) & (c <= 1.0 + 1e-12)) if array else 0.0 <= c <= 1.0 + 1e-12):
         raise ValueError("mode overlap c must lie in [0, 1]")
-    c2 = min(c, 1.0) ** 2
-    total = 0.0
-    term_pow = 1.0
-    for j in range(min(m, n) + 1):
-        total += _binom(m, j) * _binom(n, j) * term_pow
+    c2 = np.float_power(np.minimum(c, 1.0), 2.0) if array else min(c, 1.0) ** 2
+    total, term_pow = 0.0 * c2, 1.0
+    for coef in coefs:
+        total += coef * term_pow
         term_pow *= c2
     return total
 
 
-def p_all_one_side(pair: FockPair, bs: BeamSplitter) -> tuple[float, float]:
-    """(P all m+n photons exit toward detector A, same toward B).
+def bunching_factor(m: int, n: int, c: float | np.ndarray) -> float | np.ndarray:
+    """P_bunch = sum_{j=0}^{min(m,n)} C(m,j) C(n,j) c^{2j}; >= 1, symmetric."""
+    if m < 0 or n < 0:
+        raise ValueError("photon numbers must be non-negative")
+    return _even_series(_binom_products(m, n), c)
 
-    T^m R^n P_bunch and T^n R^m P_bunch respectively.
+
+def _one_side(m: int, n: int, c, bs: BeamSplitter) -> tuple:
+    """(w_A, w_B, p) with T^m R^n P_bunch = w_A p and T^n R^m P_bunch = w_B p.
+
+    Past the cutoff P_bunch overflows where T^m R^n underflows, so there
+    each T^m R^n C(m,j) C(n,j) (at most 1) is formed in the log domain.
     """
-    c = pair.mode_overlap()
-    p = bunching_factor(pair.m, pair.n, c)
     t, r = bs.transmissivity, bs.reflectivity
-    return (t**pair.m * r**pair.n * p, t**pair.n * r**pair.m * p)
+    if max(m, n) <= _LOG_BINOM_CUTOFF:
+        return t**m * r**n, t**n * r**m, bunching_factor(m, n, c)
+    logs = [_log_binom(m, j) + _log_binom(n, j) for j in range(min(m, n) + 1)]
+
+    def weighted(a, b):  # T^a R^b P_bunch, with 0^0 = 1
+        log_w = sum(k * math.log(x) if x > 0.0 else -math.inf for k, x in ((a, t), (b, r)) if k)
+        return _even_series([math.exp(log_w + lg) for lg in logs], c)
+    return weighted(m, n), weighted(n, m), 1.0
+
+
+def p_all_one_side(pair: FockPair, bs: BeamSplitter) -> tuple[float, float]:
+    """(P all m+n photons exit toward detector A, same toward B):
+    T^m R^n P_bunch and T^n R^m P_bunch."""
+    w_a, w_b, p = _one_side(pair.m, pair.n, pair.mode_overlap(), bs)
+    return (w_a * p, w_b * p)
 
 
 def _deltas(m: int, n: int, pol_a: pol.PolarizationVector,
             pol_b: pol.PolarizationVector, app: Apparatus) -> tuple[float, float]:
     """Click terms (Delta_A, Delta_B) of one pure branch: m photons in
     pol_a and n in pol_b reaching each detector."""
-    da = pol.click_probability(app.det_a, pol_a, pol_b, m, n)
-    db = pol.click_probability(app.det_b, pol_a, pol_b, m, n)
-    return da, db
+    return (pol.click_probability(app.det_a, pol_a, pol_b, m, n),
+            pol.click_probability(app.det_b, pol_a, pol_b, m, n))
 
 
-def coincidence_raw(m: int, n: int, c: float, bs: BeamSplitter,
-                    delta_a: float, delta_b: float) -> float:
+def coincidence_raw(m: int, n: int, c: float | np.ndarray, bs: BeamSplitter,
+                    delta_a: float, delta_b: float) -> float | np.ndarray:
     """Coincidence probability from pre-computed overlaps and click terms.
 
-    Raises :class:`InvalidRegimeError` if the formula leaves [0,1] by more
-    than 1e-9; sub-tolerance excursions are clamped.
+    Raises :class:`InvalidRegimeError`, naming the first failing point in C
+    order, if the formula is not finite or leaves [0,1] by more than 1e-9;
+    sub-tolerance excursions are clamped.
     """
     if m + n < 1:
         raise ValueError("coincidence requires at least one photon")
-    t, r = bs.transmissivity, bs.reflectivity
-    p = bunching_factor(m, n, c)
-    val = delta_a * delta_b - (t**m * r**n * delta_a + t**n * r**m * delta_b) * p
-    if val < -1e-9 or val > 1.0 + 1e-9:
-        raise InvalidRegimeError(
-            f"coincidence {val:.6g} outside [0,1] for m={m}, n={n}, c={c:.4g}; "
-            "parameter set lies outside the detection model's validity")
-    return min(max(val, 0.0), 1.0)
+    w_a, w_b, p = _one_side(m, n, c, bs)
+    val = delta_a * delta_b - (w_a * delta_a + w_b * delta_b) * p
+    if isinstance(val, np.ndarray):
+        bad = np.flatnonzero(~((val >= -1e-9) & (val <= 1.0 + 1e-9)))
+        if not bad.size:
+            return np.clip(val, 0.0, 1.0)
+        val, c = val.flat[bad[0]], c.flat[bad[0]]
+    elif -1e-9 <= val <= 1.0 + 1e-9:
+        return min(max(val, 0.0), 1.0)
+    raise InvalidRegimeError(
+        f"coincidence {val:.6g} outside [0,1] for m={m}, n={n}, c={c:.4g}; "
+        "parameter set lies outside the detection model's validity")
 
 
 def coincidence(pair: FockPair, app: Apparatus = IDEAL_APPARATUS) -> float:
@@ -185,9 +216,10 @@ def dip_curve(pair: FockPair, taus: Iterable[float],
     Arm B's profile is shifted by each tau on top of its configured delay;
     polarization and detectors are held fixed, so only cos(Theta) moves.
     cos(Theta(tau)) is one :func:`spectral.overlaps` call per scan, on
-    arm B's family of delayed profiles; callers sweeping several (m, n,
-    Phi) over the same spectra and delays pass that array as
-    ``cos_theta`` so each point only evaluates :func:`coincidence_raw`.
+    arm B's family of delayed profiles, and the coincidences are one
+    :func:`coincidence_raw` call on the scan's array of c.  Callers
+    sweeping several (m, n, Phi) over the same spectra and delays pass
+    that cos(Theta) array as ``cos_theta``.
     """
     if pair.spec_a is None or pair.spec_b is None:
         raise ValueError("dip_curve needs spectral profiles on both arms")
@@ -198,17 +230,17 @@ def dip_curve(pair: FockPair, taus: Iterable[float],
     elif len(cos_theta) != len(taus):
         raise ValueError("cos_theta needs one value per tau")
     cs = mode_overlap(pair.pol_a, pair.pol_b, np.asarray(cos_theta, dtype=float))
-    return [(tau, coincidence_raw(pair.m, pair.n, float(c), app.bs, da, db))
-            for tau, c in zip(taus, cs)]
+    return list(zip(taus, coincidence_raw(pair.m, pair.n, cs, app.bs, da, db).tolist()))
 
 
-def dip_visibility(p_at: Callable[[float], float], c: float) -> float:
+def dip_visibility(p_at: Callable, c: float | np.ndarray) -> float | np.ndarray:
     """V = (P(0) - P(c)) / P(0): the dip at overlap c against its baseline.
 
     ``p_at`` maps an overlap to a coincidence probability; the far-delay
     baseline is its value at 0, where cos(Theta) -> 0 kills the overlap
     (Riemann-Lebesgue for every envelope family).  The one visibility
-    rule: Fock, mixed-state and coherent inputs all come here.
+    rule: Fock, mixed-state and coherent inputs all come here.  An array
+    ``c`` gives an array of visibilities against the one baseline.
     """
     p_inf = p_at(0.0)
     if p_inf == 0.0:
@@ -217,10 +249,11 @@ def dip_visibility(p_at: Callable[[float], float], c: float) -> float:
     return (p_inf - p_0) / p_inf
 
 
-def visibility_from_c(m: int, n: int, c0: float, app: Apparatus,
+def visibility_from_c(m: int, n: int, c0: float | np.ndarray, app: Apparatus,
                       pol_a: pol.PolarizationVector = pol.H,
-                      pol_b: pol.PolarizationVector = pol.H) -> float:
-    """Fock visibility at the mode overlap c0 (which includes cos(Phi))."""
+                      pol_b: pol.PolarizationVector = pol.H) -> float | np.ndarray:
+    """Fock visibility at the mode overlap c0 (which includes cos(Phi)); for
+    a sweep row of c0 the click terms and the c = 0 baseline are formed once."""
     da, db = _deltas(m, n, pol_a, pol_b, app)
     return dip_visibility(lambda c: coincidence_raw(m, n, c, app.bs, da, db), c0)
 

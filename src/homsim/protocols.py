@@ -123,9 +123,7 @@ class ErrorBudget:
 def total_error(budget: ErrorBudget) -> float:
     """Linear sum of the contributions (values above 1/2 are useless but
     reported as-is)."""
-    return math.fsum((budget.e_background, budget.e_asymmetry,
-                      budget.e_polarization, budget.e_temporal,
-                      budget.e_spectral))
+    return math.fsum(vars(budget).values())  # exactly rounded, so order-free
 
 
 def binary_entropy(x: float) -> float:

@@ -52,7 +52,7 @@ from .quadrature import IntegrationError
 
 __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
-    "amplitude", "time_envelope", "overlap", "overlaps",
+    "amplitude", "overlap", "overlaps",
     "gaussian_overlap_closed_form", "fwhm",
     "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
@@ -96,8 +96,8 @@ class SpectralProfile:
     Numeric fields may be numpy arrays that broadcast together: such a
     profile family stands for one photon per element of the broadcast
     shape, and serves :func:`overlaps`, :func:`fwhm`, :meth:`delayed` and
-    :meth:`broadened`.  :func:`overlap`, :func:`amplitude`,
-    :func:`time_envelope` and hashing take scalar fields.
+    :meth:`broadened`.  :func:`overlap`, :func:`amplitude` and hashing
+    take scalar fields.
     """
 
     shape: Shape
@@ -194,30 +194,9 @@ def amplitude(profile: SpectralProfile, omega) -> np.ndarray | complex:
     return complex(out) if np.isscalar(omega) else out
 
 
-
-def time_envelope(profile: SpectralProfile, t) -> np.ndarray | float:
-    """Real time-domain envelope G(t): phi's inverse Fourier transform.
-
-    With psi(t) = (1/sqrt(2 pi)) int phi(omega) e^{-i omega t} d omega the
-    full wavepacket is psi(t) = e^{-i omega_0 (t - tau)} G(t - tau); only
-    the real envelope G is returned here.  Each family's G is closed form
-    and square-normalized, which is what makes time-domain overlap
-    evaluation exact and fast (the sinc's G is a rectangle).
-    """
-    w = profile.effective_width
-    norm = _envelope_norm(profile.shape, w)
-    t = np.asarray(t, dtype=float)
-    if profile.shape is Shape.GAUSSIAN:
-        return norm * np.exp(-(w * t) ** 2)
-    if profile.shape is Shape.SINC:
-        return np.where(np.abs(t) <= 0.5 * w, norm, 0.0)
-    if profile.shape is Shape.LORENTZIAN:
-        return norm * np.exp(-0.5 * w * np.abs(t))
-    return norm / np.cosh(np.clip(0.5 * math.pi * w * t, -700, 700))
-
-
 def _envelope_norm(shape: Shape, w):
-    """Peak-normalization prefactor of G(t) for effective width(s) ``w``.
+    """Peak prefactor of the square-normalized time envelope G(t) (phi's
+    inverse Fourier transform) for effective width(s) ``w``.
 
     ``np.float_power`` calls libm's pow, as Python's ``**`` does;
     ``np.power`` may round differently in the last place.

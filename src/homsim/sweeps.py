@@ -5,7 +5,8 @@ at the optimum) and the visibility contours over photon B's spectral
 parameters, for Fock and coherent inputs alike.  Everything is
 deterministic: fixed grids, a fixed number of width-search rounds, no
 randomness.  Each sweep row, and each width-search round, is one
-:func:`spectral.overlaps` call on a profile family.
+:func:`spectral.overlaps` call on a profile family, and each contour row
+one visibility call on its array of mode overlaps.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def max_visibility_table(center: float, fwhm_a: float,
     """
     shapes = list(spc.Shape)
     out: dict[tuple[spc.Shape, spc.Shape], TableEntry] = {}
-    app = fock.IDEAL_APPARATUS
     for shape_a in shapes:
         prof_a = spc.SpectralProfile.from_fwhm(shape_a, center, fwhm_a)
         for shape_b in shapes:
@@ -86,29 +86,28 @@ def max_visibility_table(center: float, fwhm_a: float,
                 w, c = fwhm_a, 1.0  # matched profiles are the exact optimum
             else:
                 w, c = max_overlap_width(prof_a, shape_b)
-            vis = {mn: fock.visibility_from_c(mn[0], mn[1], c, app)
+            vis = {mn: fock.visibility_from_c(mn[0], mn[1], c, fock.IDEAL_APPARATUS)
                    for mn in photon_pairs}
             out[(shape_b, shape_a)] = TableEntry(vis, c, w / fwhm_a)
     return out
 
 
-def contour_grid(visibility_at: Callable[[float], float],
+def contour_grid(visibility_at: Callable[[np.ndarray], np.ndarray],
                  profile_a: spc.SpectralProfile, shape_b: spc.Shape,
                  centers_b: np.ndarray, fwhms_b: np.ndarray,
                  pol_b: pol.PolarizationVector) -> np.ndarray:
     """Visibility over photon B's (center, FWHM) grid, photon A fixed.
 
-    Photon A is H-polarized and photon B carries ``pol_b``; at each grid
-    point the mode overlap c = cos(Phi) cos(Theta) comes from
-    :func:`fock.mode_overlap` and ``visibility_at(c)`` turns it into the
-    visibility of the input at hand (Fock or coherent, with its
-    apparatus).  Each row (one center, every FWHM) gets its cos(Theta)
-    values from one :func:`spectral.overlaps` call on the row's profile
-    family.  Returns an array indexed [i_center, j_fwhm].
+    Photon A is H-polarized and photon B carries ``pol_b``.  Each row (one
+    center, every FWHM) gets its cos(Theta) values from one
+    :func:`spectral.overlaps` call on the row's profile family, its mode
+    overlaps c = cos(Phi) cos(Theta) from :func:`fock.mode_overlap`, and
+    its visibilities from one ``visibility_at(c_row)`` call, which maps an
+    array of c to the visibilities of the input at hand (Fock or coherent,
+    with its apparatus).  Returns an array indexed [i_center, j_fwhm].
     """
     out = np.empty((len(centers_b), len(fwhms_b)))
     for i, cb in enumerate(centers_b):
         row = spc.SpectralProfile.from_fwhm(shape_b, cb, fwhms_b)
-        for j, cos_theta in enumerate(spc.overlaps(profile_a, row).tolist()):
-            out[i, j] = visibility_at(fock.mode_overlap(pol.H, pol_b, cos_theta))
+        out[i] = visibility_at(fock.mode_overlap(pol.H, pol_b, spc.overlaps(profile_a, row)))
     return out

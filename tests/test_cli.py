@@ -787,3 +787,66 @@ def test_protocols_with_mismatch(tmp_path):
     assert report["mdi"]["outcome_table"]["DA"]["M23"] == pytest.approx(expected)
     assert report["error_budget"]["contributions"]["e_spectral"] == pytest.approx(
         0.5 * math.sin(0.5) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# one closed-form call per sweep row; large photon numbers
+# ---------------------------------------------------------------------------
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_contour_makes_one_visibility_call_per_row(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, fock, "visibility_from_c")
+    rc, text = run(["contour", "--grid", "21", "--set", "m=2", "--set", "phi=0.3"], tmp_path)
+    assert rc == 0 and len(data_rows(text)) == 21 * 21
+    assert len(calls) == 21
+    assert all(np.shape(args[2]) == (21,) for args in calls)
+
+
+def test_dip_makes_one_coincidence_call_per_block(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, fock, "coincidence_raw")
+    rc, text = run(["dip", "--grid", "31"], tmp_path)
+    assert rc == 0 and len(data_rows(text)) == 9 * 31
+    assert [args[:2] for args in calls] == [(m, m) for m in (1, 2, 3) for _ in range(3)]
+    assert all(np.shape(args[2]) == (31,) for args in calls)
+
+
+def test_lossy_dip_names_its_first_failing_point(tmp_path, capsys):
+    det = '{"eta_h":0.95,"eta_v":0.95}'
+    rc = cli.main(["dip", "--set", f"detector_a={det}", "--set", f"detector_b={det}",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: coincidence -0.00249375 outside [0,1] for m=1, n=1, c=1; "
+        "parameter set lies outside the detection model's validity\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["dip", "--grid", "3", "--set", "photons=[[600,600]]"],
+    ["dip", "--grid", "3", "--set", "photons=[[520,520]]"],
+    ["contour", "--grid", "3", "--set", "m=600", "--set", "n=600"],
+    ["tables", "--set", "photons=[[600,600]]"],
+    ["channels", "--grid", "2", "--set", "mode=depolarizing", "--set", "m=600",
+     "--set", "n=600"],
+], ids=["dip600", "dip520", "contour", "tables", "channels"])
+def test_large_photon_numbers_print_values(args, tmp_path):
+    rc, text = run(args, tmp_path)
+    assert rc == 0
+    assert not re.search(r"\bnan\b", text)
+    if args[0] == "dip":
+        # the first block's dip at tau = 0 is 1 - 2 C(2m, m) / 4^m (mpmath)
+        expected = {"600": 0.953943709462795, "520": 0.950529193582379}[args[-1][10:13]]
+        at_zero = next(ln for ln in data_rows(text) if ln.startswith("0,"))
+        assert float(at_zero[2:]) == pytest.approx(expected, abs=1e-11)
+
+
+def test_coherent_curve_past_half_pi_exits_0(tmp_path):
+    # I0 is even: Phi = 2 is Phi = pi - 2 as far as the visibility goes
+    rc, text = run(["coherent", "--set", "mode=curve", "--set", "phi=2"], tmp_path)
+    assert rc == 0
+    assert all(0.0 <= float(ln.split(",")[1]) <= 0.5 for ln in data_rows(text))

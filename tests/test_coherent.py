@@ -190,6 +190,14 @@ def test_negative_mu_rejected():
         coh.coherent_visibility(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("mu", [1e-5, 1.0, 1000.0], ids=["series", "direct", "log"])
+def test_coherent_visibility_past_half_pi(mu):
+    # I0 is even, so Phi and pi - Phi give one visibility in every branch
+    assert coh.coherent_visibility(mu, math.pi - 0.5) == pytest.approx(
+        coh.coherent_visibility(mu, 0.5), abs=1e-15)
+    assert 0.0 <= coh.coherent_visibility(mu, 2.0) <= 0.5
+
+
 def test_high_mu_overflow_names_mu():
     # math.exp overflows past x ~ 710 in the general closed form; the error
     # must say which intensities did it

@@ -317,3 +317,125 @@ def test_beam_splitter_validation():
         fock.BeamSplitter(-0.1, 1.1)
     with pytest.raises(ValueError):
         fock.FockPair(-1, 2)
+
+
+# ---------------------------------------------------------------------------
+# arrays of c: one call per sweep row, bit for bit the float results
+# ---------------------------------------------------------------------------
+
+LOSSY = fock.Apparatus(fock.BeamSplitter(0.6, 0.4), pol.Detector(0.9, 0.8),
+                       pol.Detector(0.85, 0.95))
+ROW_C = np.concatenate([[0.0, 1.0, 1.0 + 1e-13],
+                        np.random.default_rng(13).random(40)])
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _float_results(f, cs):
+    """Per-point float results of f, or the first failure (type, message)."""
+    try:
+        return _hex(f(float(c)) for c in cs), None
+    except (fock.InvalidRegimeError, ZeroDivisionError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(7) for n in range(7)])
+@pytest.mark.parametrize("app", [fock.IDEAL_APPARATUS, LOSSY], ids=["ideal", "lossy"])
+def test_array_c_equals_float_c_bit_for_bit(m, n, app):
+    assert _hex(fock.bunching_factor(m, n, ROW_C)) == _hex(
+        fock.bunching_factor(m, n, float(c)) for c in ROW_C)
+    if m + n < 1:
+        return
+    pol_b = pol.rotate(pol.H, 0.4)
+    da, db = fock._deltas(m, n, pol.H, pol_b, app)
+    for f in (lambda c: fock.coincidence_raw(m, n, c, app.bs, da, db),
+              lambda c: fock.visibility_from_c(m, n, c, app, pol.H, pol_b)):
+        expected, message = _float_results(f, ROW_C)
+        if message is None:
+            got = f(ROW_C)
+            assert isinstance(got, np.ndarray) and got.shape == ROW_C.shape
+            assert _hex(got) == expected
+        else:
+            # the first failing element raises its float call's error
+            with pytest.raises(message[0]) as exc:
+                f(ROW_C)
+            assert (type(exc.value), str(exc.value)) == message
+
+
+def test_array_c_raises_at_the_first_failing_point():
+    # eta = 0.8 on both detectors: (1, 1) goes negative past c ~ 0.96
+    det = pol.Detector(0.8, 0.8)
+    app = fock.Apparatus(BALANCED, det, det)
+    da, db = fock._deltas(1, 1, pol.H, pol.H, app)
+    cs = np.linspace(0.9, 1.0, 11)
+    failing = []
+    for c in cs:
+        try:
+            fock.coincidence_raw(1, 1, float(c), BALANCED, da, db)
+        except fock.InvalidRegimeError as exc:
+            failing.append(str(exc))
+    assert 1 < len(failing) < len(cs) - 1
+    with pytest.raises(fock.InvalidRegimeError) as exc:
+        fock.coincidence_raw(1, 1, cs, BALANCED, da, db)
+    assert str(exc.value) == failing[0]
+
+
+def test_array_c_outside_unit_interval_is_rejected():
+    with pytest.raises(ValueError, match="mode overlap c must lie in"):
+        fock.bunching_factor(1, 1, np.array([0.5, 1.1]))
+    with pytest.raises(ValueError, match="mode overlap c must lie in"):
+        fock.bunching_factor(1, 1, np.array([0.5, np.nan]))
+
+
+def test_non_finite_coincidence_is_rejected():
+    with pytest.raises(fock.InvalidRegimeError, match=r"coincidence nan .* m=1, n=1, c=0.5;"):
+        fock.coincidence_raw(1, 1, 0.5, BALANCED, math.nan, 1.0)
+    with pytest.raises(fock.InvalidRegimeError, match=r"coincidence nan .* m=1, n=1, c=0.25;"):
+        fock.coincidence_raw(1, 1, np.array([0.5, 0.25]), BALANCED, 1.0,
+                             np.array([1.0, math.nan]))
+
+
+# ---------------------------------------------------------------------------
+# large photon numbers
+# ---------------------------------------------------------------------------
+
+def _coincidence_reference(m, n, c, t, r):
+    """1 - (T^m R^n + T^n R^m) P_bunch in 50-digit arithmetic (ideal detectors)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c2, t, r = mpmath.mpf(c) ** 2, mpmath.mpf(t), mpmath.mpf(r)
+        p = mpmath.fsum(math.comb(m, j) * math.comb(n, j) * c2**j
+                        for j in range(min(m, n) + 1))
+        return float(1 - (t**m * r**n + t**n * r**m) * p)
+
+
+@pytest.mark.parametrize("m", [300, 520, 600, 1000])
+@pytest.mark.parametrize("c", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("t", [0.5, 0.3])
+def test_large_photon_coincidence_matches_mpmath(m, c, t):
+    # T^m R^n underflows and P_bunch overflows here; their product does not
+    bs = fock.BeamSplitter(t, 1.0 - t)
+    got = fock.coincidence(pair_with_overlap(m, m, c), fock.Apparatus(bs))
+    assert math.isfinite(got)
+    assert got == pytest.approx(_coincidence_reference(m, m, c, t, 1.0 - t), abs=1e-12)
+    pa, pb = fock.p_all_one_side(pair_with_overlap(m, m, c), bs)
+    assert 1.0 - (pa + pb) == pytest.approx(got, abs=1e-15)
+
+
+def test_large_photon_closed_forms():
+    # 1 - 2 C(2m, m) / 4^m at c = 1 on a balanced splitter (mpmath values)
+    for m, expected in ((520, 0.950529193582379), (600, 0.953943709462795)):
+        got = fock.coincidence_raw(m, m, np.array([0.0, 1.0]), BALANCED, 1.0, 1.0)
+        assert got[0] == pytest.approx(1.0, abs=1e-15)
+        assert got[1] == pytest.approx(expected, abs=1e-13)
+
+
+def test_large_unequal_photon_numbers_with_a_one_sided_splitter():
+    # T = 1: every photon of arm A reaches detector A and of arm B detector
+    # B, so both click whenever both arms hold photons
+    bs = fock.BeamSplitter(1.0, 0.0)
+    for m, n in ((100, 0), (0, 100), (100, 3), (3, 100)):
+        expected = 0.0 if 0 in (m, n) else 1.0
+        assert fock.coincidence(pair_with_overlap(m, n, 0.7), fock.Apparatus(bs)) == expected
