@@ -396,22 +396,22 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "angle_grid")
     n = _grid_n(cfg)
     if mode == "pair":
-        # one scenario from two JSA literals; only a pump literal is sampled
-        # here, and a separable one against it uses its own literal's grid
+        # one scenario from two JSA literals.  A pump literal is sampled on
+        # its own grid, but jsa_cd's takes jsa_ab's beam-splitter axis so
+        # that two pumps meet on one axis; a separable literal against a
+        # pump is sampled on the pump's beam-splitter axis with its own
+        # literal's grid.
         parsed_ab, grid_ab = cfgmod.parse_jsa(cfg["jsa_ab"], "jsa_ab")
         parsed_cd, grid_cd = cfgmod.parse_jsa(cfg["jsa_cd"], "jsa_cd")
-        ab, cd = (parsed if isinstance(parsed, jsa.SeparableJSA)
-                  else jsa.build_gaussian_jsa(*parsed, grid)
-                  for parsed, grid in ((parsed_ab, grid_ab), (parsed_cd, grid_cd)))
+        ab = (parsed_ab if isinstance(parsed_ab, jsa.SeparableJSA)
+              else jsa.build_gaussian_jsa(*parsed_ab, grid_ab))
+        bsm_axis = None if isinstance(ab, jsa.SeparableJSA) else ab.axis_first
+        cd = (parsed_cd if isinstance(parsed_cd, jsa.SeparableJSA)
+              else jsa.build_gaussian_jsa(*parsed_cd, grid_cd, axis_first=bsm_axis))
         sampled = grid_ab if isinstance(ab, jsa.SeparableJSA) else grid_cd
         phi = cfgmod.parse_real(cfg, "phi")
         scenario = jsa.SwapScenario(_bsm_photon_second(ab), cd, phi)
-        try:
-            fidelity = jsa.swap_fidelity(scenario, sampled)
-        except jsa.GridResolutionError:
-            raise
-        except ValueError as exc:  # two pump literals whose BSM axes differ
-            raise ConfigError(f"config fields 'jsa_ab' and 'jsa_cd': {exc}") from None
+        fidelity = jsa.swap_fidelity(scenario, sampled)
         report = {
             "phi": phi,
             "fidelity": fidelity,

@@ -118,20 +118,30 @@ def _log_binom(n: int, k: int) -> float:
 
 @functools.lru_cache(maxsize=4096)
 def _binom_products(m: int, n: int) -> tuple[float, ...]:
-    """C(m,j) C(n,j), j = 0..min(m, n): exact integers up to the cutoff."""
-    def binom(k, j):
-        return float(math.comb(k, j)) if k <= _LOG_BINOM_CUTOFF else math.exp(_log_binom(k, j))
-    return tuple(binom(m, j) * binom(n, j) for j in range(min(m, n) + 1))
+    """C(m,j) C(n,j), j = 0..min(m, n), from exact integers (up to the cutoff)."""
+    return tuple(float(math.comb(m, j)) * float(math.comb(n, j))
+                 for j in range(min(m, n) + 1))
 
 
-def _even_series(coefs: Iterable[float], c: float | np.ndarray) -> float | np.ndarray:
-    """sum_j coefs[j] c^{2j}, shaped like the overlap c (checked to lie in
-    [0, 1]); an array squares through libm's pow, as a float's ``**`` does
-    (``c * c`` differs on about 0.1% of inputs)."""
+@functools.lru_cache(maxsize=4096)
+def _log_binom_products(m: int, n: int) -> tuple[float, ...]:
+    """log(C(m,j) C(n,j)), j = 0..min(m, n): the terms past the cutoff."""
+    return tuple(_log_binom(m, j) + _log_binom(n, j) for j in range(min(m, n) + 1))
+
+
+def _overlap_squared(c: float | np.ndarray) -> float | np.ndarray:
+    """c^2 for an overlap c checked to lie in [0, 1]; an array squares
+    through libm's pow, as a float's ``**`` does (``c * c`` differs on
+    about 0.1% of inputs)."""
     array = isinstance(c, np.ndarray)
     if not (np.all((c >= 0.0) & (c <= 1.0 + 1e-12)) if array else 0.0 <= c <= 1.0 + 1e-12):
         raise ValueError("mode overlap c must lie in [0, 1]")
-    c2 = np.float_power(np.minimum(c, 1.0), 2.0) if array else min(c, 1.0) ** 2
+    return np.float_power(np.minimum(c, 1.0), 2.0) if array else min(c, 1.0) ** 2
+
+
+def _even_series(coefs: Iterable[float], c: float | np.ndarray) -> float | np.ndarray:
+    """sum_j coefs[j] c^{2j}, shaped like the overlap c."""
+    c2 = _overlap_squared(c)
     total, term_pow = 0.0 * c2, 1.0
     for coef in coefs:
         total += coef * term_pow
@@ -139,11 +149,31 @@ def _even_series(coefs: Iterable[float], c: float | np.ndarray) -> float | np.nd
     return total
 
 
+def _log_even_series(logs: Sequence[float], c: float | np.ndarray) -> float | np.ndarray:
+    """sum_j exp(logs[j]) c^{2j}, summed about its largest term so that no
+    term overflows on its own: finite wherever the sum is, inf beyond."""
+    c2 = _overlap_squared(c)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_c2 = np.log(c2)  # -inf at c = 0, where only j = 0 survives
+
+        def exponents():
+            return (lg + j * log_c2 if j else lg for j, lg in enumerate(logs))
+        top = functools.reduce(np.maximum, exponents())
+        total = np.exp(top + np.log(sum(np.exp(e - top) for e in exponents())))
+    return total if isinstance(c, np.ndarray) else float(total)
+
+
 def bunching_factor(m: int, n: int, c: float | np.ndarray) -> float | np.ndarray:
-    """P_bunch = sum_{j=0}^{min(m,n)} C(m,j) C(n,j) c^{2j}; >= 1, symmetric."""
+    """P_bunch = sum_{j=0}^{min(m,n)} C(m,j) C(n,j) c^{2j}; >= 1, symmetric.
+
+    Past the exact-integer cutoff the sum is taken in the log domain, so it
+    is inf only where P_bunch itself leaves the float range.
+    """
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be non-negative")
-    return _even_series(_binom_products(m, n), c)
+    if max(m, n) <= _LOG_BINOM_CUTOFF:
+        return _even_series(_binom_products(m, n), c)
+    return _log_even_series(_log_binom_products(m, n), c)
 
 
 def _one_side(m: int, n: int, c, bs: BeamSplitter) -> tuple:
@@ -155,7 +185,7 @@ def _one_side(m: int, n: int, c, bs: BeamSplitter) -> tuple:
     t, r = bs.transmissivity, bs.reflectivity
     if max(m, n) <= _LOG_BINOM_CUTOFF:
         return t**m * r**n, t**n * r**m, bunching_factor(m, n, c)
-    logs = [_log_binom(m, j) + _log_binom(n, j) for j in range(min(m, n) + 1)]
+    logs = _log_binom_products(m, n)
 
     def weighted(a, b):  # T^a R^b P_bunch, with 0^0 = 1
         log_w = sum(k * math.log(x) if x > 0.0 else -math.inf for k, x in ((a, t), (b, r)) if k)

@@ -90,7 +90,11 @@ class SeparableJSA:
 
 @dataclass(frozen=True)
 class GriddedJSA:
-    """JSA sampled on a rectangular grid, trapezoid-normalized to 1."""
+    """JSA sampled on a rectangular grid, trapezoid-normalized to 1.
+
+    Real samples stay real (float64) and complex ones complex (complex128),
+    so a pair of real JSAs meets in a real kernel.
+    """
 
     axis_first: np.ndarray
     axis_second: np.ndarray
@@ -99,7 +103,8 @@ class GriddedJSA:
     def __post_init__(self):
         a1 = np.asarray(self.axis_first, dtype=float)
         a2 = np.asarray(self.axis_second, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values)
+        v = v.astype(np.result_type(v, float), copy=False)
         if a1.ndim != 1 or a2.ndim != 1 or v.shape != (a1.size, a2.size):
             raise ValueError("values must be shaped (len(axis_first), len(axis_second))")
         if np.any(np.diff(a1) <= 0) or np.any(np.diff(a2) <= 0):
@@ -113,7 +118,7 @@ class GriddedJSA:
 
     def norm_squared(self) -> float:
         w1, w2 = self.weights()
-        return float(np.einsum("i,ij,j->", w1, np.abs(self.values) ** 2, w2).real)
+        return float(np.einsum("i,ij,j->", w1, _modulus_squared(self.values), w2))
 
 
 JointSpectralAmplitude = SeparableJSA | GriddedJSA
@@ -133,6 +138,12 @@ class SwapScenario:
     phi: float = 0.0
 
 
+def _modulus_squared(v: np.ndarray) -> np.ndarray:
+    """|v|^2 as a real array; real data is squared directly (bit-equal to
+    ``np.abs(v) ** 2`` on floats, without the complex temporaries)."""
+    return np.abs(v) ** 2 if np.iscomplexobj(v) else v * v
+
+
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     w = np.empty_like(axis)
     w[1:-1] = 0.5 * (axis[2:] - axis[:-2])
@@ -143,26 +154,29 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
 
 def build_gaussian_jsa(pump: Pump, pm: PhaseMatching, grid: GridSpec,
                        center_s: float | None = None,
-                       center_i: float | None = None) -> GriddedJSA:
+                       center_i: float | None = None,
+                       axis_first: np.ndarray | None = None) -> GriddedJSA:
     """Sample the pump-envelope x phase-matching product on a grid.
 
     Signal/idler centers default to the degenerate point omega_p / 2.  The
-    grid spans +-span combined widths about the centers; a Richardson-style
-    half-resolution check guards against under-sampling.
+    grid spans +-span combined widths about the centers, unless
+    ``axis_first`` gives the signal axis (another JSA's beam-splitter
+    axis); a Richardson-style half-resolution check guards against
+    under-sampling.  The samples are real.
     """
     ws0 = 0.5 * pump.center if center_s is None else center_s
     wi0 = 0.5 * pump.center if center_i is None else center_i
     width = math.hypot(pump.sigma, pm.sigma)
     half = grid.span * width
-    axis_s = np.linspace(ws0 - half, ws0 + half, grid.n)
+    axis_s = (np.linspace(ws0 - half, ws0 + half, grid.n) if axis_first is None
+              else np.asarray(axis_first, float))
     axis_i = np.linspace(wi0 - half, wi0 + half, grid.n)
     ws = axis_s[:, None]
     wi = axis_i[None, :]
     pef = np.exp(-((ws + wi - pump.center) ** 2) / (2.0 * pump.sigma**2))
     dk = pm.slope_s * (ws - ws0) + pm.slope_i * (wi - wi0)
     pmf = np.exp(-(dk**2) / (2.0 * pm.sigma**2))
-    values = pef * pmf
-    return _normalized_grid(axis_s, axis_i, values.astype(complex))
+    return _normalized_grid(axis_s, axis_i, pef * pmf, lines=axis_first is not None)
 
 
 def _profile_axis(p: spc.SpectralProfile, grid: GridSpec) -> np.ndarray:
@@ -191,8 +205,23 @@ def _half_indices(n: int) -> np.ndarray:
     return np.asarray(idx)
 
 
-def _normalized_grid(a1: np.ndarray, a2: np.ndarray,
-                     values: np.ndarray) -> GriddedJSA:
+def _line_residual(sq: np.ndarray, axis: np.ndarray, half: np.ndarray) -> float:
+    """Largest half-resolution change among the trapezoid sums of |f|^2
+    along ``axis`` (one per point of the other axis), relative to the
+    largest sum."""
+    fine = _trapezoid_weights(axis) @ sq
+    coarse = _trapezoid_weights(axis[half]) @ sq[half]
+    return float(np.max(np.abs(coarse - fine)) / np.max(fine))
+
+
+def _normalized_grid(a1: np.ndarray, a2: np.ndarray, values: np.ndarray,
+                     lines: bool = False) -> GriddedJSA:
+    """Normalize after the half-resolution check of the total |f|^2.
+
+    ``lines`` also checks each line along either axis: a narrow ridge on
+    axes of unequal spacing can alias on every line yet sum to the right
+    total, which the total alone cannot see.
+    """
     jsa = GriddedJSA(a1, a2, values)
     norm = jsa.norm_squared()
     if norm <= 0.0:
@@ -200,6 +229,9 @@ def _normalized_grid(a1: np.ndarray, a2: np.ndarray,
     i1, i2 = _half_indices(a1.size), _half_indices(a2.size)
     coarse = GriddedJSA(a1[i1], a2[i2], values[np.ix_(i1, i2)])
     residual = abs(coarse.norm_squared() / norm - 1.0)
+    if lines:
+        sq = _modulus_squared(jsa.values)
+        residual = max(residual, _line_residual(sq, a1, i1), _line_residual(sq.T, a2, i2))
     if residual > 1e-6:
         raise GridResolutionError(
             f"grid too coarse for this JSA (half-resolution residual {residual:.2e})")
@@ -219,7 +251,9 @@ def _overlap_kernel(jsa_ab: GriddedJSA, jsa_cd: GriddedJSA) -> np.ndarray:
         raise ValueError("jsa_ab second axis must match jsa_cd first axis "
                          "(the two photons meeting at the beam splitter)")
     w = _trapezoid_weights(jsa_ab.axis_second)
-    return (jsa_ab.values * w[None, :]) @ np.conj(jsa_cd.values)
+    cd = jsa_cd.values
+    # two real JSAs make a real (dgemm) product; conj would only copy them
+    return (jsa_ab.values * w[None, :]) @ (np.conj(cd) if np.iscomplexobj(cd) else cd)
 
 
 def _exchange_integral(scenario: SwapScenario, grid: GridSpec) -> float:
@@ -236,7 +270,7 @@ def _exchange_integral(scenario: SwapScenario, grid: GridSpec) -> float:
     wa = _trapezoid_weights(ab.axis_first)
     wd = _trapezoid_weights(cd.axis_second)
     # K_CDAB(w_D, w_A) = conj(K_ABCD(w_A, w_D)), so the integrand is |K|^2
-    x = float(np.einsum("i,ij,j->", wa, np.abs(k) ** 2, wd).real)
+    x = float(np.einsum("i,ij,j->", wa, _modulus_squared(k), wd))
     # Cauchy-Schwarz bounds it by 1 for normalized JSAs: clamp rounding
     # excursions, reject anything larger (as spectral.overlap does)
     if x > 1.0 + 1e-9:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from homsim import cli
 from homsim import config as cfgmod
 from homsim import fock
+from homsim import jsa
 from homsim import polarization as pol
 from homsim import spectral as spc
 
@@ -678,6 +680,22 @@ def test_swap_pair_mode_from_jsa_literals(tmp_path):
         assert p == pytest.approx(0.125, abs=1e-9)
 
 
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def test_shipped_configs_are_found():
+    assert len(CONFIGS) >= 4
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, path):
+    # each example scenario runs through the command its name starts with
+    rc = cli.main([path.name.split("_")[0], "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out").read_text()
+
+
 def _separable_literal(signal_thz):
     return {"separable": {
         "signal": {"shape": "gaussian", "center_thz": 193.55, "width_thz": signal_thz},
@@ -721,34 +739,83 @@ def test_swap_pair_pump_against_separable_in_either_order(tmp_path):
     assert abs(fidelities[0] - fidelities[1]) <= 1e-12
 
 
-def test_swap_pair_pumps_with_different_bsm_axes_exit_2(tmp_path, capsys):
-    # two pump literals sample their BSM photons on axes of their own; when
-    # those differ the two photons meeting at the beam splitter cannot be
-    # paired, and the error names both literals
-    other = dict(_PUMP_LITERAL, pump={"center": 2432.2, "sigma": 0.8})
-    rc = cli.main(["swap", "--set", "mode=pair",
-                   "--set", f"jsa_ab={json.dumps(_PUMP_LITERAL)}",
-                   "--set", f"jsa_cd={json.dumps(other)}",
-                   "--out", str(tmp_path / "x.json")])
-    err = capsys.readouterr().err
-    assert rc == 2, err
-    assert "config fields 'jsa_ab' and 'jsa_cd'" in err
-    assert "ValueError" not in err
-    assert not (tmp_path / "x.json").exists()
+def _gaussian_exchange_reference(ab, cd):
+    """X = II |I f_AB(w, w_A) f_CD(w, w_D) dw|^2 dw_A dw_D / (N_AB N_CD) for
+    two pump literals, as one 4-D Gaussian integral over (w_A, w_D, w, w').
+
+    Each JSA is exp(-z^T A z / 2) in z = (signal, idler) minus the centres
+    (pump centre / 2), with A = (1/sigma_p^2) [[1,1],[1,1]] + s s^T /
+    sigma_pm^2 and s = (slope_s, slope_i); frequencies are taken relative
+    to AB's centre so that the exponent keeps its digits.
+    """
+    origin = 0.5 * ab["pump"]["center"]
+
+    def form(lit):
+        q, pm = 1.0 / lit["pump"]["sigma"] ** 2, lit["pmf"]
+        s = np.array([pm.get("slope_s", 1.0), pm.get("slope_i", -0.5)])
+        a = q * np.ones((2, 2)) + np.outer(s, s) / pm["sigma"] ** 2
+        return a, np.full(2, 0.5 * lit["pump"]["center"] - origin)
+
+    (a_ab, m_ab), (a_cd, m_cd) = form(ab), form(cd)
+    q, b, c0 = np.zeros((4, 4)), np.zeros(4), 0.0
+    # f_AB(w, w_A) f_CD(w, w_D) f_AB(w', w_A) f_CD(w', w_D): (signal, idler) indices
+    for (i, j), a, m in (((2, 0), a_ab, m_ab), ((2, 1), a_cd, m_cd),
+                         ((3, 0), a_ab, m_ab), ((3, 1), a_cd, m_cd)):
+        pick = np.zeros((2, 4))
+        pick[0, i] = pick[1, j] = 1.0
+        q += pick.T @ a @ pick
+        b += pick.T @ a @ m
+        c0 -= 0.5 * m @ a @ m
+    integral = (2.0 * math.pi) ** 2 / math.sqrt(np.linalg.det(q)) * math.exp(
+        0.5 * b @ np.linalg.solve(q, b) + c0)
+    norm_ab, norm_cd = (math.pi / math.sqrt(np.linalg.det(a)) for a in (a_ab, a_cd))
+    return integral / (norm_ab * norm_cd)
 
 
-def test_swap_pair_pumps_with_offset_bsm_axes_exit_2(tmp_path, capsys):
-    # pump centres 0.02 rad/ps apart offset the two BSM axes by 0.01 rad/ps,
-    # a fifth of their spacing: the photons meeting at the beam splitter are
-    # detuned and must not be integrated as if they shared an axis
-    other = dict(_PUMP_LITERAL, pump={"center": 2432.22, "sigma": 0.5})
+def test_gaussian_exchange_reference_is_the_schmidt_purity():
+    # identical sources: X is the purity sqrt(1 - c^2 / (a b)) of the JSA
+    a, b, c = 1 / 0.25 + 1 / 0.25, 1 / 0.25 + 0.25 / 0.25, 1 / 0.25 - 0.5 / 0.25
+    x = _gaussian_exchange_reference(_PUMP_LITERAL, _PUMP_LITERAL)
+    assert x == pytest.approx(math.sqrt(1.0 - c * c / (a * b)), abs=1e-14)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+@pytest.mark.parametrize("other", [
+    {"pump": {"center": 2432.2, "sigma": 0.8}},
+    {"pump": {"center": 2432.22, "sigma": 0.5}},
+    {"pump": {"center": 2432.2, "sigma": 0.3},
+     "pmf": {"sigma": 0.7, "slope_s": 1.0, "slope_i": -1.0}},
+], ids=["pump_widths", "offset_centres", "pmf_and_slopes"])
+def test_swap_pair_of_pump_literals_matches_gaussian_reference(tmp_path, other, phi):
+    # jsa_cd's pump is sampled on jsa_ab's beam-splitter axis, so two pumps
+    # whose own axes differ still meet at the same frequencies
+    cd = dict(_PUMP_LITERAL, **other)
+    rc, text = run(["swap", "--set", "mode=pair", "--set", f"phi={phi}",
+                    "--set", f"jsa_ab={json.dumps(_PUMP_LITERAL)}",
+                    "--set", f"jsa_cd={json.dumps(cd)}"], tmp_path)
+    assert rc == 0
+    report = json.loads(text)
+    x = _gaussian_exchange_reference(_PUMP_LITERAL, cd)
+    assert abs(report["fidelity"] - 0.5 * math.cos(phi) ** 2 * (1.0 + x)) <= 1e-10
+    for p in report["bsm_outcome_probabilities"].values():
+        assert p == pytest.approx(0.125, abs=1e-9)
+
+
+def test_swap_pair_pump_unresolved_on_the_shared_axis_exits_3(tmp_path, capsys):
+    # a 0.05 rad/ps CD pump resolves on its own 384-point grid, but not on
+    # AB's coarser 192-point beam-splitter axis, where it is sampled: the
+    # half-resolution check stops the job with exit 3
+    cd = {"pump": {"center": 2432.2, "sigma": 0.05}, "pmf": {"sigma": 0.5},
+          "grid": {"n": 384, "span": 6.0}}
+    jsa.build_gaussian_jsa(jsa.Pump(2432.2, 0.05), jsa.PhaseMatching(0.5),
+                           jsa.GridSpec(384, 6.0))
     rc = cli.main(["swap", "--set", "mode=pair",
                    "--set", f"jsa_ab={json.dumps(_PUMP_LITERAL)}",
-                   "--set", f"jsa_cd={json.dumps(other)}",
+                   "--set", f"jsa_cd={json.dumps(cd)}",
                    "--out", str(tmp_path / "x.json")])
     err = capsys.readouterr().err
-    assert rc == 2, err
-    assert "config fields 'jsa_ab' and 'jsa_cd'" in err
+    assert rc == 3, err
+    assert "half-resolution residual" in err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -439,3 +439,37 @@ def test_large_unequal_photon_numbers_with_a_one_sided_splitter():
     for m, n in ((100, 0), (0, 100), (100, 3), (3, 100)):
         expected = 0.0 if 0 in (m, n) else 1.0
         assert fock.coincidence(pair_with_overlap(m, n, 0.7), fock.Apparatus(bs)) == expected
+
+
+def _bunching_reference(m, n, c):
+    """sum_j C(m,j) C(n,j) c^{2j} in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c2 = mpmath.mpf(c) ** 2
+        return mpmath.fsum(math.comb(m, j) * math.comb(n, j) * c2**j
+                           for j in range(min(m, n) + 1))
+
+
+@pytest.mark.parametrize("m, n", [(63, 63), (300, 300), (600, 600), (600, 250), (1000, 1000)])
+@pytest.mark.parametrize("c", [0.0, 0.05, 0.3, 0.7])
+def test_large_photon_bunching_factor_is_finite_where_p_bunch_is(m, n, c):
+    # past the exact-integer cutoff C(m,j) C(n,j) overflows on its own while
+    # P_bunch does not: inf times an underflowed c^{2j} must not become NaN
+    exact = _bunching_reference(m, n, c)
+    got = fock.bunching_factor(m, n, c)
+    if exact > 1.7e308:
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(float(exact), rel=1e-12)
+    row = fock.bunching_factor(m, n, np.array([c, c]))
+    assert isinstance(row, np.ndarray) and row.tolist() == [got, got]
+
+
+def test_large_photon_bunching_factor_limits():
+    assert fock.bunching_factor(600, 600, 0.0) == 1.0
+    assert fock.bunching_factor(600, 600, np.array([0.0]))[0] == 1.0
+    # P_bunch(c = 1) = C(1200, 600), about 4e359: it overflows to inf, not NaN
+    assert fock.bunching_factor(600, 600, 1.0) == math.inf
+    assert fock.bunching_factor(600, 600, np.array([0.3, 1.0]))[1] == math.inf
+    # C(126, 63) from the log-domain path (the cutoff is 62)
+    assert fock.bunching_factor(63, 63, 1.0) == pytest.approx(math.comb(126, 63), rel=1e-12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homsim import cli
 from homsim import jsa
 from homsim import spectral as spc
 
@@ -83,6 +84,54 @@ def test_axis_validation():
                        np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         jsa.GridSpec(n=4)
+
+
+def test_real_values_stay_real_and_complex_stay_complex():
+    axis = np.linspace(-1.0, 1.0, 4)
+    for given, kept in ((np.ones((4, 4)), np.float64),
+                        (np.ones((4, 4), dtype=np.float32), np.float64),
+                        (np.ones((4, 4), dtype=int), np.float64),
+                        (np.ones((4, 4), dtype=np.complex64), np.complex128),
+                        (np.ones((4, 4), dtype=complex), np.complex128)):
+        assert jsa.GriddedJSA(axis, axis, given).values.dtype == kept
+    built = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.8),
+                                   jsa.PhaseMatching(0.5), jsa.GridSpec(n=64))
+    assert built.values.dtype == np.float64
+
+
+def test_real_pair_fidelity_equals_the_complex_cast_pair():
+    # a real pair runs the kernel on a real GEMM, a complex-cast pair on a
+    # complex one: the two agree to rounding
+    built = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.3),
+                                   jsa.PhaseMatching(0.5), jsa.GridSpec(n=192, span=6.0))
+
+    def fidelity(values, phi):
+        ab = jsa.GriddedJSA(built.axis_second, built.axis_first, values.T)
+        cd = jsa.GriddedJSA(built.axis_first, built.axis_second, values)
+        return jsa.swap_fidelity(jsa.SwapScenario(ab, cd, phi))
+
+    for phi in (0.0, 0.4):
+        real = fidelity(built.values, phi)
+        cast = fidelity(built.values.astype(complex), phi)
+        assert abs(real - cast) <= 1e-15
+    assert built.norm_squared() == pytest.approx(
+        jsa.GriddedJSA(built.axis_first, built.axis_second,
+                       built.values.astype(complex)).norm_squared(), abs=1e-15)
+
+
+def test_pump_built_on_a_given_signal_axis():
+    # a pump sampled on another JSA's signal axis keeps its own centre and
+    # idler axis, and its half-resolution check
+    pm, grid = jsa.PhaseMatching(0.5), jsa.GridSpec(n=128, span=6.0)
+    own = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.8), pm, grid)
+    axis = own.axis_first + 0.01
+    moved = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.8), pm, grid, axis_first=axis)
+    assert np.array_equal(moved.axis_first, axis)
+    assert np.array_equal(moved.axis_second, own.axis_second)
+    assert moved.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(jsa.GridResolutionError, match="half-resolution"):
+        jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.02), pm, grid,
+                               axis_first=axis[::4])
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +266,42 @@ def test_shared_axis_tolerates_rounding_only():
     assert paired_on(np.nextafter(shared, np.inf)) == jsa.swap_fidelity(s)
     with pytest.raises(ValueError):
         paired_on(shared + 0.2 * (shared[1] - shared[0]))
+
+
+def _schmidt_purity(sigma_p, pm):
+    """sqrt(1 - c^2 / (a b)): the purity of the Gaussian JSA exp(-z^T A z / 2),
+    with A = [[a, c], [c, b]] from the pump and phase-matching widths."""
+    q = 1.0 / sigma_p**2
+    a = q + pm.slope_s**2 / pm.sigma**2
+    b = q + pm.slope_i**2 / pm.sigma**2
+    c = q + pm.slope_s * pm.slope_i / pm.sigma**2
+    return math.sqrt(1.0 - c * c / (a * b))
+
+
+@pytest.mark.parametrize("n", [192, 256])
+@pytest.mark.parametrize("sigma_p", [0.1, 0.5, 1.0, 2.0])
+def test_pump_sweep_fidelity_is_half_one_plus_schmidt_purity(n, sigma_p):
+    # at Phi = 0 the exchange integral of one source with itself is the
+    # trace of its reduced state squared, the Schmidt purity P: F = (1 + P) / 2
+    pm = jsa.PhaseMatching(0.5)
+    built = jsa.build_gaussian_jsa(jsa.Pump(2432.2, sigma_p), pm, jsa.GridSpec(n, 6.0))
+    ab = jsa.GriddedJSA(built.axis_second, built.axis_first, built.values.T)
+    f = jsa.swap_fidelity(jsa.SwapScenario(ab, built, 0.0))
+    assert abs(f - 0.5 * (1.0 + _schmidt_purity(sigma_p, pm))) <= 1e-10
+
+
+def test_cli_pump_sweep_is_half_one_plus_schmidt_purity(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["swap", "--set", "mode=pump_sweep",
+                     "--set", 'pump_sigma={"min":0.5,"max":2.0,"steps":4}',
+                     "--set", "phi_steps=2", "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and ln[0].isdigit()]
+    aligned = {float(s): float(f) for s, phi, f in rows if float(phi) == 0.0}
+    assert sorted(aligned) == [0.5, 1.0, 1.5, 2.0]
+    for sigma_p, f in aligned.items():
+        expected = 0.5 * (1.0 + _schmidt_purity(sigma_p, jsa.PhaseMatching(0.5)))
+        assert abs(f - expected) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
