@@ -13,25 +13,36 @@ A channel output is a classical mixture over (surviving photon number) x
 is the weighted sum of the pure-state formula over branch pairs, which is
 exact within this model because the detection probability is evaluated
 per pure branch.
+
+A contour evaluates that sum for all its cells at once.  Each arm holds
+its branch *slots* (photon number k, polarization eigen-rank) along its
+own channel axis, and each slot pair that holds a photon is one
+:func:`fock.coincidence_raw` call per overlap grid (the c = 0 baseline
+and the dip) over the cells that hold it.  A cell adds its terms in the
+order of its own branch pairs, so every cell is bit-equal to the 1 x 1
+evaluation of its two channel outputs (:func:`mixed_visibility`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import polarization as pol
 from . import spectral as spc
-from .fock import (Apparatus, IDEAL_APPARATUS, _deltas, coincidence_raw,
-                   dip_visibility, mode_overlap)
+from .fock import (Apparatus, IDEAL_APPARATUS, coincidence_raw, mode_overlap,
+                   visibility_ratio)
 
 __all__ = [
     "ChannelSpec", "SourceSpec", "MixedSource", "IDENTITY_CHANNEL",
     "damp_number", "apply_channel", "mixed_coincidence", "mixed_visibility",
     "channel_visibility_contour",
 ]
+
+_TINY = 1e-15  # mixture terms of weight at or below this are dropped
 
 
 @dataclass(frozen=True)
@@ -71,14 +82,14 @@ class SourceSpec:
 class MixedSource:
     """Channel output: photon-number mixture, 2x2 polarization, spectrum.
 
-    ``branches`` holds the (photon number k, P(k), eigenweight w,
-    eigenvector) terms of the mixture, decomposed once on construction.
+    ``eigen`` holds the two (eigenweight w, eigenvector) branches of the
+    polarization density, decomposed once on construction.
     """
 
     number_dist: tuple[tuple[int, float], ...]
     pol: pol.PolarizationDensity
     spec: spc.SpectralProfile
-    branches: tuple = field(init=False, repr=False, compare=False)
+    eigen: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = math.fsum(p for _, p in self.number_dist)
@@ -86,7 +97,14 @@ class MixedSource:
             raise ValueError(f"number distribution sums to {total}, not 1")
         if any(k < 0 or p < -1e-15 for k, p in self.number_dist):
             raise ValueError("number distribution needs k >= 0 and p >= 0")
-        object.__setattr__(self, "branches", _branches(self))
+        object.__setattr__(self, "eigen", tuple(pol.eigendecompose(self.pol)))
+
+    @property
+    def branches(self) -> tuple:
+        """(k, P(k), w, v) over photon numbers x polarization eigenbranches,
+        dropping zero-weight terms: the mixture's pure branches."""
+        return tuple((k, pk, w, v) for k, pk in self.number_dist if pk > _TINY
+                     for w, v in self.eigen if w > _TINY)
 
     @staticmethod
     def pure(src: SourceSpec) -> "MixedSource":
@@ -116,36 +134,94 @@ def apply_channel(src: SourceSpec, ch: ChannelSpec) -> MixedSource:
     )
 
 
-def _branches(src: MixedSource) -> tuple:
-    """(k, P(k), w, v) over photon numbers x polarization eigenbranches,
-    dropping zero-weight terms; built once per :class:`MixedSource`."""
-    pol_branches = [(w, v) for w, v in pol.eigendecompose(src.pol) if w > 1e-15]
-    return tuple((k, pk, w, v)
-                 for k, pk in src.number_dist if pk > 1e-15
-                 for w, v in pol_branches)
+class _Arm:
+    """One arm's branch slots along its channel axis.
+
+    ``points`` gives, per point of the axis, its photon-number distribution
+    and its two (w, v) polarization eigenbranches; every point lists the
+    same photon numbers in the same order.  A slot is (photon number k,
+    eigen-rank r): along the axis it holds the factors P(k) and w of its
+    weight, and the points where both exceed ``_TINY``.  Slots run in the
+    order of a point's own branches.  Per rank, the branch vectors are
+    grouped by value, with the efficiencies they see at detectors A and B.
+    """
+
+    def __init__(self, points: Sequence[tuple], app: Apparatus):
+        self.size = len(points)
+        pk = np.array([[p for _, p in dist] for dist, _ in points])
+        w = np.array([[wr for wr, _ in eigen] for _, eigen in points])
+        self.groups, self.eta = [], []
+        for r in range(2):
+            where: dict = {}
+            for i, (_, eigen) in enumerate(points):
+                where.setdefault(eigen[r][1], []).append(i)
+            groups = [(v, np.array(idx)) for v, idx in where.items()]
+            eta = np.empty((2, self.size))
+            for v, idx in groups:
+                eta[0, idx] = pol.effective_efficiency(app.det_a, v)
+                eta[1, idx] = pol.effective_efficiency(app.det_b, v)
+            self.groups.append(groups)
+            self.eta.append(eta)
+        self.slots = []
+        for j, (k, _) in enumerate(points[0][0]):
+            for r in range(2):
+                held = np.flatnonzero((pk[:, j] > _TINY) & (w[:, r] > _TINY))
+                if held.size:
+                    self.slots.append((k, r, pk[:, j], w[:, r], held))
+
+    @staticmethod
+    def of(src: MixedSource, app: Apparatus) -> "_Arm":
+        return _Arm([(src.number_dist, src.eigen)], app)
 
 
-def _branch_pairs(src_a: MixedSource, src_b: MixedSource, app: Apparatus) -> list:
-    """(weight, ka, kb, va, vb, Delta_A, Delta_B) of every branch pair that
-    holds a photon: the parts of a pair's term that do not depend on the
-    spectral overlap, formed once and shared by a dip and its baseline."""
-    terms = []
-    for ka, pka, wa, va in src_a.branches:
-        for kb, pkb, wb, vb in src_b.branches:
+def _mode_overlaps(groups_a: list, groups_b: list, cos_theta: np.ndarray) -> np.ndarray:
+    """c = cos(Phi) cos(Theta) over a grid, one :func:`fock.mode_overlap`
+    call per pair of distinct branch vectors."""
+    c = np.empty(cos_theta.shape)
+    for va, rows in groups_a:
+        for vb, cols in groups_b:
+            cells = np.ix_(rows, cols)
+            c[cells] = mode_overlap(va, vb, cos_theta[cells])
+    return c
+
+
+def _branch_sums(arm_a: _Arm, arm_b: _Arm, app: Apparatus,
+                 cos_thetas: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Mixed coincidences [i, j] of arm A's point i against arm B's point
+    j, one grid per grid of spectral overlaps in ``cos_thetas``.
+
+    Each slot pair that holds a photon is evaluated over the cells that
+    hold it, with one :func:`coincidence_raw` call per overlap grid in
+    turn; a cell adds ((P_A w_A) P_B) w_B times each term in the order of
+    its own branch pairs.
+    """
+    sums = [np.zeros((arm_a.size, arm_b.size)) for _ in cos_thetas]
+    overlaps: dict = {}  # (r_a, r_b) -> c per overlap grid, over every cell
+    for ka, ra, pka, wa, rows in arm_a.slots:
+        pwa = pka[rows, None] * wa[rows, None]
+        eta_a = arm_a.eta[ra][:, rows, None]
+        for kb, rb, pkb, wb, cols in arm_b.slots:
             if ka + kb < 1:
                 continue
-            terms.append((pka * wa * pkb * wb, ka, kb, va, vb,
-                          *_deltas(ka, kb, va, vb, app)))
-    return terms
+            cells = np.ix_(rows, cols)
+            weight = pwa * pkb[cols] * wb[cols]
+            eta_b = arm_b.eta[rb][:, cols]
+            da = pol.click_from_efficiencies(eta_a[0], eta_b[0], ka, kb)
+            db = pol.click_from_efficiencies(eta_a[1], eta_b[1], ka, kb)
+            if (ra, rb) not in overlaps:
+                overlaps[ra, rb] = [_mode_overlaps(arm_a.groups[ra], arm_b.groups[rb], ct)
+                                    for ct in cos_thetas]
+            for total, c in zip(sums, overlaps[ra, rb]):
+                total[cells] += weight * coincidence_raw(ka, kb, c[cells], app.bs, da, db)
+    return sums
 
 
-def _branch_sum(terms: list, app: Apparatus, ctheta: float) -> float:
-    """Weighted sum of the pure-branch coincidences at spectral overlap ctheta."""
-    total = 0.0
-    for weight, ka, kb, va, vb, da, db in terms:
-        total += weight * coincidence_raw(ka, kb, mode_overlap(va, vb, ctheta),
-                                          app.bs, da, db)
-    return total
+def _cos_theta_cell(src_a: MixedSource, src_b: MixedSource,
+                    ctheta: float | None) -> np.ndarray:
+    """The 1 x 1 grid of the pair's spectral overlap, or of ``ctheta``."""
+    if ctheta is None:
+        ctheta = spc.overlap(src_a.spec, src_b.spec).magnitude
+    return np.full((1, 1), ctheta)
 
 
 def mixed_coincidence(src_a: MixedSource, src_b: MixedSource,
@@ -158,9 +234,9 @@ def mixed_coincidence(src_a: MixedSource, src_b: MixedSource,
     all contribute zero.  ``ctheta`` overrides the spectral overlap (the
     tau -> infinity baseline passes 0).
     """
-    if ctheta is None:
-        ctheta = spc.overlap(src_a.spec, src_b.spec).magnitude
-    return _branch_sum(_branch_pairs(src_a, src_b, app), app, ctheta)
+    (p,) = _branch_sums(_Arm.of(src_a, app), _Arm.of(src_b, app), app,
+                        [_cos_theta_cell(src_a, src_b, ctheta)])
+    return p.item()
 
 
 def mixed_visibility(src_a: MixedSource, src_b: MixedSource,
@@ -169,13 +245,25 @@ def mixed_visibility(src_a: MixedSource, src_b: MixedSource,
     """Visibility of the mixed-state dip against the analytic baseline.
 
     ``ctheta`` overrides the spectral overlap, as in
-    :func:`mixed_coincidence`.  The branch pairs are formed once and serve
-    both the dip and its baseline.
+    :func:`mixed_coincidence`.  The 1 x 1 case of
+    :func:`channel_visibility_contour`.
     """
-    if ctheta is None:
-        ctheta = spc.overlap(src_a.spec, src_b.spec).magnitude
-    terms = _branch_pairs(src_a, src_b, app)
-    return dip_visibility(lambda ct: _branch_sum(terms, app, ct), ctheta)
+    ct = _cos_theta_cell(src_a, src_b, ctheta)
+    p_inf, p_0 = _branch_sums(_Arm.of(src_a, app), _Arm.of(src_b, app), app,
+                              [np.zeros_like(ct), ct])
+    return visibility_ratio(p_inf, p_0).item()
+
+
+def _channel_arm(src: SourceSpec, channels: Sequence[ChannelSpec], app: Apparatus) -> _Arm:
+    """The arm of ``src`` along ``channels``, each distinct depolarized
+    density decomposed once."""
+    eigen: dict = {}
+    for ch in channels:
+        if ch.p_depol not in eigen:
+            eigen[ch.p_depol] = tuple(pol.eigendecompose(
+                pol.depolarize(src.pol.density(), ch.p_depol)))
+    return _Arm([(damp_number(src.photons, ch.gamma), eigen[ch.p_depol])
+                 for ch in channels], app)
 
 
 def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
@@ -185,16 +273,18 @@ def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
     """Visibility grid over per-arm channel parameter lists.
 
     Entry [i][j] applies channels_a[i] to arm A and channels_b[j] to arm
-    B.  Each arm's channel output is built (and its density decomposed)
-    once per channel value, and each row's spectral overlaps are one
-    :func:`spectral.overlaps` call on arm B's family of broadened spectra.
+    B, and equals :func:`mixed_visibility` of the two channel outputs bit
+    for bit.  Each row's spectral overlaps are one :func:`spectral.overlaps`
+    call on arm B's family of broadened spectra; each arm decomposes each
+    of its distinct depolarized densities once, and each slot pair is one
+    :func:`coincidence_raw` call for the baseline and one for the dip.
     """
-    mixed_bs = [apply_channel(src_b, ch_b) for ch_b in channels_b]
+    if not channels_a or not channels_b:
+        return [[] for _ in channels_a]
     spec_bs = src_b.spec.broadened(np.array([ch_b.xi for ch_b in channels_b]))
-    out: list[list[float]] = []
-    for ch_a in channels_a:
-        mixed_a = apply_channel(src_a, ch_a)
-        cos_theta = spc.overlaps(mixed_a.spec, spec_bs).tolist()
-        out.append([mixed_visibility(mixed_a, mixed_b, app, ct)
-                    for mixed_b, ct in zip(mixed_bs, cos_theta)])
-    return out
+    cos_theta = np.array([spc.overlaps(src_a.spec.broadened(ch_a.xi), spec_bs)
+                          for ch_a in channels_a])
+    p_inf, p_0 = _branch_sums(_channel_arm(src_a, channels_a, app),
+                              _channel_arm(src_b, channels_b, app), app,
+                              [np.zeros_like(cos_theta), cos_theta])
+    return visibility_ratio(p_inf, p_0).tolist()

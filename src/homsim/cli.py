@@ -175,9 +175,10 @@ def _emit_grid(command: str, cfg: dict, out: str | None, xs, ys, grid,
     lines = _header_lines(command, cfg)
     lines.append(f"# x: {labels[0]}; y: {labels[1]}; value: {labels[2]}")
     lines.append(",".join(labels))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(grid[i][j])}")
+    y_texts = [_fmt(y) for y in ys]
+    for x, row in zip(xs, np.asarray(grid, dtype=float).tolist()):
+        x_text = _fmt(x)
+        lines += [f"{x_text},{y_text},{_fmt(v)}" for y_text, v in zip(y_texts, row)]
     _emit(out, lines)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "BeamSplitter", "FockPair", "Apparatus", "InvalidRegimeError", "mode_overlap",
     "bunching_factor", "p_all_one_side", "coincidence", "coincidence_raw",
     "dip_curve", "dip_visibility", "visibility", "visibility_from_c",
+    "visibility_ratio",
 ]
 
 _LOG_BINOM_CUTOFF = 62  # exact integer binomials up to here, log-domain beyond
@@ -263,20 +264,35 @@ def dip_curve(pair: FockPair, taus: Iterable[float],
     return list(zip(taus, coincidence_raw(pair.m, pair.n, cs, app.bs, da, db).tolist()))
 
 
+def _nonzero_baseline(p_inf: float | np.ndarray) -> float | np.ndarray:
+    if np.any(p_inf == 0.0) if isinstance(p_inf, np.ndarray) else p_inf == 0.0:
+        raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
+    return p_inf
+
+
+def visibility_ratio(p_inf: float | np.ndarray, p_0: float | np.ndarray
+                     ) -> float | np.ndarray:
+    """V = (P(0) - P(c)) / P(0) from a c = 0 baseline and a dip, each a
+    float or an array (a grid of cells against their own baselines).
+
+    Raises :class:`ZeroDivisionError` if any baseline vanishes.
+    """
+    return (_nonzero_baseline(p_inf) - p_0) / p_inf
+
+
 def dip_visibility(p_at: Callable, c: float | np.ndarray) -> float | np.ndarray:
     """V = (P(0) - P(c)) / P(0): the dip at overlap c against its baseline.
 
     ``p_at`` maps an overlap to a coincidence probability; the far-delay
     baseline is its value at 0, where cos(Theta) -> 0 kills the overlap
     (Riemann-Lebesgue for every envelope family).  The one visibility
-    rule: Fock, mixed-state and coherent inputs all come here.  An array
-    ``c`` gives an array of visibilities against the one baseline.
+    rule: Fock, mixed-state and coherent inputs all come here or to
+    :func:`visibility_ratio`.  An array ``c`` gives an array of
+    visibilities against the one baseline.  A vanishing baseline raises
+    before the dip is evaluated.
     """
-    p_inf = p_at(0.0)
-    if p_inf == 0.0:
-        raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
-    p_0 = p_at(c)
-    return (p_inf - p_0) / p_inf
+    p_inf = _nonzero_baseline(p_at(0.0))
+    return visibility_ratio(p_inf, p_at(c))
 
 
 def visibility_from_c(m: int, n: int, c0: float | np.ndarray, app: Apparatus,

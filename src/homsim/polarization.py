@@ -19,7 +19,7 @@ __all__ = [
     "PolarizationVector", "PolarizationDensity", "Detector",
     "H", "V", "D", "A",
     "cos_phi", "rotate", "effective_efficiency", "click_probability",
-    "depolarize", "eigendecompose", "orthogonal",
+    "click_from_efficiencies", "depolarize", "eigendecompose", "orthogonal",
 ]
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,7 +44,7 @@ class PolarizationVector:
 
     def density(self) -> "PolarizationDensity":
         vec = self.as_array()
-        return PolarizationDensity(np.outer(vec, vec.conj()))
+        return PolarizationDensity(np.outer(vec, vec.conj()), self)
 
 
 H = PolarizationVector(1.0, 0.0)
@@ -55,9 +55,16 @@ A = PolarizationVector(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
 
 @dataclass(frozen=True)
 class PolarizationDensity:
-    """2x2 polarization density operator (Hermitian, unit trace, PSD)."""
+    """2x2 polarization density operator (Hermitian, unit trace, PSD).
+
+    ``basis`` is the frame :func:`eigendecompose` splits a maximally mixed
+    density in, which has no eigenbasis of its own: H/V unless the
+    density comes from a pure state (that state) or from depolarizing
+    one (the input's frame, which the channel keeps at every p).
+    """
 
     rho: np.ndarray
+    basis: PolarizationVector = H
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
@@ -109,17 +116,27 @@ def effective_efficiency(d: Detector, p: PolarizationVector) -> float:
     return abs(p.h) ** 2 * d.eta_h + abs(p.v) ** 2 * d.eta_v
 
 
-def click_probability(d: Detector, pol_a: PolarizationVector,
-                      pol_b: PolarizationVector, m: int, n: int) -> float:
-    """P(at least one click) for m photons at pol_a plus n at pol_b.
+def click_from_efficiencies(eta_a: float | np.ndarray, eta_b: float | np.ndarray,
+                            m: int, n: int) -> float | np.ndarray:
+    """Delta = 1 - (1 - eta_a)^m (1 - eta_b)^n: P(at least one click) for m
+    photons seen at efficiency eta_a plus n at eta_b.
 
-    Delta = 1 - (1 - eta(pol_a))^m (1 - eta(pol_b))^n.
+    Arrays of efficiencies broadcast, each element bit-equal to its float
+    result (the powers go through libm's pow, as a float's ``**`` does).
     """
     if m < 0 or n < 0:
         raise ValueError("photon counts must be non-negative")
-    ea = effective_efficiency(d, pol_a)
-    eb = effective_efficiency(d, pol_b)
-    return 1.0 - (1.0 - ea) ** m * (1.0 - eb) ** n
+    if isinstance(eta_a, np.ndarray) or isinstance(eta_b, np.ndarray):
+        return 1.0 - np.float_power(1.0 - eta_a, m) * np.float_power(1.0 - eta_b, n)
+    return 1.0 - (1.0 - eta_a) ** m * (1.0 - eta_b) ** n
+
+
+def click_probability(d: Detector, pol_a: PolarizationVector,
+                      pol_b: PolarizationVector, m: int, n: int) -> float:
+    """P(at least one click) for m photons at pol_a plus n at pol_b:
+    :func:`click_from_efficiencies` at eta(pol_a) and eta(pol_b)."""
+    return click_from_efficiencies(effective_efficiency(d, pol_a),
+                                   effective_efficiency(d, pol_b), m, n)
 
 
 def depolarize(rho: PolarizationDensity, p: float) -> PolarizationDensity:
@@ -133,7 +150,7 @@ def depolarize(rho: PolarizationDensity, p: float) -> PolarizationDensity:
     r = rho.rho
     out = (1.0 - p) * r + (p / 3.0) * (
         _PAULI_X @ r @ _PAULI_X + _PAULI_Y @ r @ _PAULI_Y + _PAULI_Z @ r @ _PAULI_Z)
-    return PolarizationDensity(out)
+    return PolarizationDensity(out, rho.basis)
 
 
 def eigendecompose(rho: PolarizationDensity
@@ -142,13 +159,14 @@ def eigendecompose(rho: PolarizationDensity
 
     Weights are clipped to [0, 1], ordered descending, and the vectors'
     phases fixed so the largest-magnitude component is real positive.
-    Degenerate densities (within 1e-12 of I/2 scaling) return the H/V
-    basis for determinism.
+    A degenerate density (within 1e-12 of I/2) is split in its ``basis``
+    and that state's orthogonal complement, weighted by <basis|rho|basis>.
     """
     r = rho.rho
     if abs(r[0, 0] - r[1, 1]) < 1e-12 and abs(r[0, 1]) < 1e-12:
-        w = float(r[0, 0].real)
-        return [(w, H), (1.0 - w, V)]
+        vec = rho.basis.as_array()
+        w = float((vec.conj() @ r @ vec).real)
+        return [(w, rho.basis), (1.0 - w, orthogonal(rho.basis))]
     vals, vecs = np.linalg.eigh(r)
     branches = []
     for i in (1, 0):  # eigh sorts ascending; emit largest weight first

@@ -225,6 +225,24 @@ def test_strong_depolarization_saturates():
     assert va == pytest.approx(vb, abs=1e-12)
 
 
+@pytest.mark.parametrize("psi", [pol.D, pol.A, pol.rotate(pol.H, 0.3)])
+def test_depolarized_shared_label_is_continuous_at_three_quarters(psi):
+    # at p = 3/4 the density is I/2 and has no eigenbasis of its own; two
+    # photons sharing one label keep their input's basis there, so V is
+    # its limit from either side
+    pure_a = chn.apply_channel(src(2, pol.H), chn.IDENTITY_CHANNEL)
+
+    def vis(p):
+        return chn.mixed_visibility(pure_a, chn.apply_channel(src(2, psi),
+                                                               chn.ChannelSpec(p_depol=p)))
+    # linear extrapolation to p = 3/4 from each side, at steps where the
+    # eigenvectors of the nearly degenerate density are still accurate
+    below = 2.0 * vis(0.75 - 1e-6) - vis(0.75 - 2e-6)
+    above = 2.0 * vis(0.75 + 1e-6) - vis(0.75 + 2e-6)
+    assert vis(0.75) == pytest.approx(below, abs=1e-9)
+    assert vis(0.75) == pytest.approx(above, abs=1e-9)
+
+
 def test_broadening_mismatch_reduces_visibility():
     matched = chn.mixed_visibility(chn.apply_channel(src(1), chn.ChannelSpec(xi=2.0)),
                                    chn.apply_channel(src(1), chn.ChannelSpec(xi=2.0)))
@@ -302,3 +320,39 @@ def test_contour_equals_per_cell_mixed_visibility(field, values, m, n, pol_b, ap
                                        chn.apply_channel(src_b, ch_b), app)
                   for ch_b in chans] for ch_a in chans]
     assert grid == reference  # bit for bit, not approximately
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 21])
+def test_contour_calls_coincidence_raw_twice_per_slot_pair(n, monkeypatch):
+    # damping m = 2, n = 1 on H photons: arm A's slots are k = 2, 1, 0 and
+    # arm B's k = 1, 0 (one eigen-rank each), so five slot pairs hold a
+    # photon, each one call for the baseline and one for the dip
+    calls = _counting(monkeypatch, chn, "coincidence_raw")
+    chans = [chn.ChannelSpec(gamma=g) for g in np.linspace(0.0, 0.9, n)]
+    grid = chn.channel_visibility_contour(src(2), src(1), chans, chans)
+    assert np.shape(grid) == (n, n)
+    assert len(calls) == 10
+    assert {args[:2] for args in calls} == {(2, 1), (2, 0), (1, 1), (1, 0), (0, 1)}
+
+
+def test_contour_decomposes_once_per_distinct_p_per_arm(monkeypatch):
+    calls = _counting(monkeypatch, pol, "eigendecompose")
+    chans_a = [chn.ChannelSpec(gamma=g, p_depol=p) for p in (0.1, 0.5) for g in (0.0, 0.4)]
+    chans_b = [chn.ChannelSpec(xi=x, p_depol=p) for p in (0.0, 0.3, 0.75) for x in (1.0, 2.0)]
+    grid = chn.channel_visibility_contour(src(2, pol.D), src(1, pol.A), chans_a, chans_b)
+    assert np.shape(grid) == (4, 6)
+    assert len(calls) == 2 + 3
+
+
+def test_contour_with_a_vanishing_baseline_raises():
+    # gamma = 1 on both arms loses every photon, so that cell's P(0) = 0
+    chans = [chn.ChannelSpec(gamma=g) for g in (0.0, 0.5, 1.0)]
+    with pytest.raises(ZeroDivisionError, match="baseline coincidence vanishes"):
+        chn.channel_visibility_contour(src(1), src(1), chans, chans)

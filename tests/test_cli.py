@@ -645,6 +645,20 @@ def test_ratio_map_numerical_failures_exit_3(sets, message, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_channels_fig9_damping_names_its_failing_branch(tmp_path, capsys):
+    # the Fig-9 detectors push the (1, 1) branch's dip below zero at c = 1,
+    # the first failure of the first cell
+    rc = cli.main(["channels", "--set", "mode=damping", "--set", "m=1", "--set", "n=1",
+                   "--set", 'detector_a={"eta_h":0.8,"eta_v":0.83}',
+                   "--set", 'detector_b={"eta_h":0.78,"eta_v":0.85}',
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: coincidence -0.042264 outside [0,1] for m=1, n=1, c=1; "
+        "parameter set lies outside the detection model's validity\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_channels_number_dist(tmp_path):
     rc, text = run(["channels", "--set", "mode=number_dist"], tmp_path)
     assert rc == 0

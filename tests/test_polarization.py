@@ -161,6 +161,16 @@ def test_eigendecompose_maximally_mixed_uses_hv():
     assert branches[1] == (0.5, pol.V)
 
 
+@pytest.mark.parametrize("psi", [pol.D, pol.rotate(pol.H, 0.3),
+                                 pol.PolarizationVector(0.6, 0.8j)])
+def test_fully_depolarized_state_splits_in_its_input_basis(psi):
+    # I/2 has no eigenbasis of its own: a depolarized pure state keeps
+    # its input's frame, (1 - 2p/3, psi) and (2p/3, psi_perp), at p = 3/4
+    (w0, v0), (w1, v1) = pol.eigendecompose(pol.depolarize(psi.density(), 0.75))
+    assert (v0, v1) == (psi, pol.orthogonal(psi))
+    assert w0 == pytest.approx(0.5, abs=1e-15) and w1 == pytest.approx(0.5, abs=1e-15)
+
+
 def test_eigendecompose_reconstructs():
     for seed in range(8):
         rho = random_density(seed)
