@@ -187,8 +187,8 @@ def _emit_contour(command: str, cfg: dict, out: str | None,
                   visibility_at: Callable[[np.ndarray], np.ndarray],
                   pol_b: pol.PolarizationVector) -> None:
     """Photon B's (center, FWHM) contour, shared by `contour` and
-    `coherent --set mode=contour`; ``visibility_at`` maps a row of mode
-    overlaps c to the visibilities of the command's input."""
+    `coherent --set mode=contour`; ``visibility_at`` maps the grid's flat
+    array of mode overlaps c to the visibilities of the command's input."""
     shape_b = cfgmod.parse_shape(cfg["shape_b"], "shape_b")
     centers, fwhms = _contour_axes(cfg, prof_a)
     grid = sweeps.contour_grid(visibility_at, prof_a, shape_b, centers, fwhms, pol_b)

@@ -31,12 +31,14 @@ closed forms, behind one dispatch that serves :func:`overlap` and
   sech(u) = 2 sum_k (-1)^k e^{-(2k+1)|u|} of Lorentzian-type envelopes,
   summed by the Cohen-Rodriguez Villegas-Zagier acceleration from its
   first 24 terms to within 2 (3 + sqrt 8)^-24 < 1e-18, so its overlap is
-  a fixed weighted sum of overlaps of the two kinds above (24 x 24 terms
-  for sech with sech).
+  a fixed weighted sum of overlaps of the two kinds above (24 x 24 term
+  pairs for sech with sech, which cost one exponential per photon term
+  and only arithmetic per pair).
 
 A profile with numpy array fields is a *profile family*: :func:`overlaps`
 evaluates every pairing as one array formula over it (a dip scan, a
-contour row, a width-search round), and :func:`overlap` is its 0-d case.
+contour grid, a width-search round), in chunks of a fixed number of term
+pairs, and :func:`overlap` is its 0-d case.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,21 +262,49 @@ def _checked_overlaps(a: SpectralProfile, b: SpectralProfile) -> tuple:
 
 def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
     """The one pairing dispatch: the complex overlap of ``a`` with each of
-    ``b``'s photons, in ``b``'s broadcast shape."""
-    ca, cb = _columns(a, 0), _columns(b, 1)
-    if ca[0] is Shape.GAUSSIAN and cb[0] is Shape.GAUSSIAN:
-        values = _gaussian_overlaps(ca, cb)
-    elif ca[0] is Shape.GAUSSIAN:
-        values = _gaussian_exp_overlaps(ca, cb)
-    elif cb[0] is Shape.GAUSSIAN:
-        values = np.conj(_gaussian_exp_overlaps(cb, ca))
+    ``b``'s photons, in ``b``'s broadcast shape.
+
+    The photons of ``b`` go to the kernel in chunks of at most
+    ``_PAIR_BUDGET`` term-pair points (one point per photon and term pair;
+    a sech has 24 terms, the other envelopes one), so a call's memory
+    does not grow with the family.  Every kernel works elementwise on each
+    point and sums its term pairs in a fixed order, so a point's bits do
+    not depend on the chunk or the family it is in.
+    """
+    if a.shape is Shape.GAUSSIAN and b.shape is Shape.GAUSSIAN:
+        kernel = _gaussian_overlaps
+    elif a.shape is Shape.GAUSSIAN:
+        kernel = _gaussian_exp_overlaps
+    elif b.shape is Shape.GAUSSIAN:
+        def kernel(ca, cb):
+            return np.conj(_gaussian_exp_overlaps(cb, ca))
     else:
-        values = _exponential_overlaps(ca, cb)
-    # a sech's terms, summed one after another for each point, so that a
-    # point's value does not depend on the other points
-    terms, points = values.shape[0] * values.shape[1], values.shape[2]
-    total = np.add.accumulate(values.reshape(terms, points), axis=0)[-1]
-    return total.reshape(np.broadcast(b.width, b.broadening, b.delay, b.center).shape)
+        kernel = _exponential_overlaps
+    points_b = _points(b)
+    ca = _columns(a.shape, _points(a), 0)
+    step = max(1, _PAIR_BUDGET // (_terms(a.shape) * _terms(b.shape)))
+    values = np.empty(points_b.shape[1], dtype=complex)
+    for start in range(0, values.size, step):
+        part = slice(start, start + step)
+        values[part] = kernel(ca, _columns(b.shape, points_b[:, part], 1))
+    return values.reshape(np.broadcast(b.width, b.broadening, b.delay, b.center).shape)
+
+
+_PAIR_BUDGET = 1 << 12  # term-pair points per kernel call: 32 KB per array
+
+
+def _pair_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the term axes of a kernel array (terms of a, terms of b,
+    points), by halving the term pairs in a fixed order: each point's sum
+    is the same whatever the other points are."""
+    x = values.reshape(-1, values.shape[-1])
+    while len(x) > 1:
+        half = len(x) // 2
+        pairs = x[:half] + x[half:2 * half]
+        if len(x) % 2:
+            pairs[-1] += x[-1]
+        x = pairs
+    return x[0]
 
 
 def _gaussian_overlaps(a: tuple, b: tuple) -> np.ndarray:
@@ -298,7 +329,7 @@ def _gaussian_overlaps(a: tuple, b: tuple) -> np.ndarray:
     exponent_im = (beta * dt + dt * beta) / (4.0 * alpha) + wbar * dt
     norm = (np.float_power(1.0 / (sa * math.sqrt(TWO_PI)), 0.5)
             * np.float_power(1.0 / (sb * math.sqrt(TWO_PI)), 0.5))
-    return norm * np.sqrt(math.pi / alpha) * np.exp(exponent_re + 1j * exponent_im)
+    return (norm * np.sqrt(math.pi / alpha) * np.exp(exponent_re + 1j * exponent_im)).reshape(-1)
 
 
 _SECH_TERMS = 24  # the series' a-priori error, 2 (3 + sqrt 8)^-24, is below 1e-18
@@ -331,43 +362,74 @@ def _sech_series() -> tuple[np.ndarray, np.ndarray]:
 _SECH_WIDTHS, _SECH_WEIGHTS = _sech_series()
 
 
-def _columns(p: SpectralProfile, axis: int) -> tuple:
-    """(kind, width, norm, delay, centre): the kernels' view of ``p``.
-
-    ``kind`` is the envelope family the kernels see, and the four columns
-    hold the photons' values, in C order of the fields' broadcast shape,
-    along the last of three axes.  A sech photon is its series of
-    Lorentzian-type terms (kind Lorentzian), laid along ``axis``: 0 for
-    photon a and 1 for the photons b, so that the kernels pair every term
-    of a with every term of each b.
-    """
+def _points(p: SpectralProfile) -> np.ndarray:
+    """(effective width, delay, centre) of each of ``p``'s photons, in C
+    order of the fields' broadcast shape, as the rows of a (3, n) array."""
     w = p.effective_width
     cols = np.empty((3,) + np.broadcast(w, p.delay, p.center).shape)
     cols[0], cols[1], cols[2] = w, p.delay, p.center
-    width, delay, center = cols.reshape(3, 1, 1, -1)
-    norm = _envelope_norm(p.shape, width)
-    if p.shape is not Shape.SECH:
-        return p.shape, width, norm, delay, center
+    return cols.reshape(3, -1)
+
+
+def _terms(shape: Shape) -> int:
+    """Number of Lorentzian-type terms the kernels see for one photon."""
+    return _SECH_TERMS if shape is Shape.SECH else 1
+
+
+def _columns(shape: Shape, points: np.ndarray, axis: int) -> tuple:
+    """(kind, width, norm, delay, centre): the kernels' view of photons of
+    ``shape`` with the given :func:`_points` rows.
+
+    ``kind`` is the envelope family the kernels see, and the four columns
+    hold the photons' values along the last of three axes.  A sech photon
+    is its series of Lorentzian-type terms (kind Lorentzian), laid along
+    ``axis``: 0 for photon a and 1 for the photons b, so that the kernels
+    pair every term of a with every term of each b.
+    """
+    width, delay, center = points.reshape(3, 1, 1, -1)
+    norm = _envelope_norm(shape, width)
+    if shape is not Shape.SECH:
+        return shape, width, norm, delay, center
     terms = (-1,) + (1,) * (2 - axis)
     return (Shape.LORENTZIAN, width * _SECH_WIDTHS.reshape(terms),
             norm * _SECH_WEIGHTS.reshape(terms), delay, center)
 
 
+_EXPM1_BELOW = 1.0  # |kappa L| under which a segment takes the expm1 form
+
+
 def _exponential_overlaps(a: tuple, b: tuple) -> np.ndarray:
     """Exact overlaps of sinc or Lorentzian photons, ``a``'s columns
-    against ``b``'s (see :func:`_columns`), broadcast.
+    against ``b``'s (see :func:`_columns`), summed over their term pairs.
 
     On its support each of these envelopes is N e^{-g |t - tau|}: g = 0
     on the sinc's rectangle |t - tau| <= T/2, g = gamma/2 everywhere for
-    the Lorentzian.  Between the support ends and the two kinks (at most
-    three segments) the integrand G_a G_b e^{i(phase - dw t)} is therefore
-    F0 e^{kappa s}, s the distance from an anchoring end where it equals
-    F0.  Each segment is anchored at the end from which it decays, so
-    Re kappa <= 0 and it integrates to F0 L expm1(kappa L) / (kappa L)
-    (F0 L once |kappa L| is below the smallest normal float), or -F0 / kappa
-    when it runs to infinity.  Disjoint supports give exactly 0.  Times are
-    taken from tau_a, so the large phase omega_b (tau_b - tau_a) multiplies
-    the sum once.
+    the Lorentzian.  Times are taken from tau_a.  The support ends and the
+    two kinks (0 and dt = tau_b - tau_a) cut the line into at most three
+    segments, on each of which the integrand
+    F(x) = G_a(x) G_b(x - dt) e^{-i dw x} has F' = kappa F for one complex
+    kappa = rho - i dw (rho a sum of +-g_a and +-g_b).  A segment
+    [x0, x1] therefore integrates to (F(x1) - F(x0)) / kappa, with F = 0
+    at an infinite end, and the overlap is a sum over the segment ends of
+    F there times a difference of 1/kappa.  F at an end is one exponential
+    of each photon's term times one phase per point, so a sech photon
+    costs one exponential per term and end, a term pair only arithmetic,
+    and the sums over the term pairs are real.
+
+    On a segment of length L > 0 with |kappa L| < 1 the difference would
+    cancel, so there the term pair adds F(x0) L expm1(kappa L) / (kappa L)
+    instead (F(x0) L once kappa L is below the smallest normal float):
+    the one transcendental that depends on the pair, taken on that subset
+    alone.  A segment of zero length adds nothing.  A priori, the
+    difference's rounding is a few ulps of max |F| / |kappa|, and with
+    |kappa L| >= 1 that is within a few ulps of the integral of |F| over
+    the segment (1/|kappa| is at most L and at most 1/|rho|), as the
+    expm1 form is.  So the overlap is within a few eps times
+    S = sum_ij |N_a,i N_b,j| int e^{-g_a,i |x| - g_b,j |x - dt|} dx, and
+    by Cauchy-Schwarz S <= 1 for two single terms, 7.6 for a sech against
+    one, and 58 for two sechs (46 when their widths are equal; a few
+    1e-15 are seen there).  Disjoint supports give exactly 0, and the
+    large phase omega_b dt multiplies the sum once.
     """
     shape_a, wa, norm_a, delay_a, center_a = a
     shape_b, wb, norm_b, delay_b, center_b = b
@@ -384,35 +446,99 @@ def _exponential_overlaps(a: tuple, b: tuple) -> np.ndarray:
     lo, hi = np.maximum(lo_a, lo_b), np.minimum(hi_a, hi_b)
     kink_a, kink_b = np.clip(0.0, lo, hi), np.clip(dt, lo, hi)
     ends = [lo, np.minimum(kink_a, kink_b), np.maximum(kink_a, kink_b), hi]
-    total = 0.0
-    for x0, x1 in zip(ends, ends[1:]):
-        # each envelope rises towards its kink and falls away from it
-        kappa = (np.where(x1 <= 0.0, ga, -ga) + np.where(x1 <= dt, gb, -gb)
-                 - 1j * dw)
-        forward = kappa.real <= 0.0
-        anchor = np.where(forward, x0, x1)
-        kappa = np.where(forward, kappa, -kappa)
-        f0 = np.exp(-ga * np.abs(anchor) - gb * np.abs(anchor - dt) - 1j * dw * anchor)
-        length = x1 - x0
-        infinite = np.isinf(length)
-        length = np.where(infinite, 0.0, length)
-        z = kappa * length
-        # expm1(z) / z is 1 below the smallest normal float, where numpy's
-        # complex division gives NaN, and on the infinite segments (length
-        # 0 here), which skip the costly complex expm1
-        big = np.abs(z) >= _TINY
-        ratio = np.divide(np.expm1(z, out=np.zeros_like(z), where=big), z,
-                          out=np.ones_like(z), where=big)
-        finite = length * ratio
-        tail = np.divide(-1.0, kappa, out=np.zeros_like(kappa), where=infinite)
-        segment = np.where(infinite, tail, finite)
-        total = total + f0 * segment
+    tails = Shape.SINC not in (shape_a, shape_b)  # both outer segments infinite
+
+    if tails and not (ends[2] > ends[1]).any():
+        # dt = 0 at every point: both kinks sit at 0, where F = N_a N_b, and
+        # the tails add F(0) (1/kappa_left - 1/kappa_right) = 2 F(0) rho/|kappa|^2
+        rho = ga + gb
+        total = 2.0 * _pair_sum((norm_a * norm_b) * (rho / (rho * rho + dw * dw)))
+    else:
+        total = _segment_sums(ends, tails, ga, gb, norm_a, norm_b, dt, dw)
     # named factors, not in place: numpy reuses a large temporary right factor
     # in place, swapping the factors of a complex product, which rounds a
     # point differently in a longer family, as does an in-place product
-    phase = norm_a * norm_b * np.exp(1j * center_b * dt)
+    phase = np.exp(1j * center_b * dt)
     total = total * phase
-    return np.where(lo < hi, total, 0.0)
+    return np.where(lo < hi, total, 0.0).reshape(-1)
+
+
+class _Segment(NamedTuple):
+    """One segment of :func:`_segment_sums`: its start, length, rho,
+    ``small`` (the term pairs with 0 < |kappa L| < 1; None on a tail),
+    1/|kappa|^2 and rho/|kappa|^2 (both 0 on the small pairs)."""
+
+    x0: np.ndarray
+    length: np.ndarray | None
+    rho: np.ndarray | None
+    small: np.ndarray | None
+    inv: np.ndarray
+    y: np.ndarray
+
+
+def _segment_sums(ends: list, tails: bool, ga, gb, norm_a, norm_b, dt, dw) -> np.ndarray:
+    """The sum over the segment ends of :func:`_exponential_overlaps`, and
+    the expm1 form on its subset, before the phase e^{i omega_b dt}."""
+    dw2 = dw * dw
+
+    def segment(x0, x1, tail) -> _Segment | None:
+        """The segment [x0, x1], None if it has zero length at every point."""
+        length = x1 - x0
+        if not (length > 0.0).any():
+            return None
+        # each envelope rises towards its kink and falls away from it
+        rho = np.where(x1 <= 0.0, ga, -ga) + np.where(x1 <= dt, gb, -gb)
+        den = rho * rho + dw2
+        if tail:
+            return _Segment(x0, length, rho, None, 1.0 / den, rho / den)
+        big = den * (length * length) >= _EXPM1_BELOW * _EXPM1_BELOW
+        return _Segment(x0, length, rho, ~big & (length > 0.0),
+                        np.divide(1.0, den, out=np.zeros(den.shape), where=big),
+                        np.divide(rho, den, out=np.zeros(den.shape), where=big))
+
+    segments = [segment(ends[0], ends[1], tails), segment(ends[1], ends[2], False)]
+    if tails:  # the right tail mirrors the left: rho changes sign, |kappa| does not
+        left = segments[0]
+        segments.append(_Segment(ends[2], None, None, None, left.inv, -left.y))
+    else:
+        segments.append(segment(ends[2], ends[3], False))
+
+    total, pairs = 0.0, [None] * 4
+    for k, x in enumerate(ends):
+        left = segments[k - 1] if k > 0 else None
+        right = segments[k] if k < 3 else None
+        if (tails and k in (0, 3)) or (left is None and right is None):
+            continue  # F = 0 at an infinite end
+        pair = (norm_a * np.exp(-ga * np.abs(x))) * (norm_b * np.exp(-gb * np.abs(x - dt)))
+        pairs[k] = pair
+        # F(x) / kappa is added by the segment ending at x and subtracted by
+        # the one starting there
+        if right is None:
+            y, inv = left.y, left.inv
+        elif left is None:
+            y, inv = -right.y, -right.inv
+        else:
+            y, inv = left.y - right.y, left.inv - right.inv
+        phase = np.exp(-1j * dw * x)
+        total = total + phase * (_pair_sum(pair * y) + 1j * dw * _pair_sum(pair * inv))
+
+    for seg, pair in zip(segments, pairs):
+        if seg is None or seg.small is None:
+            continue
+        at = np.flatnonzero(seg.small)
+        if not at.size:
+            continue
+        point = at % dw.size
+        run, beat = seg.length.ravel()[point], dw.ravel()[point]
+        z = (seg.rho.ravel()[at] - 1j * beat) * run
+        ratio = np.ones_like(z)
+        nonzero = np.abs(z) >= _TINY
+        ratio[nonzero] = np.expm1(z[nonzero]) / z[nonzero]
+        f0 = pair.ravel()[at] * np.exp(-1j * beat * seg.x0.ravel()[point])
+        part = f0 * run * ratio
+        total = total + (np.bincount(point, part.real, dw.size)
+                         + 1j * np.bincount(point, part.imag, dw.size))
+    return total
 
 
 def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
@@ -459,8 +585,8 @@ def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
         terms = (sign * np.exp(-q * (q + 2j * x)) * _faddeeva(sign * z)
                  + 2.0 * np.exp(folded))
         total = terms[0] + terms[1]
-    return (norm_g * norm_e * math.sqrt(math.pi) / (2.0 * sigma)
-            * np.exp(1j * center_e * dt) * total)
+    return _pair_sum(norm_g * norm_e * math.sqrt(math.pi) / (2.0 * sigma)
+                     * np.exp(1j * center_e * dt) * total)
 
 
 _W_TERMS = 40  # Weideman's N: about 2e-15 absolute in the upper half plane
@@ -488,16 +614,18 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
 
     Weideman's rational approximation (SIAM J. Numer. Anal. 31, 1994):
     w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)) with
-    Z = (L + iz) / (L - iz), |Z| <= 1.  p is evaluated for every argument
-    at once as a power matrix times the coefficients.
+    Z = (L + iz) / (L - iz), |Z| <= 1.  p is evaluated by Horner's rule,
+    so the memory is a few arrays of the argument's size.
     """
-    iz = 1j * z.ravel()
+    iz = 1j * z
     d = _W_L - iz
-    powers = np.empty((d.size, _W_TERMS), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = ((_W_L + iz) / d)[:, None]
-    poly = np.cumprod(powers, axis=1) @ _weideman_coefficients()
-    return (2.0 * poly / (d * d) + 1.0 / (math.sqrt(math.pi) * d)).reshape(z.shape)
+    big_z = (_W_L + iz) / d
+    coefficients = _weideman_coefficients()
+    poly = np.full(big_z.shape, coefficients[-1], dtype=complex)
+    for c in coefficients[-2::-1]:
+        np.multiply(poly, big_z, out=poly)
+        poly += c
+    return 2.0 * poly / (d * d) + 1.0 / (math.sqrt(math.pi) * d)
 
 
 def gaussian_overlap_closed_form(sigma_b: float, sigma_c: float,

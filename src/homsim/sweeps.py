@@ -4,9 +4,9 @@ Pure functions producing the max-visibility tables (with the FWHM ratio
 at the optimum) and the visibility contours over photon B's spectral
 parameters, for Fock and coherent inputs alike.  Everything is
 deterministic: fixed grids, a fixed number of width-search rounds, no
-randomness.  Each sweep row, and each width-search round, is one
-:func:`spectral.overlaps` call on a profile family, and each contour row
-one visibility call on its array of mode overlaps.
+randomness.  Each contour grid, and each width-search round, is one
+:func:`spectral.overlaps` call on a profile family, and each contour one
+visibility call on its flat array of mode overlaps.
 """
 
 from __future__ import annotations
@@ -98,16 +98,15 @@ def contour_grid(visibility_at: Callable[[np.ndarray], np.ndarray],
                  pol_b: pol.PolarizationVector) -> np.ndarray:
     """Visibility over photon B's (center, FWHM) grid, photon A fixed.
 
-    Photon A is H-polarized and photon B carries ``pol_b``.  Each row (one
-    center, every FWHM) gets its cos(Theta) values from one
-    :func:`spectral.overlaps` call on the row's profile family, its mode
-    overlaps c = cos(Phi) cos(Theta) from :func:`fock.mode_overlap`, and
-    its visibilities from one ``visibility_at(c_row)`` call, which maps an
-    array of c to the visibilities of the input at hand (Fock or coherent,
-    with its apparatus).  Returns an array indexed [i_center, j_fwhm].
+    Photon A is H-polarized and photon B carries ``pol_b``.  The grid's
+    cos(Theta) values come from one :func:`spectral.overlaps` call on the
+    (center, FWHM) profile family, its mode overlaps c = cos(Phi) cos(Theta)
+    from :func:`fock.mode_overlap`, and its visibilities from one
+    ``visibility_at(c)`` call on the flat array of c in C order, which maps
+    an array of c to the visibilities of the input at hand (Fock or
+    coherent, with its apparatus).  Returns an array indexed
+    [i_center, j_fwhm].
     """
-    out = np.empty((len(centers_b), len(fwhms_b)))
-    for i, cb in enumerate(centers_b):
-        row = spc.SpectralProfile.from_fwhm(shape_b, cb, fwhms_b)
-        out[i] = visibility_at(fock.mode_overlap(pol.H, pol_b, spc.overlaps(profile_a, row)))
-    return out
+    grid = spc.SpectralProfile.from_fwhm(shape_b, centers_b[:, None], fwhms_b)
+    c = fock.mode_overlap(pol.H, pol_b, spc.overlaps(profile_a, grid))
+    return np.asarray(visibility_at(c.ravel()), dtype=float).reshape(c.shape)

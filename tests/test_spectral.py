@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -161,12 +162,24 @@ def test_amplitude_is_fourier_transform_of_envelope(shape):
 # overlaps
 # ---------------------------------------------------------------------------
 
+# Exact values at the kappa = 0 edges of the exponential kernel: a segment
+# of zero length (dt = 0), or a flat one (equal rates, no detuning).  A
+# sech's overlap is a sum over 576 rounded term pairs whose magnitudes add
+# up to about 46 times the overlap, so its exact values hold to a few
+# 1e-15 (up to 2.7e-15 seen over 2,000 random widths); the others to 1e-15.
+EXACT = {spc.Shape.GAUSSIAN: 1e-15, spc.Shape.SINC: 1e-15, spc.Shape.LORENTZIAN: 1e-15,
+         spc.Shape.SECH: 4e-15}
+EDGE_WIDTHS = np.exp(np.linspace(math.log(0.01), math.log(30.0), 9))
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_self_overlap_is_unity(shape):
-    p = profile(shape, 0.5, delay=0.2)
-    res = spc.overlap(p, p)
-    assert res.magnitude == pytest.approx(1.0, abs=1e-10)
-    assert res.theta == pytest.approx(0.0, abs=1e-4)
+    # |value|, not the magnitude, which is clamped at 1
+    for w in EDGE_WIDTHS:
+        p = profile(shape, w, delay=0.2)
+        res = spc.overlap(p, p)
+        assert abs(abs(res.value) - 1.0) <= EXACT[shape]
+        assert res.theta == pytest.approx(0.0, abs=1e-4)
 
 
 def test_gaussian_width_ratio_overlap():
@@ -271,7 +284,7 @@ def test_overlap_curve_is_the_delayed_overlap_family():
 @pytest.mark.parametrize("shape_b", SHAPES)
 @pytest.mark.parametrize("shape_a", SHAPES)
 def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b, monkeypatch):
-    # each row is one overlaps() call on a family; every value must be the
+    # the grid is one overlaps() call on a family; every value must be the
     # one a separate overlap() call gives, bit for bit
     calls = []
     real_overlaps = spc.overlaps
@@ -281,7 +294,8 @@ def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b, monkeypatch):
     centers = np.linspace(CENTER - 4.0 * fw, CENTER + 4.0 * fw, 5)
     fwhms = sweeps.log_grid(fw, 8.0, 5)
     grid = sweeps.contour_grid(lambda c: c, prof_a, shape_b, centers, fwhms, pol.H)
-    assert len(calls) == len(centers)
+    assert len(calls) == 1 and np.shape(calls[0].width) == (len(fwhms),)
+    assert np.shape(calls[0].center) == (len(centers), 1)
     ref = [[spc.overlap(prof_a, spc.SpectralProfile.from_fwhm(shape_b, cb, wb)).magnitude
             for wb in fwhms] for cb in centers]
     assert grid.tolist() == ref
@@ -587,12 +601,14 @@ def test_matched_lorentzians_overlap_to_one():
 def test_equal_lorentzians_delayed_without_detuning(tau):
     # between the two kinks the product is flat (kappa = 0): the segment
     # must contribute its length, not 0/0
-    gamma = 1.3
-    a = profile("lorentzian", gamma, delay=0.2)
-    b = a.delayed(tau)
-    x = 0.5 * gamma * abs(tau)
-    assert spc.overlap(a, b).magnitude == pytest.approx((1.0 + x) * math.exp(-x),
-                                                        rel=1e-14, abs=1e-300)
+    for gamma in (1.3,) + tuple(EDGE_WIDTHS):
+        a = profile("lorentzian", gamma, delay=0.2)
+        b = a.delayed(tau)
+        x = 0.5 * gamma * abs(tau)
+        assert spc.overlap(a, b).magnitude == pytest.approx((1.0 + x) * math.exp(-x),
+                                                            rel=1e-14, abs=1e-300)
+        assert abs(abs(spc.overlap(a, b).value) - (1.0 + x) * math.exp(-x)) <= EXACT[
+            spc.Shape.LORENTZIAN]
 
 
 def test_lorentzian_width_ratio_overlap():
@@ -600,6 +616,104 @@ def test_lorentzian_width_ratio_overlap():
     a = profile("lorentzian", 0.8)
     b = profile("lorentzian", 0.1)
     assert spc.overlap(a, b).magnitude ** 2 == pytest.approx(32.0 / 81.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("tau", [-3.0, -0.25, 1e-9, 0.8, 40.0])
+def test_equal_sechs_delayed_without_detuning(tau):
+    # y / sinh y with y = pi sigma tau / 2; between the kinks the term pairs
+    # of equal rates are flat (kappa = 0), as for the Lorentzians above
+    for w in EDGE_WIDTHS:
+        a = profile("sech", w, delay=0.2)
+        y = 0.5 * math.pi * w * abs(tau)
+        exact = 2.0 * y * math.exp(-y) / -math.expm1(-2.0 * y)  # y / sinh y, no overflow
+        assert abs(abs(spc.overlap(a, a.delayed(tau)).value) - exact) <= EXACT[spc.Shape.SECH]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_contour_family_holds_the_matched_point(shape):
+    # the matched point of a contour family shares its chunk with detuned
+    # and wider or narrower photons and still gives the exact 1
+    a = profile(shape, 0.6)
+    widths = a.width * np.exp(np.linspace(-2.0, 2.0, 5))  # widths[2] is a.width
+    centers = CENTER + np.array([-1.5, -0.2, 0.0, 0.7])
+    grid = spc.overlaps(a, spc.SpectralProfile(shape, centers[:, None], widths))
+    assert grid.shape == (4, 5)
+    assert abs(grid[2, 2] - 1.0) <= EXACT[shape]
+    assert grid[2, 2] == spc.overlap(a, profile(shape, a.width)).magnitude
+
+
+class CountingNumpy:
+    """numpy, counting the elements passed to exp and expm1."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("exp", "expm1"):
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.elements += np.size(x)
+            return attr(x, *args, **kwargs)
+        return counted
+
+
+def test_sech_row_costs_per_photon_exponentials(monkeypatch):
+    # a 21-point sech-sech contour row is 24 x 24 term pairs per point, but
+    # its exponentials are one per photon term (no pair-level exp or expm1);
+    # a delayed row takes one per term and segment end, plus an expm1 for
+    # each term pair whose middle segment has |kappa L| < 1 (none here)
+    counting = CountingNumpy()
+    monkeypatch.setattr(spc, "np", counting)
+    a = spc.SpectralProfile.from_fwhm("sech", CENTER, 2.0)
+    fw = spc.fwhm(a)
+    row = spc.SpectralProfile.from_fwhm("sech", CENTER + 0.7 * fw, sweeps.log_grid(fw, 8.0, 21))
+    terms = spc._SECH_TERMS
+    spc.overlaps(a, row)
+    assert 0 < counting.elements <= (terms + terms) * 21
+    counting.elements = 0
+    spc.overlaps(a, row.delayed(1.5 / fw))
+    assert 0 < counting.elements <= 3 * (terms + terms) * 21 < terms * terms * 21
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_overlaps_memory_stays_within_a_fixed_budget():
+    # a whole contour grid, or a long Gaussian-sech width scan, is one
+    # overlaps() call whose term-pair arrays are chunked: its peak memory is
+    # a few MB, not 24 x 24 (or 24 x 2 x 40 Faddeeva) arrays per point
+    sech = spc.SpectralProfile.from_fwhm("sech", CENTER, 2.0)
+    fw = spc.fwhm(sech)
+    grid = spc.SpectralProfile.from_fwhm(
+        "sech", np.linspace(CENTER - 4.0 * fw, CENTER + 4.0 * fw, 61)[:, None],
+        sweeps.log_grid(fw, 8.0, 61))
+    assert traced_peak(lambda: spc.overlaps(sech, grid)) < 4e6
+    gaussian = spc.SpectralProfile.from_fwhm("gaussian", CENTER, 2.0)
+    scan = spc.SpectralProfile.from_fwhm("sech", CENTER + 0.3 * fw,
+                                         sweeps.log_grid(fw, 20.0, 20_001), 0.4 / fw)
+    assert traced_peak(lambda: spc.overlaps(gaussian, scan)) < 4e6
+
+
+def test_overlaps_name_the_first_failing_point_past_the_first_chunk():
+    # chunks run in C order, so the first failing point named is the first
+    # in C order of the whole family, wherever the chunks split it
+    a = profile("sech", 0.5)
+    step = spc._PAIR_BUDGET // spc._SECH_TERMS ** 2
+    centers = CENTER + 0.1 * np.arange(40.0).reshape(8, 5)
+    widths = np.ones((8, 5))
+    widths[6, 1] = widths[5, 3] = np.inf  # a width the kernel cannot take
+    assert 5 * 5 + 3 >= step
+    with pytest.raises(IntegrationError, match="Cauchy-Schwarz") as err:
+        spc.overlaps(a, spc.SpectralProfile(spc.Shape.SECH, centers, widths))
+    assert f"at B center {centers[5, 3]:.6g} rad/ps, effective width inf" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
