@@ -274,16 +274,16 @@ def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
 
     Entry [i][j] applies channels_a[i] to arm A and channels_b[j] to arm
     B, and equals :func:`mixed_visibility` of the two channel outputs bit
-    for bit.  Each row's spectral overlaps are one :func:`spectral.overlaps`
-    call on arm B's family of broadened spectra; each arm decomposes each
-    of its distinct depolarized densities once, and each slot pair is one
-    :func:`coincidence_raw` call for the baseline and one for the dip.
+    for bit.  The grid's spectral overlaps are one :func:`spectral.overlaps`
+    call on arm A's (len A, 1) family of broadened spectra against arm B's
+    (len B,) one; each arm decomposes each of its distinct depolarized
+    densities once, and each slot pair is one :func:`coincidence_raw` call
+    for the baseline and one for the dip.
     """
     if not channels_a or not channels_b:
         return [[] for _ in channels_a]
-    spec_bs = src_b.spec.broadened(np.array([ch_b.xi for ch_b in channels_b]))
-    cos_theta = np.array([spc.overlaps(src_a.spec.broadened(ch_a.xi), spec_bs)
-                          for ch_a in channels_a])
+    xi_a, xi_b = (np.array([ch.xi for ch in chans]) for chans in (channels_a, channels_b))
+    cos_theta = spc.overlaps(src_a.spec.broadened(xi_a[:, None]), src_b.spec.broadened(xi_b))
     p_inf, p_0 = _branch_sums(_channel_arm(src_a, channels_a, app),
                               _channel_arm(src_b, channels_b, app), app,
                               [np.zeros_like(cos_theta), cos_theta])

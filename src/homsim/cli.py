@@ -385,34 +385,24 @@ _SWAP_DEFAULTS = {
 }
 
 
-def _bsm_photon_second(j: jsa.JointSpectralAmplitude) -> jsa.JointSpectralAmplitude:
+def _bsm_photon_second(j: jsa.SeparableJSA | jsa.GaussianJSA):
     """The JSA with its axes swapped: a literal's signal photon goes to the
     Bell measurement, which ``SwapScenario`` wants on AB's second axis."""
     if isinstance(j, jsa.SeparableJSA):
         return jsa.SeparableJSA(j.spec_second, j.spec_first)
-    return jsa.GriddedJSA(j.axis_second, j.axis_first, j.values.T)
+    return j.transposed()
 
 
 def cmd_swap(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "angle_grid")
     n = _grid_n(cfg)
     if mode == "pair":
-        # one scenario from two JSA literals.  A pump literal is sampled on
-        # its own grid, but jsa_cd's takes jsa_ab's beam-splitter axis so
-        # that two pumps meet on one axis; a separable literal against a
-        # pump is sampled on the pump's beam-splitter axis with its own
-        # literal's grid.
-        parsed_ab, grid_ab = cfgmod.parse_jsa(cfg["jsa_ab"], "jsa_ab")
-        parsed_cd, grid_cd = cfgmod.parse_jsa(cfg["jsa_cd"], "jsa_cd")
-        ab = (parsed_ab if isinstance(parsed_ab, jsa.SeparableJSA)
-              else jsa.build_gaussian_jsa(*parsed_ab, grid_ab))
-        bsm_axis = None if isinstance(ab, jsa.SeparableJSA) else ab.axis_first
-        cd = (parsed_cd if isinstance(parsed_cd, jsa.SeparableJSA)
-              else jsa.build_gaussian_jsa(*parsed_cd, grid_cd, axis_first=bsm_axis))
-        sampled = grid_ab if isinstance(ab, jsa.SeparableJSA) else grid_cd
+        # one scenario from two exact JSA literals (separable or pump)
+        ab = cfgmod.parse_jsa(cfg["jsa_ab"], "jsa_ab")
+        cd = cfgmod.parse_jsa(cfg["jsa_cd"], "jsa_cd")
         phi = cfgmod.parse_real(cfg, "phi")
         scenario = jsa.SwapScenario(_bsm_photon_second(ab), cd, phi)
-        fidelity = jsa.swap_fidelity(scenario, sampled)
+        fidelity = jsa.swap_fidelity(scenario)
         report = {
             "phi": phi,
             "fidelity": fidelity,
@@ -442,10 +432,11 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
                 lines.append(f"{_fmt(d)},{_fmt(sb)},{_fmt(f)}")
         _emit(out, lines)
     elif mode == "pump_sweep":
+        # the sweep is exact: jsa_grid is validated as before but not used
         n_nodes = cfgmod.parse_count(cfg, "jsa_grid.n", 256)
         span = cfgmod.parse_real(cfg, "jsa_grid.span", positive=True, default=6.0)
         try:
-            grid_spec = jsa.GridSpec(n_nodes, span)
+            jsa.GridSpec(n_nodes, span)
         except ValueError as exc:
             raise ConfigError(f"config field 'jsa_grid': {exc}") from None
         sigmas = _linspace(cfg, "pump_sigma", positive=True)
@@ -457,15 +448,14 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
                                cfgmod.parse_real(cfg, "slope_s"),
                                cfgmod.parse_real(cfg, "slope_i"))
         center = cfgmod.parse_real(cfg, "pump_center")
-        rows = []
-        for sp in sigmas:
-            pump = jsa.Pump(center, float(sp))
-            built = jsa.build_gaussian_jsa(pump, pm, grid_spec)
-            # both sources are this one; the misalignment scales the
-            # aligned fidelity by cos^2 Phi
-            aligned = jsa.swap_fidelity(
-                jsa.SwapScenario(_bsm_photon_second(built), built, 0.0))
-            rows.append([math.cos(float(p)) ** 2 * aligned for p in phis])
+        try:
+            sources = jsa.GaussianJSA.from_pump(jsa.Pump(center, sigmas), pm)
+        except ValueError as exc:  # slope_s == slope_i
+            raise ConfigError(f"config field 'slope_i': {exc}") from None
+        # both sources are the same one, so the aligned fidelity is (1 + P) / 2
+        # for each pump's Schmidt purity P; the misalignment scales it by cos^2 Phi
+        aligned = jsa.swap_fidelity(jsa.SwapScenario(sources.transposed(), sources))
+        rows = [[math.cos(float(p)) ** 2 * f for p in phis] for f in aligned.tolist()]
         _emit_grid("swap", cfg, out, sigmas, phis, rows,
                    ("pump_sigma_rad_ps", "phi_rad", "fidelity"))
     else:

@@ -268,11 +268,11 @@ def parse_channel(obj: Any, field: str) -> chn.ChannelSpec:
         raise _fail(field, str(exc)) from None
 
 
-def parse_jsa(obj: Any, field: str) -> tuple[Any, jsa.GridSpec]:
-    """`{separable: {signal, idler}}` or `{pump, pmf, grid}` literals.
+def parse_jsa(obj: Any, field: str) -> jsa.SeparableJSA | jsa.GaussianJSA:
+    """`{separable: {signal, idler}}` or `{pump, pmf}` literals.
 
-    Returns (SeparableJSA | (Pump, PhaseMatching)) plus the grid spec the
-    caller samples a pump literal on, or a separable one against a pump.
+    Both are exact, so a literal's `grid: {n, span}` is validated as
+    before but not used.
     """
     if not isinstance(obj, dict):
         raise _fail(field, "expected a JSA object")
@@ -282,16 +282,15 @@ def parse_jsa(obj: Any, field: str) -> tuple[Any, jsa.GridSpec]:
     n = _count(grid_obj.get("n", 256), f"{field}.grid.n")
     span = _number(grid_obj, f"{field}.grid", "span", 5.0)
     try:
-        grid = jsa.GridSpec(n=n, span=span)
+        jsa.GridSpec(n=n, span=span)
     except ValueError as exc:
         raise _fail(f"{field}.grid", str(exc)) from None
     if "separable" in obj:
         sep = obj["separable"]
         if not isinstance(sep, dict) or "signal" not in sep or "idler" not in sep:
             raise _fail(f"{field}.separable", "needs signal and idler profiles")
-        return (jsa.SeparableJSA(parse_profile(sep["signal"], f"{field}.separable.signal"),
-                                 parse_profile(sep["idler"], f"{field}.separable.idler")),
-                grid)
+        return jsa.SeparableJSA(parse_profile(sep["signal"], f"{field}.separable.signal"),
+                                parse_profile(sep["idler"], f"{field}.separable.idler"))
     if "pump" in obj and "pmf" in obj:
         try:
             pump = jsa.Pump(center=_number(obj["pump"], f"{field}.pump", "center"),
@@ -301,5 +300,8 @@ def parse_jsa(obj: Any, field: str) -> tuple[Any, jsa.GridSpec]:
                                    slope_i=_number(obj["pmf"], f"{field}.pmf", "slope_i", -0.5))
         except ValueError as exc:
             raise _fail(field, str(exc)) from None
-        return ((pump, pm), grid)
+        try:
+            return jsa.GaussianJSA.from_pump(pump, pm)
+        except ValueError as exc:  # slope_s == slope_i
+            raise _fail(f"{field}.pmf", str(exc)) from None
     raise _fail(field, "needs either 'separable' or 'pump'+'pmf'")

@@ -1,55 +1,46 @@
 """Joint spectral amplitudes and Bell-measurement entanglement swapping.
 
-Two photon-pair sources AB and CD, each in a polarization-singlet state
-weighted by a joint spectral amplitude, interfere photons B and C on a
-50:50 beam splitter followed by polarizing beam splitters.  Each of the
-four conclusive detector patterns fires with probability 1/8 regardless of
-polarization misalignment or spectral mismatch; conditioned on one, the
-fidelity of the surviving AD pair to the polarization singlet is
-
-    F = (cos^2 Phi / 2) [1 + II  K_ABCD(w_A, w_D) K_CDAB(w_D, w_A) dw_A dw_D]
-
-with K_ABCD(w_A, w_D) = I f_AB(w_A, w) f_CD*(w, w_D) dw.  For separable
-JSAs the double integral collapses to cos^2(Theta_BC) of the two photons
-meeting at the beam splitter.
-
-Gridded JSAs are trapezoid-sampled pump-envelope x phase-matching products
-exp(-(w_s + w_i - w_p)^2 / 2 sigma_p^2) exp(-dk^2 / 2 sigma_pm^2) with a
-linear phase-mismatch model dk = slope_s (w_s - w_s0) + slope_i (w_i -
-w_i0).
+Photons B and C of two polarization-singlet pair sources AB and CD, each
+weighted by a joint spectral amplitude (JSA), meet on a 50:50 beam
+splitter and polarizing beam splitters.  Each of the four conclusive
+patterns fires with probability 1/8 and leaves AD with the singlet
+fidelity F = (cos^2 Phi / 2)(1 + X), X = II |I f_AB(w_A, w) f_CD*(w, w_D)
+dw|^2 dw_A dw_D the exchange integral: exact for separable and Gaussian
+(pump x phase-matching) JSAs, on the trapezoid rule for two gridded ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral as spc
 
-__all__ = [
-    "Pump", "PhaseMatching", "GridSpec", "SeparableJSA", "GriddedJSA",
-    "SwapScenario", "GridResolutionError",
-    "build_gaussian_jsa", "separable_to_grid",
-    "bsm_outcome_probabilities",
-    "swap_fidelity", "swap_fidelity_separable", "detuned_bandwidth_sweep",
-]
+__all__ = ["Pump", "PhaseMatching", "GridSpec", "SeparableJSA", "GaussianJSA",
+           "GriddedJSA", "SwapScenario", "GridResolutionError", "UnsupportedPairingError",
+           "separable_to_grid", "bsm_outcome_probabilities", "swap_fidelity",
+           "swap_fidelity_separable", "detuned_bandwidth_sweep"]
 
 
 class GridResolutionError(ValueError):
     """The sampling grid is too coarse or narrow for the requested JSA."""
 
 
+class UnsupportedPairingError(TypeError):
+    """A gridded JSA meets a separable or Gaussian one: no exact pairing."""
+
+
 @dataclass(frozen=True)
 class Pump:
-    """Gaussian pump envelope: center omega_p and bandwidth sigma_p (rad/ps)."""
+    """Gaussian pump envelope: center omega_p, bandwidth(s) sigma_p (rad/ps)."""
 
     center: float
-    sigma: float
+    sigma: float | np.ndarray
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not np.all(np.greater(self.sigma, 0.0)):
             raise ValueError("pump bandwidth must be positive")
 
 
@@ -89,29 +80,67 @@ class SeparableJSA:
 
 
 @dataclass(frozen=True)
-class GriddedJSA:
-    """JSA sampled on a rectangular grid, trapezoid-normalized to 1.
+class GaussianJSA:
+    """The normalized JSA (det A / pi^2)^(1/4) exp(-z^T A z / 2), z = (w_1 -
+    center_first, w_2 - center_second), A = q [[1, 1], [1, 1]] + t s s^T
+    with q = 1 / sigma_p^2, t = 1 / sigma_pm^2 and s = (slope_first,
+    slope_second).  det A = q t (slope_first - slope_second)^2 has no
+    cancellation; equal slopes (det A = 0, no norm) raise ValueError.  An
+    array ``q`` stands for one source per element."""
 
-    Real samples stay real (float64) and complex ones complex (complex128),
-    so a pair of real JSAs meets in a real kernel.
-    """
+    q: float | np.ndarray
+    t: float
+    slope_first: float
+    slope_second: float
+    center_first: float
+    center_second: float
+
+    def __post_init__(self):
+        if not np.all(np.greater(self.bsm(True)[3], 0.0)):
+            raise ValueError("slope_s == slope_i leaves det A = 0: the JSA depends "
+                             "only on w_s + w_i and cannot be normalized")
+
+    @staticmethod
+    def from_pump(pump: Pump, pm: PhaseMatching) -> "GaussianJSA":
+        """The source's JSA, signal first, both centred on omega_p / 2."""
+        half = 0.5 * pump.center
+        return GaussianJSA(1.0 / pump.sigma**2, 1.0 / pm.sigma**2,
+                           pm.slope_s, pm.slope_i, half, half)
+
+    def bsm(self, first: bool) -> tuple:
+        """(A_bb, A_bo, A_oo, det A, centre of b) for b the photon on the
+        first axis if ``first`` (else the second) and o the other one."""
+        (s_b, m_b), (s_o, _) = ((self.slope_first, self.center_first),
+                                (self.slope_second, self.center_second))[::1 if first else -1]
+        q, t = self.q, self.t
+        return (q + t * s_b * s_b, q + t * s_b * s_o, q + t * s_o * s_o,
+                q * t * (s_b - s_o) ** 2, m_b)
+
+    def transposed(self) -> "GaussianJSA":
+        return GaussianJSA(self.q, self.t, self.slope_second, self.slope_first,
+                           self.center_second, self.center_first)
+
+
+@dataclass(frozen=True)
+class GriddedJSA:
+    """JSA sampled on a rectangular grid, trapezoid-normalized to 1.  Real
+    samples stay float64 and complex ones complex128, so a pair of real
+    JSAs meets in a real kernel."""
 
     axis_first: np.ndarray
     axis_second: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        a1 = np.asarray(self.axis_first, dtype=float)
-        a2 = np.asarray(self.axis_second, dtype=float)
+        a1, a2 = (np.asarray(a, dtype=float) for a in (self.axis_first, self.axis_second))
         v = np.asarray(self.values)
         v = v.astype(np.result_type(v, float), copy=False)
         if a1.ndim != 1 or a2.ndim != 1 or v.shape != (a1.size, a2.size):
             raise ValueError("values must be shaped (len(axis_first), len(axis_second))")
         if np.any(np.diff(a1) <= 0) or np.any(np.diff(a2) <= 0):
             raise ValueError("grid axes must be strictly increasing")
-        object.__setattr__(self, "axis_first", a1)
-        object.__setattr__(self, "axis_second", a2)
-        object.__setattr__(self, "values", v)
+        for name, value in (("axis_first", a1), ("axis_second", a2), ("values", v)):
+            object.__setattr__(self, name, value)
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         return _trapezoid_weights(self.axis_first), _trapezoid_weights(self.axis_second)
@@ -121,17 +150,14 @@ class GriddedJSA:
         return float(np.einsum("i,ij,j->", w1, _modulus_squared(self.values), w2))
 
 
-JointSpectralAmplitude = SeparableJSA | GriddedJSA
+JointSpectralAmplitude = SeparableJSA | GaussianJSA | GriddedJSA
 
 
 @dataclass(frozen=True)
 class SwapScenario:
-    """Two sources and the polarization misalignment between them.
-
-    ``jsa_ab`` must carry the beam-splitter photon (B) on its second axis
-    and ``jsa_cd`` on its first axis (C); the outer photons A and D sit on
-    the remaining axes.
-    """
+    """Two sources and the polarization misalignment between them: the
+    beam-splitter photons are B on ``jsa_ab``'s second axis and C on
+    ``jsa_cd``'s first."""
 
     jsa_ab: JointSpectralAmplitude
     jsa_cd: JointSpectralAmplitude
@@ -139,172 +165,153 @@ class SwapScenario:
 
 
 def _modulus_squared(v: np.ndarray) -> np.ndarray:
-    """|v|^2 as a real array; real data is squared directly (bit-equal to
-    ``np.abs(v) ** 2`` on floats, without the complex temporaries)."""
+    """|v|^2 as a real array, without complex temporaries for real data."""
     return np.abs(v) ** 2 if np.iscomplexobj(v) else v * v
 
 
 def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
-    w = np.empty_like(axis)
-    w[1:-1] = 0.5 * (axis[2:] - axis[:-2])
-    w[0] = 0.5 * (axis[1] - axis[0])
-    w[-1] = 0.5 * (axis[-1] - axis[-2])
+    w = np.gradient(axis)  # (x[i+1] - x[i-1]) / 2 inside, one spacing at the ends
+    w[[0, -1]] *= 0.5
     return w
-
-
-def build_gaussian_jsa(pump: Pump, pm: PhaseMatching, grid: GridSpec,
-                       center_s: float | None = None,
-                       center_i: float | None = None,
-                       axis_first: np.ndarray | None = None) -> GriddedJSA:
-    """Sample the pump-envelope x phase-matching product on a grid.
-
-    Signal/idler centers default to the degenerate point omega_p / 2.  The
-    grid spans +-span combined widths about the centers, unless
-    ``axis_first`` gives the signal axis (another JSA's beam-splitter
-    axis); a Richardson-style half-resolution check guards against
-    under-sampling.  The samples are real.
-    """
-    ws0 = 0.5 * pump.center if center_s is None else center_s
-    wi0 = 0.5 * pump.center if center_i is None else center_i
-    width = math.hypot(pump.sigma, pm.sigma)
-    half = grid.span * width
-    axis_s = (np.linspace(ws0 - half, ws0 + half, grid.n) if axis_first is None
-              else np.asarray(axis_first, float))
-    axis_i = np.linspace(wi0 - half, wi0 + half, grid.n)
-    ws = axis_s[:, None]
-    wi = axis_i[None, :]
-    pef = np.exp(-((ws + wi - pump.center) ** 2) / (2.0 * pump.sigma**2))
-    dk = pm.slope_s * (ws - ws0) + pm.slope_i * (wi - wi0)
-    pmf = np.exp(-(dk**2) / (2.0 * pm.sigma**2))
-    return _normalized_grid(axis_s, axis_i, pef * pmf, lines=axis_first is not None)
-
-
-def _profile_axis(p: spc.SpectralProfile, grid: GridSpec) -> np.ndarray:
-    scale = p.effective_width if p.shape is not spc.Shape.SINC \
-        else 2.0 * math.pi / p.effective_width
-    half = grid.span * scale
-    return np.linspace(p.center - half, p.center + half, grid.n)
 
 
 def separable_to_grid(jsa: SeparableJSA, grid: GridSpec,
                       axis_first: np.ndarray | None = None,
                       axis_second: np.ndarray | None = None) -> GriddedJSA:
-    """Sample a separable JSA; axes default to each profile's support."""
-    a1 = _profile_axis(jsa.spec_first, grid) if axis_first is None else axis_first
-    a2 = _profile_axis(jsa.spec_second, grid) if axis_second is None else axis_second
+    """Sample a separable JSA, normalized on the trapezoid rule; axes
+    default to each profile's support.  The grid must resolve both
+    photons: the sampling is not checked."""
+    def support(p: spc.SpectralProfile) -> np.ndarray:
+        w = p.effective_width
+        w = 2.0 * math.pi / w if p.shape is spc.Shape.SINC else w
+        return np.linspace(p.center - grid.span * w, p.center + grid.span * w, grid.n)
+
+    a1 = support(jsa.spec_first) if axis_first is None else axis_first
+    a2 = support(jsa.spec_second) if axis_second is None else axis_second
     vals = np.outer(spc.amplitude(jsa.spec_first, a1),
                     spc.amplitude(jsa.spec_second, a2))
-    return _normalized_grid(np.asarray(a1, float), np.asarray(a2, float), vals)
-
-
-def _half_indices(n: int) -> np.ndarray:
-    """Stride-2 subsample that always keeps both endpoints."""
-    idx = list(range(0, n, 2))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return np.asarray(idx)
-
-
-def _line_residual(sq: np.ndarray, axis: np.ndarray, half: np.ndarray) -> float:
-    """Largest half-resolution change among the trapezoid sums of |f|^2
-    along ``axis`` (one per point of the other axis), relative to the
-    largest sum."""
-    fine = _trapezoid_weights(axis) @ sq
-    coarse = _trapezoid_weights(axis[half]) @ sq[half]
-    return float(np.max(np.abs(coarse - fine)) / np.max(fine))
-
-
-def _normalized_grid(a1: np.ndarray, a2: np.ndarray, values: np.ndarray,
-                     lines: bool = False) -> GriddedJSA:
-    """Normalize after the half-resolution check of the total |f|^2.
-
-    ``lines`` also checks each line along either axis: a narrow ridge on
-    axes of unequal spacing can alias on every line yet sum to the right
-    total, which the total alone cannot see.
-    """
-    jsa = GriddedJSA(a1, a2, values)
-    norm = jsa.norm_squared()
+    norm = GriddedJSA(a1, a2, vals).norm_squared()
     if norm <= 0.0:
         raise GridResolutionError("JSA vanishes on the grid")
-    i1, i2 = _half_indices(a1.size), _half_indices(a2.size)
-    coarse = GriddedJSA(a1[i1], a2[i2], values[np.ix_(i1, i2)])
-    residual = abs(coarse.norm_squared() / norm - 1.0)
-    if lines:
-        sq = _modulus_squared(jsa.values)
-        residual = max(residual, _line_residual(sq, a1, i1), _line_residual(sq.T, a2, i2))
-    if residual > 1e-6:
-        raise GridResolutionError(
-            f"grid too coarse for this JSA (half-resolution residual {residual:.2e})")
-    return GriddedJSA(a1, a2, values / math.sqrt(norm))
+    return GriddedJSA(a1, a2, vals / math.sqrt(norm))
 
 
-def _overlap_kernel(jsa_ab: GriddedJSA, jsa_cd: GriddedJSA) -> np.ndarray:
-    """K(w_A, w_D) = integral f_AB(w_A, w) f_CD*(w, w_D) dw.
-
-    The two beam-splitter axes may differ by rounding only, 1e-9 of their
-    spacing: an offset of a sizeable fraction of a spacing would pair two
-    detuned photons as if they met at the same frequencies.
-    """
-    axis_b, axis_c = jsa_ab.axis_second, jsa_cd.axis_first
+def _gridded_exchange(ab: GriddedJSA, cd: GriddedJSA) -> float:
+    """X on the trapezoid rule.  The two beam-splitter axes may differ by
+    rounding only (1e-9 of a spacing): an offset of a sizeable fraction of
+    one would pair detuned photons as if they met at one frequency."""
+    axis_b, axis_c = ab.axis_second, cd.axis_first
     if axis_b.shape != axis_c.shape or np.max(np.abs(axis_b - axis_c)) > (
             1e-9 * np.min(np.abs(np.diff(axis_b)))):
         raise ValueError("jsa_ab second axis must match jsa_cd first axis "
                          "(the two photons meeting at the beam splitter)")
-    w = _trapezoid_weights(jsa_ab.axis_second)
-    cd = jsa_cd.values
-    # two real JSAs make a real (dgemm) product; conj would only copy them
-    return (jsa_ab.values * w[None, :]) @ (np.conj(cd) if np.iscomplexobj(cd) else cd)
-
-
-def _exchange_integral(scenario: SwapScenario, grid: GridSpec) -> float:
-    """The real double integral II K_ABCD K_CDAB dw_A dw_D in [0, 1]."""
-    ab, cd = scenario.jsa_ab, scenario.jsa_cd
-    if isinstance(ab, SeparableJSA) and isinstance(cd, SeparableJSA):
-        return spc.overlap(ab.spec_second, cd.spec_first).magnitude ** 2
-    # a separable JSA is sampled on the gridded one's beam-splitter axis
-    if isinstance(ab, SeparableJSA):
-        ab = separable_to_grid(ab, grid, axis_second=cd.axis_first)
-    elif isinstance(cd, SeparableJSA):
-        cd = separable_to_grid(cd, grid, axis_first=ab.axis_second)
-    k = _overlap_kernel(ab, cd)
-    wa = _trapezoid_weights(ab.axis_first)
-    wd = _trapezoid_weights(cd.axis_second)
-    # K_CDAB(w_D, w_A) = conj(K_ABCD(w_A, w_D)), so the integrand is |K|^2
-    x = float(np.einsum("i,ij,j->", wa, _modulus_squared(k), wd))
-    # Cauchy-Schwarz bounds it by 1 for normalized JSAs: clamp rounding
-    # excursions, reject anything larger (as spectral.overlap does)
+    wa, wb = ab.weights()
+    v = cd.values  # two real JSAs make a real (dgemm) kernel K(w_A, w_D)
+    k = (ab.values * wb[None, :]) @ (np.conj(v) if np.iscomplexobj(v) else v)
+    # K_CDAB(w_D, w_A) = conj(K_ABCD(w_A, w_D)), so the integrand is |K|^2,
+    # which Cauchy-Schwarz bounds by 1: clamp rounding, reject anything more
+    x = float(np.einsum("i,ij,j->", wa, _modulus_squared(k), cd.weights()[1]))
     if x > 1.0 + 1e-9:
         raise GridResolutionError(
             f"exchange integral {x:.6g} exceeds its Cauchy-Schwarz bound of 1")
     return min(x, 1.0)
 
 
+def _gaussian_exchange(ab: GaussianJSA, cd: GaussianJSA):
+    """X = Tr(rho_B rho_C) for two Gaussian JSAs, their 4-D Gaussian integral.
+
+    Each reduced state's quadratic form has the eigenvectors (1, 1) and
+    (1, -1), with eigenvalues A_bb and e = det A / A_oo (the photon's
+    marginal is e^{-e x^2}), so the integral's determinant factors along
+    them; with d the detuning of C's centre from B's (the exponent keeps
+    its digits), X = 2 sqrt(e_B e_C / ((e_B + e_C)(A_BB + A_CC)))
+    e^{-d^2 e_B e_C / (e_B + e_C)}: the Schmidt purity sqrt(det A / (A_11
+    A_22)) for identical sources, an array for an array field."""
+    a_b, _, a_a, det_ab, center_b = ab.bsm(first=False)
+    a_c, _, a_d, det_cd, center_c = cd.bsm(first=True)
+    e_b, e_c = det_ab / a_a, det_cd / a_d
+    d, e_sum, e_prod = center_c - center_b, e_b + e_c, e_b * e_c
+    return 2.0 * np.sqrt(e_prod / (e_sum * (a_b + a_c))) * np.exp(-d * d * (e_prod / e_sum))
+
+
+_TRAPEZOID_E, _MAX_NODES = 38.0, 1 << 18  # the rule's error exponent, its node cap
+
+
+def _separable_gaussian_exchange(photon: spc.SpectralProfile, source: GaussianJSA,
+                                 first: bool) -> float:
+    """X for a separable JSA with beam-splitter photon ``photon`` against
+    the Gaussian JSA ``source``.  Given the source's outer photon at m_o +
+    y, its beam-splitter photon is the normalized Gaussian g_y of amplitude
+    e^{-A_bb x^2 / 2} about m_b - (A_bo / A_bb) y, and y has the density
+    sqrt(e / pi) e^{-e y^2}, e = det A / A_bb, so X = int sqrt(e / pi)
+    e^{-e y^2} |<photon, g_y>|^2 dy.  In y = u / sqrt(e) the integrand
+    pi^{-1/2} e^{-u^2} F(u) is entire with |F(u + ib)| <= e^{(kappa - 1) b^2}
+    (Cauchy-Schwarz), kappa = A_11 A_22 / det A = 1 / P^2 for the Schmidt
+    purity P.  So the trapezoid rule of step h = pi / sqrt(E kappa) errs by
+    at most 2 e^{kappa b^2} / (e^{2 pi b / h} - 1) = 1/sinh(E) at b = pi /
+    (kappa h) (Trefethen and Weideman, SIAM Rev. 56, 2014, Thm 5.1), and
+    nodes out to |u| >= sqrt(E) omit at most erfc(sqrt E) < e^{-E}: a
+    priori, E = 38 holds it within 1e-16 of X on about 24 sqrt(kappa)
+    nodes, to which the overlaps add their rounding, a few 1e-15 at most."""
+    a_b, a_bo, a_o, det, center = source.bsm(first)
+    kappa = a_b * a_o / det
+    h = math.pi / math.sqrt(_TRAPEZOID_E * kappa)
+    last = math.ceil(math.sqrt(_TRAPEZOID_E) / h)
+    if 2 * last + 1 > _MAX_NODES:
+        raise GridResolutionError(f"a Gaussian JSA of Schmidt purity {kappa ** -0.5:.3g} needs "
+                                  f"{2 * last + 1} > {_MAX_NODES} nodes against a separable one")
+    u = h * np.arange(-last, last + 1)
+    offsets = -a_bo / a_b * (u / math.sqrt(det / a_b))
+    # |<photon, g_y>| depends on centre differences only: about a small
+    # origin in place of m_b the centres keep their digits
+    origin = 1.0 + float(np.max(np.abs(offsets))) + abs(photon.center - center)
+    g = spc.SpectralProfile(spc.Shape.GAUSSIAN, origin + offsets, 1.0 / math.sqrt(2.0 * a_b))
+    cos = spc.overlaps(replace(photon, center=origin + (photon.center - center)), g)
+    return h / math.sqrt(math.pi) * float(np.exp(-u * u) @ (cos * cos))
+
+
+def _exchange_integral(scenario: SwapScenario):
+    """The real double integral II K_ABCD K_CDAB dw_A dw_D in [0, 1]."""
+    ab, cd = scenario.jsa_ab, scenario.jsa_cd
+    gridded = isinstance(ab, GriddedJSA), isinstance(cd, GriddedJSA)
+    if all(gridded):
+        return _gridded_exchange(ab, cd)
+    if any(gridded):
+        raise UnsupportedPairingError(
+            "a GriddedJSA pairs only with another GriddedJSA; sample both on one grid")
+    if isinstance(ab, SeparableJSA) and isinstance(cd, SeparableJSA):
+        return spc.overlap(ab.spec_second, cd.spec_first).magnitude ** 2
+    if isinstance(ab, SeparableJSA):
+        x = _separable_gaussian_exchange(ab.spec_second, cd, first=True)
+    elif isinstance(cd, SeparableJSA):
+        x = _separable_gaussian_exchange(cd.spec_first, ab, first=False)
+    else:
+        x = _gaussian_exchange(ab, cd)
+    return np.minimum(x, 1.0)  # X <= 1 but for rounding
+
+
 def bsm_outcome_probabilities(scenario: SwapScenario) -> dict[str, float]:
     """Probabilities of the four conclusive detector patterns (each 1/8).
 
-    Projecting the post-beam-splitter state on any of the four patterns
-    leaves four mutually orthogonal AD polarization sectors whose squared
-    norms are cos^2(Phi)/16, sin^2(Phi)/16, sin^2(Phi)/16, cos^2(Phi)/16
-    times the two JSA normalizations (only the sectors' signs differ
-    between patterns).  Each pattern therefore sums to N_AB N_CD / 8
-    independent of the misalignment and of the spectra.
-    """
-    ab, cd = scenario.jsa_ab, scenario.jsa_cd
-    n_ab = 1.0 if isinstance(ab, SeparableJSA) else ab.norm_squared()
-    n_cd = 1.0 if isinstance(cd, SeparableJSA) else cd.norm_squared()
+    Each pattern leaves four orthogonal AD polarization sectors of squared
+    norms cos^2(Phi)/16, sin^2(Phi)/16, sin^2(Phi)/16 and cos^2(Phi)/16
+    times the two JSA norms, so it sums to N_AB N_CD / 8 whatever the
+    misalignment and the spectra."""
+    n_ab, n_cd = (j.norm_squared() if isinstance(j, GriddedJSA) else 1.0
+                  for j in (scenario.jsa_ab, scenario.jsa_cd))
     return dict.fromkeys(("M0", "M1", "M2", "M3"), n_ab * n_cd / 8.0)
 
 
-def _fidelity(phi: float, exchange: float) -> float:
-    """F = (cos^2 Phi / 2)(1 + X) from the exchange integral X: the one
-    place the swap fidelity is formed."""
+def _fidelity(phi: float, exchange):
+    """F = (cos^2 Phi / 2)(1 + X): the one place the fidelity is formed."""
     return 0.5 * math.cos(phi) ** 2 * (1.0 + exchange)
 
 
-def swap_fidelity(scenario: SwapScenario, grid: GridSpec = GridSpec()) -> float:
-    """Fidelity of the post-measurement AD pair with the singlet; ``grid``
-    sets the outer axis of a separable JSA that meets a gridded one."""
-    return _fidelity(scenario.phi, _exchange_integral(scenario, grid))
+def swap_fidelity(scenario: SwapScenario):
+    """Fidelity of the post-measurement AD pair with the singlet: a float,
+    or an array for two Gaussian JSAs with an array field."""
+    x = _exchange_integral(scenario)
+    return _fidelity(scenario.phi, x if np.ndim(x) else float(x))
 
 
 def swap_fidelity_separable(phi: float, theta_bc: float) -> float:
@@ -314,16 +321,8 @@ def swap_fidelity_separable(phi: float, theta_bc: float) -> float:
 
 def detuned_bandwidth_sweep(detunings: list[float], sigma_b_grid: list[float],
                             sigma_c: float) -> list[list[tuple[float, float]]]:
-    """Aligned (Phi = 0) fidelity curves F(sigma_B) per center detuning.
-
-    Uses the Gaussian overlap closed form; one curve (list of (sigma_B, F))
-    per detuning value.
-    """
-    curves = []
-    for d in detunings:
-        curve = []
-        for sb in sigma_b_grid:
-            ov = spc.gaussian_overlap_closed_form(sb, sigma_c, d, 0.0)
-            curve.append((sb, _fidelity(0.0, ov * ov)))
-        curves.append(curve)
-    return curves
+    """Aligned (Phi = 0) fidelity curves, one list of (sigma_B, F) per
+    center detuning, from the Gaussian overlap closed form."""
+    return [[(sb, _fidelity(0.0, ov * ov)) for sb in sigma_b_grid
+             for ov in (spc.gaussian_overlap_closed_form(sb, sigma_c, d, 0.0),)]
+            for d in detunings]

@@ -230,12 +230,12 @@ def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
 
 
 def overlaps(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
-    """|overlap(a, b_i)| for one photon ``a`` and each photon b_i of the
-    profile family ``b``, in its broadcast shape, as one array formula.
+    """|overlap(a_i, b_i)| over the broadcast shape of the profile families
+    ``a`` and ``b`` (``a`` is often one photon), as one array formula.
 
-    Each element equals :func:`overlap` on its photon, bit for bit.  The
-    first point in C order that fails the Cauchy-Schwarz check raises an
-    :class:`IntegrationError` naming it.
+    Each element equals :func:`overlap` on its pair of photons, bit for
+    bit.  The first point in C order that fails the Cauchy-Schwarz check
+    raises an :class:`IntegrationError` naming it.
     """
     return _checked_overlaps(a, b)[1]
 
@@ -261,15 +261,16 @@ def _checked_overlaps(a: SpectralProfile, b: SpectralProfile) -> tuple:
 
 
 def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
-    """The one pairing dispatch: the complex overlap of ``a`` with each of
-    ``b``'s photons, in ``b``'s broadcast shape.
+    """The one pairing dispatch: the complex overlaps of ``a``'s photons
+    with ``b``'s, in the two families' broadcast shape.
 
-    The photons of ``b`` go to the kernel in chunks of at most
-    ``_PAIR_BUDGET`` term-pair points (one point per photon and term pair;
-    a sech has 24 terms, the other envelopes one), so a call's memory
-    does not grow with the family.  Every kernel works elementwise on each
-    point and sums its term pairs in a fixed order, so a point's bits do
-    not depend on the chunk or the family it is in.
+    The photon pairs go to the kernel in chunks of at most
+    ``_PAIR_BUDGET`` term-pair points (one point per photon pair and term
+    pair; a sech has 24 terms, the other envelopes one), so a call's
+    memory does not grow with the family.  Every kernel works elementwise
+    on each point and sums its term pairs in a fixed order, so a point's
+    bits do not depend on the chunk or the family it is in, nor on
+    whether ``a`` is one photon or a family.
     """
     if a.shape is Shape.GAUSSIAN and b.shape is Shape.GAUSSIAN:
         kernel = _gaussian_overlaps
@@ -280,14 +281,18 @@ def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
             return np.conj(_gaussian_exp_overlaps(cb, ca))
     else:
         kernel = _exponential_overlaps
-    points_b = _points(b)
-    ca = _columns(a.shape, _points(a), 0)
+    shape = np.broadcast_shapes(_shape(a), _shape(b))
+    points_b = _points(b, shape)
+    one = _shape(a) == ()  # one photon a: its columns, formed once, meet every chunk
+    points_a = _points(a, () if one else shape)
+    ca = _columns(a.shape, points_a, 0) if one else None
     step = max(1, _PAIR_BUDGET // (_terms(a.shape) * _terms(b.shape)))
     values = np.empty(points_b.shape[1], dtype=complex)
     for start in range(0, values.size, step):
         part = slice(start, start + step)
-        values[part] = kernel(ca, _columns(b.shape, points_b[:, part], 1))
-    return values.reshape(np.broadcast(b.width, b.broadening, b.delay, b.center).shape)
+        values[part] = kernel(ca if one else _columns(a.shape, points_a[:, part], 0),
+                              _columns(b.shape, points_b[:, part], 1))
+    return values.reshape(shape)
 
 
 _PAIR_BUDGET = 1 << 12  # term-pair points per kernel call: 32 KB per array
@@ -362,12 +367,16 @@ def _sech_series() -> tuple[np.ndarray, np.ndarray]:
 _SECH_WIDTHS, _SECH_WEIGHTS = _sech_series()
 
 
-def _points(p: SpectralProfile) -> np.ndarray:
-    """(effective width, delay, centre) of each of ``p``'s photons, in C
-    order of the fields' broadcast shape, as the rows of a (3, n) array."""
-    w = p.effective_width
-    cols = np.empty((3,) + np.broadcast(w, p.delay, p.center).shape)
-    cols[0], cols[1], cols[2] = w, p.delay, p.center
+def _shape(p: SpectralProfile) -> tuple:
+    """The broadcast shape of ``p``'s fields: () for one photon."""
+    return np.broadcast(p.width, p.broadening, p.delay, p.center).shape
+
+
+def _points(p: SpectralProfile, shape: tuple) -> np.ndarray:
+    """(effective width, delay, centre) of ``p``'s photons broadcast to
+    ``shape``, in C order, as the rows of a (3, n) array."""
+    cols = np.empty((3,) + shape)
+    cols[0], cols[1], cols[2] = p.effective_width, p.delay, p.center
     return cols.reshape(3, -1)
 
 

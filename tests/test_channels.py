@@ -306,16 +306,20 @@ _H_LOSSLESS = fock.Apparatus(fock.BeamSplitter(0.45, 0.55), pol.Detector(1.0, 0.
 ])
 def test_contour_equals_per_cell_mixed_visibility(field, values, m, n, pol_b, app,
                                                   monkeypatch):
-    # each row's overlaps are one overlaps() call on arm B's broadened family
+    # the grid's overlaps are one overlaps() call on arm A's (len, 1)
+    # broadened family against arm B's (len,) one
     calls = []
     real_overlaps = spc.overlaps
-    monkeypatch.setattr(spc, "overlaps", lambda a, b: calls.append(b) or real_overlaps(a, b))
+    monkeypatch.setattr(spc, "overlaps",
+                        lambda a, b: calls.append((a, b)) or real_overlaps(a, b))
     src_a = src(m, pol.H, GAUSS)
     src_b = src(n, pol_b, spc.SpectralProfile(spc.Shape.SECH, CENTER + 0.4, 2.5))
     chans = [chn.ChannelSpec(**{field: v}) for v in values]
     grid = chn.channel_visibility_contour(src_a, src_b, chans, chans, app)
-    assert len(calls) == len(chans)
-    assert all(np.shape(b.broadening) == (len(chans),) for b in calls)
+    assert len(calls) == 1
+    (a, b), = calls
+    assert np.shape(a.broadening) == (len(chans), 1)
+    assert np.shape(b.broadening) == (len(chans),)
     reference = [[chn.mixed_visibility(chn.apply_channel(src_a, ch_a),
                                        chn.apply_channel(src_b, ch_b), app)
                   for ch_b in chans] for ch_a in chans]
@@ -327,6 +331,25 @@ def _counting(monkeypatch, module, name):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
     return calls
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    (spc.Shape.GAUSSIAN, spc.Shape.SECH), (spc.Shape.SECH, spc.Shape.SINC),
+    (spc.Shape.LORENTZIAN, spc.Shape.GAUSSIAN), (spc.Shape.SECH, spc.Shape.SECH)])
+def test_broadening_contour_makes_one_overlaps_call(shape_a, shape_b, monkeypatch):
+    # a 21 x 21 broadening grid asks spectral.overlaps once for all 441
+    # cells, and each cell keeps the bits of its own single-photon overlap
+    calls = _counting(monkeypatch, spc, "overlaps")
+    src_a = src(1, pol.H, spc.SpectralProfile(shape_a, CENTER, 1.3))
+    src_b = src(1, pol.H, spc.SpectralProfile(shape_b, CENTER + 0.4, 0.9, delay=0.3))
+    xis = np.exp(np.linspace(math.log(0.5), math.log(3.0), 21))
+    chans = [chn.ChannelSpec(xi=float(x)) for x in xis]
+    grid = chn.channel_visibility_contour(src_a, src_b, chans, chans)
+    assert len(calls) == 1
+    cells = [[chn.mixed_visibility(chn.apply_channel(src_a, ch_a),
+                                   chn.apply_channel(src_b, ch_b))
+              for ch_b in chans[::5]] for ch_a in chans[::5]]
+    assert [row[::5] for row in grid[::5]] == cells
 
 
 @pytest.mark.parametrize("n", [3, 21])

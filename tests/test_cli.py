@@ -6,11 +6,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim import cli
 from homsim import config as cfgmod
 from homsim import fock
-from homsim import jsa
 from homsim import polarization as pol
 from homsim import spectral as spc
 
@@ -120,14 +121,15 @@ def test_structurally_malformed_config_exits_2(tmp_path):
 
 
 def test_numeric_failure_exits_3(tmp_path, capsys):
-    # under-resolved JSA grid trips the resolution guard -> exit 3
-    rc = cli.main(["swap", "--set", "mode=pump_sweep",
-                   "--set", 'jsa_grid={"n":16,"span":8.0}',
-                   "--set", 'pump_sigma={"min":0.01,"max":0.02,"steps":2}',
-                   "--set", "phi_steps=2",
+    # the paper's threshold-detector formula leaves [0, 1] for identical
+    # photons on eta = 0.95 detectors (the exact answer is 0) -> exit 3
+    lossy = '{"eta_h":0.95,"eta_v":0.95}'
+    rc = cli.main(["dip", "--grid", "3", "--set", "photons=[[1,1]]", "--set", "phi=[0]",
+                   "--set", f"detector_a={lossy}", "--set", f"detector_b={lossy}",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 _BAD_PHOTON = '{"shape":"gaussian","center_thz":%s,"fwhm_nm":%s}'
@@ -741,16 +743,17 @@ def test_swap_pair_of_separable_literals_is_exact(tmp_path):
 
 
 def test_swap_pair_pump_against_separable_in_either_order(tmp_path):
-    # the separable literal is sampled on the pump's BSM axis whichever
-    # source the pump feeds, so mirroring the job keeps the fidelity
+    # the separable Gaussian signal photon against the pump is Gaussian
+    # algebra too: 40-digit mpmath gives F = 0.894338202385433314; the
+    # trapezoid over the pump's idler holds it whichever source it feeds
     pump = json.dumps(_PUMP_LITERAL)
     fidelities = []
     for key in ("jsa_ab", "jsa_cd"):
         rc, text = run(["swap", "--set", "mode=pair", "--set", f"{key}={pump}"], tmp_path)
         assert rc == 0, key
         fidelities.append(json.loads(text)["fidelity"])
-    assert fidelities[1] == 0.8943382023854343
-    assert abs(fidelities[0] - fidelities[1]) <= 1e-12
+    assert abs(fidelities[1] - 0.894338202385433314) <= 2e-15
+    assert abs(fidelities[0] - fidelities[1]) <= 1e-15
 
 
 def _gaussian_exchange_reference(ab, cd):
@@ -810,26 +813,144 @@ def test_swap_pair_of_pump_literals_matches_gaussian_reference(tmp_path, other, 
     assert rc == 0
     report = json.loads(text)
     x = _gaussian_exchange_reference(_PUMP_LITERAL, cd)
-    assert abs(report["fidelity"] - 0.5 * math.cos(phi) ** 2 * (1.0 + x)) <= 1e-10
+    assert abs(report["fidelity"] - 0.5 * math.cos(phi) ** 2 * (1.0 + x)) <= 1e-13
     for p in report["bsm_outcome_probabilities"].values():
-        assert p == pytest.approx(0.125, abs=1e-9)
+        assert p == 0.125
 
 
-def test_swap_pair_pump_unresolved_on_the_shared_axis_exits_3(tmp_path, capsys):
-    # a 0.05 rad/ps CD pump resolves on its own 384-point grid, but not on
-    # AB's coarser 192-point beam-splitter axis, where it is sampled: the
-    # half-resolution check stops the job with exit 3
+def test_swap_pair_narrow_pump_against_pump_matches_gaussian_reference(tmp_path):
+    # a 0.05 rad/ps CD pump against AB's 0.5 rad/ps one: a shared sampled
+    # axis could not resolve both (the grid exited 3 here); the closed form
+    # needs none, and the literals' grids are validated but not used
     cd = {"pump": {"center": 2432.2, "sigma": 0.05}, "pmf": {"sigma": 0.5},
           "grid": {"n": 384, "span": 6.0}}
-    jsa.build_gaussian_jsa(jsa.Pump(2432.2, 0.05), jsa.PhaseMatching(0.5),
-                           jsa.GridSpec(384, 6.0))
+    rc, text = run(["swap", "--set", "mode=pair",
+                    "--set", f"jsa_ab={json.dumps(_PUMP_LITERAL)}",
+                    "--set", f"jsa_cd={json.dumps(cd)}"], tmp_path)
+    assert rc == 0
+    x = _gaussian_exchange_reference(_PUMP_LITERAL, cd)
+    assert abs(json.loads(text)["fidelity"] - 0.5 * (1.0 + x)) <= 1e-13
+
+
+def _precision(lit):
+    """(A_ss, A_si, A_ii, det A) of a pump literal's JSA exp(-z^T A z / 2)."""
+    q, pm = 1.0 / lit["pump"]["sigma"] ** 2, lit["pmf"]
+    t, s, i = 1.0 / pm["sigma"] ** 2, pm["slope_s"], pm["slope_i"]
+    return q + t * s * s, q + t * s * i, q + t * i * i, q * t * (s - i) ** 2
+
+
+def _envelope(photon, x):
+    """A separable photon's real amplitude (no delay) at x = w - w_0, from
+    its textbook formula."""
+    w, shape = photon.width, photon.shape
+    if shape is spc.Shape.SINC:
+        return math.sqrt(w / (2 * math.pi)) * (math.sin(0.5 * w * x) / (0.5 * w * x) if x else 1.0)
+    if shape is spc.Shape.LORENTZIAN:
+        return math.sqrt(w ** 3 / (4 * math.pi)) / (x * x + 0.25 * w * w)
+    if shape is spc.Shape.SECH:  # sech u = 2 e^-|u| / (1 + e^-2|u|), without overflow
+        decay = math.exp(-abs(x / w))
+        return math.sqrt(0.5 / w) * 2.0 * decay / (1.0 + decay * decay)
+    return (w * math.sqrt(2 * math.pi)) ** -0.5 * math.exp(-x * x / (4 * w * w))
+
+
+def _separable_exchange_reference(photon, lit):
+    """X = I |I phi(w) f(w, w_o) dw|^2 dw_o for a separable signal photon phi
+    against a pump literal's normalized JSA f, signal first, by nested
+    adaptive quadrature (scipy) of f itself, split where the photon sits."""
+    from scipy.integrate import quad
+    a_ss, a_si, a_ii, det = _precision(lit)
+    norm, offset = (det / math.pi ** 2) ** 0.25, photon.center - 0.5 * lit["pump"]["center"]
+
+    def integral(f, lo, hi, at):
+        return quad(f, lo, hi, points=[at] if lo < at < hi else None,
+                    epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+
+    def inner(y):  # f(., y) is a Gaussian of width 1 / sqrt(A_ss) about -A_si y / A_ss
+        c, half = -a_si / a_ss * y, 9.0 / math.sqrt(a_ss)
+        return integral(lambda x: _envelope(photon, x - offset) * norm * math.exp(
+            -0.5 * (a_ss * x * x + 2.0 * a_si * x * y + a_ii * y * y)), c - half, c + half, offset)
+
+    # the outer photon's marginal is e^{-det y^2 / A_ss}; the inner overlap
+    # peaks where f(., y) is centred on the photon
+    half = 9.0 / math.sqrt(det / a_ss)
+    return integral(lambda y: inner(y) ** 2, -half, half,
+                    -offset * a_ss / a_si if a_si else 0.0)
+
+
+@st.composite
+def _pump_literal(draw):
+    """A pump literal with unequal slopes, its centre a few of its signal
+    photon's widths off, and a grid too coarse to sample it (grids are
+    validated but not used)."""
+    slope_s, slope_i = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                                     min_size=2, max_size=2, unique=True))
+    lit = {"pump": {"center": 2432.2, "sigma": draw(st.floats(0.05, 5.0))},
+           "pmf": {"sigma": draw(st.floats(0.05, 5.0)), "slope_s": slope_s, "slope_i": slope_i},
+           "grid": {"n": 16, "span": 1.0}}
+    a_ss, _, a_ii, det = _precision(lit)
+    lit["pump"]["center"] += 2.0 * draw(st.floats(-3.0, 3.0)) * math.sqrt(a_ii / det)
+    return lit
+
+
+@pytest.mark.parametrize("shape, examples", [
+    ("pump", 16), ("sinc", 3), ("lorentzian", 3), ("sech", 3), ("gaussian", 3)])
+def test_swap_pair_property_matches_exact_references(tmp_path, shape, examples):
+    # pump against pump: the determinant reference to 1e-13; a separable
+    # sinc, Lorentzian, sech or Gaussian signal against a pump, in either
+    # order: nested quadrature of the JSA itself to 1e-12
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        pump = data.draw(_pump_literal())
+        if shape == "pump":
+            other = data.draw(_pump_literal())
+            x, tolerance = _gaussian_exchange_reference(other, pump), 1e-13
+        else:
+            a_ss, _, a_ii, det = _precision(pump)
+            # a photon 0.3-3 times as wide as the pump's conditional signal,
+            # up to two marginal widths off its centre
+            width = data.draw(st.floats(0.3, 3.0)) / math.sqrt(2.0 * a_ss)
+            center = 0.5 * pump["pump"]["center"] + data.draw(
+                st.floats(-2.0, 2.0)) * math.sqrt(a_ii / det)
+            signal = {"shape": shape, "center_thz": center / (2 * math.pi),
+                      "width_thz": 2 * math.pi / width if shape == "sinc" else width / (2 * math.pi)}
+            other = {"separable": {"signal": signal, "idler": {
+                "shape": "gaussian", "center_thz": 193.55, "width_thz": 0.1}}}
+            x = _separable_exchange_reference(cfgmod.parse_profile(signal, "signal"), pump)
+            tolerance = 1e-12
+        phi = data.draw(st.floats(0.0, 0.5 * math.pi))
+        ab, cd = (other, pump) if data.draw(st.booleans()) else (pump, other)
+        rc, text = run(["swap", "--set", "mode=pair", "--set", f"phi={phi!r}",
+                        "--set", f"jsa_ab={json.dumps(ab)}", "--set", f"jsa_cd={json.dumps(cd)}"],
+                       tmp_path)
+        assert rc == 0, (ab, cd)
+        assert abs(json.loads(text)["fidelity"] - 0.5 * math.cos(phi) ** 2 * (1.0 + x)) <= tolerance
+
+    check()
+
+
+def test_pump_sweep_with_equal_slopes_exits_2_naming_them(tmp_path, capsys):
+    # slope_s == slope_i leaves det A = 0: the JSA depends on w_s + w_i
+    # alone and has no norm, which is a config error, not a coarse grid
+    rc = cli.main(["swap", "--set", "mode=pump_sweep", "--set", "slope_i=1.0",
+                   "--grid", "3", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "slope_i" in err and "grid" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["jsa_ab", "jsa_cd"])
+def test_swap_pair_pump_with_equal_slopes_exits_2_naming_it(tmp_path, capsys, key):
+    singular = dict(_PUMP_LITERAL, pmf={"sigma": 0.5, "slope_s": 1.0, "slope_i": 1.0})
     rc = cli.main(["swap", "--set", "mode=pair",
                    "--set", f"jsa_ab={json.dumps(_PUMP_LITERAL)}",
-                   "--set", f"jsa_cd={json.dumps(cd)}",
+                   "--set", f"jsa_cd={json.dumps(_PUMP_LITERAL)}",
+                   "--set", f"{key}={json.dumps(singular)}",
                    "--out", str(tmp_path / "x.json")])
     err = capsys.readouterr().err
-    assert rc == 3, err
-    assert "half-resolution residual" in err
+    assert rc == 2, err
+    assert f"{key}.pmf" in err and "grid" not in err
     assert not (tmp_path / "x.json").exists()
 
 

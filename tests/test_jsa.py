@@ -14,6 +14,26 @@ def gauss(center, sigma):
     return spc.SpectralProfile(spc.Shape.GAUSSIAN, center, sigma)
 
 
+def sampled(j: jsa.GaussianJSA, n: int = 192, span: float = 8.0) -> jsa.GriddedJSA:
+    """The Gaussian JSA's own amplitude (det A / pi^2)^(1/4) e^{-z^T A z / 2},
+    sampled on an n x n grid spanning +-span marginal widths per axis."""
+    a11, a12, a22, det, c1 = j.bsm(True)
+    axes = [c + span * math.sqrt(a / det) * np.linspace(-1.0, 1.0, n)
+            for c, a in ((c1, a22), (j.center_second, a11))]
+    x, y = axes[0][:, None] - c1, axes[1][None, :] - j.center_second
+    values = (det / math.pi**2) ** 0.25 * np.exp(-0.5 * (a11 * x * x + 2 * a12 * x * y + a22 * y * y))
+    return jsa.GriddedJSA(*axes, values)
+
+
+def source(sigma_p, pm):
+    return jsa.GaussianJSA.from_pump(jsa.Pump(2 * CENTER, sigma_p), pm)
+
+
+def self_swap(j: jsa.GaussianJSA):
+    """Two copies of ``j`` meeting with their signal photons: F = (1 + P) / 2."""
+    return jsa.swap_fidelity(jsa.SwapScenario(j.transposed(), j))
+
+
 def schmidt_weights(j: jsa.GriddedJSA, count: int = 8) -> np.ndarray:
     """Leading Schmidt weights (squared singular values, summing to 1)."""
     w1, w2 = j.weights()
@@ -27,55 +47,76 @@ def schmidt_weights(j: jsa.GriddedJSA, count: int = 8) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_built_jsa_is_normalized():
-    j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.8),
-                               jsa.PhaseMatching(0.5), jsa.GridSpec(n=128, span=6.0))
-    assert j.norm_squared() == pytest.approx(1.0, abs=1e-8)
+    # the closed form's norm (det A / pi^2)^(1/4), with det A = q t (s_s -
+    # s_i)^2, makes the trapezoid norm of the sampled amplitude 1
+    j = source(0.8, jsa.PhaseMatching(0.5))
+    a11, a12, a22, det, _ = j.bsm(True)
+    assert det == pytest.approx(a11 * a22 - a12 * a12, rel=1e-14)
+    assert sampled(j, 256).norm_squared() == pytest.approx(1.0, abs=1e-12)
+    assert jsa.bsm_outcome_probabilities(jsa.SwapScenario(j.transposed(), j)) == \
+        dict.fromkeys(("M0", "M1", "M2", "M3"), 0.125)
 
 
 def test_grid_too_coarse_raises():
-    with pytest.raises(jsa.GridResolutionError):
-        jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.01),
-                               jsa.PhaseMatching(1.0), jsa.GridSpec(n=32, span=8.0))
+    # a nearly singular pump (slopes 1 and 1 - 1e-7, Schmidt purity ~1e-7)
+    # needs more trapezoid nodes against a separable photon than the cap
+    j = source(0.3, jsa.PhaseMatching(0.5, 1.0, 1.0 - 1e-7))
+    photon = gauss(CENTER, 0.5)
+    with pytest.raises(jsa.GridResolutionError, match="nodes"):
+        jsa.swap_fidelity(jsa.SwapScenario(jsa.SeparableJSA(photon, photon), j))
+
+
+def test_equal_slopes_cannot_be_normalized():
+    with pytest.raises(ValueError, match="slope_s == slope_i"):
+        source(0.5, jsa.PhaseMatching(0.5, 0.7, 0.7))
 
 
 def test_separability_at_balanced_slopes():
     # with slopes (1, -1) the PEF and PMF cross terms cancel when
     # sigma_p = sigma_pm; the Schmidt spectrum collapses to one mode
     sigma = 0.7
-    j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, sigma),
-                               jsa.PhaseMatching(sigma, 1.0, -1.0),
-                               jsa.GridSpec(n=160, span=6.0))
-    lam = schmidt_weights(j)
-    assert lam[0] > 1.0 - 1e-3
+    j = source(sigma, jsa.PhaseMatching(sigma, 1.0, -1.0))
+    assert j.bsm(True)[1] == 0.0
+    assert self_swap(j) == pytest.approx(1.0, abs=1e-15)
+    lam = schmidt_weights(sampled(j))
+    assert lam[0] > 1.0 - 1e-12
 
 
 def test_one_sided_slope_with_broad_pump_is_separable():
-    j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 50.0),
-                               jsa.PhaseMatching(0.5, 1.0, 0.0),
-                               jsa.GridSpec(n=160, span=6.0))
-    lam = schmidt_weights(j)
-    assert lam[0] > 1.0 - 1e-3
+    # the broad pump leaves the 0.5 rad/ps phase-matching ridge along the
+    # signal axis alone; the exact (1 + P) / 2 is 0.999975
+    pm = jsa.PhaseMatching(0.5, 1.0, 0.0)
+    f = self_swap(source(50.0, pm))
+    assert abs(f - 0.5 * (1.0 + _schmidt_purity(50.0, pm))) <= 1e-13
+    assert f == pytest.approx(0.999975, abs=1e-6)
 
 
 def test_narrow_pump_is_anticorrelated():
-    j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.08),
-                               jsa.PhaseMatching(1.0), jsa.GridSpec(n=512, span=6.0))
-    w1, w2 = j.weights()
-    p = np.abs(j.values) ** 2 * np.outer(w1, w2)
+    j = source(0.08, jsa.PhaseMatching(1.0))
+    g = sampled(j, 512)
+    w1, w2 = g.weights()
+    p = np.abs(g.values) ** 2 * np.outer(w1, w2)
     p /= p.sum()
-    xs = j.axis_first - (p.sum(axis=1) @ j.axis_first)
-    ys = j.axis_second - (p.sum(axis=0) @ j.axis_second)
+    xs = g.axis_first - (p.sum(axis=1) @ g.axis_first)
+    ys = g.axis_second - (p.sum(axis=0) @ g.axis_second)
     cov = float((p * np.outer(xs, ys)).sum())
     sx = math.sqrt(float(p.sum(axis=1) @ xs**2))
     sy = math.sqrt(float(p.sum(axis=0) @ ys**2))
+    # |f|^2 has the covariance A^-1 / 2: correlation -A_12 / sqrt(A_11 A_22)
+    a11, a12, a22, _, _ = j.bsm(True)
+    assert cov / (sx * sy) == pytest.approx(-a12 / math.sqrt(a11 * a22), abs=1e-9)
     assert cov / (sx * sy) < -0.9
 
 
 def test_schmidt_weights_sum_to_one():
-    j = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.4),
-                               jsa.PhaseMatching(0.9), jsa.GridSpec(n=128, span=6.0))
-    lam = schmidt_weights(j, count=128)
+    # a Gaussian JSA's Schmidt weights are geometric, (1 - mu^2) mu^(2k),
+    # with mu^2 = (1 - P) / (1 + P) for its purity P
+    pm = jsa.PhaseMatching(0.9)
+    lam = schmidt_weights(sampled(source(0.4, pm)), count=128)
     assert lam.sum() == pytest.approx(1.0, abs=1e-10)
+    purity = _schmidt_purity(0.4, pm)
+    mu2 = (1.0 - purity) / (1.0 + purity)
+    assert lam[:6] == pytest.approx((1.0 - mu2) * mu2 ** np.arange(6), abs=1e-10)
 
 
 def test_axis_validation():
@@ -94,16 +135,12 @@ def test_real_values_stay_real_and_complex_stay_complex():
                         (np.ones((4, 4), dtype=np.complex64), np.complex128),
                         (np.ones((4, 4), dtype=complex), np.complex128)):
         assert jsa.GriddedJSA(axis, axis, given).values.dtype == kept
-    built = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.8),
-                                   jsa.PhaseMatching(0.5), jsa.GridSpec(n=64))
-    assert built.values.dtype == np.float64
 
 
 def test_real_pair_fidelity_equals_the_complex_cast_pair():
     # a real pair runs the kernel on a real GEMM, a complex-cast pair on a
     # complex one: the two agree to rounding
-    built = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.3),
-                                   jsa.PhaseMatching(0.5), jsa.GridSpec(n=192, span=6.0))
+    built = sampled(source(0.3, jsa.PhaseMatching(0.5)))
 
     def fidelity(values, phi):
         ab = jsa.GriddedJSA(built.axis_second, built.axis_first, values.T)
@@ -119,19 +156,13 @@ def test_real_pair_fidelity_equals_the_complex_cast_pair():
                        built.values.astype(complex)).norm_squared(), abs=1e-15)
 
 
-def test_pump_built_on_a_given_signal_axis():
-    # a pump sampled on another JSA's signal axis keeps its own centre and
-    # idler axis, and its half-resolution check
-    pm, grid = jsa.PhaseMatching(0.5), jsa.GridSpec(n=128, span=6.0)
-    own = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.8), pm, grid)
-    axis = own.axis_first + 0.01
-    moved = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.8), pm, grid, axis_first=axis)
-    assert np.array_equal(moved.axis_first, axis)
-    assert np.array_equal(moved.axis_second, own.axis_second)
-    assert moved.norm_squared() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(jsa.GridResolutionError, match="half-resolution"):
-        jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.02), pm, grid,
-                               axis_first=axis[::4])
+def test_gridded_jsa_meets_only_gridded_ones():
+    j = source(0.5, jsa.PhaseMatching(0.5))
+    photon = gauss(CENTER, 0.5)
+    for ab, cd in ((sampled(j), j), (j.transposed(), sampled(j)),
+                   (sampled(j), jsa.SeparableJSA(photon, photon))):
+        with pytest.raises(jsa.UnsupportedPairingError):
+            jsa.swap_fidelity(jsa.SwapScenario(ab, cd))
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +247,12 @@ def test_grid_convergence():
 
 
 def test_entangled_jsa_lowers_fidelity():
-    spec = jsa.GridSpec(n=256, span=7.0)
-    entangled = jsa.build_gaussian_jsa(jsa.Pump(2 * CENTER, 0.2),
-                                       jsa.PhaseMatching(0.8), spec)
-    ab = jsa.GriddedJSA(entangled.axis_second, entangled.axis_first,
-                        entangled.values.T)
-    f = jsa.swap_fidelity(jsa.SwapScenario(ab, entangled, 0.0), spec)
-    purity = float(np.sum(schmidt_weights(entangled, count=160) ** 2))
-    assert f == pytest.approx(0.5 * (1.0 + purity), abs=1e-6)
+    # the closed form against the purity sum lambda_k^2 of the sampled
+    # JSA's Schmidt spectrum
+    entangled = source(0.2, jsa.PhaseMatching(0.8))
+    f = self_swap(entangled)
+    purity = float(np.sum(schmidt_weights(sampled(entangled, 256), count=160) ** 2))
+    assert f == pytest.approx(0.5 * (1.0 + purity), abs=1e-10)
     assert f < 0.95
 
 
@@ -282,12 +311,24 @@ def _schmidt_purity(sigma_p, pm):
 @pytest.mark.parametrize("sigma_p", [0.1, 0.5, 1.0, 2.0])
 def test_pump_sweep_fidelity_is_half_one_plus_schmidt_purity(n, sigma_p):
     # at Phi = 0 the exchange integral of one source with itself is the
-    # trace of its reduced state squared, the Schmidt purity P: F = (1 + P) / 2
+    # trace of its reduced state squared, the Schmidt purity P: F = (1 + P) / 2,
+    # and the JSA sampled on an n-point grid meets itself within 1e-10 of it
     pm = jsa.PhaseMatching(0.5)
-    built = jsa.build_gaussian_jsa(jsa.Pump(2432.2, sigma_p), pm, jsa.GridSpec(n, 6.0))
-    ab = jsa.GriddedJSA(built.axis_second, built.axis_first, built.values.T)
-    f = jsa.swap_fidelity(jsa.SwapScenario(ab, built, 0.0))
-    assert abs(f - 0.5 * (1.0 + _schmidt_purity(sigma_p, pm))) <= 1e-10
+    j = jsa.GaussianJSA.from_pump(jsa.Pump(2432.2, sigma_p), pm)
+    expected = 0.5 * (1.0 + _schmidt_purity(sigma_p, pm))
+    assert abs(self_swap(j) - expected) <= 1e-13
+    grid = sampled(j, n)
+    ab = jsa.GriddedJSA(grid.axis_second, grid.axis_first, grid.values.T)
+    assert abs(jsa.swap_fidelity(jsa.SwapScenario(ab, grid)) - expected) <= 1e-10
+
+
+def test_pump_sweep_is_one_array_expression():
+    # an array of pump widths gives the array of (1 + P) / 2 in one call
+    pm = jsa.PhaseMatching(0.5)
+    sigmas = np.linspace(0.05, 5.0, 40)
+    f = self_swap(jsa.GaussianJSA.from_pump(jsa.Pump(2432.2, sigmas), pm))
+    assert f.shape == sigmas.shape
+    assert np.max(np.abs(f - [0.5 * (1.0 + _schmidt_purity(s, pm)) for s in sigmas])) <= 1e-13
 
 
 def test_cli_pump_sweep_is_half_one_plus_schmidt_purity(tmp_path):
@@ -301,7 +342,7 @@ def test_cli_pump_sweep_is_half_one_plus_schmidt_purity(tmp_path):
     assert sorted(aligned) == [0.5, 1.0, 1.5, 2.0]
     for sigma_p, f in aligned.items():
         expected = 0.5 * (1.0 + _schmidt_purity(sigma_p, jsa.PhaseMatching(0.5)))
-        assert abs(f - expected) <= 1e-10
+        assert abs(f - expected) <= 5e-13  # 12 printed digits
 
 
 # ---------------------------------------------------------------------------

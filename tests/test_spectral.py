@@ -313,6 +313,26 @@ def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b, monkeypatch):
         assert_pointwise(prof_a, family)
 
 
+@pytest.mark.parametrize("shape_a, shape_b", PAIRINGS)
+def test_overlaps_of_two_families_equal_pointwise_overlaps(shape_a, shape_b):
+    # a (4, 1) family a against a (3,) family b pairs every photon of a with
+    # every photon of b, each pair with the bits of its own overlap() call
+    column = np.array([[-0.4], [0.0], [0.2], [0.9]])
+    a = spc.SpectralProfile(shape_a, CENTER + column, 1.1, column + 0.4, 1.5 + column)
+    b = spc.SpectralProfile(shape_b, CENTER + 0.3, 0.8, np.array([0.0, -0.5, 0.25]),
+                            np.array([0.5, 1.0, 3.0]))
+    got = spc.overlaps(a, b)
+    assert got.shape == (4, 3)
+
+    def photon(p, index):
+        fields = (np.broadcast_to(x, got.shape) for x in
+                  (p.center, p.width, p.delay, p.broadening))
+        return spc.SpectralProfile(p.shape, *(float(x[index]) for x in fields))
+
+    for index in np.ndindex(got.shape):
+        assert got[index] == spc.overlap(photon(a, index), photon(b, index)).magnitude
+
+
 def test_overlaps_of_an_empty_family_are_empty():
     a = profile("sech", 0.5)
     for shape in SHAPES:
