@@ -385,14 +385,6 @@ _SWAP_DEFAULTS = {
 }
 
 
-def _bsm_photon_second(j: jsa.SeparableJSA | jsa.GaussianJSA):
-    """The JSA with its axes swapped: a literal's signal photon goes to the
-    Bell measurement, which ``SwapScenario`` wants on AB's second axis."""
-    if isinstance(j, jsa.SeparableJSA):
-        return jsa.SeparableJSA(j.spec_second, j.spec_first)
-    return j.transposed()
-
-
 def cmd_swap(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "angle_grid")
     n = _grid_n(cfg)
@@ -401,7 +393,9 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         ab = cfgmod.parse_jsa(cfg["jsa_ab"], "jsa_ab")
         cd = cfgmod.parse_jsa(cfg["jsa_cd"], "jsa_cd")
         phi = cfgmod.parse_real(cfg, "phi")
-        scenario = jsa.SwapScenario(_bsm_photon_second(ab), cd, phi)
+        # a literal's signal photon goes to the Bell measurement, which
+        # SwapScenario wants on AB's second axis
+        scenario = jsa.SwapScenario(ab.transposed(), cd, phi)
         fidelity = jsa.swap_fidelity(scenario)
         report = {
             "phi": phi,
@@ -432,13 +426,7 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
                 lines.append(f"{_fmt(d)},{_fmt(sb)},{_fmt(f)}")
         _emit(out, lines)
     elif mode == "pump_sweep":
-        # the sweep is exact: jsa_grid is validated as before but not used
-        n_nodes = cfgmod.parse_count(cfg, "jsa_grid.n", 256)
-        span = cfgmod.parse_real(cfg, "jsa_grid.span", positive=True, default=6.0)
-        try:
-            jsa.GridSpec(n_nodes, span)
-        except ValueError as exc:
-            raise ConfigError(f"config field 'jsa_grid': {exc}") from None
+        cfgmod.parse_ignored_grid(cfg.get("jsa_grid", {}), "jsa_grid")
         sigmas = _linspace(cfg, "pump_sigma", positive=True)
         phi_steps = cfgmod.parse_count(cfg, "phi_steps")
         if phi_steps < 2:

@@ -21,7 +21,7 @@ from . import spectral as spc
 __all__ = ["ConfigError", "merge", "set_path", "parse_real", "parse_reals", "parse_count",
            "parse_photons", "parse_shape", "parse_center_fwhm", "parse_profile",
            "parse_polarization", "parse_detector", "parse_beam_splitter",
-           "parse_apparatus", "parse_channel", "parse_jsa"]
+           "parse_apparatus", "parse_channel", "parse_ignored_grid", "parse_jsa"]
 
 _POL_NAMES = {"H": pol.H, "V": pol.V, "D": pol.D, "A": pol.A}
 TWO_PI = 2.0 * math.pi
@@ -268,6 +268,20 @@ def parse_channel(obj: Any, field: str) -> chn.ChannelSpec:
         raise _fail(field, str(exc)) from None
 
 
+def parse_ignored_grid(grid: Any, field: str) -> None:
+    """Validate the `{n, span}` grid object ``field`` as a
+    :class:`jsa.GridSpec` and drop it: every JSA path is exact, so the
+    grid keys of older configs are accepted but not used."""
+    if not isinstance(grid, dict):
+        raise _fail(field, "expected {n, span}")
+    n = _count(grid.get("n", jsa.GridSpec.n), f"{field}.n")
+    span = _number(grid, field, "span", jsa.GridSpec.span, positive=True)
+    try:
+        jsa.GridSpec(n, span)
+    except ValueError as exc:
+        raise _fail(field, str(exc)) from None
+
+
 def parse_jsa(obj: Any, field: str) -> jsa.SeparableJSA | jsa.GaussianJSA:
     """`{separable: {signal, idler}}` or `{pump, pmf}` literals.
 
@@ -276,15 +290,7 @@ def parse_jsa(obj: Any, field: str) -> jsa.SeparableJSA | jsa.GaussianJSA:
     """
     if not isinstance(obj, dict):
         raise _fail(field, "expected a JSA object")
-    grid_obj = obj.get("grid", {})
-    if not isinstance(grid_obj, dict):
-        raise _fail(f"{field}.grid", "expected {n, span}")
-    n = _count(grid_obj.get("n", 256), f"{field}.grid.n")
-    span = _number(grid_obj, f"{field}.grid", "span", 5.0)
-    try:
-        jsa.GridSpec(n=n, span=span)
-    except ValueError as exc:
-        raise _fail(f"{field}.grid", str(exc)) from None
+    parse_ignored_grid(obj.get("grid", {}), f"{field}.grid")
     if "separable" in obj:
         sep = obj["separable"]
         if not isinstance(sep, dict) or "signal" not in sep or "idler" not in sep:

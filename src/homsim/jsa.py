@@ -78,6 +78,9 @@ class SeparableJSA:
     spec_first: spc.SpectralProfile
     spec_second: spc.SpectralProfile
 
+    def transposed(self) -> "SeparableJSA":
+        return SeparableJSA(self.spec_second, self.spec_first)
+
 
 @dataclass(frozen=True)
 class GaussianJSA:

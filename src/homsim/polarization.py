@@ -1,11 +1,12 @@
 """Polarization states, the cos(Phi) mismatch kernel, and detector response.
 
-Pure polarizations are complex two-vectors alpha |H> + beta |V>; mixed ones
-are 2x2 density matrices.  Detectors carry separate efficiencies for the H
-and V directions; the efficiency seen by an arbitrary polarization is the
-weighted average |alpha|^2 eta_H + |beta|^2 eta_V, and a threshold detector
-hit by m photons of one polarization and n of another clicks with
-probability 1 - (1-eta_1)^m (1-eta_2)^n.
+Pure polarizations are complex two-vectors alpha |H> + beta |V>; a mixed
+one is a weight on a pure state and the rest on its orthogonal complement.
+Detectors carry separate efficiencies for the H and V directions; the
+efficiency seen by an arbitrary polarization is the weighted average
+|alpha|^2 eta_H + |beta|^2 eta_V, and a threshold detector hit by m photons
+of one polarization and n of another clicks with probability
+1 - (1-eta_1)^m (1-eta_2)^n.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ __all__ = [
     "cos_phi", "rotate", "effective_efficiency", "click_probability",
     "click_from_efficiencies", "depolarize", "eigendecompose", "orthogonal",
 ]
-
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -43,8 +40,7 @@ class PolarizationVector:
         return np.array([self.h, self.v], dtype=complex)
 
     def density(self) -> "PolarizationDensity":
-        vec = self.as_array()
-        return PolarizationDensity(np.outer(vec, vec.conj()), self)
+        return PolarizationDensity(1.0, self)
 
 
 H = PolarizationVector(1.0, 0.0)
@@ -55,28 +51,51 @@ A = PolarizationVector(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
 
 @dataclass(frozen=True)
 class PolarizationDensity:
-    """2x2 polarization density operator (Hermitian, unit trace, PSD).
+    """2x2 polarization density held as its spectral decomposition, which
+    every density has: weight ``w`` on ``state``, 1 - w on its orthogonal."""
 
-    ``basis`` is the frame :func:`eigendecompose` splits a maximally mixed
-    density in, which has no eigenbasis of its own: H/V unless the
-    density comes from a pure state (that state) or from depolarizing
-    one (the input's frame, which the channel keeps at every p).
-    """
-
-    rho: np.ndarray
-    basis: PolarizationVector = H
+    w: float
+    state: PolarizationVector
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+        if not 0.0 <= self.w <= 1.0:
+            raise ValueError("density weight must lie in [0, 1]")
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The matrix w |s><s| + (1 - w) |s_perp><s_perp|."""
+        s = self.state.as_array()
+        return (1.0 - self.w) * np.eye(2) + (2.0 * self.w - 1.0) * np.outer(s, s.conj())
+
+    @staticmethod
+    def from_matrix(rho) -> "PolarizationDensity":
+        """The density of a Hermitian, unit-trace, PSD 2x2 matrix.
+
+        rho = (I + r.sigma) / 2 has weight (1 + |r|) / 2 on the state whose
+        Bloch vector is r / |r| (H when r = 0); PSD means |r| <= 1.
+        """
+        rho = np.asarray(rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError("density matrix must be 2x2")
         if not np.allclose(rho, rho.conj().T, atol=1e-12):
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-12:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(rho).min() < -1e-12:
+        z = float((rho[0, 0] - rho[1, 1]).real)
+        xy = complex(rho[1, 0] + rho[0, 1].conjugate())  # x + iy
+        r = math.hypot(z, abs(xy))
+        if r > 1.0 + 2e-12:  # smallest eigenvalue (1 - |r|) / 2 below -1e-12
             raise ValueError("density matrix must be positive semidefinite")
-        object.__setattr__(self, "rho", rho)
+        if r == 0.0:
+            return PolarizationDensity(0.5, H)
+        # the top eigenvector is (1 + z/r, (x + iy)/r), or the same ray as
+        # ((x - iy)/r, 1 - z/r) when z/r is near -1; dividing by r first keeps
+        # both in normal range when r is subnormal
+        nz, nxy = z / r, xy / r
+        h, v = (1.0 + nz, nxy) if nz >= 0.0 else (nxy.conjugate(), 1.0 - nz)
+        n = math.hypot(abs(h), abs(v))
+        return PolarizationDensity(min(0.5 + 0.5 * r, 1.0),
+                                   PolarizationVector(complex(h / n), complex(v / n)))
 
 
 def cos_phi(a: PolarizationVector, b: PolarizationVector) -> float:
@@ -142,40 +161,17 @@ def click_probability(d: Detector, pol_a: PolarizationVector,
 def depolarize(rho: PolarizationDensity, p: float) -> PolarizationDensity:
     """Isotropic depolarizing channel (1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z).
 
-    Contracts the Bloch vector by (1 - 4p/3); p = 3/4 maps everything to
-    the maximally mixed state.
+    It contracts the Bloch vector by (1 - 4p/3) and keeps the eigenvectors,
+    so w' = 1/2 + (w - 1/2)(1 - 4p/3); p = 3/4 maps everything to I/2.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
-    r = rho.rho
-    out = (1.0 - p) * r + (p / 3.0) * (
-        _PAULI_X @ r @ _PAULI_X + _PAULI_Y @ r @ _PAULI_Y + _PAULI_Z @ r @ _PAULI_Z)
-    return PolarizationDensity(out, rho.basis)
+    return PolarizationDensity(0.5 + (rho.w - 0.5) * (1.0 - 4.0 * p / 3.0), rho.state)
 
 
 def eigendecompose(rho: PolarizationDensity
                    ) -> list[tuple[float, PolarizationVector]]:
-    """Spectral decomposition into two (weight, pure state) branches.
-
-    Weights are clipped to [0, 1], ordered descending, and the vectors'
-    phases fixed so the largest-magnitude component is real positive.
-    A degenerate density (within 1e-12 of I/2) is split in its ``basis``
-    and that state's orthogonal complement, weighted by <basis|rho|basis>.
-    """
-    r = rho.rho
-    if abs(r[0, 0] - r[1, 1]) < 1e-12 and abs(r[0, 1]) < 1e-12:
-        vec = rho.basis.as_array()
-        w = float((vec.conj() @ r @ vec).real)
-        return [(w, rho.basis), (1.0 - w, orthogonal(rho.basis))]
-    vals, vecs = np.linalg.eigh(r)
-    branches = []
-    for i in (1, 0):  # eigh sorts ascending; emit largest weight first
-        w = float(min(max(vals[i], 0.0), 1.0))
-        vec = vecs[:, i]
-        k = int(np.argmax(np.abs(vec)))
-        phase = vec[k] / abs(vec[k])
-        vec = vec / phase
-        nrm = math.sqrt(float(np.sum(np.abs(vec) ** 2)))
-        branches.append((w, PolarizationVector(complex(vec[0] / nrm),
-                                               complex(vec[1] / nrm))))
-    return branches
+    """The two (weight, pure state) branches, largest weight first; at a
+    tie ``rho.state`` comes first."""
+    branches = [(rho.w, rho.state), (1.0 - rho.w, orthogonal(rho.state))]
+    return branches if rho.w >= 0.5 else branches[::-1]

@@ -160,9 +160,9 @@ def test_linearity_in_number_distribution():
 
 def test_linearity_in_commuting_polarization_mixtures():
     lam = 0.61
-    rho1 = pol.PolarizationDensity(np.diag([0.8, 0.2]).astype(complex))
-    rho2 = pol.PolarizationDensity(np.diag([0.3, 0.7]).astype(complex))
-    rho_mix = pol.PolarizationDensity(lam * rho1.rho + (1 - lam) * rho2.rho)
+    rho1 = pol.PolarizationDensity.from_matrix(np.diag([0.8, 0.2]).astype(complex))
+    rho2 = pol.PolarizationDensity.from_matrix(np.diag([0.3, 0.7]).astype(complex))
+    rho_mix = pol.PolarizationDensity.from_matrix(lam * rho1.rho + (1 - lam) * rho2.rho)
     nd = ((1, 1.0),)
     other = chn.MixedSource.pure(src(1, pol.D))
     make = lambda r: chn.MixedSource(nd, r, GAUSS)
@@ -227,20 +227,20 @@ def test_strong_depolarization_saturates():
 
 @pytest.mark.parametrize("psi", [pol.D, pol.A, pol.rotate(pol.H, 0.3)])
 def test_depolarized_shared_label_is_continuous_at_three_quarters(psi):
-    # at p = 3/4 the density is I/2 and has no eigenbasis of its own; two
-    # photons sharing one label keep their input's basis there, so V is
-    # its limit from either side
-    pure_a = chn.apply_channel(src(2, pol.H), chn.IDENTITY_CHANNEL)
-
-    def vis(p):
-        return chn.mixed_visibility(pure_a, chn.apply_channel(src(2, psi),
-                                                               chn.ChannelSpec(p_depol=p)))
-    # linear extrapolation to p = 3/4 from each side, at steps where the
-    # eigenvectors of the nearly degenerate density are still accurate
-    below = 2.0 * vis(0.75 - 1e-6) - vis(0.75 - 2e-6)
-    above = 2.0 * vis(0.75 + 1e-6) - vis(0.75 + 2e-6)
-    assert vis(0.75) == pytest.approx(below, abs=1e-9)
-    assert vis(0.75) == pytest.approx(above, abs=1e-9)
+    # two photons sharing one label are split into psi and psi-perp at
+    # every p, so V has no kink at p = 3/4, where the density is I/2.
+    # dV/dp is about -0.39 there for psi = rotate(H, 0.3), so a step of
+    # 1e-10 moves V by about 4e-11; the second difference across 3/4 is
+    # rounding alone only when the branch direction is exact on both sides
+    ps = (0.75 - 1e-10, 0.75, 0.75 + 1e-10)
+    pure_a, arm_b = src(2), src(2, psi)
+    cells = [chn.mixed_visibility(chn.apply_channel(pure_a, chn.IDENTITY_CHANNEL),
+                                  chn.apply_channel(arm_b, chn.ChannelSpec(p_depol=p)))
+             for p in ps]
+    [row] = chn.channel_visibility_contour(pure_a, arm_b, [chn.IDENTITY_CHANNEL],
+                                           [chn.ChannelSpec(p_depol=p) for p in ps])
+    for v in (cells, row):
+        assert abs(v[2] - 2.0 * v[1] + v[0]) <= 1e-12
 
 
 def test_broadening_mismatch_reduces_visibility():

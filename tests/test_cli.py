@@ -242,6 +242,9 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
     (["channels", "--set", "mode=depolarizing", "--set", "p_max=1.5"], "p_max"),
     (["dip", "--set", "photons=[[0,0]]"], "photons"),
     (["tables", "--set", "photons=[[1,1],[0,0]]"], "photons"),
+    # the ignored grid objects, through their one reader
+    (["swap", "--set", "mode=pump_sweep", "--set", "jsa_grid=5"], "jsa_grid"),
+    (["swap", "--set", "mode=pair", "--set", "jsa_cd.grid.span=0"], "jsa_cd.grid.span"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
@@ -763,30 +766,34 @@ def _gaussian_exchange_reference(ab, cd):
     Each JSA is exp(-z^T A z / 2) in z = (signal, idler) minus the centres
     (pump centre / 2), with A = (1/sigma_p^2) [[1,1],[1,1]] + s s^T /
     sigma_pm^2 and s = (slope_s, slope_i); frequencies are taken relative
-    to AB's centre so that the exponent keeps its digits.
+    to AB's centre.  The 4 x 4 determinant and solve run in 40-digit
+    mpmath, since in float64 an ill-conditioned pump leaves them the less
+    exact side.
     """
-    origin = 0.5 * ab["pump"]["center"]
+    with mpmath.workdps(40):
+        origin = mpmath.mpf(ab["pump"]["center"]) / 2
 
-    def form(lit):
-        q, pm = 1.0 / lit["pump"]["sigma"] ** 2, lit["pmf"]
-        s = np.array([pm.get("slope_s", 1.0), pm.get("slope_i", -0.5)])
-        a = q * np.ones((2, 2)) + np.outer(s, s) / pm["sigma"] ** 2
-        return a, np.full(2, 0.5 * lit["pump"]["center"] - origin)
+        def form(lit):
+            q, pm = 1 / mpmath.mpf(lit["pump"]["sigma"]) ** 2, lit["pmf"]
+            s = mpmath.matrix([pm.get("slope_s", 1.0), pm.get("slope_i", -0.5)])
+            a = q * mpmath.ones(2, 2) + s * s.T / mpmath.mpf(pm["sigma"]) ** 2
+            return a, mpmath.matrix([mpmath.mpf(lit["pump"]["center"]) / 2 - origin] * 2)
 
-    (a_ab, m_ab), (a_cd, m_cd) = form(ab), form(cd)
-    q, b, c0 = np.zeros((4, 4)), np.zeros(4), 0.0
-    # f_AB(w, w_A) f_CD(w, w_D) f_AB(w', w_A) f_CD(w', w_D): (signal, idler) indices
-    for (i, j), a, m in (((2, 0), a_ab, m_ab), ((2, 1), a_cd, m_cd),
-                         ((3, 0), a_ab, m_ab), ((3, 1), a_cd, m_cd)):
-        pick = np.zeros((2, 4))
-        pick[0, i] = pick[1, j] = 1.0
-        q += pick.T @ a @ pick
-        b += pick.T @ a @ m
-        c0 -= 0.5 * m @ a @ m
-    integral = (2.0 * math.pi) ** 2 / math.sqrt(np.linalg.det(q)) * math.exp(
-        0.5 * b @ np.linalg.solve(q, b) + c0)
-    norm_ab, norm_cd = (math.pi / math.sqrt(np.linalg.det(a)) for a in (a_ab, a_cd))
-    return integral / (norm_ab * norm_cd)
+        (a_ab, m_ab), (a_cd, m_cd) = form(ab), form(cd)
+        q, b, c0 = mpmath.zeros(4, 4), mpmath.zeros(4, 1), mpmath.mpf(0)
+        # f_AB(w, w_A) f_CD(w, w_D) f_AB(w', w_A) f_CD(w', w_D): (signal, idler) indices
+        for idx, a, m in (((2, 0), a_ab, m_ab), ((2, 1), a_cd, m_cd),
+                          ((3, 0), a_ab, m_ab), ((3, 1), a_cd, m_cd)):
+            am = a * m
+            for u, i in enumerate(idx):
+                b[i] += am[u]
+                for v, j in enumerate(idx):
+                    q[i, j] += a[u, v]
+            c0 -= (m.T * am)[0] / 2
+        integral = (2 * mpmath.pi) ** 2 / mpmath.sqrt(mpmath.det(q)) * mpmath.exp(
+            (b.T * mpmath.lu_solve(q, b))[0] / 2 + c0)
+        norm_ab, norm_cd = (mpmath.pi / mpmath.sqrt(mpmath.det(a)) for a in (a_ab, a_cd))
+        return float(integral / (norm_ab * norm_cd))
 
 
 def test_gaussian_exchange_reference_is_the_schmidt_purity():
@@ -802,7 +809,10 @@ def test_gaussian_exchange_reference_is_the_schmidt_purity():
     {"pump": {"center": 2432.22, "sigma": 0.5}},
     {"pump": {"center": 2432.2, "sigma": 0.3},
      "pmf": {"sigma": 0.7, "slope_s": 1.0, "slope_i": -1.0}},
-], ids=["pump_widths", "offset_centres", "pmf_and_slopes"])
+    # ill-conditioned: a float64 determinant and solve miss this X by 1.9e-14
+    {"pump": {"center": 2432.2, "sigma": 0.05},
+     "pmf": {"sigma": 5.0, "slope_s": 1.0, "slope_i": 0.0}},
+], ids=["pump_widths", "offset_centres", "pmf_and_slopes", "ill_conditioned"])
 def test_swap_pair_of_pump_literals_matches_gaussian_reference(tmp_path, other, phi):
     # jsa_cd's pump is sampled on jsa_ab's beam-splitter axis, so two pumps
     # whose own axes differ still meet at the same frequencies
@@ -813,7 +823,7 @@ def test_swap_pair_of_pump_literals_matches_gaussian_reference(tmp_path, other, 
     assert rc == 0
     report = json.loads(text)
     x = _gaussian_exchange_reference(_PUMP_LITERAL, cd)
-    assert abs(report["fidelity"] - 0.5 * math.cos(phi) ** 2 * (1.0 + x)) <= 1e-13
+    assert abs(report["fidelity"] - 0.5 * math.cos(phi) ** 2 * (1.0 + x)) <= 1e-15
     for p in report["bsm_outcome_probabilities"].values():
         assert p == 0.125
 
@@ -829,7 +839,7 @@ def test_swap_pair_narrow_pump_against_pump_matches_gaussian_reference(tmp_path)
                     "--set", f"jsa_cd={json.dumps(cd)}"], tmp_path)
     assert rc == 0
     x = _gaussian_exchange_reference(_PUMP_LITERAL, cd)
-    assert abs(json.loads(text)["fidelity"] - 0.5 * (1.0 + x)) <= 1e-13
+    assert abs(json.loads(text)["fidelity"] - 0.5 * (1.0 + x)) <= 1e-15
 
 
 def _precision(lit):

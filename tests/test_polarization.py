@@ -19,10 +19,13 @@ def random_vector(seed: int) -> pol.PolarizationVector:
 unit_vectors = st.builds(random_vector, st.integers(0, 10_000))
 
 
+_PAULIS = [np.array(m, dtype=complex)
+           for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+
+
 def bloch_vector(rho: pol.PolarizationDensity) -> np.ndarray:
     """(x, y, z) Bloch components of a 2x2 density matrix."""
-    paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
-    return np.array([np.trace(np.array(m) @ rho.rho).real for m in paulis])
+    return np.array([np.trace(m @ rho.rho).real for m in _PAULIS])
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +108,35 @@ def test_detector_validation():
 # depolarizing channel
 # ---------------------------------------------------------------------------
 
-def random_density(seed: int) -> pol.PolarizationDensity:
+def pauli_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
+    """Reference channel (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)."""
+    return (1.0 - p) * rho + (p / 3.0) * sum(s @ rho @ s for s in _PAULIS)
+
+
+def random_matrix(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = m @ m.conj().T
-    return pol.PolarizationDensity(rho / np.trace(rho).real)
+    return rho / np.trace(rho).real
+
+
+def random_density(seed: int) -> pol.PolarizationDensity:
+    return pol.PolarizationDensity.from_matrix(random_matrix(seed))
+
+
+def bloch_matrix(seed: int, length: float) -> np.ndarray:
+    """(I + r.sigma)/2 with |r| = length in a random direction."""
+    n = np.random.default_rng(seed).normal(size=3)
+    r = length * n / np.linalg.norm(n)
+    return 0.5 * (np.eye(2) + sum(c * s for c, s in zip(r, _PAULIS)))
+
+
+# random Wishart densities, and Bloch lengths out to the pure and the
+# maximally mixed edge
+density_matrices = st.one_of(
+    st.builds(random_matrix, st.integers(0, 10_000)),
+    st.builds(bloch_matrix, st.integers(0, 10_000),
+              st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]))))
 
 
 def test_depolarize_identity_at_zero():
@@ -156,7 +183,7 @@ def test_eigendecompose_pure_state():
 
 
 def test_eigendecompose_maximally_mixed_uses_hv():
-    branches = pol.eigendecompose(pol.PolarizationDensity(np.eye(2) / 2))
+    branches = pol.eigendecompose(pol.PolarizationDensity.from_matrix(np.eye(2) / 2))
     assert branches[0] == (0.5, pol.H)
     assert branches[1] == (0.5, pol.V)
 
@@ -169,6 +196,37 @@ def test_fully_depolarized_state_splits_in_its_input_basis(psi):
     (w0, v0), (w1, v1) = pol.eigendecompose(pol.depolarize(psi.density(), 0.75))
     assert (v0, v1) == (psi, pol.orthogonal(psi))
     assert w0 == pytest.approx(0.5, abs=1e-15) and w1 == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.75 + 1e-10, 0.8, 0.9, 1.0])
+def test_past_three_quarters_the_orthogonal_branch_leads(p):
+    psi = pol.rotate(pol.H, 0.3)
+    (w0, v0), (w1, v1) = pol.eigendecompose(pol.depolarize(psi.density(), p))
+    assert (v0, v1) == (pol.orthogonal(psi), psi)
+    assert w0 == pytest.approx(2 * p / 3, abs=1e-15)
+    assert w1 == pytest.approx(1 - 2 * p / 3, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_matrices)
+def test_from_matrix_gives_orthonormal_descending_branches(matrix):
+    rho = pol.PolarizationDensity.from_matrix(matrix)
+    branches = pol.eigendecompose(rho)
+    (w0, v0), (w1, v1) = branches
+    assert 0.0 <= w1 <= w0 <= 1.0 and w0 + w1 == 1.0
+    vs = np.array([v0.as_array(), v1.as_array()])
+    assert np.abs(vs.conj() @ vs.T - np.eye(2)).max() <= 1e-15
+    acc = sum(w * np.outer(v.as_array(), v.as_array().conj()) for w, v in branches)
+    assert np.abs(acc - matrix).max() <= 1e-14
+    assert np.abs(rho.rho - matrix).max() <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_matrices, st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.75, 1.0])))
+def test_depolarize_matches_pauli_sum(matrix, p):
+    rho = pol.PolarizationDensity.from_matrix(matrix)
+    got = pol.depolarize(rho, p).rho
+    assert np.abs(got - pauli_depolarize(rho.rho, p)).max() <= 1e-15
 
 
 def test_eigendecompose_reconstructs():
@@ -187,8 +245,10 @@ def test_eigendecompose_reconstructs():
 
 def test_density_validation():
     with pytest.raises(ValueError):
-        pol.PolarizationDensity(np.array([[0.5, 0.5], [0.4, 0.5]]))
+        pol.PolarizationDensity.from_matrix(np.array([[0.5, 0.5], [0.4, 0.5]]))
     with pytest.raises(ValueError):
-        pol.PolarizationDensity(np.eye(2))
+        pol.PolarizationDensity.from_matrix(np.eye(2))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        pol.PolarizationDensity.from_matrix(np.diag([1.1, -0.1]))
     with pytest.raises(ValueError):
         pol.PolarizationVector(1.0, 1.0)
