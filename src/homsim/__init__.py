@@ -23,8 +23,7 @@ from .fock import Apparatus, BeamSplitter, FockPair, InvalidRegimeError, \
 from .jsa import GaussianJSA, GriddedJSA, GridSpec, PhaseMatching, Pump, \
     SeparableJSA, SwapScenario, swap_fidelity, swap_fidelity_separable
 from .polarization import Detector, PolarizationDensity, PolarizationVector, \
-    click_probability, cos_phi, depolarize, effective_efficiency, \
-    eigendecompose, rotate
+    click_probability, cos_phi, depolarize, effective_efficiency, rotate
 from .protocols import ErrorBudget, KeyRateInputs, MdiScenario, \
     classifier_coincidence, fusion_fidelity, key_rate_bound, \
     mdi_outcome_table, noon_signal, spectral_error, total_error

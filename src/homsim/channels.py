@@ -9,24 +9,24 @@ Fock-state arm and compose as E_total = E_broaden . E_depolarize . E_damp:
 * spectral broadening: deterministic width scaling by xi.
 
 A channel output is a classical mixture over (surviving photon number) x
-(polarization eigenbranch); the coincidence probability of two mixed arms
-is the weighted sum of the pure-state formula over branch pairs, which is
-exact within this model because the detection probability is evaluated
-per pure branch.
+(polarization branch: weight w on the input polarization, 1 - w on its
+orthogonal); the coincidence probability of two mixed arms is the
+weighted sum of the pure-state formula over branch pairs, which is exact
+within this model because the detection probability is evaluated per
+pure branch.
 
-A contour evaluates that sum for all its cells at once.  Each arm holds
-its branch *slots* (photon number k, polarization eigen-rank) along its
-own channel axis, and each slot pair that holds a photon is one
-:func:`fock.coincidence_raw` call per overlap grid (the c = 0 baseline
-and the dip) over the cells that hold it.  A cell adds its terms in the
-order of its own branch pairs, so every cell is bit-equal to the 1 x 1
-evaluation of its two channel outputs (:func:`mixed_visibility`).
+A contour evaluates that sum for all its cells at once: each pair of
+branch *slots* (photon number k, branch vector; one per arm) that holds a
+photon is one :func:`fock.coincidence_raw` call per overlap grid (the
+c = 0 baseline and the dip) over the cells that hold it.  Every cell adds
+its terms in the same slot-pair order, so it is bit-equal to
+:func:`mixed_visibility` of its two channel outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ class ChannelSpec:
             raise ValueError("gamma must lie in [0, 1]")
         if not 0.0 <= self.p_depol <= 1.0:
             raise ValueError("p_depol must lie in [0, 1]")
-        if self.xi <= 0.0:
+        if not self.xi > 0.0:
             raise ValueError("broadening factor must be positive")
 
 
@@ -80,16 +80,11 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class MixedSource:
-    """Channel output: photon-number mixture, 2x2 polarization, spectrum.
-
-    ``eigen`` holds the two (eigenweight w, eigenvector) branches of the
-    polarization density, decomposed once on construction.
-    """
+    """Channel output: photon-number mixture, 2x2 polarization, spectrum."""
 
     number_dist: tuple[tuple[int, float], ...]
     pol: pol.PolarizationDensity
     spec: spc.SpectralProfile
-    eigen: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = math.fsum(p for _, p in self.number_dist)
@@ -97,14 +92,6 @@ class MixedSource:
             raise ValueError(f"number distribution sums to {total}, not 1")
         if any(k < 0 or p < -1e-15 for k, p in self.number_dist):
             raise ValueError("number distribution needs k >= 0 and p >= 0")
-        object.__setattr__(self, "eigen", tuple(pol.eigendecompose(self.pol)))
-
-    @property
-    def branches(self) -> tuple:
-        """(k, P(k), w, v) over photon numbers x polarization eigenbranches,
-        dropping zero-weight terms: the mixture's pure branches."""
-        return tuple((k, pk, w, v) for k, pk in self.number_dist if pk > _TINY
-                     for w, v in self.eigen if w > _TINY)
 
     @staticmethod
     def pure(src: SourceSpec) -> "MixedSource":
@@ -137,52 +124,27 @@ def apply_channel(src: SourceSpec, ch: ChannelSpec) -> MixedSource:
 class _Arm:
     """One arm's branch slots along its channel axis.
 
-    ``points`` gives, per point of the axis, its photon-number distribution
-    and its two (w, v) polarization eigenbranches; every point lists the
-    same photon numbers in the same order.  A slot is (photon number k,
-    eigen-rank r): along the axis it holds the factors P(k) and w of its
-    weight, and the points where both exceed ``_TINY``.  Slots run in the
-    order of a point's own branches.  Per rank, the branch vectors are
-    grouped by value, with the efficiencies they see at detectors A and B.
+    Each point holds its photon-number distribution (the same photon
+    numbers in the same order at every point), weight w on ``state`` and
+    1 - w on ``orthogonal(state)``.  A slot (photon number k, branch
+    vector) holds P(k) and its branch weight along the axis, and the
+    points where both exceed ``_TINY``; slots run k by k, ``state`` first.
     """
 
-    def __init__(self, points: Sequence[tuple], app: Apparatus):
-        self.size = len(points)
-        pk = np.array([[p for _, p in dist] for dist, _ in points])
-        w = np.array([[wr for wr, _ in eigen] for _, eigen in points])
-        self.groups, self.eta = [], []
-        for r in range(2):
-            where: dict = {}
-            for i, (_, eigen) in enumerate(points):
-                where.setdefault(eigen[r][1], []).append(i)
-            groups = [(v, np.array(idx)) for v, idx in where.items()]
-            eta = np.empty((2, self.size))
-            for v, idx in groups:
-                eta[0, idx] = pol.effective_efficiency(app.det_a, v)
-                eta[1, idx] = pol.effective_efficiency(app.det_b, v)
-            self.groups.append(groups)
-            self.eta.append(eta)
+    def __init__(self, number_dists: Sequence[tuple], w: np.ndarray,
+                 state: pol.PolarizationVector):
+        self.size = len(w)
+        pk = np.array([[p for _, p in dist] for dist in number_dists])
         self.slots = []
-        for j, (k, _) in enumerate(points[0][0]):
-            for r in range(2):
-                held = np.flatnonzero((pk[:, j] > _TINY) & (w[:, r] > _TINY))
+        for j, (k, _) in enumerate(number_dists[0]):
+            for v, wv in ((state, w), (pol.orthogonal(state), 1.0 - w)):
+                held = np.flatnonzero((pk[:, j] > _TINY) & (wv > _TINY))
                 if held.size:
-                    self.slots.append((k, r, pk[:, j], w[:, r], held))
+                    self.slots.append((k, v, pk[:, j], wv, held))
 
     @staticmethod
-    def of(src: MixedSource, app: Apparatus) -> "_Arm":
-        return _Arm([(src.number_dist, src.eigen)], app)
-
-
-def _mode_overlaps(groups_a: list, groups_b: list, cos_theta: np.ndarray) -> np.ndarray:
-    """c = cos(Phi) cos(Theta) over a grid, one :func:`fock.mode_overlap`
-    call per pair of distinct branch vectors."""
-    c = np.empty(cos_theta.shape)
-    for va, rows in groups_a:
-        for vb, cols in groups_b:
-            cells = np.ix_(rows, cols)
-            c[cells] = mode_overlap(va, vb, cos_theta[cells])
-    return c
+    def of(src: MixedSource) -> "_Arm":
+        return _Arm([src.number_dist], np.array([src.pol.w]), src.pol.state)
 
 
 def _branch_sums(arm_a: _Arm, arm_b: _Arm, app: Apparatus,
@@ -193,26 +155,21 @@ def _branch_sums(arm_a: _Arm, arm_b: _Arm, app: Apparatus,
     Each slot pair that holds a photon is evaluated over the cells that
     hold it, with one :func:`coincidence_raw` call per overlap grid in
     turn; a cell adds ((P_A w_A) P_B) w_B times each term in the order of
-    its own branch pairs.
+    the slot pairs.
     """
     sums = [np.zeros((arm_a.size, arm_b.size)) for _ in cos_thetas]
-    overlaps: dict = {}  # (r_a, r_b) -> c per overlap grid, over every cell
-    for ka, ra, pka, wa, rows in arm_a.slots:
+    for ka, va, pka, wa, rows in arm_a.slots:
         pwa = pka[rows, None] * wa[rows, None]
-        eta_a = arm_a.eta[ra][:, rows, None]
-        for kb, rb, pkb, wb, cols in arm_b.slots:
+        for kb, vb, pkb, wb, cols in arm_b.slots:
             if ka + kb < 1:
                 continue
             cells = np.ix_(rows, cols)
             weight = pwa * pkb[cols] * wb[cols]
-            eta_b = arm_b.eta[rb][:, cols]
-            da = pol.click_from_efficiencies(eta_a[0], eta_b[0], ka, kb)
-            db = pol.click_from_efficiencies(eta_a[1], eta_b[1], ka, kb)
-            if (ra, rb) not in overlaps:
-                overlaps[ra, rb] = [_mode_overlaps(arm_a.groups[ra], arm_b.groups[rb], ct)
-                                    for ct in cos_thetas]
-            for total, c in zip(sums, overlaps[ra, rb]):
-                total[cells] += weight * coincidence_raw(ka, kb, c[cells], app.bs, da, db)
+            da = pol.click_probability(app.det_a, va, vb, ka, kb)
+            db = pol.click_probability(app.det_b, va, vb, ka, kb)
+            for total, ct in zip(sums, cos_thetas):
+                c = mode_overlap(va, vb, ct[cells])
+                total[cells] += weight * coincidence_raw(ka, kb, c, app.bs, da, db)
     return sums
 
 
@@ -229,12 +186,12 @@ def mixed_coincidence(src_a: MixedSource, src_b: MixedSource,
                       ctheta: float | None = None) -> float:
     """Coincidence probability for two channel outputs.
 
-    Enumerates (photon number x polarization eigenvector) branches per arm
-    and averages the pure-state coincidence; branches with no photons at
-    all contribute zero.  ``ctheta`` overrides the spectral overlap (the
+    Averages the pure-state coincidence over each arm's (photon number,
+    polarization branch) branches; branches with no photons at all
+    contribute zero.  ``ctheta`` overrides the spectral overlap (the
     tau -> infinity baseline passes 0).
     """
-    (p,) = _branch_sums(_Arm.of(src_a, app), _Arm.of(src_b, app), app,
+    (p,) = _branch_sums(_Arm.of(src_a), _Arm.of(src_b), app,
                         [_cos_theta_cell(src_a, src_b, ctheta)])
     return p.item()
 
@@ -249,21 +206,17 @@ def mixed_visibility(src_a: MixedSource, src_b: MixedSource,
     :func:`channel_visibility_contour`.
     """
     ct = _cos_theta_cell(src_a, src_b, ctheta)
-    p_inf, p_0 = _branch_sums(_Arm.of(src_a, app), _Arm.of(src_b, app), app,
+    p_inf, p_0 = _branch_sums(_Arm.of(src_a), _Arm.of(src_b), app,
                               [np.zeros_like(ct), ct])
     return visibility_ratio(p_inf, p_0).item()
 
 
-def _channel_arm(src: SourceSpec, channels: Sequence[ChannelSpec], app: Apparatus) -> _Arm:
-    """The arm of ``src`` along ``channels``, each distinct depolarized
-    density decomposed once."""
-    eigen: dict = {}
-    for ch in channels:
-        if ch.p_depol not in eigen:
-            eigen[ch.p_depol] = tuple(pol.eigendecompose(
-                pol.depolarize(src.pol.density(), ch.p_depol)))
-    return _Arm([(damp_number(src.photons, ch.gamma), eigen[ch.p_depol])
-                 for ch in channels], app)
+def _channel_arm(src: SourceSpec, channels: Sequence[ChannelSpec]) -> _Arm:
+    """The arm of ``src`` along ``channels``."""
+    rho = src.pol.density()
+    return _Arm([damp_number(src.photons, ch.gamma) for ch in channels],
+                np.array([pol.depolarize(rho, ch.p_depol).w for ch in channels]),
+                rho.state)
 
 
 def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
@@ -276,15 +229,14 @@ def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
     B, and equals :func:`mixed_visibility` of the two channel outputs bit
     for bit.  The grid's spectral overlaps are one :func:`spectral.overlaps`
     call on arm A's (len A, 1) family of broadened spectra against arm B's
-    (len B,) one; each arm decomposes each of its distinct depolarized
-    densities once, and each slot pair is one :func:`coincidence_raw` call
+    (len B,) one, and each slot pair is one :func:`coincidence_raw` call
     for the baseline and one for the dip.
     """
     if not channels_a or not channels_b:
         return [[] for _ in channels_a]
     xi_a, xi_b = (np.array([ch.xi for ch in chans]) for chans in (channels_a, channels_b))
     cos_theta = spc.overlaps(src_a.spec.broadened(xi_a[:, None]), src_b.spec.broadened(xi_b))
-    p_inf, p_0 = _branch_sums(_channel_arm(src_a, channels_a, app),
-                              _channel_arm(src_b, channels_b, app), app,
+    p_inf, p_0 = _branch_sums(_channel_arm(src_a, channels_a),
+                              _channel_arm(src_b, channels_b), app,
                               [np.zeros_like(cos_theta), cos_theta])
     return visibility_ratio(p_inf, p_0).tolist()

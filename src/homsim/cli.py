@@ -90,12 +90,21 @@ def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _steps(cfg: dict, steps: int) -> int:
+    """`grid_override` (--grid's integer >= 2) when set, else ``steps``."""
+    if "grid_override" not in cfg:
+        return steps
+    if cfgmod.parse_count(cfg, "grid_override") < 2:
+        raise ConfigError("config field 'grid_override': must be at least 2")
+    return cfg["grid_override"]
+
+
 def _grid_n(cfg: dict) -> int:
     """Grid side: --grid when given, else `grid_n` (checked either way)."""
     n = cfgmod.parse_count(cfg, "grid_n")
     if n < 2:
         raise ConfigError("config field 'grid_n': must be at least 2")
-    return cfg.get("grid_override") or n
+    return _steps(cfg, n)
 
 
 def _linspace(cfg: dict, field: str, nonnegative: bool = False,
@@ -109,7 +118,7 @@ def _linspace(cfg: dict, field: str, nonnegative: bool = False,
     steps = cfgmod.parse_count(cfg, f"{field}.steps")
     if steps < 2 or hi <= lo:
         raise ConfigError(f"config field '{field}': needs max > min and steps >= 2")
-    return np.linspace(lo, hi, cfg.get("grid_override") or steps)
+    return np.linspace(lo, hi, _steps(cfg, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +426,7 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         if steps < 2:
             raise ConfigError("config field 'bandwidth.steps': must be at least 2")
         detunings = cfgmod.parse_reals(cfg, "bandwidth.detunings")
-        sigmas = sweeps.log_grid(sigma_c, factor, cfg.get("grid_override") or steps)
+        sigmas = sweeps.log_grid(sigma_c, factor, _steps(cfg, steps))
         curves = jsa.detuned_bandwidth_sweep(detunings, list(sigmas), sigma_c)
         lines = _header_lines("swap", cfg)
         lines.append("detuning,sigma_b,fidelity")

@@ -20,7 +20,7 @@ __all__ = [
     "PolarizationVector", "PolarizationDensity", "Detector",
     "H", "V", "D", "A",
     "cos_phi", "rotate", "effective_efficiency", "click_probability",
-    "click_from_efficiencies", "depolarize", "eigendecompose", "orthogonal",
+    "depolarize", "orthogonal",
 ]
 
 
@@ -135,27 +135,14 @@ def effective_efficiency(d: Detector, p: PolarizationVector) -> float:
     return abs(p.h) ** 2 * d.eta_h + abs(p.v) ** 2 * d.eta_v
 
 
-def click_from_efficiencies(eta_a: float | np.ndarray, eta_b: float | np.ndarray,
-                            m: int, n: int) -> float | np.ndarray:
-    """Delta = 1 - (1 - eta_a)^m (1 - eta_b)^n: P(at least one click) for m
-    photons seen at efficiency eta_a plus n at eta_b.
-
-    Arrays of efficiencies broadcast, each element bit-equal to its float
-    result (the powers go through libm's pow, as a float's ``**`` does).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("photon counts must be non-negative")
-    if isinstance(eta_a, np.ndarray) or isinstance(eta_b, np.ndarray):
-        return 1.0 - np.float_power(1.0 - eta_a, m) * np.float_power(1.0 - eta_b, n)
-    return 1.0 - (1.0 - eta_a) ** m * (1.0 - eta_b) ** n
-
-
 def click_probability(d: Detector, pol_a: PolarizationVector,
                       pol_b: PolarizationVector, m: int, n: int) -> float:
     """P(at least one click) for m photons at pol_a plus n at pol_b:
-    :func:`click_from_efficiencies` at eta(pol_a) and eta(pol_b)."""
-    return click_from_efficiencies(effective_efficiency(d, pol_a),
-                                   effective_efficiency(d, pol_b), m, n)
+    1 - (1 - eta(pol_a))^m (1 - eta(pol_b))^n."""
+    if m < 0 or n < 0:
+        raise ValueError("photon counts must be non-negative")
+    return (1.0 - (1.0 - effective_efficiency(d, pol_a)) ** m
+            * (1.0 - effective_efficiency(d, pol_b)) ** n)
 
 
 def depolarize(rho: PolarizationDensity, p: float) -> PolarizationDensity:
@@ -168,10 +155,3 @@ def depolarize(rho: PolarizationDensity, p: float) -> PolarizationDensity:
         raise ValueError("depolarizing probability must lie in [0, 1]")
     return PolarizationDensity(0.5 + (rho.w - 0.5) * (1.0 - 4.0 * p / 3.0), rho.state)
 
-
-def eigendecompose(rho: PolarizationDensity
-                   ) -> list[tuple[float, PolarizationVector]]:
-    """The two (weight, pure state) branches, largest weight first; at a
-    tie ``rho.state`` comes first."""
-    branches = [(rho.w, rho.state), (1.0 - rho.w, orthogonal(rho.state))]
-    return branches if rho.w >= 0.5 else branches[::-1]

@@ -242,21 +242,21 @@ def overlaps(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
 
 def _checked_overlaps(a: SpectralProfile, b: SpectralProfile) -> tuple:
     """(complex overlaps, cos(Theta) = |value| clamped to 1 within the
-    Cauchy-Schwarz slack).  The kernels run without numpy's warnings: a
-    point that overflows ends non-finite and fails the check."""
+    Cauchy-Schwarz slack).  The kernels and the check run without numpy's
+    warnings: a point that overflows ends non-finite and fails the check."""
     with np.errstate(all="ignore"):
         values = _overlap_values(a, b)
-    # hypot, as Python's abs(complex): numpy's complex abs may round differently
-    mag = np.hypot(values.real, values.imag)
-    bad = ~(mag <= 1.0 + 1e-9)
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        center, width, delay = (np.broadcast_to(x, bad.shape)[at]
-                                for x in (b.center, b.effective_width, b.delay))
-        raise IntegrationError(
-            f"{a.shape.value}-{b.shape.value} overlap magnitude is not finite or "
-            f"exceeds the Cauchy-Schwarz bound at B center {center:.6g} rad/ps, "
-            f"effective width {width:.6g}, delay {delay:.6g} ps", mag[at] - 1.0)
+        # hypot, as Python's abs(complex): numpy's complex abs may round differently
+        mag = np.hypot(values.real, values.imag)
+        bad = ~(mag <= 1.0 + 1e-9)
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            center, width, delay = (np.broadcast_to(x, bad.shape)[at]
+                                    for x in (b.center, b.effective_width, b.delay))
+            raise IntegrationError(
+                f"{a.shape.value}-{b.shape.value} overlap magnitude is not finite or "
+                f"exceeds the Cauchy-Schwarz bound at B center {center:.6g} rad/ps, "
+                f"effective width {width:.6g}, delay {delay:.6g} ps", mag[at] - 1.0)
     return values, np.minimum(mag, 1.0)
 
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -245,9 +248,19 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
     # the ignored grid objects, through their one reader
     (["swap", "--set", "mode=pump_sweep", "--set", "jsa_grid=5"], "jsa_grid"),
     (["swap", "--set", "mode=pair", "--set", "jsa_cd.grid.span=0"], "jsa_cd.grid.span"),
+    # a set grid_override keeps --grid's rule; --grid itself would replace it
+    (["contour", "--set", "grid_override=1"], "grid_override"),
+    (["contour", "--set", "grid_override=true"], "grid_override"),
+    (["contour", "--set", "grid_override=-3"], "grid_override"),
+    (["contour", "--set", "grid_override=2.5"], "grid_override"),
+    (["contour", "--set", "grid_override=0"], "grid_override"),
+    (["dip", "--set", "grid_override=1"], "grid_override"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "grid_override=2.5"],
+     "grid_override"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
-    rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
+    grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
+    rc = cli.main(args + grid + ["--out", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert f"config field '{key}'" in err
@@ -604,6 +617,76 @@ def test_overflowing_overlaps_exit_3_naming_the_point(args, point):
     assert proc.stderr == (
         "numerical failure: gaussian-gaussian overlap magnitude is not finite or "
         f"exceeds the Cauchy-Schwarz bound at {point} (residual nan)\n")
+
+
+@pytest.mark.parametrize("sets", [["mode=broadening", "xi_max=1e308"],
+                                  ['channel_a={"xi":1e308}', 'channel_b={"xi":1e308}']])
+def test_overflowing_broadening_exits_3_without_a_warning(sets, tmp_path, capsys):
+    # in process, where the suite turns a numpy RuntimeWarning into an error
+    args = ["channels", "--grid", "2"]
+    for item in sets:
+        args += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(args + ["--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("numerical failure: gaussian-gaussian overlap magnitude is not finite")
+    assert "Warning" not in err
+
+
+_UNIT = st.floats(0.0, 1.0)
+_GAMMA = st.one_of(st.sampled_from([0.0, 1.0]), _UNIT)
+_P_DEPOL = st.one_of(st.sampled_from([0.75 - 1e-10, 0.75, 0.75 + 1e-10, 1.0]), _UNIT)
+_XI = st.one_of(st.just(1e308), st.floats(1e-3, 1e3))
+_CHANNEL = st.fixed_dictionaries({}, optional={"gamma": _GAMMA, "p_depol": _P_DEPOL,
+                                               "xi": _XI})
+_ETA = st.one_of(st.sampled_from([0.0, 1.0]), _UNIT)
+_DETECTOR = st.fixed_dictionaries({"eta_h": _ETA, "eta_v": _ETA})
+
+
+def test_channels_property_ends_in_values_or_a_named_exit(tmp_path):
+    # every documented channels key over its documented range: the run
+    # prints finite values in [0, 1], or exits 2 naming a key, or exits 3
+    # naming a numerical cause; never a traceback, a warning or nan
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        sets = {
+            "mode": data.draw(st.sampled_from(
+                ["damping", "depolarizing", "broadening", "number_dist"])),
+            "m": data.draw(st.integers(0, 4)), "n": data.draw(st.integers(0, 4)),
+            "pol_a": data.draw(st.sampled_from("HVDA")),
+            "pol_b": data.draw(st.sampled_from("HVDA")),
+            "channel_a": data.draw(_CHANNEL), "channel_b": data.draw(_CHANNEL),
+            "detector_a": data.draw(_DETECTOR), "detector_b": data.draw(_DETECTOR),
+            "gamma_max": data.draw(_GAMMA), "p_max": data.draw(_P_DEPOL),
+            "xi_min": data.draw(_XI), "xi_max": data.draw(_XI),
+            "number_dist": {"n": data.draw(st.integers(0, 4)),
+                            "gammas": data.draw(st.lists(_GAMMA, min_size=1, max_size=3))},
+        }
+        args = ["channels", "--grid", str(data.draw(st.integers(2, 4)))]
+        for key, value in sets.items():
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            rc, text = run(args, tmp_path)
+        err = err.getvalue()
+        assert "Traceback" not in err and "Warning" not in err, err
+        if rc == 0:
+            assert "nan" not in text
+            for row in data_rows(text):
+                values = [float(x) for x in row.split(",")]
+                assert all(math.isfinite(x) for x in values), row
+                assert 0.0 <= values[-1] <= 1.0, row
+        elif rc == 2:
+            assert err.startswith("config error: config field '"), err
+        else:
+            assert rc == 3, err
+            assert re.match(r"numerical failure: [a-z]+.{20,}", err), err
+
+    check()
 
 
 def test_coherent_ratio_map_max_at_unit_ratios(tmp_path):

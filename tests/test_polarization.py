@@ -172,20 +172,16 @@ def test_depolarize_contracts_bloch_vector(p):
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition
+# branches: weight w on the state, 1 - w on its orthogonal
 # ---------------------------------------------------------------------------
 
-def test_eigendecompose_pure_state():
-    branches = pol.eigendecompose(pol.D.density())
-    assert branches[0][0] == pytest.approx(1.0, abs=1e-14)
-    assert branches[1][0] == pytest.approx(0.0, abs=1e-14)
-    assert pol.cos_phi(branches[0][1], pol.D) == pytest.approx(1.0, abs=1e-12)
+def branches(rho: pol.PolarizationDensity) -> list:
+    return [(rho.w, rho.state), (1.0 - rho.w, pol.orthogonal(rho.state))]
 
 
 def test_eigendecompose_maximally_mixed_uses_hv():
-    branches = pol.eigendecompose(pol.PolarizationDensity.from_matrix(np.eye(2) / 2))
-    assert branches[0] == (0.5, pol.H)
-    assert branches[1] == (0.5, pol.V)
+    rho = pol.PolarizationDensity.from_matrix(np.eye(2) / 2)
+    assert branches(rho) == [(0.5, pol.H), (0.5, pol.V)]
 
 
 @pytest.mark.parametrize("psi", [pol.D, pol.rotate(pol.H, 0.3),
@@ -193,30 +189,20 @@ def test_eigendecompose_maximally_mixed_uses_hv():
 def test_fully_depolarized_state_splits_in_its_input_basis(psi):
     # I/2 has no eigenbasis of its own: a depolarized pure state keeps
     # its input's frame, (1 - 2p/3, psi) and (2p/3, psi_perp), at p = 3/4
-    (w0, v0), (w1, v1) = pol.eigendecompose(pol.depolarize(psi.density(), 0.75))
+    (w0, v0), (w1, v1) = branches(pol.depolarize(psi.density(), 0.75))
     assert (v0, v1) == (psi, pol.orthogonal(psi))
     assert w0 == pytest.approx(0.5, abs=1e-15) and w1 == pytest.approx(0.5, abs=1e-15)
-
-
-@pytest.mark.parametrize("p", [0.75 + 1e-10, 0.8, 0.9, 1.0])
-def test_past_three_quarters_the_orthogonal_branch_leads(p):
-    psi = pol.rotate(pol.H, 0.3)
-    (w0, v0), (w1, v1) = pol.eigendecompose(pol.depolarize(psi.density(), p))
-    assert (v0, v1) == (pol.orthogonal(psi), psi)
-    assert w0 == pytest.approx(2 * p / 3, abs=1e-15)
-    assert w1 == pytest.approx(1 - 2 * p / 3, abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
 @given(density_matrices)
 def test_from_matrix_gives_orthonormal_descending_branches(matrix):
     rho = pol.PolarizationDensity.from_matrix(matrix)
-    branches = pol.eigendecompose(rho)
-    (w0, v0), (w1, v1) = branches
+    (w0, v0), (w1, v1) = branches(rho)
     assert 0.0 <= w1 <= w0 <= 1.0 and w0 + w1 == 1.0
     vs = np.array([v0.as_array(), v1.as_array()])
     assert np.abs(vs.conj() @ vs.T - np.eye(2)).max() <= 1e-15
-    acc = sum(w * np.outer(v.as_array(), v.as_array().conj()) for w, v in branches)
+    acc = sum(w * np.outer(v.as_array(), v.as_array().conj()) for w, v in branches(rho))
     assert np.abs(acc - matrix).max() <= 1e-14
     assert np.abs(rho.rho - matrix).max() <= 1e-14
 
@@ -233,13 +219,13 @@ def test_eigendecompose_reconstructs():
     for seed in range(8):
         rho = random_density(seed)
         acc = np.zeros((2, 2), dtype=complex)
-        for w, v in pol.eigendecompose(rho):
+        for w, v in branches(rho):
             vec = v.as_array()
             acc += w * np.outer(vec, vec.conj())
         assert np.allclose(acc, rho.rho, atol=1e-10)
-        ws = [w for w, _ in pol.eigendecompose(rho)]
+        ws = [w for w, _ in branches(rho)]
         assert sum(ws) == pytest.approx(1.0, abs=1e-12)
-        vs = [v.as_array() for _, v in pol.eigendecompose(rho)]
+        vs = [v.as_array() for _, v in branches(rho)]
         assert abs(np.vdot(vs[0], vs[1])) < 1e-10
 
 
