@@ -20,8 +20,8 @@ from .coherent import CoherentPair, bessel_i0, coherent_visibility, \
     total_coincidence, total_coincidence_series, visibility_ratio_map
 from .fock import Apparatus, BeamSplitter, FockPair, InvalidRegimeError, \
     bunching_factor, coincidence, dip_curve, p_all_one_side, visibility
-from .jsa import GaussianJSA, GriddedJSA, GridSpec, PhaseMatching, Pump, \
-    SeparableJSA, SwapScenario, swap_fidelity, swap_fidelity_separable
+from .jsa import GaussianJSA, PhaseMatching, Pump, SeparableJSA, SwapScenario, \
+    swap_fidelity, swap_fidelity_separable
 from .polarization import Detector, PolarizationDensity, PolarizationVector, \
     click_probability, cos_phi, depolarize, effective_efficiency, rotate
 from .protocols import ErrorBudget, KeyRateInputs, MdiScenario, \

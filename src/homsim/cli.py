@@ -321,8 +321,9 @@ _CHANNELS_DEFAULTS = {
 def cmd_channels(cfg: dict, out: str | None) -> None:
     mode = cfg.get("mode", "damping")
     if mode == "number_dist":
-        n_in = cfgmod.parse_count(cfg, "number_dist.n", 4)
-        gammas = cfgmod.parse_reals(cfg, "number_dist.gammas", [0.0])
+        n_in = cfgmod.parse_count(cfg, "number_dist.n", _CHANNELS_DEFAULTS["number_dist"]["n"])
+        gammas = cfgmod.parse_reals(cfg, "number_dist.gammas",
+                                    _CHANNELS_DEFAULTS["number_dist"]["gammas"])
         for i, g in enumerate(gammas):
             if not 0.0 <= g <= 1.0:
                 raise ConfigError(f"config field 'number_dist.gammas[{i}]': must lie in [0, 1]")
@@ -426,6 +427,19 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         if steps < 2:
             raise ConfigError("config field 'bandwidth.steps': must be at least 2")
         detunings = cfgmod.parse_reals(cfg, "bandwidth.detunings")
+        # the Gaussian overlap adds two squared widths and squares each
+        # detuning: all of them must stay finite, the widths' squares normal
+        lo, hi = math.sqrt(sys.float_info.min), math.sqrt(0.25 * sys.float_info.max)
+        if not lo <= sigma_c <= hi:
+            raise ConfigError(
+                f"config field 'bandwidth.sigma_c': must lie in [{lo:.3g}, {hi:.3g}]")
+        if not (lo <= sigma_c / factor <= hi and lo <= sigma_c * factor <= hi):
+            raise ConfigError("config field 'bandwidth.factor': sigma_c / factor and sigma_c * "
+                              f"factor must lie in [{lo:.3g}, {hi:.3g}]")
+        for i, d in enumerate(detunings):
+            if abs(d) > hi:
+                raise ConfigError(f"config field 'bandwidth.detunings[{i}]': "
+                                  f"must lie in [-{hi:.3g}, {hi:.3g}]")
         sigmas = sweeps.log_grid(sigma_c, factor, _steps(cfg, steps))
         curves = jsa.detuned_bandwidth_sweep(detunings, list(sigmas), sigma_c)
         lines = _header_lines("swap", cfg)
@@ -441,14 +455,10 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         if phi_steps < 2:
             raise ConfigError("config field 'phi_steps': must be at least 2")
         phis = np.linspace(0.0, 0.5 * math.pi, phi_steps)
-        pm = jsa.PhaseMatching(cfgmod.parse_real(cfg, "pmf_sigma", positive=True),
-                               cfgmod.parse_real(cfg, "slope_s"),
-                               cfgmod.parse_real(cfg, "slope_i"))
-        center = cfgmod.parse_real(cfg, "pump_center")
-        try:
-            sources = jsa.GaussianJSA.from_pump(jsa.Pump(center, sigmas), pm)
-        except ValueError as exc:  # slope_s == slope_i
-            raise ConfigError(f"config field 'slope_i': {exc}") from None
+        pmf = (cfgmod.parse_real(cfg, "pmf_sigma", positive=True),
+               cfgmod.parse_real(cfg, "slope_s"), cfgmod.parse_real(cfg, "slope_i"))
+        sources = cfgmod.gaussian_jsa((cfgmod.parse_real(cfg, "pump_center"), sigmas), pmf,
+                                      ("pump_sigma", "pmf_sigma", "slope_s"))
         # both sources are the same one, so the aligned fidelity is (1 + P) / 2
         # for each pump's Schmidt purity P; the misalignment scales it by cos^2 Phi
         aligned = jsa.swap_fidelity(jsa.SwapScenario(sources.transposed(), sources))

@@ -21,7 +21,8 @@ from . import spectral as spc
 __all__ = ["ConfigError", "merge", "set_path", "parse_real", "parse_reals", "parse_count",
            "parse_photons", "parse_shape", "parse_center_fwhm", "parse_profile",
            "parse_polarization", "parse_detector", "parse_beam_splitter",
-           "parse_apparatus", "parse_channel", "parse_ignored_grid", "parse_jsa"]
+           "parse_apparatus", "parse_channel", "parse_ignored_grid", "gaussian_jsa",
+           "parse_jsa"]
 
 _POL_NAMES = {"H": pol.H, "V": pol.V, "D": pol.D, "A": pol.A}
 TWO_PI = 2.0 * math.pi
@@ -269,17 +270,33 @@ def parse_channel(obj: Any, field: str) -> chn.ChannelSpec:
 
 
 def parse_ignored_grid(grid: Any, field: str) -> None:
-    """Validate the `{n, span}` grid object ``field`` as a
-    :class:`jsa.GridSpec` and drop it: every JSA path is exact, so the
-    grid keys of older configs are accepted but not used."""
+    """Validate the `{n, span}` grid object ``field`` of older configs and
+    drop it: every JSA is exact, so no grid is sampled.  `n` (default 256)
+    counts at least 16 points per axis; `span` (default 5.0) is positive."""
     if not isinstance(grid, dict):
         raise _fail(field, "expected {n, span}")
-    n = _count(grid.get("n", jsa.GridSpec.n), f"{field}.n")
-    span = _number(grid, field, "span", jsa.GridSpec.span, positive=True)
+    n = _count(grid.get("n", 256), f"{field}.n")
+    _number(grid, field, "span", 5.0, positive=True)
+    if n < 16:
+        raise _fail(field, "grid needs at least 16 points per axis")
+
+
+def gaussian_jsa(pump: tuple, pmf: tuple, keys: tuple[str, str, str]) -> jsa.GaussianJSA:
+    """The JSA of :class:`jsa.Pump` ``(*pump)`` and :class:`jsa.PhaseMatching`
+    ``(*pmf)``; a ValueError of the pump, of the phase matching or of the
+    two together names ``keys[0]``, ``keys[1]`` or ``keys[2]``."""
     try:
-        jsa.GridSpec(n, span)
+        source = jsa.Pump(*pump)
     except ValueError as exc:
-        raise _fail(field, str(exc)) from None
+        raise _fail(keys[0], str(exc)) from None
+    try:
+        pm = jsa.PhaseMatching(*pmf)
+    except ValueError as exc:
+        raise _fail(keys[1], str(exc)) from None
+    try:
+        return jsa.GaussianJSA.from_pump(source, pm)
+    except ValueError as exc:  # slope_s == slope_i, or det A out of range
+        raise _fail(keys[2], str(exc)) from None
 
 
 def parse_jsa(obj: Any, field: str) -> jsa.SeparableJSA | jsa.GaussianJSA:
@@ -298,16 +315,9 @@ def parse_jsa(obj: Any, field: str) -> jsa.SeparableJSA | jsa.GaussianJSA:
         return jsa.SeparableJSA(parse_profile(sep["signal"], f"{field}.separable.signal"),
                                 parse_profile(sep["idler"], f"{field}.separable.idler"))
     if "pump" in obj and "pmf" in obj:
-        try:
-            pump = jsa.Pump(center=_number(obj["pump"], f"{field}.pump", "center"),
-                            sigma=_number(obj["pump"], f"{field}.pump", "sigma"))
-            pm = jsa.PhaseMatching(sigma=_number(obj["pmf"], f"{field}.pmf", "sigma"),
-                                   slope_s=_number(obj["pmf"], f"{field}.pmf", "slope_s", 1.0),
-                                   slope_i=_number(obj["pmf"], f"{field}.pmf", "slope_i", -0.5))
-        except ValueError as exc:
-            raise _fail(field, str(exc)) from None
-        try:
-            return jsa.GaussianJSA.from_pump(pump, pm)
-        except ValueError as exc:  # slope_s == slope_i
-            raise _fail(f"{field}.pmf", str(exc)) from None
+        pump, pmf, pump_key, pmf_key = obj["pump"], obj["pmf"], f"{field}.pump", f"{field}.pmf"
+        return gaussian_jsa((_number(pump, pump_key, "center"), _number(pump, pump_key, "sigma")),
+                            (_number(pmf, pmf_key, "sigma"), _number(pmf, pmf_key, "slope_s", 1.0),
+                             _number(pmf, pmf_key, "slope_i", -0.5)),
+                            (pump_key, pmf_key, pmf_key))
     raise _fail(field, "needs either 'separable' or 'pump'+'pmf'")

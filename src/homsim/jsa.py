@@ -5,8 +5,8 @@ weighted by a joint spectral amplitude (JSA), meet on a 50:50 beam
 splitter and polarizing beam splitters.  Each of the four conclusive
 patterns fires with probability 1/8 and leaves AD with the singlet
 fidelity F = (cos^2 Phi / 2)(1 + X), X = II |I f_AB(w_A, w) f_CD*(w, w_D)
-dw|^2 dw_A dw_D the exchange integral: exact for separable and Gaussian
-(pump x phase-matching) JSAs, on the trapezoid rule for two gridded ones.
+dw|^2 dw_A dw_D the exchange integral.  Every JSA is exact, separable or
+Gaussian (pump x phase-matching), and so is every pairing of the two.
 """
 
 from __future__ import annotations
@@ -18,18 +18,26 @@ import numpy as np
 
 from . import spectral as spc
 
-__all__ = ["Pump", "PhaseMatching", "GridSpec", "SeparableJSA", "GaussianJSA",
-           "GriddedJSA", "SwapScenario", "GridResolutionError", "UnsupportedPairingError",
-           "separable_to_grid", "bsm_outcome_probabilities", "swap_fidelity",
+__all__ = ["Pump", "PhaseMatching", "SeparableJSA", "GaussianJSA", "SwapScenario",
+           "GridResolutionError", "bsm_outcome_probabilities", "swap_fidelity",
            "swap_fidelity_separable", "detuned_bandwidth_sweep"]
 
 
+# q, t, A's entries and det A stay within the fourth root of the float range,
+# where the closed forms' products and quotients of up to four of them are
+# normal floats; a width sigma keeps 1 / sigma^2 there
+_LO, _HI = 2.0 ** -255, 2.0 ** 255
+_WIDTHS = (_HI ** -0.5, _LO ** -0.5)
+
+
+def _check_width(sigma, name: str) -> None:
+    if not np.all((_WIDTHS[0] <= sigma) & (sigma <= _WIDTHS[1])):
+        raise ValueError(f"{name} bandwidth must lie in [{_WIDTHS[0]:.3g}, {_WIDTHS[1]:.3g}]")
+
+
 class GridResolutionError(ValueError):
-    """The sampling grid is too coarse or narrow for the requested JSA."""
-
-
-class UnsupportedPairingError(TypeError):
-    """A gridded JSA meets a separable or Gaussian one: no exact pairing."""
+    """A separable JSA against a Gaussian one of so low a Schmidt purity that
+    the trapezoid rule over the outer photon needs more nodes than its cap."""
 
 
 @dataclass(frozen=True)
@@ -40,8 +48,7 @@ class Pump:
     sigma: float | np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.greater(self.sigma, 0.0)):
-            raise ValueError("pump bandwidth must be positive")
+        _check_width(self.sigma, "pump")
 
 
 @dataclass(frozen=True)
@@ -53,22 +60,7 @@ class PhaseMatching:
     slope_i: float = -0.5
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("phase-matching bandwidth must be positive")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Square sampling grid: n points per axis spanning center +- span."""
-
-    n: int = 256
-    span: float = 5.0  # in combined-width units
-
-    def __post_init__(self):
-        if self.n < 16:
-            raise ValueError("grid needs at least 16 points per axis")
-        if self.span <= 0:
-            raise ValueError("span must be positive")
+        _check_width(self.sigma, "phase-matching")
 
 
 @dataclass(frozen=True)
@@ -88,8 +80,9 @@ class GaussianJSA:
     center_first, w_2 - center_second), A = q [[1, 1], [1, 1]] + t s s^T
     with q = 1 / sigma_p^2, t = 1 / sigma_pm^2 and s = (slope_first,
     slope_second).  det A = q t (slope_first - slope_second)^2 has no
-    cancellation; equal slopes (det A = 0, no norm) raise ValueError.  An
-    array ``q`` stands for one source per element."""
+    cancellation.  Equal slopes (det A = 0, no norm) raise ValueError, and
+    so do q, t, A's entries or det A outside [2^-255, 2^255].  An array
+    ``q`` stands for one source per element."""
 
     q: float | np.ndarray
     t: float
@@ -99,9 +92,16 @@ class GaussianJSA:
     center_second: float
 
     def __post_init__(self):
-        if not np.all(np.greater(self.bsm(True)[3], 0.0)):
+        if self.slope_first == self.slope_second:
             raise ValueError("slope_s == slope_i leaves det A = 0: the JSA depends "
                              "only on w_s + w_i and cannot be normalized")
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_11, a_12, a_22, det, _ = self.bsm(True)
+        if not (all(np.all((_LO <= v) & (v <= _HI)) for v in (self.q, self.t, a_11, a_22, det))
+                and np.all(np.abs(a_12) <= _HI)):
+            raise ValueError("the widths and slopes leave q, t, A = q [[1, 1], [1, 1]] + "
+                             "t s s^T or det A = q t (slope_s - slope_i)^2 outside "
+                             "[2^-255, 2^255]")
 
     @staticmethod
     def from_pump(pump: Pump, pm: PhaseMatching) -> "GaussianJSA":
@@ -115,45 +115,16 @@ class GaussianJSA:
         first axis if ``first`` (else the second) and o the other one."""
         (s_b, m_b), (s_o, _) = ((self.slope_first, self.center_first),
                                 (self.slope_second, self.center_second))[::1 if first else -1]
-        q, t = self.q, self.t
+        q, t, d = self.q, self.t, s_b - s_o
         return (q + t * s_b * s_b, q + t * s_b * s_o, q + t * s_o * s_o,
-                q * t * (s_b - s_o) ** 2, m_b)
+                q * t * (d * d), m_b)
 
     def transposed(self) -> "GaussianJSA":
         return GaussianJSA(self.q, self.t, self.slope_second, self.slope_first,
                            self.center_second, self.center_first)
 
 
-@dataclass(frozen=True)
-class GriddedJSA:
-    """JSA sampled on a rectangular grid, trapezoid-normalized to 1.  Real
-    samples stay float64 and complex ones complex128, so a pair of real
-    JSAs meets in a real kernel."""
-
-    axis_first: np.ndarray
-    axis_second: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        a1, a2 = (np.asarray(a, dtype=float) for a in (self.axis_first, self.axis_second))
-        v = np.asarray(self.values)
-        v = v.astype(np.result_type(v, float), copy=False)
-        if a1.ndim != 1 or a2.ndim != 1 or v.shape != (a1.size, a2.size):
-            raise ValueError("values must be shaped (len(axis_first), len(axis_second))")
-        if np.any(np.diff(a1) <= 0) or np.any(np.diff(a2) <= 0):
-            raise ValueError("grid axes must be strictly increasing")
-        for name, value in (("axis_first", a1), ("axis_second", a2), ("values", v)):
-            object.__setattr__(self, name, value)
-
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        return _trapezoid_weights(self.axis_first), _trapezoid_weights(self.axis_second)
-
-    def norm_squared(self) -> float:
-        w1, w2 = self.weights()
-        return float(np.einsum("i,ij,j->", w1, _modulus_squared(self.values), w2))
-
-
-JointSpectralAmplitude = SeparableJSA | GaussianJSA | GriddedJSA
+JointSpectralAmplitude = SeparableJSA | GaussianJSA
 
 
 @dataclass(frozen=True)
@@ -165,59 +136,6 @@ class SwapScenario:
     jsa_ab: JointSpectralAmplitude
     jsa_cd: JointSpectralAmplitude
     phi: float = 0.0
-
-
-def _modulus_squared(v: np.ndarray) -> np.ndarray:
-    """|v|^2 as a real array, without complex temporaries for real data."""
-    return np.abs(v) ** 2 if np.iscomplexobj(v) else v * v
-
-
-def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
-    w = np.gradient(axis)  # (x[i+1] - x[i-1]) / 2 inside, one spacing at the ends
-    w[[0, -1]] *= 0.5
-    return w
-
-
-def separable_to_grid(jsa: SeparableJSA, grid: GridSpec,
-                      axis_first: np.ndarray | None = None,
-                      axis_second: np.ndarray | None = None) -> GriddedJSA:
-    """Sample a separable JSA, normalized on the trapezoid rule; axes
-    default to each profile's support.  The grid must resolve both
-    photons: the sampling is not checked."""
-    def support(p: spc.SpectralProfile) -> np.ndarray:
-        w = p.effective_width
-        w = 2.0 * math.pi / w if p.shape is spc.Shape.SINC else w
-        return np.linspace(p.center - grid.span * w, p.center + grid.span * w, grid.n)
-
-    a1 = support(jsa.spec_first) if axis_first is None else axis_first
-    a2 = support(jsa.spec_second) if axis_second is None else axis_second
-    vals = np.outer(spc.amplitude(jsa.spec_first, a1),
-                    spc.amplitude(jsa.spec_second, a2))
-    norm = GriddedJSA(a1, a2, vals).norm_squared()
-    if norm <= 0.0:
-        raise GridResolutionError("JSA vanishes on the grid")
-    return GriddedJSA(a1, a2, vals / math.sqrt(norm))
-
-
-def _gridded_exchange(ab: GriddedJSA, cd: GriddedJSA) -> float:
-    """X on the trapezoid rule.  The two beam-splitter axes may differ by
-    rounding only (1e-9 of a spacing): an offset of a sizeable fraction of
-    one would pair detuned photons as if they met at one frequency."""
-    axis_b, axis_c = ab.axis_second, cd.axis_first
-    if axis_b.shape != axis_c.shape or np.max(np.abs(axis_b - axis_c)) > (
-            1e-9 * np.min(np.abs(np.diff(axis_b)))):
-        raise ValueError("jsa_ab second axis must match jsa_cd first axis "
-                         "(the two photons meeting at the beam splitter)")
-    wa, wb = ab.weights()
-    v = cd.values  # two real JSAs make a real (dgemm) kernel K(w_A, w_D)
-    k = (ab.values * wb[None, :]) @ (np.conj(v) if np.iscomplexobj(v) else v)
-    # K_CDAB(w_D, w_A) = conj(K_ABCD(w_A, w_D)), so the integrand is |K|^2,
-    # which Cauchy-Schwarz bounds by 1: clamp rounding, reject anything more
-    x = float(np.einsum("i,ij,j->", wa, _modulus_squared(k), cd.weights()[1]))
-    if x > 1.0 + 1e-9:
-        raise GridResolutionError(
-            f"exchange integral {x:.6g} exceeds its Cauchy-Schwarz bound of 1")
-    return min(x, 1.0)
 
 
 def _gaussian_exchange(ab: GaussianJSA, cd: GaussianJSA):
@@ -266,8 +184,12 @@ def _separable_gaussian_exchange(photon: spc.SpectralProfile, source: GaussianJS
     u = h * np.arange(-last, last + 1)
     offsets = -a_bo / a_b * (u / math.sqrt(det / a_b))
     # |<photon, g_y>| depends on centre differences only: about a small
-    # origin in place of m_b the centres keep their digits
-    origin = 1.0 + float(np.max(np.abs(offsets))) + abs(photon.center - center)
+    # origin in place of m_b the centres keep their digits; past 2^52 the
+    # origin's 1 rounds away, and doubling it keeps every centre positive
+    spread = float(np.max(np.abs(offsets)))
+    origin = 1.0 + spread + abs(photon.center - center)
+    if origin - spread < 0.5:
+        origin *= 2.0
     g = spc.SpectralProfile(spc.Shape.GAUSSIAN, origin + offsets, 1.0 / math.sqrt(2.0 * a_b))
     cos = spc.overlaps(replace(photon, center=origin + (photon.center - center)), g)
     return h / math.sqrt(math.pi) * float(np.exp(-u * u) @ (cos * cos))
@@ -276,12 +198,6 @@ def _separable_gaussian_exchange(photon: spc.SpectralProfile, source: GaussianJS
 def _exchange_integral(scenario: SwapScenario):
     """The real double integral II K_ABCD K_CDAB dw_A dw_D in [0, 1]."""
     ab, cd = scenario.jsa_ab, scenario.jsa_cd
-    gridded = isinstance(ab, GriddedJSA), isinstance(cd, GriddedJSA)
-    if all(gridded):
-        return _gridded_exchange(ab, cd)
-    if any(gridded):
-        raise UnsupportedPairingError(
-            "a GriddedJSA pairs only with another GriddedJSA; sample both on one grid")
     if isinstance(ab, SeparableJSA) and isinstance(cd, SeparableJSA):
         return spc.overlap(ab.spec_second, cd.spec_first).magnitude ** 2
     if isinstance(ab, SeparableJSA):
@@ -298,11 +214,9 @@ def bsm_outcome_probabilities(scenario: SwapScenario) -> dict[str, float]:
 
     Each pattern leaves four orthogonal AD polarization sectors of squared
     norms cos^2(Phi)/16, sin^2(Phi)/16, sin^2(Phi)/16 and cos^2(Phi)/16
-    times the two JSA norms, so it sums to N_AB N_CD / 8 whatever the
+    times the two JSA norms, both 1, so it sums to 1/8 whatever the
     misalignment and the spectra."""
-    n_ab, n_cd = (j.norm_squared() if isinstance(j, GriddedJSA) else 1.0
-                  for j in (scenario.jsa_ab, scenario.jsa_cd))
-    return dict.fromkeys(("M0", "M1", "M2", "M3"), n_ab * n_cd / 8.0)
+    return dict.fromkeys(("M0", "M1", "M2", "M3"), 1.0 / 8.0)
 
 
 def _fidelity(phi: float, exchange):
@@ -325,7 +239,10 @@ def swap_fidelity_separable(phi: float, theta_bc: float) -> float:
 def detuned_bandwidth_sweep(detunings: list[float], sigma_b_grid: list[float],
                             sigma_c: float) -> list[list[tuple[float, float]]]:
     """Aligned (Phi = 0) fidelity curves, one list of (sigma_B, F) per
-    center detuning, from the Gaussian overlap closed form."""
-    return [[(sb, _fidelity(0.0, ov * ov)) for sb in sigma_b_grid
-             for ov in (spc.gaussian_overlap_closed_form(sb, sigma_c, d, 0.0),)]
-            for d in detunings]
+    center detuning, from the Gaussian overlap closed form.  An exponent
+    that overflows (a detuning past 1e154 combined widths) gives the
+    overlap its limit, 0."""
+    with np.errstate(over="ignore"):
+        return [[(sb, _fidelity(0.0, ov * ov)) for sb in sigma_b_grid
+                 for ov in (spc.gaussian_overlap_closed_form(sb, sigma_c, d, 0.0),)]
+                for d in detunings]

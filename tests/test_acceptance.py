@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import sampled_jsa
 from homsim import channels as chn
 from homsim import coherent as coh
 from homsim import fock
@@ -185,7 +186,9 @@ def test_criterion_7_channels():
 
 
 def test_criterion_8_swap_fidelity():
-    grid_spec = jsa.GridSpec(n=128, span=6.0)
+    # the trapezoid rule over sampled separable JSAs, 128 points per axis
+    # spanning +-6 widths, against the closed form
+    n, span = 128, 6.0
     sigma_c = 0.5
     worst = 0.0
     for phi in np.linspace(0.0, 0.5 * math.pi, 10):
@@ -195,19 +198,17 @@ def test_criterion_8_swap_fidelity():
                 d = detune * sigma_c
                 lo = min(CENTER - 6 * sigma_b, CENTER + d - 6 * sigma_c)
                 hi = max(CENTER + 6 * sigma_b, CENTER + d + 6 * sigma_c)
-                shared = np.linspace(lo, hi, grid_spec.n)
+                shared = np.linspace(lo, hi, n)
+                spec_a = spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER - 3.0, 0.6)
                 spec_b = spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER, sigma_b)
                 spec_c = spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER + d, sigma_c)
-                ab = jsa.separable_to_grid(
-                    jsa.SeparableJSA(spc.SpectralProfile(spc.Shape.GAUSSIAN,
-                                                         CENTER - 3.0, 0.6),
-                                     spec_b), grid_spec, axis_second=shared)
-                cd = jsa.separable_to_grid(
-                    jsa.SeparableJSA(spec_c,
-                                     spc.SpectralProfile(spc.Shape.GAUSSIAN,
-                                                         CENTER + 3.0, 0.7)),
-                    grid_spec, axis_first=shared)
-                gridded = jsa.swap_fidelity(jsa.SwapScenario(ab, cd, phi))
+                spec_d = spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER + 3.0, 0.7)
+                ab = jsa.SeparableJSA(spec_a, spec_b)
+                cd = jsa.SeparableJSA(spec_c, spec_d)
+                gridded = sampled_jsa.fidelity(
+                    sampled_jsa.separable(ab, sampled_jsa.support(spec_a, n, span), shared),
+                    sampled_jsa.separable(cd, shared, sampled_jsa.support(spec_d, n, span)),
+                    phi)
                 closed = jsa.swap_fidelity_separable(
                     phi, spc.overlap(spec_b, spec_c).theta)
                 worst = max(worst, abs(gridded - closed))

@@ -25,6 +25,16 @@ def run(args, tmp_path, name="out.txt"):
     return rc, (out.read_text() if out.exists() else "")
 
 
+def run_strict(args, tmp_path):
+    """(exit code, printed text, stderr) of one run, with every warning
+    raised as an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc, text = run(args, tmp_path)
+    return rc, text, err.getvalue()
+
+
 def data_rows(text):
     return [ln for ln in text.splitlines()
             if ln and not ln.startswith("#") and not ln[0].isalpha()
@@ -1045,6 +1055,154 @@ def test_swap_pair_pump_with_equal_slopes_exits_2_naming_it(tmp_path, capsys, ke
     assert rc == 2, err
     assert f"{key}.pmf" in err and "grid" not in err
     assert not (tmp_path / "x.json").exists()
+
+
+def _pump(sigma=0.5, pmf=0.5, slope_s=1.0, slope_i=-0.5):
+    return json.dumps({"pump": {"center": 2432.2, "sigma": sigma},
+                       "pmf": {"sigma": pmf, "slope_s": slope_s, "slope_i": slope_i}})
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--set", "mode=pump_sweep", "--set", 'pump_sigma={"min":1e-300,"max":1,"steps":3}'],
+     "pump_sigma"),
+    (["--set", "mode=pump_sweep", "--set", 'pump_sigma={"min":1e-300,"max":1e300,"steps":3}'],
+     "pump_sigma"),
+    (["--set", "mode=pump_sweep", "--set", 'pump_sigma={"min":1,"max":1e300,"steps":3}'],
+     "pump_sigma"),
+    (["--set", "mode=pump_sweep", "--set", "pmf_sigma=1e-300"], "pmf_sigma"),
+    (["--set", "mode=pump_sweep", "--set", "pmf_sigma=1e300"], "pmf_sigma"),
+    (["--set", "mode=pump_sweep", "--set", "slope_s=1e300"], "slope_s"),
+    (["--set", "mode=pair", "--set", f"jsa_ab={_pump(sigma=1e-300)}"], "jsa_ab.pump"),
+    (["--set", "mode=pair", "--set", f"jsa_cd={_pump(sigma=1e300)}"], "jsa_cd.pump"),
+    (["--set", "mode=pair", "--set", f"jsa_ab={_pump(pmf=1e-300)}"], "jsa_ab.pmf"),
+    (["--set", "mode=pair", "--set", f"jsa_cd={_pump(pmf=1e300)}"], "jsa_cd.pmf"),
+    (["--set", "mode=pair", "--set", f"jsa_ab={_pump(slope_s=1e200, slope_i=-1e200)}"],
+     "jsa_ab.pmf"),
+], ids=["pump_min_tiny", "pump_span_all", "pump_max_huge", "pmf_tiny", "pmf_huge",
+        "slope_huge", "pair_pump_tiny", "pair_pump_huge", "pair_pmf_tiny", "pair_pmf_huge",
+        "pair_slopes_huge"])
+def test_gaussian_widths_leaving_the_float_range_exit_2_naming_the_key(args, key, tmp_path):
+    # 1 / sigma^2 or det A = q t (slope_s - slope_i)^2 out of the float
+    # range: numpy warned and printed nan, or Python raised an unnamed error
+    rc, text, err = run_strict(["swap"] + args + ["--grid", "3"], tmp_path)
+    assert rc == 2, err
+    assert err.startswith(f"config error: config field '{key}': "), err
+    assert "Warning" not in err and not text
+
+
+@pytest.mark.parametrize("item, key", [
+    ("bandwidth.sigma_c=1e-300", "bandwidth.sigma_c"),
+    ("bandwidth.sigma_c=1e300", "bandwidth.sigma_c"),
+    ("bandwidth.factor=1e300", "bandwidth.factor"),
+    ('bandwidth={"sigma_c":1e-100,"factor":1e100,"steps":3,"detunings":[0]}',
+     "bandwidth.factor"),
+    ("bandwidth.detunings=[1e300]", "bandwidth.detunings[0]"),
+    ("bandwidth.detunings=[0,-1e200]", "bandwidth.detunings[1]"),
+], ids=["sigma_c_tiny", "sigma_c_huge", "factor_huge", "factor_to_tiny",
+        "detuning_huge", "detuning_second"])
+def test_bandwidth_sweep_widths_leaving_the_float_range_exit_2_naming_the_key(item, key,
+                                                                              tmp_path):
+    # the Gaussian overlap squares each width and detuning: out of range it
+    # printed nan, warned, or exited 3 with an unnamed "Numerical result
+    # out of range"
+    rc, text, err = run_strict(["swap", "--set", "mode=bandwidth_sweep", "--set", item,
+                                "--grid", "2"], tmp_path)
+    assert rc == 2, err
+    assert err.startswith(f"config error: config field '{key}': "), err
+    assert "Warning" not in err and not text
+
+
+def test_bandwidth_sweep_far_detuned_narrow_photons_print_one_half(tmp_path):
+    # a detuning 1e200 times the widths drives the overlap's exponent past
+    # the float range: the overlap is 0 and the aligned fidelity 1/2
+    rc, text, err = run_strict(
+        ["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.sigma_c=1e-100",
+         "--set", "bandwidth.detunings=[1e100]", "--grid", "2"], tmp_path)
+    assert rc == 0, err
+    assert [float(ln.split(",")[2]) for ln in data_rows(text)] == [0.5, 0.5]
+
+
+# one draw in two a width of the usual size, the other out to the float range
+_WIDTH = st.one_of(st.floats(0.05, 5.0), st.floats(0.05, 5.0), st.floats(1e-300, 1e300),
+                   st.sampled_from([1e-300, 1e-160, 1e160, 1e300]))
+_SLOPE = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), st.floats(-3.0, 3.0),
+                   st.floats(-1e300, 1e300), st.sampled_from([1e200, -1e200, 1e300]))
+_IGNORED_GRID = st.fixed_dictionaries({}, optional={"n": st.integers(16, 1024),
+                                                    "span": st.floats(0.1, 20.0)})
+
+
+@st.composite
+def _jsa_literal(draw):
+    """A separable literal of any two shapes, or a pump literal whose widths
+    and slopes reach the float range, equal slopes included."""
+    if draw(st.booleans()):
+        photon = st.fixed_dictionaries({
+            "shape": st.sampled_from([s.value for s in spc.Shape]),
+            "center_thz": st.floats(193.0, 194.0), "width_thz": st.floats(1e-3, 1.0)})
+        lit = {"separable": {"signal": draw(photon), "idler": draw(photon)}}
+    else:
+        slope_s = draw(_SLOPE)
+        slope_i = slope_s if draw(st.integers(0, 4)) == 0 else draw(_SLOPE)
+        lit = {"pump": {"center": draw(st.floats(2400.0, 2460.0)), "sigma": draw(_WIDTH)},
+               "pmf": {"sigma": draw(_WIDTH), "slope_s": slope_s, "slope_i": slope_i}}
+    if draw(st.booleans()):
+        lit["grid"] = draw(_IGNORED_GRID)
+    return lit
+
+
+def test_swap_property_ends_in_values_or_a_named_exit(tmp_path):
+    # every swap mode over its documented keys, widths out to 1e-300 and
+    # 1e300: the run prints fidelities in [0, 1], or exits 2 naming a key,
+    # or exits 3 naming a numerical cause; never a traceback, a warning or nan
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        widths = sorted(data.draw(st.lists(_WIDTH, min_size=2, max_size=2)))
+        sets = {
+            "mode": data.draw(st.sampled_from(
+                ["pair", "pump_sweep", "bandwidth_sweep", "pair", "pump_sweep", "angle_grid"])),
+            "phi": data.draw(st.floats(-7.0, 7.0)),
+            "jsa_ab": data.draw(_jsa_literal()), "jsa_cd": data.draw(_jsa_literal()),
+            "pump_sigma": {"min": widths[0], "max": widths[1],
+                           "steps": data.draw(st.integers(2, 4))},
+            "pmf_sigma": data.draw(_WIDTH),
+            "slope_s": data.draw(_SLOPE), "slope_i": data.draw(_SLOPE),
+            "phi_steps": data.draw(st.integers(2, 4)),
+            "jsa_grid": data.draw(_IGNORED_GRID),
+            "bandwidth": {"sigma_c": data.draw(_WIDTH), "factor": data.draw(_WIDTH),
+                          "steps": data.draw(st.integers(2, 4)),
+                          "detunings": data.draw(st.lists(st.one_of(
+                              st.floats(-1e300, 1e300), st.floats(-3.0, 3.0)),
+                              min_size=1, max_size=3))},
+        }
+        args = ["swap", "--grid", str(data.draw(st.integers(2, 4)))]
+        for key, value in sets.items():
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        rc, text, err = run_strict(args, tmp_path)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if rc == 0:
+            assert not re.search(r"\bnan\b", text, re.IGNORECASE), text
+            values = [v for k, v in _bounded_values(text) if k == "fidelity"]
+            assert values and all(0.0 <= v <= 1.0 for v in values), text
+        elif rc == 2:
+            assert err.startswith("config error: config field '"), err
+        else:
+            assert rc == 3, err
+            assert re.match(r"numerical failure: [a-z]+.{20,}", err), err
+
+    check()
+
+
+def test_number_dist_object_and_dotted_key_print_the_same_body(tmp_path):
+    # number_dist={"n": 2} replaces the whole default object, number_dist.n=2
+    # only its n: either way the gammas left out are the documented four
+    bodies = []
+    for item in ['number_dist={"n":2}', "number_dist.n=2"]:
+        rc, text = run(["channels", "--set", "mode=number_dist", "--set", item], tmp_path)
+        assert rc == 0
+        bodies.append(data_rows(text))
+    assert bodies[0] == bodies[1]
+    assert sorted({float(ln.split(",")[0]) for ln in bodies[0]}) == [0.0, 0.2, 0.5, 0.8]
 
 
 def test_channels_fixed_literal_composes_with_sweep(tmp_path):
