@@ -211,8 +211,7 @@ def cmd_contour(cfg: dict, out: str | None) -> None:
         cfgmod.parse_shape(cfg["shape_a"], "shape_a"), center, fw)
     app = cfgmod.parse_apparatus(cfg)
     m, n = cfgmod.parse_count(cfg, "m"), cfgmod.parse_count(cfg, "n")
-    if m + n < 1:
-        raise ConfigError("config field 'm': m + n must be at least 1")
+    cfgmod.check_visibility_photons(m, n, "m")
     pol_b = pol.rotate(pol.H, cfgmod.parse_real(cfg, "phi"))
     _emit_contour("contour", cfg, out, prof_a,
                   lambda c: fock.visibility_from_c(m, n, c, app, pol.H, pol_b), pol_b)
@@ -229,9 +228,11 @@ _TABLES_DEFAULTS = {
 
 
 def cmd_tables(cfg: dict, out: str | None) -> None:
-    center, fw = cfgmod.parse_center_fwhm(cfg)
+    cfgmod.parse_center_fwhm(cfg)  # checked and echoed; the cells do not depend on them
     pairs = cfgmod.parse_photons(cfg)
-    table = sweeps.max_visibility_table(center, fw, pairs)
+    for m, n in pairs:
+        cfgmod.check_visibility_photons(m, n, "photons")
+    table = sweeps.max_visibility_table(pairs)
     shapes = list(spc.Shape)
     lines = _header_lines("tables", cfg)
     lines.append("# cell: max_visibility | fwhm_ratio (ratio = FWHM of optimized "
@@ -337,10 +338,10 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
 
     prof_a = cfgmod.parse_profile(cfg["profile_a"], "profile_a")
     prof_b = cfgmod.parse_profile(cfg.get("profile_b", cfg["profile_a"]), "profile_b")
-    src_a = chn.SourceSpec(cfgmod.parse_count(cfg, "m"),
-                           cfgmod.parse_polarization(cfg["pol_a"], "pol_a"), prof_a)
-    src_b = chn.SourceSpec(cfgmod.parse_count(cfg, "n"),
-                           cfgmod.parse_polarization(cfg["pol_b"], "pol_b"), prof_b)
+    m, n = cfgmod.parse_count(cfg, "m"), cfgmod.parse_count(cfg, "n")
+    cfgmod.check_visibility_photons(m, n, "m")
+    src_a = chn.SourceSpec(m, cfgmod.parse_polarization(cfg["pol_a"], "pol_a"), prof_a)
+    src_b = chn.SourceSpec(n, cfgmod.parse_polarization(cfg["pol_b"], "pol_b"), prof_b)
     app = cfgmod.parse_apparatus(cfg)
     n = _grid_n(cfg)
     # fixed per-arm channel literals; the swept parameter overrides its own

@@ -19,8 +19,8 @@ from . import polarization as pol
 from . import spectral as spc
 
 __all__ = ["ConfigError", "merge", "set_path", "parse_real", "parse_reals", "parse_count",
-           "parse_photons", "parse_shape", "parse_center_fwhm", "parse_profile",
-           "parse_polarization", "parse_detector", "parse_beam_splitter",
+           "parse_photons", "check_visibility_photons", "parse_shape", "parse_center_fwhm",
+           "parse_profile", "parse_polarization", "parse_detector", "parse_beam_splitter",
            "parse_apparatus", "parse_channel", "parse_ignored_grid", "gaussian_jsa",
            "parse_jsa"]
 
@@ -68,16 +68,24 @@ def _real(v: Any, name: str, positive: bool = False) -> float:
     """A finite JSON number (not a boolean) named ``name`` in errors."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise _fail(name, f"expected a number, got {v!r}")
-    if isinstance(v, float) and not math.isfinite(v):
+    try:
+        x = float(v)
+    except OverflowError:  # a JSON integer past the float range
+        raise _fail(name, "must be finite, got an integer past the float range") from None
+    if not math.isfinite(x):
         raise _fail(name, f"must be finite, got {v!r}")
-    if positive and v <= 0:
+    if positive and x <= 0:
         raise _fail(name, "must be positive")
-    return float(v)
+    return x
+
+
+def _name(field: str, key: str) -> str:
+    return f"{field}.{key}" if field else key  # field "" names a top-level key
 
 
 def _number(obj: dict, field: str, key: str, default: float | None = None,
             positive: bool = False) -> float:
-    name = f"{field}.{key}" if field else key  # field "" names a top-level key
+    name = _name(field, key)
     if key not in obj:
         if default is None:
             raise _fail(name, "missing required value")
@@ -152,6 +160,14 @@ def parse_photons(cfg: dict) -> list[tuple[int, int]]:
     return out
 
 
+def check_visibility_photons(m: int, n: int, name: str) -> None:
+    """A visibility divides by a baseline coincidence, and fewer than two
+    photons never give a coincidence: exit 2 naming ``name`` there."""
+    if m + n < 2:
+        raise _fail(name, f"m = {m}, n = {n}: a visibility needs at least two photons, "
+                          "since fewer never give a coincidence")
+
+
 def parse_shape(obj: Any, field: str) -> spc.Shape:
     """Envelope family by name, case-insensitive."""
     try:
@@ -162,20 +178,42 @@ def parse_shape(obj: Any, field: str) -> spc.Shape:
 
 
 def _center(obj: dict, field: str) -> float:
-    """omega_0 in rad/ps from `center_thz` (ordinary frequency) or `center_nm`."""
+    """omega_0 in rad/ps from `center_thz` (ordinary frequency) or `center_nm`;
+    a value that converts past the float range exits 2 naming its key."""
     if "center_thz" in obj:
-        return TWO_PI * _number(obj, field, "center_thz", positive=True)
-    if "center_nm" in obj:
-        center_nm = _number(obj, field, "center_nm", positive=True)
-        return TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / center_nm
-    raise _fail(field, "needs center_thz or center_nm")
+        key = "center_thz"
+        center = TWO_PI * _number(obj, field, key, positive=True)
+    elif "center_nm" in obj:
+        key = "center_nm"
+        center = TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / _number(obj, field, key, positive=True)
+    else:
+        raise _fail(field, "needs center_thz or center_nm")
+    if not center < math.inf:
+        raise _fail(_name(field, key), "converts to an infinite frequency in rad/ps")
+    return center
 
 
 def _fwhm_from_nm(obj: dict, field: str, center: float) -> float:
-    """FWHM in rad/ps of a `fwhm_nm` bandwidth about omega_0 = ``center``."""
+    """FWHM in rad/ps of a `fwhm_nm` bandwidth about omega_0 = ``center``.
+
+    The conversion divides by the centre wavelength squared: where that
+    square leaves the float range the centre's key is named, and where the
+    FWHM itself does, `fwhm_nm`.
+    """
     fwhm_nm = _number(obj, field, "fwhm_nm", positive=True)
-    return spc.wavelength_width_to_frequency(TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / center,
-                                             fwhm_nm)
+    center_nm = TWO_PI * spc.SPEED_OF_LIGHT_NM_PS / center
+    try:
+        fwhm = spc.wavelength_width_to_frequency(center_nm, fwhm_nm)
+    except (OverflowError, ZeroDivisionError):
+        fwhm = None
+    if fwhm is None or center_nm == math.inf:
+        key = "center_thz" if "center_thz" in obj else "center_nm"
+        raise _fail(_name(field, key), f"the centre wavelength {center_nm:g} nm squared "
+                                       "leaves the float range, so fwhm_nm cannot be converted")
+    if not 0.0 < fwhm < math.inf:
+        raise _fail(_name(field, "fwhm_nm"), f"{fwhm_nm!r} nm about {center_nm:g} nm is "
+                                             f"{fwhm:g} rad/ps, outside the float range")
+    return fwhm
 
 
 def parse_center_fwhm(cfg: dict) -> tuple[float, float]:

@@ -329,8 +329,10 @@ def _gaussian_overlaps(a: tuple, b: tuple) -> np.ndarray:
     # phi_a*(u) phi_b(u) = N exp(-(u+d/2)^2/(4sa^2) - (u-d/2)^2/(4sb^2) + i(u+wbar)dt)
     alpha = 0.25 / (sa * sa) + 0.25 / (sb * sb)
     beta = 0.25 * d * (1.0 / (sb * sb) - 1.0 / (sa * sa))
-    # (beta + i dt)^2 / (4 alpha) - alpha d^2 / 4 + i wbar dt, in real arithmetic
-    exponent_re = (beta * beta - dt * dt) / (4.0 * alpha) - 0.25 * alpha * d * d
+    # (beta + i dt)^2 / (4 alpha) - alpha d^2 / 4 + i wbar dt, in real arithmetic;
+    # its detuning part beta^2 / (4 alpha) - alpha d^2 / 4 is summed as the one
+    # term -d^2 / (4 (sa^2 + sb^2)): the two terms cancel to (sb / sa)^2 ulps
+    exponent_re = -(dt * dt) / (4.0 * alpha) - d * d / (4.0 * (sa * sa + sb * sb))
     exponent_im = (beta * dt + dt * beta) / (4.0 * alpha) + wbar * dt
     norm = (np.float_power(1.0 / (sa * math.sqrt(TWO_PI)), 0.5)
             * np.float_power(1.0 / (sb * math.sqrt(TWO_PI)), 0.5))

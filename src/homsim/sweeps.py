@@ -6,11 +6,17 @@ parameters, for Fock and coherent inputs alike.  Everything is
 deterministic: fixed grids, a fixed number of width-search rounds, no
 randomness.  Each contour grid, and each width-search round, is one
 :func:`spectral.overlaps` call on a profile family, and each contour one
-visibility call on its flat array of mode overlaps.
+visibility call on its flat array of mode overlaps.  At matched centers
+and zero delay an overlap depends only on the two shapes and their width
+ratio, so each table cell is a constant of its pairing: its width search
+runs once per process, on a fixed reference photon.  Only a second table
+in the same process gains from this; a ``homsim tables`` run makes one
+table per process, so it always searches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,6 +35,7 @@ __all__ = [
 _WIDTH_SPAN = 64.0  # width search bracket: photon A's FWHM / and * this
 _WIDTH_ROUNDS = 9  # each round narrows the bracket 16-fold, to 1e-10 in log FWHM
 _WIDTH_POINTS = 33
+_UNIT_CENTER = 1.0  # the reference photon A of the table: unit FWHM at this center
 
 
 def log_grid(center: float, factor: float, n: int) -> np.ndarray:
@@ -68,27 +75,40 @@ def max_overlap_width(profile_a: spc.SpectralProfile,
     return float(widths[k]), spc.overlap(profile_a, best).magnitude
 
 
-def max_visibility_table(center: float, fwhm_a: float,
-                         photon_pairs: list[tuple[int, int]]
+@functools.lru_cache(maxsize=None)
+def _unit_optimum(shape_a: spc.Shape, shape_b: spc.Shape) -> tuple[float, float]:
+    """(FWHM ratio B / A, cos Theta) at the optimum of photon B's width.
+
+    One :func:`max_overlap_width` search against a reference photon A of
+    unit FWHM at a fixed center, never the caller's photon, so the value
+    does not depend on which call filled the cache.
+    """
+    prof_a = spc.SpectralProfile.from_fwhm(shape_a, _UNIT_CENTER, 1.0)
+    width_b, cos_theta = max_overlap_width(prof_a, shape_b)
+    return width_b / spc.fwhm(prof_a), cos_theta
+
+
+def max_visibility_table(photon_pairs: list[tuple[int, int]]
                          ) -> dict[tuple[spc.Shape, spc.Shape], TableEntry]:
     """Optimal-visibility table over all (shape_B row, shape_A column) pairs.
 
-    Photon A is fixed at (center, fwhm_a); photon B's width is optimized.
-    The reported ratio is fwhm(B at optimum) / fwhm(A).  The optimum width
-    is photon-number independent, so all requested (m, n) reuse it.
+    Photon B's width is optimized against photon A at matched centers.
+    The reported ratio is fwhm(B at optimum) / fwhm(A).  Both depend only
+    on the pairing, not on photon A's center or width, and the optimum is
+    photon-number independent, so each cell comes from
+    :func:`_unit_optimum` and all requested (m, n) reuse it.
     """
     shapes = list(spc.Shape)
     out: dict[tuple[spc.Shape, spc.Shape], TableEntry] = {}
     for shape_a in shapes:
-        prof_a = spc.SpectralProfile.from_fwhm(shape_a, center, fwhm_a)
         for shape_b in shapes:
             if shape_b is shape_a:
-                w, c = fwhm_a, 1.0  # matched profiles are the exact optimum
+                ratio, c = 1.0, 1.0  # matched profiles are the exact optimum
             else:
-                w, c = max_overlap_width(prof_a, shape_b)
+                ratio, c = _unit_optimum(shape_a, shape_b)
             vis = {mn: fock.visibility_from_c(mn[0], mn[1], c, fock.IDEAL_APPARATUS)
                    for mn in photon_pairs}
-            out[(shape_b, shape_a)] = TableEntry(vis, c, w / fwhm_a)
+            out[(shape_b, shape_a)] = TableEntry(vis, c, ratio)
     return out
 
 

@@ -23,8 +23,6 @@ from homsim import spectral as spc
 from homsim import sweeps
 
 CENTER = 2 * math.pi * 193.55
-LAMBDA_NM = 2 * math.pi * spc.SPEED_OF_LIGHT_NM_PS / CENTER
-FWHM_1NM = spc.wavelength_width_to_frequency(LAMBDA_NM, 1.0)
 GAUSS = spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER, math.pi)
 
 # published max-visibility reference values; rows = photon B shape,
@@ -50,7 +48,7 @@ def _report(num: int, text: str) -> None:
 @pytest.fixture(scope="module")
 def visibility_tables():
     start = time.monotonic()
-    table = sweeps.max_visibility_table(CENTER, FWHM_1NM, [(1, 1), (2, 2)])
+    table = sweeps.max_visibility_table([(1, 1), (2, 2)])
     return table, time.monotonic() - start
 
 

@@ -169,6 +169,7 @@ def test_bad_photon_literal_exits_2_naming_key(args, key, tmp_path, capsys):
 
 
 _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
+_NM_PHOTON = '{{"shape":"sech","center_nm":{center!r},"fwhm_nm":0.8}}'
 
 
 @pytest.mark.parametrize("args, key", [
@@ -267,6 +268,23 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
     (["dip", "--set", "grid_override=1"], "grid_override"),
     (["swap", "--set", "mode=bandwidth_sweep", "--set", "grid_override=2.5"],
      "grid_override"),
+    # unit conversions leaving the float range: a centre whose wavelength
+    # squared over- or underflows, a centre or a FWHM past the float range
+    (["contour", "--set", "center_thz=1e300"], "center_thz"),
+    (["contour", "--set", "center_thz=1e-300"], "center_thz"),
+    (["contour", "--set", "center_thz=1e308"], "center_thz"),
+    (["contour", "--set", "fwhm_nm=1e308"], "fwhm_nm"),
+    (["dip", "--set", "profile_a=" + _NM_PHOTON.format(center=1e300)], "profile_a.center_nm"),
+    (["dip", "--set", "profile_b=" + _NM_PHOTON.format(center=1e-300)], "profile_b.center_nm"),
+    (["dip", "--set", "profile_a=" + _NM_PHOTON.format(center=1e-320)], "profile_a.center_nm"),
+    (["dip", "--set", 'profile_b={"shape":"sinc","center_nm":1e-320,"width_thz":0.5}'],
+     "profile_b.center_nm"),
+    # fewer than two photons never give a coincidence, so no visibility
+    (["tables", "--set", "photons=[[1,1],[0,1]]"], "photons"),
+    # a JSON integer past the float range
+    (["contour", "--set", "center_thz=1" + "0" * 400], "center_thz"),
+    (["contour", "--set", "m=0", "--set", "n=1"], "m"),
+    (["channels", "--set", "m=1", "--set", "n=0"], "m"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
@@ -556,6 +574,64 @@ def test_tables_contains_expected_cells(tmp_path):
     m2_idx = lines.index("# m=2 n=2")
     gauss_row_m2 = next(ln for ln in lines[m2_idx:] if ln.startswith("gaussian"))
     assert "0.71 | 1.00" in gauss_row_m2
+
+
+def test_tables_body_does_not_depend_on_the_job_that_filled_the_cache(tmp_path):
+    # each pairing's width search runs once per process, on a fixed
+    # reference photon: a cold run for an unusual photon A, a cold default
+    # run and a warm one print the same cells
+    from homsim import sweeps
+    unusual = ["--set", "center_thz=3e-6", "--set", "fwhm_nm=1e-200"]
+    bodies = []
+    for args in (unusual, [], unusual):
+        if len(bodies) < 2:
+            sweeps._unit_optimum.cache_clear()
+        rc, text = run(["tables"] + args, tmp_path)
+        assert rc == 0
+        bodies.append(_table_body(text))
+    assert bodies[0] == bodies[1] == bodies[2]
+
+
+# log-uniform over the whole positive float range, and its edges
+_ANY_POSITIVE = st.one_of(st.floats(-323.0, 308.25).map(lambda e: 10.0 ** e),
+                          st.sampled_from([5e-324, 1e-300, 1e-160, 1e160, 1e300,
+                                           1.7976931348623157e308]))
+_PHOTON_NUMBER = st.one_of(st.integers(0, 4), st.integers(60, 130), st.sampled_from([62, 63]))
+_TABLE_CELL = re.compile(r"(\S+) \| (\S+)")
+
+
+def _table_body(text):
+    return text.split("\n", 2)[2]  # past the title and the # config line
+
+
+def test_tables_property_prints_the_default_body_or_a_named_exit(tmp_path):
+    # photon A's centre and FWHM anywhere in the float range: the run prints
+    # the default table for its photons (the cells do not depend on photon
+    # A), or exits 2 naming a key; never a traceback, a warning or nan
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        photons = data.draw(st.lists(st.lists(_PHOTON_NUMBER, min_size=2, max_size=2),
+                                     min_size=1, max_size=3))
+        pairs = ["--set", f"photons={json.dumps(photons)}"]
+        rc, text, err = run_strict(
+            ["tables", "--set", f"center_thz={json.dumps(data.draw(_ANY_POSITIVE))}",
+             "--set", f"fwhm_nm={json.dumps(data.draw(_ANY_POSITIVE))}"] + pairs, tmp_path)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if rc == 0:
+            rc_default, default, _ = run_strict(["tables"] + pairs, tmp_path)
+            assert rc_default == 0 and _table_body(text) == _table_body(default)
+            assert not re.search(r"\bnan\b", text, re.IGNORECASE), text
+            cells = [cell for row in text.splitlines() if not row.startswith(("#", "B \\"))
+                     for cell in _TABLE_CELL.findall(row)]
+            assert len(cells) == 16 * len(photons)
+            assert all(0.0 <= float(v) <= 1.0 and float(r) > 0.0 for v, r in cells)
+        else:
+            assert rc == 2, err
+            assert re.match(r"config error: config field '(center_thz|fwhm_nm|photons)': ",
+                            err), err
+
+    check()
 
 
 def test_contour_small_grid(tmp_path):
@@ -850,6 +926,18 @@ def test_swap_pair_pump_against_separable_in_either_order(tmp_path):
         fidelities.append(json.loads(text)["fidelity"])
     assert abs(fidelities[1] - 0.894338202385433314) <= 2e-15
     assert abs(fidelities[0] - fidelities[1]) <= 1e-15
+
+
+def test_swap_pair_against_a_very_wide_pump_prints_one_half(tmp_path):
+    # a 1e12 rad/ps pump against the default separable photons: the
+    # Gaussian overlap's detuning exponent once cancelled to inf and the run
+    # exited 3; 50-digit mpmath of the Gaussian exchange integral gives
+    # X = 1.90744094703285e-12, so F = 0.50000000000095368158
+    wide = json.dumps({"pump": {"center": 2432.2, "sigma": 1e12}, "pmf": {"sigma": 1e12}})
+    rc, text, err = run_strict(["swap", "--set", "mode=pair", "--set", f"jsa_cd={wide}"],
+                               tmp_path)
+    assert rc == 0, err
+    assert abs(json.loads(text)["fidelity"] - 0.50000000000095368158) <= 1.2e-16
 
 
 def _gaussian_exchange_reference(ab, cd):

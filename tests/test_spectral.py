@@ -188,6 +188,27 @@ def test_gaussian_width_ratio_overlap():
     assert spc.overlap(a, b).magnitude == pytest.approx(math.sqrt(0.8), rel=1e-12)
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+def test_gaussian_detuned_overlap_at_any_width_ratio(ratio):
+    # |<a|b>| = sqrt(2 sa sb / (sa^2 + sb^2)) e^{-d^2 / (4 (sa^2 + sb^2))};
+    # the exponent once summed two terms of about d^2 / (16 sa^2) that
+    # cancel, so its relative error grew like eps ratio^2
+    sa = 0.5
+    a = profile("gaussian", sa)
+    for k in (0.0, 0.3, 1.0, 2.0, 5.0, 8.0):
+        for b in (profile("gaussian", sa * ratio, CENTER + k * math.hypot(sa, sa * ratio)),
+                  profile("gaussian", sa * ratio, CENTER + 2.0 * k * sa * ratio)):
+            with mpmath.workdps(40):
+                d = mpmath.mpf(b.center) - mpmath.mpf(CENTER)
+                s2 = mpmath.mpf(sa) ** 2 + mpmath.mpf(b.width) ** 2
+                exact = float(mpmath.sqrt(2 * sa * mpmath.mpf(b.width) / s2)
+                              * mpmath.exp(-d * d / (4 * s2)))
+            for got in (spc.overlap(a, b).magnitude, spc.overlap(b, a).magnitude):
+                assert got == pytest.approx(exact, rel=1e-13), (ratio, k)
+    wide = profile("gaussian", 5e11, CENTER + 1e12)
+    assert spc.overlap(a, wide).magnitude == pytest.approx(5.2026e-7, rel=1e-4)
+
+
 def test_gaussian_closed_form_matches_quadrature():
     a = profile("gaussian", 0.5)
     b = spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER + 0.7, 0.9, delay=0.4)
@@ -373,6 +394,42 @@ def test_width_search_is_fixed_rounds_of_one_call(shape_a, shape_b, monkeypatch)
     assert best_cos >= dense_max - 1e-15
     assert spc.overlap(a, spc.SpectralProfile.from_fwhm(shape_b, CENTER, best_fwhm)
                        ).magnitude == best_cos == real_overlaps(a, calls[-1]).max()
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    (sa, sb) for sa, sb in PAIRINGS if sa is not sb])
+def test_table_optimum_does_not_depend_on_photon_a(shape_a, shape_b):
+    # at matched centres and zero delay the overlap depends only on the
+    # width ratio, so the unit-FWHM search stands for every photon A
+    ratio, cos = sweeps._unit_optimum(shape_a, shape_b)
+    for center, fw in ((1e2, 1e-3), (1e2, 1e2), (1e4, 1e-3), (1e4, 1e2),
+                       (CENTER, 2.37), (3.3e3, 0.05)):
+        a = spc.SpectralProfile.from_fwhm(shape_a, center, fw)
+        best_fwhm, best_cos = sweeps.max_overlap_width(a, shape_b)
+        assert abs(best_cos - cos) <= 1e-14, (center, fw)
+        assert best_fwhm / fw == pytest.approx(ratio, rel=1e-6), (center, fw)
+
+
+def test_table_searches_once_per_pairing_and_process(monkeypatch):
+    # cold: 12 width searches of 9 overlaps() rounds and one overlap() each;
+    # warm: no overlap call at all, and the same cells
+    calls = []
+    for name in ("overlaps", "overlap"):
+        monkeypatch.setattr(spc, name, lambda a, b, real=getattr(spc, name), name=name:
+                            calls.append(name) or real(a, b))
+    sweeps._unit_optimum.cache_clear()
+    cold = sweeps.max_visibility_table([(1, 1), (2, 2)])
+    assert calls.count("overlaps") == 12 * sweeps._WIDTH_ROUNDS
+    assert calls.count("overlap") == 12
+    calls.clear()
+    warm = sweeps.max_visibility_table([(1, 1), (2, 2), (70, 3)])
+    assert calls == []
+    for key, entry in cold.items():
+        assert (warm[key].cos_theta, warm[key].fwhm_ratio) == (entry.cos_theta,
+                                                              entry.fwhm_ratio)
+        assert {mn: warm[key].visibility[mn] for mn in entry.visibility} == entry.visibility
+    for shape in SHAPES:
+        assert cold[(shape, shape)].cos_theta == cold[(shape, shape)].fwhm_ratio == 1.0
 
 
 @pytest.mark.parametrize("shape_b", SHAPES)
