@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -194,12 +195,20 @@ def _emit_grid(command: str, cfg: dict, out: str | None, xs, ys, grid,
 def _emit_contour(command: str, cfg: dict, out: str | None,
                   prof_a: spc.SpectralProfile,
                   visibility_at: Callable[[np.ndarray], np.ndarray],
-                  pol_b: pol.PolarizationVector) -> None:
+                  pol_b: pol.PolarizationVector, width_key: str) -> None:
     """Photon B's (center, FWHM) contour, shared by `contour` and
     `coherent --set mode=contour`; ``visibility_at`` maps the grid's flat
-    array of mode overlaps c to the visibilities of the command's input."""
+    array of mode overlaps c to the visibilities of the command's input.
+    ``width_key`` names the key that set photon A's FWHM, which scales
+    photon B's FWHM axis."""
     shape_b = cfgmod.parse_shape(cfg["shape_b"], "shape_b")
     centers, fwhms = _contour_axes(cfg, prof_a)
+    try:  # a width is monotone in the FWHM, so the axis ends bound the family's
+        spc.SpectralProfile.from_fwhm(shape_b, prof_a.center, fwhms[[0, -1]])
+    except ValueError as exc:
+        raise ConfigError(f"config field '{width_key}': photon B's FWHM axis, photon A's "
+                          f"over and times width_factor, {_fmt(fwhms[0])} to "
+                          f"{_fmt(fwhms[-1])} rad/ps: {exc}") from None
     grid = sweeps.contour_grid(visibility_at, prof_a, shape_b, centers, fwhms, pol_b)
     _emit_grid(command, cfg, out, centers, fwhms, grid,
                ("center_b_rad_ps", "fwhm_b_rad_ps", "visibility"))
@@ -207,14 +216,18 @@ def _emit_contour(command: str, cfg: dict, out: str | None,
 
 def cmd_contour(cfg: dict, out: str | None) -> None:
     center, fw = cfgmod.parse_center_fwhm(cfg)
-    prof_a = spc.SpectralProfile.from_fwhm(
-        cfgmod.parse_shape(cfg["shape_a"], "shape_a"), center, fw)
+    shape_a = cfgmod.parse_shape(cfg["shape_a"], "shape_a")
+    try:
+        prof_a = spc.SpectralProfile.from_fwhm(shape_a, center, fw)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'fwhm_nm': photon A: {exc}") from None
     app = cfgmod.parse_apparatus(cfg)
     m, n = cfgmod.parse_count(cfg, "m"), cfgmod.parse_count(cfg, "n")
     cfgmod.check_visibility_photons(m, n, "m")
     pol_b = pol.rotate(pol.H, cfgmod.parse_real(cfg, "phi"))
     _emit_contour("contour", cfg, out, prof_a,
-                  lambda c: fock.visibility_from_c(m, n, c, app, pol.H, pol_b), pol_b)
+                  lambda c: fock.visibility_from_c(m, n, c, app, pol.H, pol_b), pol_b,
+                  "fwhm_nm")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +303,7 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
         # the coherent closed form takes one c at a time
         _emit_contour("coherent", cfg, out, prof_a,
                       lambda cs: [coh.visibility_from_params(pair, app, c)
-                                  for c in cs.tolist()], pol_b)
+                                  for c in cs.tolist()], pol_b, "profile_a")
     elif mode == "curve":
         mus = _linspace(cfg, "mu_curve", nonnegative=True)
         phi = cfgmod.parse_real(cfg, "phi")
@@ -559,7 +572,11 @@ _COMMANDS: dict[str, tuple[Callable[[dict, str | None], None], dict]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: a parse reads nothing of an earlier one, so in-process
+    callers of :func:`main` pay the build once per process."""
     parser = argparse.ArgumentParser(
         prog="homsim",
         description="HOM interference sweeps: configs in, CSV/JSON out")

@@ -720,5 +720,10 @@ def _width_from_fwhm(shape: Shape, target):
     if shape is Shape.LORENTZIAN:
         return target
     if shape is Shape.SINC:
-        return _unit_fwhm(Shape.SINC) / target
+        with np.errstate(over="ignore"):
+            duration = _unit_fwhm(Shape.SINC) / target
+        if not np.isfinite(duration).all():
+            raise ValueError(f"a sinc FWHM of {np.min(target):g} rad/ps gives a "
+                             "duration T past the float range")
+        return duration
     return target / _unit_fwhm(Shape.SECH)

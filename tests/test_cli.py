@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from homsim import config as cfgmod
 from homsim import fock
 from homsim import polarization as pol
 from homsim import spectral as spc
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run(args, tmp_path, name="out.txt"):
@@ -52,6 +54,64 @@ def test_byte_identical_reruns(tmp_path):
     rc2, second = run(args, tmp_path, "b.csv")
     assert rc1 == rc2 == 0
     assert first == second
+
+
+_PARSE_FAILURES = [[], ["nope"], ["dip", "--grid", "x"], ["dip", "--bogus"], ["dip", "--help"]]
+_DIP_HELP = """\
+usage: homsim dip [-h] [--config CONFIG] [--out OUT] [--set KEY=VALUE]
+                  [--grid GRID]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON scenario file
+  --out OUT        output path (default stdout)
+  --set KEY=VALUE  dotted-path config override
+  --grid GRID      grid side override
+"""
+
+
+def _call(argv):
+    """(exit code or ("SystemExit", code), stdout, stderr) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors and --help
+            rc = ("SystemExit", exc.code)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_reused_without_leaks(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal
+    cli.build_parser.cache_clear()
+    argvs = list(GOLDEN_CASES.values())
+    # golden jobs with and without --set and --grid, each followed by a
+    # parse failure, so a list or value left over from one parse would show
+    # in the next
+    first_order = [a for i, argv in enumerate(argvs)
+                   for a in (argv, _PARSE_FAILURES[i % len(_PARSE_FAILURES)])]
+    second_order = _PARSE_FAILURES + argvs[::-1]
+    seen = {}
+    for n, argv in enumerate(first_order + second_order):
+        seen.setdefault(tuple(argv), []).append(_call(argv))
+        assert len(built) == 8, (n, argv)  # the top parser and 7 subparsers, once
+    assert len(seen) == len(argvs) + len(_PARSE_FAILURES)
+    for argv, results in seen.items():
+        assert len(results) >= 2 and all(r == results[0] for r in results), argv
+    for argv in argvs:
+        assert seen[tuple(argv)][0][0] == 0, argv
+    for argv in _PARSE_FAILURES[:-1]:
+        rc, out, err = seen[tuple(argv)][0]
+        assert rc == ("SystemExit", 2) and not out and err.startswith("usage: homsim"), argv
+    assert seen[("dip", "--help")][0] == (("SystemExit", 0), _DIP_HELP, "")
 
 
 def test_byte_identical_across_processes(tmp_path):
@@ -170,6 +230,8 @@ def test_bad_photon_literal_exits_2_naming_key(args, key, tmp_path, capsys):
 
 _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
 _NM_PHOTON = '{{"shape":"sech","center_nm":{center!r},"fwhm_nm":0.8}}'
+_SUBNORMAL_FWHM = ["--set", "center_thz=1e-5", "--set", "fwhm_nm=1e-300"]  # 2.1e-315 rad/ps
+_SUBNORMAL_PHOTON = '{"shape":"%s","center_thz":1e-5,"fwhm_nm":1e-300}'
 
 
 @pytest.mark.parametrize("args, key", [
@@ -285,6 +347,20 @@ _NM_PHOTON = '{{"shape":"sech","center_nm":{center!r},"fwhm_nm":0.8}}'
     (["contour", "--set", "center_thz=1" + "0" * 400], "center_thz"),
     (["contour", "--set", "m=0", "--set", "n=1"], "m"),
     (["channels", "--set", "m=1", "--set", "n=0"], "m"),
+    # a sinc photon whose duration T = u / FWHM passes the float range at a
+    # subnormal FWHM, photon A's (exited 2 with an unnamed "FWHM must be
+    # positive") or the narrow end of photon B's axis (warned of an overflow
+    # and exited 3 at width inf)
+    (["contour", "--set", "shape_a=sinc"] + _SUBNORMAL_FWHM, "fwhm_nm"),
+    (["contour", "--set", "shape_a=sinc", "--set", "shape_b=sinc"] + _SUBNORMAL_FWHM,
+     "fwhm_nm"),
+    (["contour", "--set", "shape_b=sinc"] + _SUBNORMAL_FWHM, "fwhm_nm"),
+    (["contour", "--set", "shape_a=sech", "--set", "shape_b=sinc"] + _SUBNORMAL_FWHM,
+     "fwhm_nm"),
+    (["coherent", "--set", "mode=contour", "--set", "profile_a=" + _SUBNORMAL_PHOTON % "sinc"],
+     "profile_a"),
+    (["coherent", "--set", "mode=contour", "--set", "shape_b=sinc",
+      "--set", "profile_a=" + _SUBNORMAL_PHOTON % "gaussian"], "profile_a"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
