@@ -49,6 +49,8 @@ _NUMERIC_ERRORS = (IntegrationError, InvalidRegimeError,
 
 
 def _fmt(x: float) -> str:
+    """The one number format of every CSV value; the dip rows and
+    `_emit_grid`'s value column inline its spec on Python floats."""
     return format(float(x), ".12g")
 
 
@@ -119,7 +121,12 @@ def _linspace(cfg: dict, field: str, nonnegative: bool = False,
     steps = cfgmod.parse_count(cfg, f"{field}.steps")
     if steps < 2 or hi <= lo:
         raise ConfigError(f"config field '{field}': needs max > min and steps >= 2")
-    return np.linspace(lo, hi, _steps(cfg, steps))
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"config field '{field}': max - min must lie in the float range")
+    # numpy forms the last point as (steps - 1) * step and then sets it to
+    # max: near the float range's end only that product may overflow
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, _steps(cfg, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +152,18 @@ def cmd_dip(cfg: dict, out: str | None) -> None:
     lines.append("# block columns: tau_ps, p_co")
     pairs = cfgmod.parse_photons(cfg)
     phis = cfgmod.parse_reals(cfg, "phi")
-    blocks = [(phi, fock.FockPair(m, n, pol_a, pol.rotate(pol_a, phi), prof_a, prof_b))
-              for m, n in pairs for phi in phis]
+    pols_b = [pol.rotate(pol_a, phi) for phi in phis]
     # cos(Theta(tau)) depends only on the spectra: one scan serves every block
     cos_theta = spc.overlaps(prof_a, prof_b.delayed(taus))
-    for phi, pair in blocks:
-        lines += [f"# block m={pair.m} n={pair.n} phi={_fmt(phi)}", "tau_ps,p_co"]
-        lines += [f"{_fmt(tau)},{_fmt(p)}" for tau, p in fock.dip_curve(pair, taus, app, cos_theta)]
+    # one (Phi, tau) array per photon pair, rows in the configured Phi order
+    blocks = [fock.dip_blocks(m, n, pol_a, pols_b, app, cos_theta).tolist()
+              for m, n in pairs]
+    # the rows inline _fmt's ".12g" spec on the Python floats of .tolist()
+    tau_texts = [f"{tau:.12g}" for tau in taus.tolist()]
+    for (m, n), rows in zip(pairs, blocks):
+        for phi, row in zip(phis, rows):
+            lines += [f"# block m={m} n={n} phi={_fmt(phi)}", "tau_ps,p_co"]
+            lines += [f"{tau},{p:.12g}" for tau, p in zip(tau_texts, row)]
     _emit(out, lines)
 
 
@@ -188,7 +200,8 @@ def _emit_grid(command: str, cfg: dict, out: str | None, xs, ys, grid,
     y_texts = [_fmt(y) for y in ys]
     for x, row in zip(xs, np.asarray(grid, dtype=float).tolist()):
         x_text = _fmt(x)
-        lines += [f"{x_text},{y_text},{_fmt(v)}" for y_text, v in zip(y_texts, row)]
+        # _fmt's ".12g" spec, inlined on the Python floats of .tolist()
+        lines += [f"{x_text},{y_text},{v:.12g}" for y_text, v in zip(y_texts, row)]
     _emit(out, lines)
 
 

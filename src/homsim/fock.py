@@ -14,7 +14,8 @@ can push the value negative for very lossy detectors under strong
 bunching; that regime raises :class:`InvalidRegimeError`.  The tau ->
 infinity baseline used by the visibility is evaluated analytically by
 sending the spectral overlap to zero (P_bunch -> 1), which every envelope
-family satisfies.  Each formula takes c as a float or an array (a sweep row).
+family satisfies.  Each formula takes c as a float or an array (a sweep row,
+or a dip's (Phi, tau) grid).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import spectral as spc
 __all__ = [
     "BeamSplitter", "FockPair", "Apparatus", "InvalidRegimeError", "mode_overlap",
     "bunching_factor", "p_all_one_side", "coincidence", "coincidence_raw",
-    "dip_curve", "dip_visibility", "visibility", "visibility_from_c",
+    "dip_blocks", "dip_curve", "dip_visibility", "visibility", "visibility_from_c",
     "visibility_ratio",
 ]
 
@@ -210,11 +211,15 @@ def _deltas(m: int, n: int, pol_a: pol.PolarizationVector,
 
 
 def coincidence_raw(m: int, n: int, c: float | np.ndarray, bs: BeamSplitter,
-                    delta_a: float, delta_b: float) -> float | np.ndarray:
+                    delta_a: float | np.ndarray,
+                    delta_b: float | np.ndarray) -> float | np.ndarray:
     """Coincidence probability from pre-computed overlaps and click terms.
 
-    Raises :class:`InvalidRegimeError`, naming the first failing point in C
-    order, if the formula is not finite or leaves [0,1] by more than 1e-9;
+    ``c``, ``delta_a`` and ``delta_b`` are floats or arrays that broadcast
+    together (a dip's (Phi, tau) grid of c with (Phi, 1) click columns), and
+    each element equals its float result.  Raises
+    :class:`InvalidRegimeError`, naming the first failing point in C order,
+    if the formula is not finite or leaves [0,1] by more than 1e-9;
     sub-tolerance excursions are clamped.
     """
     if m + n < 1:
@@ -225,7 +230,7 @@ def coincidence_raw(m: int, n: int, c: float | np.ndarray, bs: BeamSplitter,
         bad = np.flatnonzero(~((val >= -1e-9) & (val <= 1.0 + 1e-9)))
         if not bad.size:
             return np.clip(val, 0.0, 1.0)
-        val, c = val.flat[bad[0]], c.flat[bad[0]]
+        val, c = val.flat[bad[0]], np.broadcast_to(c, val.shape).flat[bad[0]]
     elif -1e-9 <= val <= 1.0 + 1e-9:
         return min(max(val, 0.0), 1.0)
     raise InvalidRegimeError(
@@ -239,6 +244,24 @@ def coincidence(pair: FockPair, app: Apparatus = IDEAL_APPARATUS) -> float:
     return coincidence_raw(pair.m, pair.n, pair.mode_overlap(), app.bs, da, db)
 
 
+def dip_blocks(m: int, n: int, pol_a: pol.PolarizationVector,
+               pols_b: Sequence[pol.PolarizationVector], app: Apparatus,
+               cos_theta: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Coincidences of one photon pair against each arm-B polarization over
+    one delay scan: row k is the dip of m photons in ``pol_a`` and n in
+    ``pols_b[k]`` at each cos(Theta(tau)) of ``cos_theta``.
+
+    The (Phi, tau) array of c comes from :func:`mode_overlap`, one row per
+    polarization, and the click terms are (Phi, 1) columns, so the pair is
+    one :func:`coincidence_raw` call; each row equals that row's own call.
+    A failing point is the first in row order, then delay order.
+    """
+    cos_theta = np.asarray(cos_theta, dtype=float)
+    cs = np.array([mode_overlap(pol_a, pol_b, cos_theta) for pol_b in pols_b])
+    deltas = np.array([_deltas(m, n, pol_a, pol_b, app) for pol_b in pols_b])
+    return coincidence_raw(m, n, cs, app.bs, deltas[:, :1], deltas[:, 1:])
+
+
 def dip_curve(pair: FockPair, taus: Iterable[float],
               app: Apparatus = IDEAL_APPARATUS,
               cos_theta: Sequence[float] | None = None) -> list[tuple[float, float]]:
@@ -247,21 +270,20 @@ def dip_curve(pair: FockPair, taus: Iterable[float],
     Arm B's profile is shifted by each tau on top of its configured delay;
     polarization and detectors are held fixed, so only cos(Theta) moves.
     cos(Theta(tau)) is one :func:`spectral.overlaps` call per scan, on
-    arm B's family of delayed profiles, and the coincidences are one
-    :func:`coincidence_raw` call on the scan's array of c.  Callers
-    sweeping several (m, n, Phi) over the same spectra and delays pass
-    that cos(Theta) array as ``cos_theta``.
+    arm B's family of delayed profiles, and the curve is the one-row
+    :func:`dip_blocks` call.  Callers sweeping several (m, n, Phi) over the
+    same spectra and delays pass that cos(Theta) array as ``cos_theta``,
+    or call :func:`dip_blocks` once per photon pair.
     """
     if pair.spec_a is None or pair.spec_b is None:
         raise ValueError("dip_curve needs spectral profiles on both arms")
     taus = list(taus)
-    da, db = _deltas(pair.m, pair.n, pair.pol_a, pair.pol_b, app)
     if cos_theta is None:
         cos_theta = spc.overlaps(pair.spec_a, pair.spec_b.delayed(np.asarray(taus, float)))
     elif len(cos_theta) != len(taus):
         raise ValueError("cos_theta needs one value per tau")
-    cs = mode_overlap(pair.pol_a, pair.pol_b, np.asarray(cos_theta, dtype=float))
-    return list(zip(taus, coincidence_raw(pair.m, pair.n, cs, app.bs, da, db).tolist()))
+    row, = dip_blocks(pair.m, pair.n, pair.pol_a, [pair.pol_b], app, cos_theta)
+    return list(zip(taus, row.tolist()))
 
 
 def _nonzero_baseline(p_inf: float | np.ndarray) -> float | np.ndarray:

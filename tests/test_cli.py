@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from homsim import cli
 from homsim import config as cfgmod
 from homsim import fock
+from homsim import oracle
 from homsim import polarization as pol
 from homsim import spectral as spc
 from test_golden import CASES as GOLDEN_CASES
@@ -361,6 +362,10 @@ _SUBNORMAL_PHOTON = '{"shape":"%s","center_thz":1e-5,"fwhm_nm":1e-300}'
      "profile_a"),
     (["coherent", "--set", "mode=contour", "--set", "shape_b=sinc",
       "--set", "profile_a=" + _SUBNORMAL_PHOTON % "gaussian"], "profile_a"),
+    # a delay range whose span max - min overflows (warned of an overflow in
+    # numpy's linspace, then exited 3 at "delay nan ps")
+    (["dip", "--set", 'tau={"min":-1e308,"max":1e308,"steps":3}'], "tau"),
+    (["dip", "--set", 'tau={"min":-9e307,"max":9e307,"steps":5}'], "tau"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
@@ -565,30 +570,158 @@ def test_dip_at_subnormal_delays_exits_0(tmp_path):
     assert len(printed) == 3 and all(0.0 <= p <= 1.0 for p in printed)
 
 
+def test_dip_over_a_span_reaching_the_largest_float_exits_0(tmp_path):
+    # numpy's linspace overflowed forming the last delay (warned), before
+    # setting it to max; the sinc pair's overlap is exact at every delay
+    rc, text, err = run_strict(
+        ["dip", "--set", 'profile_a={"shape":"sinc","center_thz":193.5,"width_thz":2.0}',
+         "--set", 'profile_b={"shape":"sinc","center_thz":193.6,"width_thz":2.0}',
+         "--set", 'tau={"min":0,"max":1.7976931348623157e308,"steps":7}',
+         "--set", "photons=[[1,1]]", "--set", "phi=[0]"], tmp_path)
+    assert (rc, err) == (0, "")
+    rows = [ln.split(",") for ln in data_rows(text)]
+    assert [t for t, _ in rows][-1] == "1.79769313486e+308"
+    assert [float(p) for _, p in rows][1:] == [0.5] * 6
+
+
+_REFERENCE_TAU = {"min": -4, "max": 4, "steps": 17}
+
+
+def _per_block_reference(sets):
+    """(rows, stderr) of a dip job built one block at a time: each
+    (m, n, Phi) block scans its own overlaps and makes its own
+    coincidence_raw call on a 1-D row of c, in block order, so the first
+    failing block raises."""
+    cfg = dict(cli._DIP_DEFAULTS, tau=_REFERENCE_TAU, **sets)
+    a = cfgmod.parse_profile(cfg["profile_a"], "profile_a")
+    b = cfgmod.parse_profile(cfg.get("profile_b", cfg["profile_a"]), "profile_b")
+    det_a, det_b = (pol.Detector(**cfg.get(key, {"eta_h": 1.0, "eta_v": 1.0}))
+                    for key in ("detector_a", "detector_b"))
+    bs = fock.BeamSplitter.balanced()
+    taus = np.linspace(_REFERENCE_TAU["min"], _REFERENCE_TAU["max"], _REFERENCE_TAU["steps"])
+    rows = []
+    for m, n in cfg["photons"]:
+        for phi in cfg["phi"]:
+            pol_b = pol.rotate(pol.H, phi)
+            cs = fock.mode_overlap(pol.H, pol_b, spc.overlaps(a, b.delayed(taus)))
+            da = pol.click_probability(det_a, pol.H, pol_b, m, n)
+            db = pol.click_probability(det_b, pol.H, pol_b, m, n)
+            try:
+                ps = fock.coincidence_raw(m, n, cs, bs, da, db)
+            except fock.InvalidRegimeError as exc:
+                return rows, f"numerical failure: {exc}\n"
+            rows += [f"{cli._fmt(t)},{cli._fmt(p)}" for t, p in zip(taus, ps)]
+    return rows, ""
+
+
+def _dip_sets(sets):
+    return [arg for key, value in sets.items() for arg in ("--set", f"{key}={json.dumps(value)}")]
+
+
 def test_dip_blocks_match_per_block_reference(tmp_path):
-    # reference: every block scans its own overlaps via fock.dip_curve
-    profile_a = {"shape": "sech", "center_thz": 193.55, "width_thz": 0.4}
-    profile_b = {"shape": "sinc", "center_thz": 193.75, "width_thz": 2.5}
-    det_a = {"eta_h": 0.9, "eta_v": 0.8}
-    det_b = {"eta_h": 0.85, "eta_v": 0.95}
-    rc, text = run(["dip", "--set", f"profile_a={json.dumps(profile_a)}",
-                    "--set", f"profile_b={json.dumps(profile_b)}",
-                    "--set", f"detector_a={json.dumps(det_a)}",
-                    "--set", f"detector_b={json.dumps(det_b)}",
-                    "--set", 'tau={"min":-4,"max":4,"steps":17}'], tmp_path)
+    sets = {"profile_a": {"shape": "sech", "center_thz": 193.55, "width_thz": 0.4},
+            "profile_b": {"shape": "sinc", "center_thz": 193.75, "width_thz": 2.5},
+            "detector_a": {"eta_h": 0.9, "eta_v": 0.8},
+            "detector_b": {"eta_h": 0.85, "eta_v": 0.95}}
+    rc, text = run(["dip", "--set", f"tau={json.dumps(_REFERENCE_TAU)}"] + _dip_sets(sets),
+                   tmp_path)
     assert rc == 0
-    app = fock.Apparatus(fock.BeamSplitter.balanced(),
-                         pol.Detector(0.9, 0.8), pol.Detector(0.85, 0.95))
-    a = cfgmod.parse_profile(profile_a, "profile_a")
-    b = cfgmod.parse_profile(profile_b, "profile_b")
-    taus = np.linspace(-4.0, 4.0, 17)
-    expected = []
-    for m, n in [(1, 1), (2, 2), (3, 3)]:
-        for phi in [0.0, 0.25 * math.pi, 0.5 * math.pi]:
-            pair = fock.FockPair(m, n, pol.H, pol.rotate(pol.H, phi), a, b)
-            expected += [f"{cli._fmt(t)},{cli._fmt(p)}"
-                         for t, p in fock.dip_curve(pair, taus, app)]
-    assert data_rows(text) == expected
+    assert (data_rows(text), "") == _per_block_reference(sets)
+
+
+def test_dip_names_the_first_failing_block_when_it_is_not_the_first(tmp_path, capsys):
+    # the (2, 2) blocks and the (1, 1) block at Phi = pi/2 stay in [0, 1];
+    # the (1, 1) block at Phi = 0 is the first to fail, at tau = 0
+    lossy = {"eta_h": 0.95, "eta_v": 0.95}
+    sets = {"detector_a": lossy, "detector_b": lossy,
+            "phi": [1.5707963267948966, 0], "photons": [[2, 2], [1, 1]]}
+    rc = cli.main(["dip", "--set", f"tau={json.dumps(_REFERENCE_TAU)}"] + _dip_sets(sets)
+                  + ["--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == (
+        "numerical failure: coincidence -0.00249375 outside [0,1] for m=1, n=1, c=1; "
+        "parameter set lies outside the detection model's validity\n")
+    rows, reference_err = _per_block_reference(sets)
+    assert len(rows) == 3 * 17 and reference_err == err
+    assert not (tmp_path / "x.csv").exists()
+
+
+_SHAPE = st.sampled_from(["gaussian", "sech", "lorentzian", "sinc"])
+# one end of a delay range: ordinary, subnormal, or out to the float range's end
+_TAU_END = st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e308),
+                     st.sampled_from([0.0, 5e-324, 1e-310, 1e150, 1.5e305, 8.9e307, 1e308]))
+_PHOTON_COUNT = st.one_of(st.integers(0, 3), st.integers(0, 70))
+_IDEAL = {"eta_h": 1.0, "eta_v": 1.0}
+
+
+def test_dip_property_ends_in_oracle_values_or_a_named_exit(tmp_path):
+    # every documented dip key over its documented range: the run prints
+    # finite values in [0, 1], equal to the exact oracle to the printed
+    # precision where it applies (ideal detectors, m, n <= 3), or exits 2
+    # naming a key, or exits 3 naming a numerical cause; never a traceback,
+    # a warning or nan
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        width_a = 10.0 ** data.draw(st.floats(-2.0, 0.5))
+        width_b = width_a * 10.0 ** data.draw(st.floats(-6.0, 6.0))
+        center_a = data.draw(st.floats(150.0, 250.0))
+        center_b = center_a + data.draw(st.floats(-4.0, 4.0)) * width_a
+        if data.draw(st.booleans()):  # about zero, each end out to the float range
+            tau_min, tau_max = -data.draw(_TAU_END), data.draw(_TAU_END)
+        else:  # a few widths, now and then reversed
+            tau_min = data.draw(st.floats(-20.0, 20.0))
+            tau_max = tau_min + data.draw(st.floats(-1.0, 20.0))
+        tau = {"min": tau_min, "max": tau_max,
+               "steps": data.draw(st.one_of(st.just(2), st.integers(2, 6)))}
+        sets = {
+            "profile_a": {"shape": data.draw(_SHAPE), "center_thz": center_a,
+                          "width_thz": width_a},
+            "profile_b": {"shape": data.draw(_SHAPE), "center_thz": center_b,
+                          "width_thz": width_b},
+            "tau": tau,
+            "photons": data.draw(st.lists(st.lists(_PHOTON_COUNT, min_size=2, max_size=2),
+                                          min_size=1, max_size=3)),
+            "phi": data.draw(st.lists(
+                st.one_of(st.sampled_from([0.0, 0.25 * math.pi, 0.5 * math.pi]),
+                          st.floats(-10.0, 10.0)), min_size=1, max_size=3)),
+            "pol_a": data.draw(st.sampled_from("HVDA")),
+            "detector_a": data.draw(st.one_of(st.just(_IDEAL), _DETECTOR)),
+            "detector_b": data.draw(st.one_of(st.just(_IDEAL), _DETECTOR)),
+        }
+        rc, text, err = run_strict(["dip"] + _dip_sets(sets), tmp_path)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if rc == 2:
+            assert err.startswith("config error: config field '"), err
+            return
+        if rc == 3:
+            assert re.match(r"numerical failure: [a-z]+.{20,}", err), err
+            return
+        assert rc == 0, err
+        assert "nan" not in text
+        rows = data_rows(text)
+        blocks = [(m, n, phi) for m, n in sets["photons"] for phi in sets["phi"]]
+        assert text.count("# block m=") == len(blocks)
+        assert len(rows) == len(blocks) * tau["steps"]
+        values = [float(row.split(",")[1]) for row in rows]
+        assert all(0.0 <= p <= 1.0 for p in values), rows
+        if sets["detector_a"] != _IDEAL or sets["detector_b"] != _IDEAL:
+            return
+        a = cfgmod.parse_profile(sets["profile_a"], "profile_a")
+        b = cfgmod.parse_profile(sets["profile_b"], "profile_b")
+        pol_a = cfgmod.parse_polarization(sets["pol_a"], "pol_a")
+        with np.errstate(over="ignore"):
+            taus = np.linspace(tau["min"], tau["max"], tau["steps"]).tolist()
+        for k, (m, n, phi) in enumerate(blocks):
+            if max(m, n) > 3:
+                continue
+            for tau_k, printed in zip(taus, values[k * len(taus):]):
+                pair = fock.FockPair(m, n, pol_a, pol.rotate(pol_a, phi), a, b.delayed(tau_k))
+                expected = oracle.oracle_coincidence(pair, fock.BeamSplitter.balanced())
+                assert printed == pytest.approx(expected, abs=1e-11), (m, n, phi, tau_k)
+
+    check()
 
 
 def lorentzian_overlap_by_residues(a, b):
@@ -1425,12 +1558,13 @@ def test_contour_makes_one_visibility_call(tmp_path, monkeypatch):
     assert np.shape(calls[0][2]) == (21 * 21,)
 
 
-def test_dip_makes_one_coincidence_call_per_block(tmp_path, monkeypatch):
+def test_dip_makes_one_coincidence_call_per_photon_pair(tmp_path, monkeypatch):
+    # each photon pair's 3 Phi blocks are one (Phi, tau) array of c
     calls = _counting(monkeypatch, fock, "coincidence_raw")
     rc, text = run(["dip", "--grid", "31"], tmp_path)
     assert rc == 0 and len(data_rows(text)) == 9 * 31
-    assert [args[:2] for args in calls] == [(m, m) for m in (1, 2, 3) for _ in range(3)]
-    assert all(np.shape(args[2]) == (31,) for args in calls)
+    assert [args[:2] for args in calls] == [(1, 1), (2, 2), (3, 3)]
+    assert all(np.shape(args[2]) == (3, 31) for args in calls)
 
 
 def test_lossy_dip_names_its_first_failing_point(tmp_path, capsys):

@@ -397,6 +397,42 @@ def test_non_finite_coincidence_is_rejected():
                              np.array([1.0, math.nan]))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (70, 70)])
+@pytest.mark.parametrize("app", [fock.IDEAL_APPARATUS, LOSSY], ids=["ideal", "lossy"])
+def test_dip_blocks_rows_equal_one_coincidence_call_per_phi(m, n, app):
+    # one call on a (Phi, tau) array of c with (Phi, 1) click columns: each
+    # row is bit-equal to its Phi's own call on a 1-D row with float clicks
+    a = spc.SpectralProfile(spc.Shape.SECH, CENTER, 0.8 * math.pi)
+    b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 1.2, 2.5)
+    cos_theta = spc.overlaps(a, b.delayed(np.linspace(-4.0, 4.0, 17)))
+    pols_b = [pol.rotate(pol.D, phi) for phi in (0.0, 0.3, 0.5 * math.pi)]
+    rows = fock.dip_blocks(m, n, pol.D, pols_b, app, cos_theta)
+    assert rows.shape == (3, 17)
+    for row, pol_b in zip(rows, pols_b):
+        da, db = fock._deltas(m, n, pol.D, pol_b, app)
+        cs = fock.mode_overlap(pol.D, pol_b, cos_theta)
+        assert _hex(row) == _hex(fock.coincidence_raw(m, n, cs, app.bs, da, db))
+
+
+def test_dip_blocks_name_the_first_failing_point_in_row_order():
+    # eta = 0.95: (1, 1) leaves [0, 1] near c = 1, so the V row (c = 0)
+    # passes and the first H row fails at its last delay
+    det = pol.Detector(0.95, 0.95)
+    app = fock.Apparatus(BALANCED, det, det)
+    cos_theta = np.array([0.0, 0.5, 1.0])
+    with pytest.raises(fock.InvalidRegimeError) as exc:
+        fock.dip_blocks(1, 1, pol.H, [pol.V, pol.H, pol.H], app, cos_theta)
+    with pytest.raises(fock.InvalidRegimeError) as one_point:
+        fock.coincidence_raw(1, 1, 1.0, BALANCED, *fock._deltas(1, 1, pol.H, pol.H, app))
+    assert str(exc.value) == str(one_point.value)
+    # a float c against array click terms names the same point
+    da, db = fock._deltas(1, 1, pol.H, pol.H, app)
+    with pytest.raises(fock.InvalidRegimeError) as broadcast:
+        fock.coincidence_raw(1, 1, 1.0, BALANCED, np.array([[1.0], [da]]),
+                             np.array([[1.0], [db]]))
+    assert str(broadcast.value) == str(one_point.value)
+
+
 # ---------------------------------------------------------------------------
 # large photon numbers
 # ---------------------------------------------------------------------------
