@@ -103,13 +103,25 @@ def damp_number(n: int, gamma: float) -> tuple[tuple[int, float], ...]:
 
     Applying the loss Kraus operators to |n><n| leaves the diagonal
     binomial weights C(n,k) (1-gamma)^k gamma^(n-k) over k survivors.
+    From n = 1,030 on the middle C(n, k) pass the float range; those
+    weights are exp(log C(n,k) + k log(1-gamma) + (n-k) log gamma), and
+    every other weight is the direct product.
     """
     if n < 0:
         raise ValueError("photon number must be non-negative")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    return tuple((k, math.comb(n, k) * (1.0 - gamma) ** k * gamma ** (n - k))
-                 for k in range(n, -1, -1))
+    dist = []
+    c = 1  # C(n, k), exact
+    for k in range(n, -1, -1):
+        try:
+            p = c * (1.0 - gamma) ** k * gamma ** (n - k)
+        except OverflowError:  # c past the float range, so 0 < k < n
+            p = (math.exp(math.log(c) + k * math.log(1.0 - gamma) + (n - k) * math.log(gamma))
+                 if 0.0 < gamma < 1.0 else 0.0)
+        dist.append((k, p))
+        c = c * k // (n - k + 1)
+    return tuple(dist)
 
 
 def apply_channel(src: SourceSpec, ch: ChannelSpec) -> MixedSource:

@@ -68,6 +68,21 @@ def _emit(out_path: str | None, lines: list[str]) -> None:
             fh.write(text)
 
 
+def _emit_csv(command: str, cfg: dict, out: str | None, columns: str,
+              rows: list[str], notes: Sequence[str] = ()) -> None:
+    """The one CSV layout: the header lines and ``notes``, the ``columns``
+    line, then the ``rows``."""
+    _emit(out, [*_header_lines(command, cfg), *notes, columns, *rows])
+
+
+def _mode(cfg: dict, command: str, modes: Sequence[str]) -> str:
+    """`mode`, if it is a string naming one of the command's ``modes``."""
+    mode = cfg["mode"]
+    if not (isinstance(mode, str) and mode in modes):
+        raise ConfigError(f"config field 'mode': unknown {command} mode {mode!r}")
+    return mode
+
+
 def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(defaults)  # a dotted --set writes into nested objects
     if args.config:
@@ -95,19 +110,12 @@ def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
 
 def _steps(cfg: dict, steps: int) -> int:
     """`grid_override` (--grid's integer >= 2) when set, else ``steps``."""
-    if "grid_override" not in cfg:
-        return steps
-    if cfgmod.parse_count(cfg, "grid_override") < 2:
-        raise ConfigError("config field 'grid_override': must be at least 2")
-    return cfg["grid_override"]
+    return cfgmod.parse_count(cfg, "grid_override", steps, minimum=2)
 
 
 def _grid_n(cfg: dict) -> int:
     """Grid side: --grid when given, else `grid_n` (checked either way)."""
-    n = cfgmod.parse_count(cfg, "grid_n")
-    if n < 2:
-        raise ConfigError("config field 'grid_n': must be at least 2")
-    return _steps(cfg, n)
+    return _steps(cfg, cfgmod.parse_count(cfg, "grid_n", minimum=2))
 
 
 def _linspace(cfg: dict, field: str, nonnegative: bool = False,
@@ -194,15 +202,13 @@ def _contour_axes(cfg: dict, prof_a: spc.SpectralProfile) -> tuple[np.ndarray, n
 
 def _emit_grid(command: str, cfg: dict, out: str | None, xs, ys, grid,
                labels=("x", "y", "visibility")) -> None:
-    lines = _header_lines(command, cfg)
-    lines.append(f"# x: {labels[0]}; y: {labels[1]}; value: {labels[2]}")
-    lines.append(",".join(labels))
     y_texts = [_fmt(y) for y in ys]
-    for x, row in zip(xs, np.asarray(grid, dtype=float).tolist()):
-        x_text = _fmt(x)
-        # _fmt's ".12g" spec, inlined on the Python floats of .tolist()
-        lines += [f"{x_text},{y_text},{v:.12g}" for y_text, v in zip(y_texts, row)]
-    _emit(out, lines)
+    # each axis value formatted once; _fmt's ".12g" spec inlined on .tolist()'s floats
+    rows = [f"{x_text},{y_text},{v:.12g}"
+            for x_text, row in zip(map(_fmt, xs), np.asarray(grid, dtype=float).tolist())
+            for y_text, v in zip(y_texts, row)]
+    _emit_csv(command, cfg, out, ",".join(labels), rows,
+              [f"# x: {labels[0]}; y: {labels[1]}; value: {labels[2]}"])
 
 
 def _emit_contour(command: str, cfg: dict, out: str | None,
@@ -230,10 +236,7 @@ def _emit_contour(command: str, cfg: dict, out: str | None,
 def cmd_contour(cfg: dict, out: str | None) -> None:
     center, fw = cfgmod.parse_center_fwhm(cfg)
     shape_a = cfgmod.parse_shape(cfg["shape_a"], "shape_a")
-    try:
-        prof_a = spc.SpectralProfile.from_fwhm(shape_a, center, fw)
-    except ValueError as exc:
-        raise ConfigError(f"config field 'fwhm_nm': photon A: {exc}") from None
+    prof_a = cfgmod.build("fwhm_nm", spc.SpectralProfile.from_fwhm, shape_a, center, fw)
     app = cfgmod.parse_apparatus(cfg)
     m, n = cfgmod.parse_count(cfg, "m"), cfgmod.parse_count(cfg, "n")
     cfgmod.check_visibility_photons(m, n, "m")
@@ -293,7 +296,7 @@ _COHERENT_DEFAULTS = {
 
 
 def cmd_coherent(cfg: dict, out: str | None) -> None:
-    mode = cfg.get("mode", "ratio_map")
+    mode = _mode(cfg, "coherent", ("ratio_map", "contour", "curve"))
     app = cfgmod.parse_apparatus(cfg)
     n = _grid_n(cfg)
     if mode == "ratio_map":
@@ -317,16 +320,12 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
         _emit_contour("coherent", cfg, out, prof_a,
                       lambda cs: [coh.visibility_from_params(pair, app, c)
                                   for c in cs.tolist()], pol_b, "profile_a")
-    elif mode == "curve":
+    else:
         mus = _linspace(cfg, "mu_curve", nonnegative=True)
         phi = cfgmod.parse_real(cfg, "phi")
-        lines = _header_lines("coherent", cfg)
-        lines.append("mu,visibility")
-        for mu in mus:
-            lines.append(f"{_fmt(mu)},{_fmt(coh.coherent_visibility(float(mu), phi))}")
-        _emit(out, lines)
-    else:
-        raise ConfigError(f"config field 'mode': unknown coherent mode {mode!r}")
+        _emit_csv("coherent", cfg, out, "mu,visibility",
+                  [f"{_fmt(mu)},{_fmt(coh.coherent_visibility(float(mu), phi))}"
+                   for mu in mus])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,11 @@ _CHANNELS_DEFAULTS = {
 
 
 def cmd_channels(cfg: dict, out: str | None) -> None:
-    mode = cfg.get("mode", "damping")
+    # mode -> (config key of the range's end, ChannelSpec field, axis label)
+    swept = {"damping": ("gamma_max", "gamma", "gamma"),
+             "depolarizing": ("p_max", "p_depol", "p"),
+             "broadening": ("xi_max", "xi", "xi")}
+    mode = _mode(cfg, "channels", ("number_dist", *swept))
     if mode == "number_dist":
         n_in = cfgmod.parse_count(cfg, "number_dist.n", _CHANNELS_DEFAULTS["number_dist"]["n"])
         gammas = cfgmod.parse_reals(cfg, "number_dist.gammas",
@@ -354,12 +357,9 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
         for i, g in enumerate(gammas):
             if not 0.0 <= g <= 1.0:
                 raise ConfigError(f"config field 'number_dist.gammas[{i}]': must lie in [0, 1]")
-        lines = _header_lines("channels", cfg)
-        lines.append("gamma,k,probability")
-        for g in gammas:
-            for k, p in chn.damp_number(n_in, g):
-                lines.append(f"{_fmt(g)},{k},{_fmt(p)}")
-        _emit(out, lines)
+        _emit_csv("channels", cfg, out, "gamma,k,probability",
+                  [f"{_fmt(g)},{k},{_fmt(p)}" for g in gammas
+                   for k, p in chn.damp_number(n_in, g)])
         return
 
     prof_a = cfgmod.parse_profile(cfg["profile_a"], "profile_a")
@@ -374,12 +374,6 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
     # field on top of them
     base_a = cfgmod.parse_channel(cfg.get("channel_a", {}), "channel_a")
     base_b = cfgmod.parse_channel(cfg.get("channel_b", {}), "channel_b")
-    # mode -> (config key of the range's end, ChannelSpec field, axis label)
-    swept = {"damping": ("gamma_max", "gamma", "gamma"),
-             "depolarizing": ("p_max", "p_depol", "p"),
-             "broadening": ("xi_max", "xi", "xi")}
-    if mode not in swept:
-        raise ConfigError(f"config field 'mode': unknown channels mode {mode!r}")
     key, field, label = swept[mode]
     if mode == "broadening":
         xi_min = cfgmod.parse_real(cfg, "xi_min", positive=True)
@@ -387,11 +381,9 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
         vals = np.exp(np.linspace(math.log(xi_min), math.log(xi_max), n))
     else:
         vals = np.linspace(0.0, cfgmod.parse_real(cfg, key, nonnegative=True), n)
-    try:
-        ch_a = [dataclasses.replace(base_a, **{field: float(v)}) for v in vals]
-        ch_b = [dataclasses.replace(base_b, **{field: float(v)}) for v in vals]
-    except ValueError as exc:  # the swept range leaves the channel's domain
-        raise ConfigError(f"config field '{key}': {exc}") from None
+    # a swept range leaving the channel's domain names the range's end
+    ch_a, ch_b = ([cfgmod.build(key, dataclasses.replace, base, **{field: float(v)})
+                   for v in vals] for base in (base_a, base_b))
     labels = (f"{label}_a", f"{label}_b", "visibility")
     grid = chn.channel_visibility_contour(src_a, src_b, ch_a, ch_b, app)
     _emit_grid("channels", cfg, out, vals, vals, grid, labels)
@@ -423,7 +415,7 @@ _SWAP_DEFAULTS = {
 
 
 def cmd_swap(cfg: dict, out: str | None) -> None:
-    mode = cfg.get("mode", "angle_grid")
+    mode = _mode(cfg, "swap", ("pair", "angle_grid", "bandwidth_sweep", "pump_sweep"))
     n = _grid_n(cfg)
     if mode == "pair":
         # one scenario from two exact JSA literals (separable or pump)
@@ -450,9 +442,7 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
     elif mode == "bandwidth_sweep":
         sigma_c = cfgmod.parse_real(cfg, "bandwidth.sigma_c", positive=True)
         factor = cfgmod.parse_real(cfg, "bandwidth.factor", positive=True)
-        steps = cfgmod.parse_count(cfg, "bandwidth.steps")
-        if steps < 2:
-            raise ConfigError("config field 'bandwidth.steps': must be at least 2")
+        steps = cfgmod.parse_count(cfg, "bandwidth.steps", minimum=2)
         detunings = cfgmod.parse_reals(cfg, "bandwidth.detunings")
         # the Gaussian overlap adds two squared widths and squares each
         # detuning: all of them must stay finite, the widths' squares normal
@@ -469,19 +459,13 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
                                   f"must lie in [-{hi:.3g}, {hi:.3g}]")
         sigmas = sweeps.log_grid(sigma_c, factor, _steps(cfg, steps))
         curves = jsa.detuned_bandwidth_sweep(detunings, list(sigmas), sigma_c)
-        lines = _header_lines("swap", cfg)
-        lines.append("detuning,sigma_b,fidelity")
-        for d, curve in zip(detunings, curves):
-            for sb, f in curve:
-                lines.append(f"{_fmt(d)},{_fmt(sb)},{_fmt(f)}")
-        _emit(out, lines)
-    elif mode == "pump_sweep":
+        _emit_csv("swap", cfg, out, "detuning,sigma_b,fidelity",
+                  [f"{_fmt(d)},{_fmt(sb)},{_fmt(f)}"
+                   for d, curve in zip(detunings, curves) for sb, f in curve])
+    else:
         cfgmod.parse_ignored_grid(cfg.get("jsa_grid", {}), "jsa_grid")
         sigmas = _linspace(cfg, "pump_sigma", positive=True)
-        phi_steps = cfgmod.parse_count(cfg, "phi_steps")
-        if phi_steps < 2:
-            raise ConfigError("config field 'phi_steps': must be at least 2")
-        phis = np.linspace(0.0, 0.5 * math.pi, phi_steps)
+        phis = np.linspace(0.0, 0.5 * math.pi, cfgmod.parse_count(cfg, "phi_steps", minimum=2))
         pmf = (cfgmod.parse_real(cfg, "pmf_sigma", positive=True),
                cfgmod.parse_real(cfg, "slope_s"), cfgmod.parse_real(cfg, "slope_i"))
         sources = cfgmod.gaussian_jsa((cfgmod.parse_real(cfg, "pump_center"), sigmas), pmf,
@@ -492,8 +476,6 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         rows = [[math.cos(float(p)) ** 2 * f for p in phis] for f in aligned.tolist()]
         _emit_grid("swap", cfg, out, sigmas, phis, rows,
                    ("pump_sigma_rad_ps", "phi_rad", "fidelity"))
-    else:
-        raise ConfigError(f"config field 'mode': unknown swap mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,28 +509,22 @@ def cmd_protocols(cfg: dict, out: str | None) -> None:
     cl_theta = cfgmod.parse_real(cfg, "classifier.theta")
     cl_theta_perp = cfgmod.parse_real(cfg, "classifier.theta_perp")
     fusion_theta = cfgmod.parse_real(cfg, "fusion.theta")
-    try:
-        table = {f"{sa}{sb}": proto.mdi_outcome_table(
-                     proto.MdiScenario(sa, sb, phi, theta))
-                 for sa in "HVDA" for sb in "HVDA"}
-    except ValueError as exc:
-        raise ConfigError(f"config field 'mdi': {exc}") from None
+    table = {f"{sa}{sb}": proto.mdi_outcome_table(
+                 cfgmod.build("mdi", proto.MdiScenario, sa, sb, phi, theta))
+             for sa in "HVDA" for sb in "HVDA"}
     e_f = proto.spectral_error(theta)
+    budget = cfgmod.build("error_budget", proto.ErrorBudget, **budget_terms, e_spectral=e_f)
+    rate = proto.key_rate_bound(cfgmod.build("key_rate", proto.KeyRateInputs, **rate_terms))
+    noon = {"signal": cfgmod.build("noon.n", proto.noon_signal, n_noon, noon_theta, noon_phase)}
     try:
-        budget = proto.ErrorBudget(**budget_terms, e_spectral=e_f)
-        rate = proto.key_rate_bound(proto.KeyRateInputs(**rate_terms))
-        noon = {"signal": proto.noon_signal(n_noon, noon_theta, noon_phase)}
-        try:
-            noon["sensitivity_scale"] = proto.noon_sensitivity_scale(n_noon, noon_theta)
-        except ZeroDivisionError:
-            noon["sensitivity_scale"] = None
-        classifier = {
-            "p0": proto.classifier_coincidence(cl_theta, cl_theta_perp),
-            "floor": proto.classifier_floor(cl_theta),
-        }
-        fusion = proto.fusion_fidelity(fusion_theta)
-    except ValueError as exc:
-        raise ConfigError(f"protocols config: {exc}") from None
+        noon["sensitivity_scale"] = proto.noon_sensitivity_scale(n_noon, noon_theta)
+    except ZeroDivisionError:
+        noon["sensitivity_scale"] = None
+    classifier = {
+        "p0": proto.classifier_coincidence(cl_theta, cl_theta_perp),
+        "floor": proto.classifier_floor(cl_theta),
+    }
+    fusion = proto.fusion_fidelity(fusion_theta)
     total = proto.total_error(budget)
     report = {
         "mdi": {

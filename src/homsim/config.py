@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Callable
 
 from . import channels as chn
 from . import fock
@@ -18,7 +18,7 @@ from . import jsa
 from . import polarization as pol
 from . import spectral as spc
 
-__all__ = ["ConfigError", "merge", "set_path", "parse_real", "parse_reals", "parse_count",
+__all__ = ["ConfigError", "build", "merge", "set_path", "parse_real", "parse_reals", "parse_count",
            "parse_photons", "check_visibility_photons", "parse_shape", "parse_center_fwhm",
            "parse_profile", "parse_polarization", "parse_detector", "parse_beam_splitter",
            "parse_apparatus", "parse_channel", "parse_ignored_grid", "gaussian_jsa",
@@ -34,6 +34,15 @@ class ConfigError(ValueError):
 
 def _fail(field: str, why: str) -> "ConfigError":
     return ConfigError(f"config field '{field}': {why}")
+
+
+def build(field: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, a library constructor or call, whose
+    ValueError becomes a ConfigError naming ``field``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _fail(field, str(exc)) from None
 
 
 def merge(base: dict, override: dict) -> dict:
@@ -139,9 +148,12 @@ def _count(v: Any, name: str) -> int:
     return v
 
 
-def parse_count(cfg: dict, key: str, default: int | None = None) -> int:
-    """Photon number at `key`: a non-negative integer."""
-    return _count(_lookup(cfg, key, default), key)
+def parse_count(cfg: dict, key: str, default: int | None = None, minimum: int = 0) -> int:
+    """Non-negative integer at `key`, at least ``minimum``."""
+    n = _count(_lookup(cfg, key, default), key)
+    if n < minimum:
+        raise _fail(key, f"must be at least {minimum}")
+    return n
 
 
 def parse_photons(cfg: dict) -> list[tuple[int, int]]:
@@ -236,18 +248,15 @@ def parse_profile(obj: Any, field: str) -> spc.SpectralProfile:
     center = _center(obj, field)
     if "width_thz" in obj:
         width = _number(obj, field, "width_thz")
-        build = spc.SpectralProfile
+        make = spc.SpectralProfile
         if shape is not spc.Shape.SINC:
             width *= TWO_PI
     elif "fwhm_nm" in obj:
         width = _fwhm_from_nm(obj, field, center)
-        build = spc.SpectralProfile.from_fwhm
+        make = spc.SpectralProfile.from_fwhm
     else:
         raise _fail(field, "needs width_thz or fwhm_nm")
-    try:
-        return build(shape, center, width, delay, broadening)
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
+    return build(field, make, shape, center, width, delay, broadening)
 
 
 def parse_polarization(obj: Any, field: str) -> pol.PolarizationVector:
@@ -259,29 +268,20 @@ def parse_polarization(obj: Any, field: str) -> pol.PolarizationVector:
     if isinstance(obj, dict):
         h = complex(_number(obj, field, "h_re", 0.0), _number(obj, field, "h_im", 0.0))
         v = complex(_number(obj, field, "v_re", 0.0), _number(obj, field, "v_im", 0.0))
-        try:
-            return pol.PolarizationVector(h, v)
-        except ValueError as exc:
-            raise _fail(field, str(exc)) from None
+        return build(field, pol.PolarizationVector, h, v)
     raise _fail(field, "expected a name or {h_re, h_im, v_re, v_im}")
 
 
 def parse_detector(obj: Any, field: str) -> pol.Detector:
     if not isinstance(obj, dict):
         raise _fail(field, "expected {eta_h, eta_v}")
-    try:
-        return pol.Detector(_number(obj, field, "eta_h"), _number(obj, field, "eta_v"))
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
+    return build(field, pol.Detector, _number(obj, field, "eta_h"), _number(obj, field, "eta_v"))
 
 
 def parse_beam_splitter(obj: Any, field: str) -> fock.BeamSplitter:
     if not isinstance(obj, dict):
         raise _fail(field, "expected {t, r}")
-    try:
-        return fock.BeamSplitter(_number(obj, field, "t"), _number(obj, field, "r"))
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
+    return build(field, fock.BeamSplitter, _number(obj, field, "t"), _number(obj, field, "r"))
 
 
 def parse_apparatus(cfg: dict) -> fock.Apparatus:
@@ -299,12 +299,8 @@ def parse_channel(obj: Any, field: str) -> chn.ChannelSpec:
     """`{gamma, p_depol, xi}`, all optional."""
     if not isinstance(obj, dict):
         raise _fail(field, "expected {gamma, p_depol, xi}")
-    try:
-        return chn.ChannelSpec(gamma=_number(obj, field, "gamma", 0.0),
-                               p_depol=_number(obj, field, "p_depol", 0.0),
-                               xi=_number(obj, field, "xi", 1.0))
-    except ValueError as exc:
-        raise _fail(field, str(exc)) from None
+    return build(field, chn.ChannelSpec, gamma=_number(obj, field, "gamma", 0.0),
+                 p_depol=_number(obj, field, "p_depol", 0.0), xi=_number(obj, field, "xi", 1.0))
 
 
 def parse_ignored_grid(grid: Any, field: str) -> None:
@@ -323,18 +319,10 @@ def gaussian_jsa(pump: tuple, pmf: tuple, keys: tuple[str, str, str]) -> jsa.Gau
     """The JSA of :class:`jsa.Pump` ``(*pump)`` and :class:`jsa.PhaseMatching`
     ``(*pmf)``; a ValueError of the pump, of the phase matching or of the
     two together names ``keys[0]``, ``keys[1]`` or ``keys[2]``."""
-    try:
-        source = jsa.Pump(*pump)
-    except ValueError as exc:
-        raise _fail(keys[0], str(exc)) from None
-    try:
-        pm = jsa.PhaseMatching(*pmf)
-    except ValueError as exc:
-        raise _fail(keys[1], str(exc)) from None
-    try:
-        return jsa.GaussianJSA.from_pump(source, pm)
-    except ValueError as exc:  # slope_s == slope_i, or det A out of range
-        raise _fail(keys[2], str(exc)) from None
+    source = build(keys[0], jsa.Pump, *pump)
+    pm = build(keys[1], jsa.PhaseMatching, *pmf)
+    # slope_s == slope_i, or det A out of range
+    return build(keys[2], jsa.GaussianJSA.from_pump, source, pm)
 
 
 def parse_jsa(obj: Any, field: str) -> jsa.SeparableJSA | jsa.GaussianJSA:

@@ -40,6 +40,29 @@ def test_damp_number_is_normalized(n, gamma):
         1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.2, 0.5, 0.8, 0.999, 1.0])
+def test_damp_number_past_the_float_range_of_the_binomial(gamma):
+    # from n = 1,030 on C(n, k) passes the float range, and the weights
+    # raised "int too large to convert to float"
+    from scipy.stats import binom
+    n = 2000
+    dist = chn.damp_number(n, gamma)
+    assert [k for k, _ in dist] == list(range(n, -1, -1))
+    assert math.fsum(p for _, p in dist) == pytest.approx(1.0, abs=1e-12)
+    ks = np.array([k for k, _ in dist])
+    expected = binom.pmf(ks, n, 1.0 - gamma)
+    assert np.max(np.abs(np.array([p for _, p in dist]) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.2, 0.5, 0.8, 0.999, 1.0])
+def test_damp_number_keeps_the_direct_product_wherever_the_binomial_converts(gamma):
+    # n = 1,029 is the last n whose every C(n, k) converts to a float
+    n = 1029
+    assert chn.damp_number(n, gamma) == tuple(
+        (k, math.comb(n, k) * (1.0 - gamma) ** k * gamma ** (n - k))
+        for k in range(n, -1, -1))
+
+
 def test_damp_number_validation():
     with pytest.raises(ValueError):
         chn.damp_number(-1, 0.5)

@@ -366,6 +366,16 @@ _SUBNORMAL_PHOTON = '{"shape":"%s","center_thz":1e-5,"fwhm_nm":1e-300}'
     # numpy's linspace, then exited 3 at "delay nan ps")
     (["dip", "--set", 'tau={"min":-1e308,"max":1e308,"steps":3}'], "tau"),
     (["dip", "--set", 'tau={"min":-9e307,"max":9e307,"steps":5}'], "tau"),
+    # a mode that is no string naming one of the command's modes (a list or
+    # an object made `channels` exit 2 with an unnamed TypeError)
+    *[([command, "--set", f"mode={value}"], "mode")
+      for command in ("coherent", "channels", "swap")
+      for value in ("[1]", '{"a":1}', "3", "null")],
+    # the protocols model's own range checks (exited 2 naming no key)
+    (["protocols", "--set", "noon.n=0"], "noon.n"),
+    (["protocols", "--set", "key_rate.p_z11=2"], "key_rate"),
+    (["protocols", "--set", "key_rate.f_e=0.5"], "key_rate"),
+    (["protocols", "--set", "error_budget.e_temporal=-0.1"], "error_budget"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
@@ -957,7 +967,8 @@ def test_channels_property_ends_in_values_or_a_named_exit(tmp_path):
             "detector_a": data.draw(_DETECTOR), "detector_b": data.draw(_DETECTOR),
             "gamma_max": data.draw(_GAMMA), "p_max": data.draw(_P_DEPOL),
             "xi_min": data.draw(_XI), "xi_max": data.draw(_XI),
-            "number_dist": {"n": data.draw(st.integers(0, 4)),
+            "number_dist": {"n": data.draw(st.one_of(st.integers(0, 4),
+                                                     st.integers(1030, 2000))),
                             "gammas": data.draw(st.lists(_GAMMA, min_size=1, max_size=3))},
         }
         args = ["channels", "--grid", str(data.draw(st.integers(2, 4)))]
@@ -1528,6 +1539,21 @@ def test_protocols_report(tmp_path):
     assert report["error_budget"]["useless_regime"] is False
 
 
+@pytest.mark.parametrize("args", [
+    ["channels", "--set", "mode=number_dist", "--set", "number_dist.n=2000"],
+    ["channels", "--grid", "2", "--set", "m=1100", "--set", "n=1"],
+])
+def test_channels_past_1029_photons_prints_values(args, tmp_path):
+    # from n = 1,030 on the binomial C(n, k) passes the float range, which
+    # made both runs exit 3 with "int too large to convert to float"
+    rc, text, err = run_strict(args, tmp_path)
+    assert rc == 0, err
+    rows = data_rows(text)
+    assert rows
+    for row in rows:
+        assert 0.0 <= float(row.split(",")[-1]) <= 1.0, row
+
+
 def test_protocols_with_mismatch(tmp_path):
     rc, text = run(["protocols", "--set", 'mdi={"phi":0.3,"theta":0.5}'], tmp_path)
     assert rc == 0
@@ -1537,6 +1563,53 @@ def test_protocols_with_mismatch(tmp_path):
     assert report["mdi"]["outcome_table"]["DA"]["M23"] == pytest.approx(expected)
     assert report["error_budget"]["contributions"]["e_spectral"] == pytest.approx(
         0.5 * math.sin(0.5) ** 2)
+
+
+_ANGLE = st.one_of(st.floats(0.0, 0.5 * math.pi), st.floats(-7.0, 7.0),
+                   st.sampled_from([0.0, 0.5 * math.pi, -5e-324, math.nextafter(0.5 * math.pi, 2)]))
+_BUDGET_TERM = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.just(0.0))
+_RATE_TERM = st.one_of(st.floats(0.0, 1.0), st.floats(-1.0, 2.0), st.sampled_from([0.0, 1.0]))
+_F_E = st.one_of(st.floats(1.0, 3.0), st.floats(0.0, 3.0), st.just(1.0), st.just(1e300))
+
+
+def test_protocols_property_ends_in_a_report_or_a_named_exit(tmp_path):
+    # every documented protocols key, in and out of range: the run prints a
+    # report of finite numbers whose probabilities lie in [0, 1], or exits 2
+    # naming a key; never a traceback, a warning or nan
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        sets = {
+            "mdi": {"phi": data.draw(_ANGLE), "theta": data.draw(_ANGLE)},
+            "error_budget": {key: data.draw(_BUDGET_TERM) for key in
+                             ("e_background", "e_asymmetry", "e_polarization", "e_temporal")},
+            "key_rate": {key: data.draw(_RATE_TERM)
+                         for key in ("p_z11", "y_z11", "e_z11", "q_z", "e_z")},
+            "noon": {"n": data.draw(st.one_of(st.integers(0, 70), st.floats(0.0, 70.0))),
+                     "theta": data.draw(_ANGLE), "phase": data.draw(st.floats(-7.0, 7.0))},
+            "classifier": {"theta": data.draw(_ANGLE), "theta_perp": data.draw(_ANGLE)},
+            "fusion": {"theta": data.draw(_ANGLE)},
+        }
+        sets["key_rate"]["f_e"] = data.draw(_F_E)
+        args = ["protocols"]
+        for key, value in sets.items():
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        rc, text, err = run_strict(args, tmp_path)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if rc == 0:
+            assert not re.search(r"NaN|Infinity", text), text
+            report = json.loads(text)
+            probabilities = [p for row in report["mdi"]["outcome_table"].values()
+                             for p in row.values()]
+            probabilities += [report["mdi"]["conclusive_probability"],
+                              report["classifier"]["p0"], report["classifier"]["floor"],
+                              report["fusion_fidelity"]]
+            assert all(0.0 <= p <= 1.0 for p in probabilities), text
+        else:
+            assert rc == 2, err
+            assert err.startswith("config error: config field '"), err
+
+    check()
 
 
 # ---------------------------------------------------------------------------
