@@ -351,7 +351,8 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
              "broadening": ("xi_max", "xi", "xi")}
     mode = _mode(cfg, "channels", ("number_dist", *swept))
     if mode == "number_dist":
-        n_in = cfgmod.parse_count(cfg, "number_dist.n", _CHANNELS_DEFAULTS["number_dist"]["n"])
+        n_in = cfgmod.parse_count(cfg, "number_dist.n", _CHANNELS_DEFAULTS["number_dist"]["n"],
+                                  maximum=chn.MAX_PHOTONS)
         gammas = cfgmod.parse_reals(cfg, "number_dist.gammas",
                                     _CHANNELS_DEFAULTS["number_dist"]["gammas"])
         for i, g in enumerate(gammas):
@@ -364,7 +365,7 @@ def cmd_channels(cfg: dict, out: str | None) -> None:
 
     prof_a = cfgmod.parse_profile(cfg["profile_a"], "profile_a")
     prof_b = cfgmod.parse_profile(cfg.get("profile_b", cfg["profile_a"]), "profile_b")
-    m, n = cfgmod.parse_count(cfg, "m"), cfgmod.parse_count(cfg, "n")
+    m, n = (cfgmod.parse_count(cfg, key, maximum=chn.MAX_PHOTONS) for key in ("m", "n"))
     cfgmod.check_visibility_photons(m, n, "m")
     src_a = chn.SourceSpec(m, cfgmod.parse_polarization(cfg["pol_a"], "pol_a"), prof_a)
     src_b = chn.SourceSpec(n, cfgmod.parse_polarization(cfg["pol_b"], "pol_b"), prof_b)

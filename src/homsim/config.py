@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any, Callable
 
 from . import channels as chn
@@ -142,17 +143,24 @@ def parse_reals(cfg: dict, key: str, default: list | None = None) -> list[float]
 
 
 def _count(v: Any, name: str) -> int:
-    """A non-negative JSON integer (not a boolean) named ``name`` in errors."""
+    """A non-negative JSON integer (not a boolean) within the float range,
+    since the model takes counts as floats; named ``name`` in errors."""
     if not _is_count(v):
         raise _fail(name, f"expected a non-negative integer, got {v!r}")
+    if v > sys.float_info.max:
+        raise _fail(name, f"must be at most {sys.float_info.max:g}, the largest float")
     return v
 
 
-def parse_count(cfg: dict, key: str, default: int | None = None, minimum: int = 0) -> int:
-    """Non-negative integer at `key`, at least ``minimum``."""
+def parse_count(cfg: dict, key: str, default: int | None = None, minimum: int = 0,
+                maximum: int | None = None) -> int:
+    """Non-negative integer at `key`, at least ``minimum`` and at most
+    ``maximum`` (the float range when None)."""
     n = _count(_lookup(cfg, key, default), key)
     if n < minimum:
         raise _fail(key, f"must be at least {minimum}")
+    if maximum is not None and n > maximum:
+        raise _fail(key, f"must be at most {maximum}")
     return n
 
 
@@ -166,6 +174,8 @@ def parse_photons(cfg: dict) -> list[tuple[int, int]]:
     for p in pairs:
         if not isinstance(p, (list, tuple)) or len(p) != 2 or not all(map(_is_count, p)):
             raise _fail("photons", f"bad entry {p!r}")
+        for count in p:
+            _count(count, "photons")
         if p[0] + p[1] < 1:
             raise _fail("photons", f"entry {p!r} needs at least one photon")
         out.append((p[0], p[1]))

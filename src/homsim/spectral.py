@@ -564,12 +564,18 @@ def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
     * sinc: S = e^{-x^2} [erf(u1) - erf(u0)], u = sigma s + i x at the
       edges s0, s1 = dt -+ T/2;
     * Lorentzian: S = A(dt, dw) + A(-dt, -dw), with
-      A = e^{-sigma^2 dt^2 - i dw dt} w(iu), u = sigma dt + gamma / 4 sigma + i x.
+      A = e^{-sigma^2 dt^2 - i dw dt} w(iu), u = sigma dt + gamma / 4 sigma + i x;
+      at zero delay S = 2 Re w(x + ih), h = gamma / 4 sigma, since the two
+      arguments are x + ih and its reflection -x + ih.
 
     erfc(u) = e^{-u^2} w(iu), and each argument in the lower half plane is
     reflected, w(z) = 2 e^{-z^2} - w(-z), with the prefactor's exponent
     folded into e^{-z^2}, so every exponential stays at or below 1.  All
-    arguments of the call go through one :func:`_faddeeva` evaluation.
+    arguments of the call go through one :func:`_faddeeva` evaluation: half
+    as many for a Lorentzian when sigma dt is 0 at every point of the call,
+    which gives the general form's bits, since Weideman's form satisfies
+    w(-conj z) = conj w(z) exactly and :func:`_faddeeva` rounds each point
+    the same at every array length.
     With the Gaussian second the overlap is the complex conjugate.
     """
     _, sigma, norm_g, delay_g, center_g = g
@@ -584,6 +590,10 @@ def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
         # minus the same with w(-iu) for r < 0
         f = sign * np.exp(-r * (r + 2j * x)) * _faddeeva(sign * 1j * (r + 1j * x))
         total = 2.0 * np.exp(-x * x) * (flip[0] & ~flip[1]) + f[0] - f[1]
+    elif not q.any():
+        # zero delay at every point: A(0, dw)'s argument -x + ih is -conj z
+        # for A(0, -dw)'s z = x + ih, and w(-conj z) = conj w(z), bit for bit
+        total = 2.0 * _faddeeva(x + 1j * (0.25 * we / sigma)).real
     else:
         h = 0.25 * we / sigma
         p = np.multiply.outer([1.0, -1.0], q + 1j * x)  # A(dt, dw), A(-dt, -dw)
@@ -626,7 +636,10 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     Weideman's rational approximation (SIAM J. Numer. Anal. 31, 1994):
     w(z) = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)) with
     Z = (L + iz) / (L - iz), |Z| <= 1.  p is evaluated by Horner's rule,
-    so the memory is a few arrays of the argument's size.
+    so the memory is a few arrays of the argument's size.  Each element's
+    bits do not depend on the array's length: the Horner product is formed
+    out of place, since numpy's in-place complex product of a one-element
+    array rounds differently from its loop over longer arrays.
     """
     iz = 1j * z
     d = _W_L - iz
@@ -634,7 +647,7 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     coefficients = _weideman_coefficients()
     poly = np.full(big_z.shape, coefficients[-1], dtype=complex)
     for c in coefficients[-2::-1]:
-        np.multiply(poly, big_z, out=poly)
+        poly = poly * big_z
         poly += c
     return 2.0 * poly / (d * d) + 1.0 / (math.sqrt(math.pi) * d)
 

@@ -26,6 +26,9 @@ HANG_LIMIT_S = 60
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "time_limit(seconds): fail the test if it runs longer than this")
+    config.addinivalue_line(
+        "markers", "subprocess_timeout(seconds): run the test's command in a separate "
+                   "process, killed after this long")
 
 
 @pytest.fixture(autouse=True)

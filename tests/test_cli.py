@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homsim import channels as chn
 from homsim import cli
 from homsim import config as cfgmod
 from homsim import fock
@@ -233,6 +234,7 @@ _NAN_PHOTON = '{"shape":"gaussian","center_thz":NaN,"width_thz":0.5}'
 _NM_PHOTON = '{{"shape":"sech","center_nm":{center!r},"fwhm_nm":0.8}}'
 _SUBNORMAL_FWHM = ["--set", "center_thz=1e-5", "--set", "fwhm_nm=1e-300"]  # 2.1e-315 rad/ps
 _SUBNORMAL_PHOTON = '{"shape":"%s","center_thz":1e-5,"fwhm_nm":1e-300}'
+_HUGE = "1" + "0" * 400  # a JSON integer past the float range
 
 
 @pytest.mark.parametrize("args, key", [
@@ -376,11 +378,33 @@ _SUBNORMAL_PHOTON = '{"shape":"%s","center_thz":1e-5,"fwhm_nm":1e-300}'
     (["protocols", "--set", "key_rate.p_z11=2"], "key_rate"),
     (["protocols", "--set", "key_rate.f_e=0.5"], "key_rate"),
     (["protocols", "--set", "error_budget.e_temporal=-0.1"], "error_budget"),
+    # a photon number past the float range (exited 3 with "int too large to
+    # convert to float"), and past channels' bound on the exact binomials'
+    # cost (ran for minutes), in a process that a hang cannot stall
+    (["protocols", "--set", f"noon.n={_HUGE}"], "noon.n"),
+    (["contour", "--set", f"m={_HUGE}"], "m"),
+    (["dip", "--set", f"photons=[[{_HUGE},1]]"], "photons"),
+    (["tables", "--set", f"photons=[[1,{_HUGE}]]"], "photons"),
+    pytest.param(["channels", "--set", f"m={_HUGE}"], "m",
+                 marks=pytest.mark.subprocess_timeout(5)),
+    (["channels", "--set", f"m={chn.MAX_PHOTONS + 1}"], "m"),
+    (["channels", "--set", "mode=depolarizing", "--set", f"n={chn.MAX_PHOTONS + 1}"], "n"),
+    (["channels", "--set", "mode=number_dist", "--set", f"number_dist.n={chn.MAX_PHOTONS + 1}"],
+     "number_dist.n"),
 ])
-def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys):
+def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys, request):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
-    rc = cli.main(args + grid + ["--out", str(tmp_path / "x.csv")])
-    err = capsys.readouterr().err
+    argv = args + grid + ["--out", str(tmp_path / "x.csv")]
+    bounded = request.node.get_closest_marker("subprocess_timeout")
+    if bounded:
+        import subprocess
+        import sys
+        proc = subprocess.run([sys.executable, "-m", "homsim.cli"] + argv,
+                              capture_output=True, text=True, timeout=bounded.args[0])
+        rc, err = proc.returncode, proc.stderr
+    else:
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
     assert rc == 2, err
     assert f"config field '{key}'" in err
     assert not (tmp_path / "x.csv").exists()
@@ -1629,6 +1653,18 @@ def test_contour_makes_one_visibility_call(tmp_path, monkeypatch):
     assert rc == 0 and len(data_rows(text)) == 21 * 21
     assert len(calls) == 1
     assert np.shape(calls[0][2]) == (21 * 21,)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [("gaussian", "sech"), ("sech", "gaussian")])
+def test_zero_delay_contour_takes_half_the_faddeeva_points(shape_a, shape_b, tmp_path,
+                                                           monkeypatch):
+    # 25 photons B of 24 sech terms each: one argument per term pair at zero
+    # delay, where the general form stacks two (1,200 points in one call)
+    calls = _counting(monkeypatch, spc, "_faddeeva")
+    rc, text = run(["contour", "--grid", "5", "--set", f"shape_a={shape_a}",
+                    "--set", f"shape_b={shape_b}"], tmp_path)
+    assert rc == 0 and len(data_rows(text)) == 5 * 5
+    assert [np.size(args[0]) for args in calls] == [600]
 
 
 def test_dip_makes_one_coincidence_call_per_photon_pair(tmp_path, monkeypatch):

@@ -1,21 +1,28 @@
-"""Coarse golden outputs of every command.
+"""Coarse golden outputs of every command, and the study scripts' outputs.
 
-Each file under ``tests/golden/`` holds the stdout of one command.  Header
-and label text must match exactly; every number in a data line must agree
-to 1e-12 absolute, so a numerics change shows here without blocking an
-intended change below that.  After an intended change, rewrite the files
-with ``python tests/test_golden.py`` (run with ``src`` on the path).
+Each file under ``tests/golden/`` holds the stdout of one command, and
+``tests/golden/studies/`` the gzipped files that the ``scripts/run_*.py``
+studies write.  Header and label text must match exactly; every number in
+a data line must agree to 1e-12 absolute, so a numerics change shows here
+without blocking an intended change below that.  After an intended change,
+rewrite the files with ``python tests/test_golden.py`` (run with ``src``
+on the path).
 """
 
+import gzip
+import importlib.util
 import pathlib
 import re
 import sys
+import tempfile
 
 import pytest
 
 from homsim import cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+STUDIES = GOLDEN / "studies"
+SCRIPTS = sorted((GOLDEN.parent.parent / "scripts").glob("run_*.py"))
 FIG9_DETECTORS = ["--set", 'detector_a={"eta_h":0.8,"eta_v":0.83}',
                   "--set", 'detector_b={"eta_h":0.78,"eta_v":0.85}']
 CASES = {
@@ -79,16 +86,47 @@ def _assert_close(line, expected):
             assert got == want, (line, expected)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_golden(name, tmp_path):
-    got = _render(CASES[name], tmp_path / name).splitlines()
-    want = (GOLDEN / name).read_text().splitlines()
+def _assert_matches(text, golden):
+    got, want = text.splitlines(), golden.splitlines()
     assert len(got) == len(want)
     for line, expected in zip(got, want):
+        if line == expected:
+            continue
         if expected.startswith("#"):
             assert line == expected
         else:
             _assert_close(line, expected)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name, tmp_path):
+    _assert_matches(_render(CASES[name], tmp_path / name), (GOLDEN / name).read_text())
+
+
+def _run_study(script, out):
+    """Run ``script``'s main() with its default arguments, writing into the
+    directory ``out`` instead of ``out/``."""
+    spec = importlib.util.spec_from_file_location(script.stem, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.OUT = out
+    argv, sys.argv = sys.argv, [str(script)]
+    try:
+        assert module.main() == 0
+    finally:
+        sys.argv = argv
+
+
+def test_study_outputs_match_golden(tmp_path):
+    # the paper's figures and tables, as the study scripts write them: the
+    # same files, each matching its golden
+    for script in SCRIPTS:
+        _run_study(script, tmp_path)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name[:-len(".gz")] for path in STUDIES.glob("*.gz"))
+    for name in written:
+        _assert_matches((tmp_path / name).read_text(),
+                        gzip.decompress((STUDIES / f"{name}.gz").read_bytes()).decode())
 
 
 if __name__ == "__main__":
@@ -96,4 +134,14 @@ if __name__ == "__main__":
     for name, args in CASES.items():
         _render(args, GOLDEN / name)
         print(f"wrote {GOLDEN / name}")
+    STUDIES.mkdir(exist_ok=True)
+    for stale in STUDIES.glob("*.gz"):
+        stale.unlink()
+    with tempfile.TemporaryDirectory() as out:
+        for script in SCRIPTS:
+            _run_study(script, pathlib.Path(out))
+        for path in sorted(pathlib.Path(out).iterdir()):
+            # mtime 0, so that an unchanged output rewrites the same bytes
+            (STUDIES / f"{path.name}.gz").write_bytes(gzip.compress(path.read_bytes(), mtime=0))
+            print(f"wrote {STUDIES / path.name}.gz")
     sys.exit(0)

@@ -330,7 +330,11 @@ def test_contour_rows_equal_pointwise_overlaps(shape_a, shape_b, monkeypatch):
             spc.SpectralProfile(shape_b, grid_c, grid_w, np.full(grid_c.shape, delays[0]),
                                 np.full(grid_c.shape, 1.3)),
             spc.SpectralProfile(shape_b, centers[:, None, None], width[:, None], delays,
-                                np.array([0.8, 1.25, 2.0]))):
+                                np.array([0.8, 1.25, 2.0])),
+            # zero and non-zero delays in one call, where each zero-delay
+            # overlap() of a Gaussian-exponential pairing takes the half-size
+            # Faddeeva form and the family the general one
+            spc.SpectralProfile(shape_b, grid_c, grid_w, np.array([0.0, delays[2]] * 2 + [0.0]))):
         assert_pointwise(prof_a, family)
 
 
@@ -629,6 +633,42 @@ def test_faddeeva_matches_scipy():
     assert np.max(np.abs(spc._faddeeva(z) - wofz(z))) <= 1e-14
     # one call keeps the shape of its argument
     assert spc._faddeeva(z.reshape(2, -1)).shape == (2, z.size // 2)
+
+
+def _upper_half_plane(n, seed):
+    """n arguments with Re z in +-50 and Im z log-uniform in [e^-8, e^6],
+    where most of the Gaussian-exponential kernels' arguments lie, plus
+    points on the imaginary axis and at the smallest real parts."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-50.0, 50.0, n) + 1j * np.exp(rng.uniform(-8.0, 6.0, n))
+    im = z.imag[:8]
+    return np.concatenate([z, im * 1j, 5e-324 + im * 1j, -5e-324 + im * 1j])
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.int64)
+
+
+def test_faddeeva_bits_do_not_depend_on_the_array_length():
+    # a point alone carries the bits it has in a family: numpy's in-place
+    # complex product rounds a one-element array differently
+    z = _upper_half_plane(1000, 11)
+    family = spc._faddeeva(z)
+    alone = np.concatenate([spc._faddeeva(z[i:i + 1]) for i in range(z.size)])
+    assert np.array_equal(_bits(alone), _bits(family))
+
+
+def test_faddeeva_is_conjugate_under_reflection_in_the_imaginary_axis():
+    # w(-conj z) = conj w(z) holds bit for bit in Weideman's form, which the
+    # zero-delay Gaussian-exponential overlaps rely on; only a zero imaginary
+    # part (on the imaginary axis and next to it) is +0 on both sides
+    z = _upper_half_plane(20000, 12)
+    got, want = spc._faddeeva(-z.conj()), spc._faddeeva(z).conj()
+    assert np.array_equal(_bits(got.real), _bits(want.real))
+    assert np.array_equal(got.imag, want.imag)
+    nonzero = want.imag != 0.0
+    assert nonzero.sum() > z.size - 30
+    assert np.array_equal(_bits(got.imag[nonzero]), _bits(want.imag[nonzero]))
 
 
 def _scan_overlap_curves(pairings):
