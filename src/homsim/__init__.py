@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`homsim.spectral` -- envelope families, closed-form overlaps, FWHM
-* :mod:`homsim.quadrature` -- adaptive Gauss-Kronrod rule (a test reference)
+* :mod:`homsim.quadrature` -- IntegrationError, the overlaps' numerical failure
 * :mod:`homsim.polarization` -- polarization states and detector response
 * :mod:`homsim.fock` -- multi-photon coincidence and visibility
 * :mod:`homsim.oracle` -- exact operator-expansion reference engine
@@ -27,7 +27,7 @@ from .polarization import Detector, PolarizationDensity, PolarizationVector, \
 from .protocols import ErrorBudget, KeyRateInputs, MdiScenario, \
     classifier_coincidence, fusion_fidelity, key_rate_bound, \
     mdi_outcome_table, noon_signal, spectral_error, total_error
-from .quadrature import IntegrationError, integrate
+from .quadrature import IntegrationError
 from .spectral import OverlapResult, Shape, SpectralProfile, amplitude, fwhm, \
     gaussian_overlap_closed_form, overlap, wavelength_width_to_frequency
 

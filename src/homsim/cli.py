@@ -93,6 +93,8 @@ def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            raise ConfigError("config file holds an integer too long to read") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must contain a JSON object")
         cfg = cfgmod.merge(cfg, user)

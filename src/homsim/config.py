@@ -63,6 +63,8 @@ def set_path(cfg: dict, dotted: str, raw: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        raise _fail(dotted, "holds an integer too long to read") from None
     keys = dotted.split(".")
     node = cfg
     for k in keys[:-1]:

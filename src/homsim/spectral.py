@@ -675,35 +675,11 @@ def gaussian_overlap_closed_form(sigma_b: float, sigma_c: float,
 # widths and normalization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _unit_fwhm(shape: Shape) -> float:
-    """FWHM of |phi|^2 for a unit-width profile, solved by bisection.
-
-    Gaussian and Lorentzian have analytic conventions and are not routed
-    here.  For sinc (width T=1) and sech (sigma=1) the half-maximum point
-    of the intensity is bracketed and bisected to 1e-14.
-    """
-    if shape is Shape.SINC:
-        def g(x):  # |phi|^2 ratio to peak for T=1
-            return np.sinc(x / TWO_PI) ** 2 - 0.5
-        lo_x, hi_x = 1e-9, math.pi  # first zero of sinc(Tx/2) at x=2 pi/T
-    elif shape is Shape.SECH:
-        def g(x):
-            return 1.0 / np.cosh(x) ** 2 - 0.5
-        lo_x, hi_x = 1e-9, 5.0
-    else:
-        raise ValueError("analytic shapes do not use bisection")
-    if not (g(lo_x) > 0 > g(hi_x)):
-        raise RuntimeError("FWHM bracketing failed; degenerate parameters")
-    for _ in range(200):
-        mid = 0.5 * (lo_x + hi_x)
-        if g(mid) > 0:
-            lo_x = mid
-        else:
-            hi_x = mid
-        if hi_x - lo_x < 1e-15 * hi_x:
-            break
-    return lo_x + hi_x  # 2 * midpoint: full width
+# Unit-width FWHMs of |phi|^2: 4 u for sinc (T = 1), sin u / u = 1/sqrt(2),
+# and 2 asinh 1 for sech (sigma = 1).  Each literal is 2.5-2.8 ulp below the
+# exact value; outputs carry these bits, so the exact ones would move them.
+_SINC_FWHM = 5.566229513006038  # 0x1.643d1ab619053p+2
+_SECH_FWHM = 1.7627471740390854  # 0x1.c34366179d424p+0
 
 
 def fwhm(profile: SpectralProfile) -> float:
@@ -712,8 +688,8 @@ def fwhm(profile: SpectralProfile) -> float:
     Gaussian: 2 sqrt(2 ln 2) sigma.  Lorentzian: the linewidth parameter
     gamma itself (the conventional resonance width; the literal
     half-maximum width of this family's |phi|^2 is sqrt(sqrt(2)-1) gamma).
-    Sinc and sech: bisection on the unit-width intensity, scaled exactly
-    by the effective width.
+    Sinc and sech: the unit-width FWHM (``_SINC_FWHM``, ``_SECH_FWHM``),
+    scaled by the effective width.
     """
     w = profile.effective_width
     if profile.shape is Shape.GAUSSIAN:
@@ -721,8 +697,8 @@ def fwhm(profile: SpectralProfile) -> float:
     if profile.shape is Shape.LORENTZIAN:
         return w
     if profile.shape is Shape.SINC:
-        return _unit_fwhm(Shape.SINC) / w
-    return _unit_fwhm(Shape.SECH) * w
+        return _SINC_FWHM / w
+    return _SECH_FWHM * w
 
 
 def _width_from_fwhm(shape: Shape, target):
@@ -734,9 +710,9 @@ def _width_from_fwhm(shape: Shape, target):
         return target
     if shape is Shape.SINC:
         with np.errstate(over="ignore"):
-            duration = _unit_fwhm(Shape.SINC) / target
+            duration = _SINC_FWHM / target
         if not np.isfinite(duration).all():
             raise ValueError(f"a sinc FWHM of {np.min(target):g} rad/ps gives a "
                              "duration T past the float range")
         return duration
-    return target / _unit_fwhm(Shape.SECH)
+    return target / _SECH_FWHM

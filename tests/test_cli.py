@@ -391,6 +391,10 @@ _HUGE = "1" + "0" * 400  # a JSON integer past the float range
     (["channels", "--set", "mode=depolarizing", "--set", f"n={chn.MAX_PHOTONS + 1}"], "n"),
     (["channels", "--set", "mode=number_dist", "--set", f"number_dist.n={chn.MAX_PHOTONS + 1}"],
      "number_dist.n"),
+    # a JSON integer past Python's 4,300-digit int-to-str limit (exited 2
+    # with an unnamed "Exceeds the limit" ValueError)
+    (["contour", "--set", "m=1" + "0" * 5000], "m"),
+    (["dip", "--set", "photons=[[1," + "9" * 5000 + "]]"], "photons"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys, request):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
@@ -407,6 +411,17 @@ def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys, request):
         err = capsys.readouterr().err
     assert rc == 2, err
     assert f"config field '{key}'" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_file_with_too_long_integer_exits_2(tmp_path, capsys):
+    # past Python's 4,300-digit int-to-str limit json.load raises a bare
+    # ValueError, which exited 2 as "config error: ValueError('Exceeds ...')"
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text('{"m": 1' + "0" * 5000 + "}")
+    rc = cli.main(["contour", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: config file holds an integer too long to read\n"
     assert not (tmp_path / "x.csv").exists()
 
 

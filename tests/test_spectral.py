@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from homsim import polarization as pol
-from homsim import quadrature
 from homsim import spectral as spc
 from homsim import sweeps
-from homsim.quadrature import IntegrationError, integrate
+from homsim.quadrature import IntegrationError
 
 CENTER = 2 * math.pi * 193.55  # telecom C-band, rad/ps
 
@@ -22,6 +22,16 @@ WIDTHS = [0.05, 0.2, 1.0]  # rad/ps (duration ps for sinc: still fine)
 
 def profile(shape, width, center=CENTER, delay=0.0, broadening=1.0):
     return spc.SpectralProfile(spc.Shape(shape), center, width, delay, broadening)
+
+
+def quad_integral(f, points, rel_tol, abs_tol=1e-14):
+    """The integral of a scalar complex function f over [min(points),
+    max(points)] by QUADPACK's adaptive rule (scipy's quad), split at the
+    interior points, where the caller knows structure lives.  The real and
+    imaginary parts each converge to max(rel_tol * |part|, abs_tol)."""
+    lo, *inner, hi = sorted(set(points))
+    return quad(lambda x: complex(f(x)), lo, hi, points=inner or None, complex_func=True,
+                epsrel=rel_tol, epsabs=abs_tol, limit=200)[0]
 
 
 def time_envelope(p, t):
@@ -103,13 +113,11 @@ def norm_squared(p):
     r = _time_radius(p)
 
     def f(t):
-        g = time_envelope(p, t)
-        return (g * g).astype(complex)
+        return time_envelope(p, t) ** 2
 
     scale = r / 8.0
-    pts = sorted({-r, -4 * scale, -2 * scale, -scale, 0.0, scale, 2 * scale,
-                  4 * scale, r})
-    return float(integrate(f, pts, rel_tol=_REL_TOL).real)
+    pts = [-r, -4 * scale, -2 * scale, -scale, 0.0, scale, 2 * scale, 4 * scale, r]
+    return quad_integral(f, pts, rel_tol=_REL_TOL).real
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -133,12 +141,11 @@ def test_frequency_domain_normalization(shape):
     win = (p.center - r, p.center + r)
 
     def f(w):
-        a = spc.amplitude(p, w)
-        return (a.conjugate() * a).astype(complex)
+        return abs(spc.amplitude(p, w)) ** 2
 
     seeds = list(np.linspace(win[0], win[1], 9)) + [p.center - 0.4, p.center,
                                                     p.center + 0.4]
-    val = integrate(f, seeds, rel_tol=1e-10)
+    val = quad_integral(f, seeds, rel_tol=1e-10)
     assert val.real == pytest.approx(1.0, abs=1e-8)
 
 
@@ -153,8 +160,10 @@ def test_amplitude_is_fourier_transform_of_envelope(shape):
         def f(t):
             return time_envelope(p, t) * np.exp(1j * dw * t)
 
-        val = integrate(f, [-radius, -radius / 3, 0.0, radius / 3, radius],
-                        rel_tol=1e-12) / math.sqrt(2 * math.pi)
+        # the imaginary part is 0 by symmetry, so its bound is absolute:
+        # rel_tol times the O(1) real part
+        val = quad_integral(f, [-radius, -radius / 3, 0.0, radius / 3, radius],
+                            rel_tol=1e-12, abs_tol=1e-12) / math.sqrt(2 * math.pi)
         assert val == pytest.approx(spc.amplitude(p, p.center + dw), abs=1e-9)
 
 
@@ -219,8 +228,8 @@ def test_gaussian_closed_form_matches_quadrature():
 
     lo = CENTER - 14.0
     hi = CENTER + 14.0
-    quad = integrate(f, list(np.linspace(lo, hi, 41)), rel_tol=1e-12)
-    assert abs(closed - quad) < 1e-9
+    numeric = quad_integral(f, np.linspace(lo, hi, 41), rel_tol=1e-12)
+    assert abs(closed - numeric) < 1e-9
 
 
 def test_delayed_overlap_below_unity():
@@ -438,14 +447,10 @@ def test_table_searches_once_per_pairing_and_process(monkeypatch):
 
 @pytest.mark.parametrize("shape_b", SHAPES)
 @pytest.mark.parametrize("shape_a", SHAPES)
-def test_overlap_is_the_one_member_overlaps(shape_a, shape_b, monkeypatch):
-    # one pairing dispatch serves overlap() and overlaps(), and with the
-    # quadrature out of reach overlap() still answers on every pairing,
-    # with the bits overlaps() gives on a 0-d profile and on a family
-    def refuse(*args, **kwargs):
-        raise AssertionError("an overlap ran a quadrature")
-
-    monkeypatch.setattr(quadrature, "_panel_values", refuse)
+def test_overlap_is_the_one_member_overlaps(shape_a, shape_b):
+    # one pairing dispatch serves overlap() and overlaps(): overlap()
+    # answers on every pairing with the bits overlaps() gives on a 0-d
+    # profile and on a family
     a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, 2.4)
     for b in (spc.SpectralProfile.from_fwhm(shape_b, CENTER, 2.4),
               spc.SpectralProfile.from_fwhm(shape_b, CENTER + 1.1, 4.0, delay_ps=0.7)):
@@ -851,7 +856,7 @@ def test_fwhm_values():
     assert spc.fwhm(profile("gaussian", sigma)) == pytest.approx(
         2 * sigma * math.sqrt(2 * math.log(2)), rel=1e-13)
     assert spc.fwhm(profile("lorentzian", 0.9)) == 0.9
-    # sech: bisection result against the analytic half-max point
+    # sech: the unit-width literal against the analytic half-max point
     s = 0.42
     assert spc.fwhm(profile("sech", s)) == pytest.approx(
         2 * s * math.acosh(math.sqrt(2)), rel=1e-12)
@@ -883,9 +888,21 @@ def test_broadening_scales_fwhm(shape):
 
 
 def test_from_fwhm_round_trips():
+    # to 1 ulp: the width and the FWHM computed back from it are each rounded
     for shape in SHAPES:
-        p = spc.SpectralProfile.from_fwhm(shape, CENTER, 0.8)
-        assert spc.fwhm(p) == pytest.approx(0.8, rel=1e-10)
+        for target in (1e-3, 0.8, 2.4, 37.0, 1e5):
+            p = spc.SpectralProfile.from_fwhm(shape, CENTER, target)
+            assert abs(spc.fwhm(p) - target) <= math.ulp(target), (shape, target)
+
+
+def test_unit_fwhm_constants_match_mpmath():
+    # the unit-width sinc and sech FWHMs are literals; each lies within
+    # 3 ulp of its 30-digit value
+    with mpmath.workdps(30):
+        u = mpmath.findroot(lambda u: mpmath.sin(u) / u - 1 / mpmath.sqrt(2), 1.39)
+        exact = {spc._SINC_FWHM: 4 * u, spc._SECH_FWHM: 2 * mpmath.asinh(1)}
+        for literal, value in exact.items():
+            assert abs(mpmath.mpf(literal) - value) <= 3 * math.ulp(literal), literal
 
 
 # ---------------------------------------------------------------------------
