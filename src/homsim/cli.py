@@ -95,6 +95,8 @@ def _load_config(defaults: dict, args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         except ValueError:  # an integer past Python's int-to-str digit limit
             raise ConfigError("config file holds an integer too long to read") from None
+        except RecursionError:
+            raise ConfigError("config file nests too deep to read") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must contain a JSON object")
         cfg = cfgmod.merge(cfg, user)
@@ -447,21 +449,13 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
         factor = cfgmod.parse_real(cfg, "bandwidth.factor", positive=True)
         steps = cfgmod.parse_count(cfg, "bandwidth.steps", minimum=2)
         detunings = cfgmod.parse_reals(cfg, "bandwidth.detunings")
-        # the Gaussian overlap adds two squared widths and squares each
-        # detuning: all of them must stay finite, the widths' squares normal
-        lo, hi = math.sqrt(sys.float_info.min), math.sqrt(0.25 * sys.float_info.max)
-        if not lo <= sigma_c <= hi:
-            raise ConfigError(
-                f"config field 'bandwidth.sigma_c': must lie in [{lo:.3g}, {hi:.3g}]")
-        if not (lo <= sigma_c / factor <= hi and lo <= sigma_c * factor <= hi):
-            raise ConfigError("config field 'bandwidth.factor': sigma_c / factor and sigma_c * "
-                              f"factor must lie in [{lo:.3g}, {hi:.3g}]")
-        for i, d in enumerate(detunings):
-            if abs(d) > hi:
-                raise ConfigError(f"config field 'bandwidth.detunings[{i}]': "
-                                  f"must lie in [-{hi:.3g}, {hi:.3g}]")
-        sigmas = sweeps.log_grid(sigma_c, factor, _steps(cfg, steps))
-        curves = jsa.detuned_bandwidth_sweep(detunings, list(sigmas), sigma_c)
+        with np.errstate(over="ignore"):  # an infinite end exits below
+            sigmas = sweeps.log_grid(sigma_c, factor, _steps(cfg, steps))
+        if not np.all((0.0 < sigmas) & (sigmas < math.inf)):
+            raise ConfigError(f"config field 'bandwidth.factor': the sigma_B grid {_fmt(sigmas[0])}"
+                              f" to {_fmt(sigmas[-1])} leaves the float range")
+        curves = cfgmod.build("bandwidth.detunings", jsa.detuned_bandwidth_sweep,
+                              detunings, sigmas.tolist(), sigma_c)
         _emit_csv("swap", cfg, out, "detuning,sigma_b,fidelity",
                   [f"{_fmt(d)},{_fmt(sb)},{_fmt(f)}"
                    for d, curve in zip(detunings, curves) for sb, f in curve])

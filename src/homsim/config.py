@@ -65,6 +65,8 @@ def set_path(cfg: dict, dotted: str, raw: str) -> None:
         value = raw
     except ValueError:  # an integer past Python's int-to-str digit limit
         raise _fail(dotted, "holds an integer too long to read") from None
+    except RecursionError:
+        raise _fail(dotted, "nests too deep to read") from None
     keys = dotted.split(".")
     node = cfg
     for k in keys[:-1]:

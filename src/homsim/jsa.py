@@ -239,10 +239,16 @@ def swap_fidelity_separable(phi: float, theta_bc: float) -> float:
 def detuned_bandwidth_sweep(detunings: list[float], sigma_b_grid: list[float],
                             sigma_c: float) -> list[list[tuple[float, float]]]:
     """Aligned (Phi = 0) fidelity curves, one list of (sigma_B, F) per
-    center detuning, from the Gaussian overlap closed form.  An exponent
-    that overflows (a detuning past 1e154 combined widths) gives the
-    overlap its limit, 0."""
-    with np.errstate(over="ignore"):
-        return [[(sb, _fidelity(0.0, ov * ov)) for sb in sigma_b_grid
-                 for ov in (spc.gaussian_overlap_closed_form(sb, sigma_c, d, 0.0),)]
-                for d in detunings]
+    center detuning, from one :func:`spectral.overlaps` call.  Each sigma is
+    the standard deviation of a Gaussian amplitude, sqrt(2) times a
+    profile's width.  C sits at |d| and B at 2 |d| (both at 1 for d = 0),
+    exactly |d| apart; B's centre past the float range raises ValueError."""
+    widths = np.array([sigma_c] + list(sigma_b_grid)) / math.sqrt(2.0)
+    lag = np.abs(np.array(detunings, dtype=float))[:, None]
+    if not np.all(lag <= 0.5 * np.finfo(float).max):
+        raise ValueError("photon B's centre, twice the detuning, leaves the float range")
+    base = np.where(lag > 0.0, lag, 1.0)
+    photon_c = spc.SpectralProfile(spc.Shape.GAUSSIAN, base, widths[0])
+    grid = spc.SpectralProfile(spc.Shape.GAUSSIAN, base + lag, widths[1:])
+    return [[(sb, _fidelity(0.0, ov * ov)) for sb, ov in zip(sigma_b_grid, row)]
+            for row in spc.overlaps(photon_c, grid).tolist()]

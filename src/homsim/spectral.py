@@ -18,9 +18,10 @@ the Lorentzian's a two-sided exponential), which turns the slowly decaying
 or oscillatory frequency-domain tails into compactly supported or
 exponentially decaying integrands.  All 16 ordered pairings are exact
 closed forms, behind one dispatch that serves :func:`overlap` and
-:func:`overlaps` alike:
+:func:`overlaps` alike; its kernels see only a width ratio, a detuning and
+a delay in units of their first photon's width, never an absolute scale:
 
-* Gaussian with Gaussian: a closed form in the frequency domain;
+* Gaussian with Gaussian: a closed form in the width ratio;
 * sinc or Lorentzian with sinc or Lorentzian: the time-domain product is
   piecewise exponential, so the integral is elementary and exact (at most
   three segments);
@@ -55,8 +56,7 @@ from .quadrature import IntegrationError
 
 __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
-    "amplitude", "overlap", "overlaps",
-    "gaussian_overlap_closed_form", "fwhm",
+    "amplitude", "overlap", "overlaps", "fwhm",
     "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
 ]
@@ -264,34 +264,57 @@ def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
     """The one pairing dispatch: the complex overlaps of ``a``'s photons
     with ``b``'s, in the two families' broadcast shape.
 
-    The photon pairs go to the kernel in chunks of at most
-    ``_PAIR_BUDGET`` term-pair points (one point per photon pair and term
-    pair; a sech has 24 terms, the other envelopes one), so a call's
-    memory does not grow with the family.  Every kernel works elementwise
-    on each point and sums its term pairs in a fixed order, so a point's
-    bits do not depend on the chunk or the family it is in, nor on
-    whether ``a`` is one photon or a family.
+    Each point is reduced once to three numbers in units of the spectral
+    scale u of the kernel's first photon (sigma, gamma or 1/T; the Gaussian
+    of a mixed Gaussian pairing, else photon a): the second photon's width
+    parameter r (its duration times u for a sinc), its detuning
+    (c_2 - c_1) / u and its delay (tau_2 - tau_1) u, each one quotient or
+    product of exact differences.  The kernel sees a unit first photon and
+    these, so a point's bits do not depend on the absolute scale; the phase
+    e^{i c_2 (tau_b - tau_a)} multiplies each value once, here.  A point
+    with an infinite delay or detuning, or past the two photons' reach
+    (:func:`_reach`), is exactly 0.  Kernels take chunks of at most
+    ``_PAIR_BUDGET`` term-pair points (a sech has 24 terms, the others
+    one), work elementwise and sum term pairs in a fixed order, so a
+    point's bits do not depend on its chunk or family.
     """
-    if a.shape is Shape.GAUSSIAN and b.shape is Shape.GAUSSIAN:
-        kernel = _gaussian_overlaps
-    elif a.shape is Shape.GAUSSIAN:
-        kernel = _gaussian_exp_overlaps
-    elif b.shape is Shape.GAUSSIAN:
-        def kernel(ca, cb):
-            return np.conj(_gaussian_exp_overlaps(cb, ca))
+    reverse = b.shape is Shape.GAUSSIAN and a.shape is not Shape.GAUSSIAN
+    first, second = (b, a) if reverse else (a, b)
+    if first.shape is Shape.GAUSSIAN:
+        kernel = _gaussian_overlaps if second.shape is Shape.GAUSSIAN else _gaussian_exp_overlaps
     else:
         kernel = _exponential_overlaps
     shape = np.broadcast_shapes(_shape(a), _shape(b))
-    points_b = _points(b, shape)
-    one = _shape(a) == ()  # one photon a: its columns, formed once, meet every chunk
-    points_a = _points(a, () if one else shape)
-    ca = _columns(a.shape, points_a, 0) if one else None
-    step = max(1, _PAIR_BUDGET // (_terms(a.shape) * _terms(b.shape)))
-    values = np.empty(points_b.shape[1], dtype=complex)
+    u = first.effective_width  # a sinc's is its duration 1/u
+    # a frequency in units of u, a time in units of 1/u
+    freq, time = ((np.divide, np.multiply) if first.shape is not Shape.SINC
+                  else (np.multiply, np.divide))
+    lag = second.delay - first.delay
+    points = np.empty((4,) + shape)  # contiguous rows, in C order
+    points[0] = (time if second.shape is Shape.SINC else freq)(second.effective_width, u)
+    points[1] = freq(second.center - first.center, u)
+    points[2] = time(lag, u)
+    points[3] = second.center * (-lag if reverse else lag)
+    ratio, detuning, delay, arg = points.reshape(4, -1)
+    (time_1, freq_1), (time_2, freq_2) = _reach(first.shape, 1.0), _reach(second.shape, ratio)
+    far = (np.isinf(delay) | np.isinf(detuning)
+           | (np.abs(delay) > time_1 + time_2) | (np.abs(detuning) > freq_1 + freq_2))
+    if far.any():
+        delay, detuning = np.where(far, 0.0, delay), np.where(far, 0.0, detuning)
+    first_cols = _columns(first.shape, np.ones(1), 0)
+    step = max(1, _PAIR_BUDGET // (_terms(first.shape) * _terms(second.shape)))
+    values = np.empty(ratio.size, dtype=complex)
     for start in range(0, values.size, step):
         part = slice(start, start + step)
-        values[part] = kernel(ca if one else _columns(a.shape, points_a[:, part], 0),
-                              _columns(b.shape, points_b[:, part], 1))
+        values[part] = kernel(first_cols, _columns(second.shape, ratio[part], 1),
+                              delay[part].reshape(1, 1, -1), detuning[part].reshape(1, 1, -1))
+    if reverse:
+        values = np.conj(values)
+    # named factors, not in place: numpy reuses a temporary right factor in
+    # place, which rounds a point differently in a longer family
+    phase = np.exp(1j * arg)
+    values = values * phase
+    values[far] = 0.0
     return values.reshape(shape)
 
 
@@ -312,31 +335,22 @@ def _pair_sum(values: np.ndarray) -> np.ndarray:
     return x[0]
 
 
-def _gaussian_overlaps(a: tuple, b: tuple) -> np.ndarray:
-    """Exact overlaps of Gaussian photons, ``a``'s columns against ``b``'s
-    (see :func:`_columns`), broadcast.
+def _gaussian_overlaps(a: tuple, b: tuple, delay, detuning) -> np.ndarray:
+    """Exact overlaps of the unit Gaussian photon with Gaussian photons of
+    width ratio r (``b``'s width column), ``detuning`` d and ``delay`` t,
+    all in its units (see :func:`_overlap_values`).
 
-    Written in the frequency domain about the mean center (u = omega -
-    (c_a + c_b)/2), so the exponent carries only the detuning d and delay
-    difference dt; the naive completion of the square about omega = 0
-    loses ~6 digits to cancellation at telecom center frequencies.
+    In the frequency domain about the second photon's centre the product
+    is a Gaussian, and with h = hypot(1, r) the overlap is
+    sqrt(2 r) / h exp(-(d/h)^2 / 4 - (t r/h)^2 - i (d r/h)(t r/h)): no
+    factor exceeds the size of d, t or 2 r, so nothing cancels.
     """
-    _, sa, _, delay_a, center_a = a
-    _, sb, _, delay_b, center_b = b
-    d = center_b - center_a
-    dt = delay_b - delay_a
-    wbar = 0.5 * (center_a + center_b)
-    # phi_a*(u) phi_b(u) = N exp(-(u+d/2)^2/(4sa^2) - (u-d/2)^2/(4sb^2) + i(u+wbar)dt)
-    alpha = 0.25 / (sa * sa) + 0.25 / (sb * sb)
-    beta = 0.25 * d * (1.0 / (sb * sb) - 1.0 / (sa * sa))
-    # (beta + i dt)^2 / (4 alpha) - alpha d^2 / 4 + i wbar dt, in real arithmetic;
-    # its detuning part beta^2 / (4 alpha) - alpha d^2 / 4 is summed as the one
-    # term -d^2 / (4 (sa^2 + sb^2)): the two terms cancel to (sb / sa)^2 ulps
-    exponent_re = -(dt * dt) / (4.0 * alpha) - d * d / (4.0 * (sa * sa + sb * sb))
-    exponent_im = (beta * dt + dt * beta) / (4.0 * alpha) + wbar * dt
-    norm = (np.float_power(1.0 / (sa * math.sqrt(TWO_PI)), 0.5)
-            * np.float_power(1.0 / (sb * math.sqrt(TWO_PI)), 0.5))
-    return (norm * np.sqrt(math.pi / alpha) * np.exp(exponent_re + 1j * exponent_im)).reshape(-1)
+    r = b[1]
+    h = np.hypot(1.0, r)
+    s = r / h
+    x, y = detuning / h, delay * s
+    return (np.sqrt(2.0 * r) / h
+            * np.exp(-0.25 * (x * x) - y * y - 1j * ((detuning * s) * y))).reshape(-1)
 
 
 _SECH_TERMS = 24  # the series' a-priori error, 2 (3 + sqrt 8)^-24, is below 1e-18
@@ -374,49 +388,60 @@ def _shape(p: SpectralProfile) -> tuple:
     return np.broadcast(p.width, p.broadening, p.delay, p.center).shape
 
 
-def _points(p: SpectralProfile, shape: tuple) -> np.ndarray:
-    """(effective width, delay, centre) of ``p``'s photons broadcast to
-    ``shape``, in C order, as the rows of a (3, n) array."""
-    cols = np.empty((3,) + shape)
-    cols[0], cols[1], cols[2] = p.effective_width, p.delay, p.center
-    return cols.reshape(3, -1)
-
-
 def _terms(shape: Shape) -> int:
     """Number of Lorentzian-type terms the kernels see for one photon."""
     return _SECH_TERMS if shape is Shape.SECH else 1
 
 
-def _columns(shape: Shape, points: np.ndarray, axis: int) -> tuple:
-    """(kind, width, norm, delay, centre): the kernels' view of photons of
-    ``shape`` with the given :func:`_points` rows.
+def _columns(shape: Shape, width: np.ndarray, axis: int) -> tuple:
+    """(kind, width, norm): the kernels' view of photons of ``shape`` with
+    the dimensionless width parameters ``width``.
 
-    ``kind`` is the envelope family the kernels see, and the four columns
+    ``kind`` is the envelope family the kernels see, and the two columns
     hold the photons' values along the last of three axes.  A sech photon
     is its series of Lorentzian-type terms (kind Lorentzian), laid along
-    ``axis``: 0 for photon a and 1 for the photons b, so that the kernels
-    pair every term of a with every term of each b.
+    ``axis``: 0 for the unit first photon and 1 for the second photons, so
+    that the kernels pair every term of the one with every term of each
+    other.
     """
-    width, delay, center = points.reshape(3, 1, 1, -1)
+    width = width.reshape(1, 1, -1)
     norm = _envelope_norm(shape, width)
     if shape is not Shape.SECH:
-        return shape, width, norm, delay, center
+        return shape, width, norm
     terms = (-1,) + (1,) * (2 - axis)
     return (Shape.LORENTZIAN, width * _SECH_WIDTHS.reshape(terms),
-            norm * _SECH_WEIGHTS.reshape(terms), delay, center)
+            norm * _SECH_WEIGHTS.reshape(terms))
+
+
+def _reach(shape: Shape, p) -> tuple:
+    """(time, frequency) reach of photons of ``shape`` with dimensionless
+    width parameters p, past which the envelope's L2 tail is below half the
+    smallest normal float, e^-709.1: e^{-(sigma t)^2} and e^{-(omega / 2
+    sigma)^2} for a Gaussian, e^{-gamma t / 2} and (gamma / omega)^1.5 /
+    sqrt(12 pi) for a Lorentzian, e^{-pi sigma t / 2} and e^{-omega / sigma}
+    for a sech; a sinc's rectangle ends at T / 2, and its spectrum's tail
+    never falls that far.  By Cauchy-Schwarz on either side of a point
+    between them, photons further apart than the sum of their reaches
+    overlap by less than the smallest normal float."""
+    if shape is Shape.SINC:
+        return 0.5 * p, np.inf
+    time, frequency = {Shape.GAUSSIAN: (27.0, 54.0), Shape.LORENTZIAN: (1419.0, 1e205),
+                       Shape.SECH: (452.0, 710.0)}[shape]
+    return time / p, frequency * p
 
 
 _EXPM1_BELOW = 1.0  # |kappa L| under which a segment takes the expm1 form
 
 
-def _exponential_overlaps(a: tuple, b: tuple) -> np.ndarray:
-    """Exact overlaps of sinc or Lorentzian photons, ``a``'s columns
-    against ``b``'s (see :func:`_columns`), summed over their term pairs.
+def _exponential_overlaps(a: tuple, b: tuple, dt, dw) -> np.ndarray:
+    """Exact overlaps of the unit sinc or Lorentzian photon ``a`` with
+    sinc or Lorentzian photons ``b`` (columns from :func:`_columns`) at
+    delays ``dt`` and detunings ``dw``, summed over their term pairs.
 
     On its support each of these envelopes is N e^{-g |t - tau|}: g = 0
     on the sinc's rectangle |t - tau| <= T/2, g = gamma/2 everywhere for
-    the Lorentzian.  Times are taken from tau_a.  The support ends and the
-    two kinks (0 and dt = tau_b - tau_a) cut the line into at most three
+    the Lorentzian.  Times are taken from a's arrival.  The support ends
+    and the two kinks (0 and dt) cut the line into at most three
     segments, on each of which the integrand
     F(x) = G_a(x) G_b(x - dt) e^{-i dw x} has F' = kappa F for one complex
     kappa = rho - i dw (rho a sum of +-g_a and +-g_b).  A segment
@@ -439,12 +464,10 @@ def _exponential_overlaps(a: tuple, b: tuple) -> np.ndarray:
     S = sum_ij |N_a,i N_b,j| int e^{-g_a,i |x| - g_b,j |x - dt|} dx, and
     by Cauchy-Schwarz S <= 1 for two single terms, 7.6 for a sech against
     one, and 58 for two sechs (46 when their widths are equal; a few
-    1e-15 are seen there).  Disjoint supports give exactly 0, and the
-    large phase omega_b dt multiplies the sum once.
+    1e-15 are seen there).  Disjoint supports give exactly 0.
     """
-    shape_a, wa, norm_a, delay_a, center_a = a
-    shape_b, wb, norm_b, delay_b, center_b = b
-    dt, dw = delay_b - delay_a, center_b - center_a
+    shape_a, wa, norm_a = a
+    shape_b, wb, norm_b = b
 
     def support(shape, w, arrival):
         """Support ends and decay rate g of an envelope arriving at ``arrival``."""
@@ -466,11 +489,6 @@ def _exponential_overlaps(a: tuple, b: tuple) -> np.ndarray:
         total = 2.0 * _pair_sum((norm_a * norm_b) * (rho / (rho * rho + dw * dw)))
     else:
         total = _segment_sums(ends, tails, ga, gb, norm_a, norm_b, dt, dw)
-    # named factors, not in place: numpy reuses a large temporary right factor
-    # in place, swapping the factors of a complex product, which rounds a
-    # point differently in a longer family, as does an in-place product
-    phase = np.exp(1j * center_b * dt)
-    total = total * phase
     return np.where(lo < hi, total, 0.0).reshape(-1)
 
 
@@ -489,7 +507,7 @@ class _Segment(NamedTuple):
 
 def _segment_sums(ends: list, tails: bool, ga, gb, norm_a, norm_b, dt, dw) -> np.ndarray:
     """The sum over the segment ends of :func:`_exponential_overlaps`, and
-    the expm1 form on its subset, before the phase e^{i omega_b dt}."""
+    the expm1 form on its subset."""
     dw2 = dw * dw
 
     def segment(x0, x1, tail) -> _Segment | None:
@@ -552,38 +570,36 @@ def _segment_sums(ends: list, tails: bool, ga, gb, norm_a, norm_b, dt, dw) -> np
     return total
 
 
-def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
-    """Exact overlaps of Gaussian photons ``g`` with sinc or Lorentzian
-    photons ``e``, columns as from :func:`_columns`, broadcast.
+def _gaussian_exp_overlaps(g: tuple, e: tuple, dt, dw) -> np.ndarray:
+    """Exact overlaps of the unit Gaussian photon ``g`` (sigma = 1) with
+    sinc or Lorentzian photons ``e`` (columns from :func:`_columns`) at
+    delays ``dt`` and detunings ``dw``, broadcast.
 
-    Times are taken from the Gaussian's arrival, with dt = tau_E - tau_G and
-    dw = omega_E - omega_G for the other photon E and x = dw / 2 sigma, so
-    that V = int phi_G* phi_E = e^{i omega_E dt} N_G N_E (sqrt(pi) / 2 sigma) S
-    with the Faddeeva function w:
+    Times are taken from the Gaussian's arrival, and with x = dw / 2 the
+    overlap is V = N_G N_E (sqrt(pi) / 2) S with the Faddeeva function w:
 
-    * sinc: S = e^{-x^2} [erf(u1) - erf(u0)], u = sigma s + i x at the
-      edges s0, s1 = dt -+ T/2;
+    * sinc: S = e^{-x^2} [erf(u1) - erf(u0)], u = s + i x at the edges
+      s0, s1 = dt -+ T/2;
     * Lorentzian: S = A(dt, dw) + A(-dt, -dw), with
-      A = e^{-sigma^2 dt^2 - i dw dt} w(iu), u = sigma dt + gamma / 4 sigma + i x;
-      at zero delay S = 2 Re w(x + ih), h = gamma / 4 sigma, since the two
-      arguments are x + ih and its reflection -x + ih.
+      A = e^{-dt^2 - i dw dt} w(iu), u = dt + gamma / 4 + i x; at zero
+      delay S = 2 Re w(x + ih), h = gamma / 4, since the two arguments are
+      x + ih and its reflection -x + ih.
 
     erfc(u) = e^{-u^2} w(iu), and each argument in the lower half plane is
     reflected, w(z) = 2 e^{-z^2} - w(-z), with the prefactor's exponent
     folded into e^{-z^2}, so every exponential stays at or below 1.  All
     arguments of the call go through one :func:`_faddeeva` evaluation: half
-    as many for a Lorentzian when sigma dt is 0 at every point of the call,
+    as many for a Lorentzian when dt is 0 at every point of the call,
     which gives the general form's bits, since Weideman's form satisfies
     w(-conj z) = conj w(z) exactly and :func:`_faddeeva` rounds each point
     the same at every array length.
     With the Gaussian second the overlap is the complex conjugate.
     """
-    _, sigma, norm_g, delay_g, center_g = g
-    shape, we, norm_e, delay_e, center_e = e
-    dt, dw = delay_e - delay_g, center_e - center_g
-    x, q = dw / (2.0 * sigma), sigma * dt
+    norm_g = g[2]
+    shape, we, norm_e = e
+    x, q = 0.5 * dw, dt
     if shape is Shape.SINC:
-        r = q + np.multiply.outer([-0.5, 0.5], sigma * we)  # sigma s at both edges
+        r = q + np.multiply.outer([-0.5, 0.5], we)  # s at both edges
         flip = r < 0.0
         sign = np.where(flip, -1.0, 1.0)
         # e^{-x^2} erfc(u) = e^{-r^2 - 2irx} w(iu) for r >= 0, and 2 e^{-x^2}
@@ -593,9 +609,9 @@ def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
     elif not q.any():
         # zero delay at every point: A(0, dw)'s argument -x + ih is -conj z
         # for A(0, -dw)'s z = x + ih, and w(-conj z) = conj w(z), bit for bit
-        total = 2.0 * _faddeeva(x + 1j * (0.25 * we / sigma)).real
+        total = 2.0 * _faddeeva(x + 1j * (0.25 * we)).real
     else:
-        h = 0.25 * we / sigma
+        h = 0.25 * we
         p = np.multiply.outer([1.0, -1.0], q + 1j * x)  # A(dt, dw), A(-dt, -dw)
         z = 1j * (h + p)
         flip = z.imag < 0.0
@@ -606,8 +622,7 @@ def _gaussian_exp_overlaps(g: tuple, e: tuple) -> np.ndarray:
         terms = (sign * np.exp(-q * (q + 2j * x)) * _faddeeva(sign * z)
                  + 2.0 * np.exp(folded))
         total = terms[0] + terms[1]
-    return _pair_sum(norm_g * norm_e * math.sqrt(math.pi) / (2.0 * sigma)
-                     * np.exp(1j * center_e * dt) * total)
+    return _pair_sum(norm_g * norm_e * (0.5 * math.sqrt(math.pi)) * total)
 
 
 _W_TERMS = 40  # Weideman's N: about 2e-15 absolute in the upper half plane
@@ -650,25 +665,6 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
         poly = poly * big_z
         poly += c
     return 2.0 * poly / (d * d) + 1.0 / (math.sqrt(math.pi) * d)
-
-
-def gaussian_overlap_closed_form(sigma_b: float, sigma_c: float,
-                                 center_b: float = 0.0, center_c: float = 0.0) -> float:
-    """Magnitude of the Gaussian-Gaussian overlap integral.
-
-    (2 s_b s_c / (s_b^2 + s_c^2))^(1/2) exp(-(w_b - w_c)^2 / (2 (s_b^2 +
-    s_c^2))); the zero-delay form used by the entanglement-swap closed
-    forms.  Here sigma is the standard deviation of the *amplitude*
-    e^{-x^2/(2 sigma^2)}, i.e. sqrt(2) times a :class:`SpectralProfile`
-    width; the width-ratio prefactor is convention-free but the detuning
-    suppression is not, so mixing the two conventions shifts detuned
-    values.
-    """
-    if sigma_b <= 0 or sigma_c <= 0:
-        raise ValueError("widths must be positive")
-    s2 = sigma_b**2 + sigma_c**2
-    return math.sqrt(2.0 * sigma_b * sigma_c / s2) * math.exp(
-        -((center_b - center_c) ** 2) / (2.0 * s2))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from homsim import fock
 from homsim import oracle
 from homsim import polarization as pol
 from homsim import spectral as spc
+from homsim import sweeps
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -395,6 +396,9 @@ _HUGE = "1" + "0" * 400  # a JSON integer past the float range
     # with an unnamed "Exceeds the limit" ValueError)
     (["contour", "--set", "m=1" + "0" * 5000], "m"),
     (["dip", "--set", "photons=[[1," + "9" * 5000 + "]]"], "photons"),
+    # a JSON value nested past Python's recursion limit (ended in a
+    # RecursionError traceback and exit 1)
+    (["contour", "--set", "m=" + "[" * 100_000], "m"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys, request):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
@@ -422,6 +426,17 @@ def test_config_file_with_too_long_integer_exits_2(tmp_path, capsys):
     rc = cli.main(["contour", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert capsys.readouterr().err == "config error: config file holds an integer too long to read\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_file_nested_too_deep_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError past Python's recursion limit, which
+    # ended in a traceback and exit 1
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text('{"m": ' + "[" * 100_000 + "}")
+    rc = cli.main(["contour", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: config file nests too deep to read\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -943,24 +958,91 @@ def test_coherent_high_mu_coincidence_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("args, point", [
-    (["contour", "--grid", "3", "--set", "width_factor=1e200"],
-     "B center 1212.97 rad/ps, effective width 3.33417e-201, delay 0 ps"),
-    (["channels", "--set", "mode=broadening", "--grid", "3", "--set", "xi_max=1e300"],
-     "B center 1216.11 rad/ps, effective width 3.14159e+300, delay 0 ps"),
+@pytest.mark.parametrize("args", [
+    ["contour", "--grid", "3", "--set", "width_factor=1e200"],
+    ["channels", "--set", "mode=broadening", "--grid", "3", "--set", "xi_max=1e300"],
 ], ids=["contour", "channels"])
-def test_overflowing_overlaps_exit_3_naming_the_point(args, point):
-    # a separate process, so that numpy's RuntimeWarnings would reach stderr
-    # rather than fail the test
-    import subprocess
-    import sys
-    proc = subprocess.run([sys.executable, "-m", "homsim.cli"] + args,
-                          capture_output=True, text=True)
-    assert proc.returncode == 3
-    assert "RuntimeWarning" not in proc.stderr
-    assert proc.stderr == (
-        "numerical failure: gaussian-gaussian overlap magnitude is not finite or "
-        f"exceeds the Cauchy-Schwarz bound at {point} (residual nan)\n")
+def test_overlaps_once_overflowing_match_the_closed_form(args, tmp_path):
+    # Gaussian widths 1e200 and more apart once overflowed the overlap's
+    # squared widths and exited 3 naming the point; in units of photon A's
+    # width they are finite, and each visibility, c^2 for these ideal (1,1)
+    # photons, is the closed form's (widths as amplitude standard deviations)
+    rc, text, err = run_strict(args, tmp_path)
+    assert rc == 0, err
+    rows = [[mpmath.mpf(v) for v in ln.split(",")] for ln in data_rows(text)]
+    assert len(rows) == 9
+    with mpmath.workdps(30):  # the closed form, past the float range's squares
+        for x, y, visibility in rows:
+            if args[0] == "contour":  # x: B's centre, y: B's FWHM; A at the centre
+                sa, sb, d = rows[4][1], y, x - rows[4][0]  # FWHMs: 2 sqrt(ln 2) sigma
+                d *= 2 * mpmath.sqrt(mpmath.log(2))
+            else:  # both photons' widths broadened by x and y
+                sa, sb, d = x, y, 0
+            s2 = sa * sa + sb * sb
+            c2 = 2 * sa * sb / s2 * mpmath.exp(-d * d / s2)
+            assert float(visibility) == pytest.approx(float(c2), rel=1e-11, abs=1e-12), (x, y)
+
+
+@pytest.mark.time_limit(30)
+def test_contour_at_any_scale_prints_values_or_names_a_key(tmp_path):
+    # photon A's centre and FWHM from 1e-300 to 1e300 on all 16 pairings:
+    # overlaps in absolute units once overflowed or underflowed (67 runs
+    # exited 3, others printed wrong values); in units of photon A's width
+    # every run prints values in [0, 1] or exits 2 naming the key whose
+    # range it leaves, without a warning
+    shapes = [s.value for s in spc.Shape]
+    codes = []
+    for shape_a in shapes:
+        for shape_b in shapes:
+            for center in np.logspace(-300, 290, 11).tolist():
+                for fwhm in np.logspace(-300, 300, 12).tolist():
+                    rc, text, err = run_strict(
+                        ["contour", "--grid", "3", "--set", f"shape_a={shape_a}",
+                         "--set", f"shape_b={shape_b}", "--set", f"center_thz={center!r}",
+                         "--set", f"fwhm_nm={fwhm!r}"], tmp_path)
+                    codes.append(rc)
+                    if rc == 0:
+                        values = [float(ln.split(",")[2]) for ln in data_rows(text)]
+                        assert len(values) == 9 and all(0.0 <= v <= 1.0 for v in values)
+                    else:
+                        assert rc == 2 and err.startswith("config error: config field '"), err
+    assert codes.count(0) > 300
+
+
+@pytest.mark.parametrize("tau", ['{"min":-1e308,"max":0,"steps":2}',
+                                 '{"min":0,"max":1e308,"steps":2}'])
+def test_dip_delays_reaching_the_float_limit_print_values(tau, tmp_path):
+    # delays of 1e308 ps times a width once gave nan on the Gaussian
+    # pairings (exit 3); past the envelopes' reach the overlap is exactly 0
+    shapes = [s.value for s in spc.Shape]
+    for shape_a in shapes:
+        for shape_b in shapes:
+            rc, text, err = run_strict(
+                ["dip", "--grid", "2", "--set", "tau=" + tau,
+                 "--set", f'profile_a={{"shape":"{shape_a}","center_thz":193.55,"width_thz":0.5}}',
+                 "--set", f'profile_b={{"shape":"{shape_b}","center_thz":193.55,"width_thz":0.5}}'],
+                tmp_path)
+            assert rc == 0, (shape_a, shape_b, err)
+            rows = [ln.split(",") for ln in data_rows(text)]
+            assert all(0.0 <= float(p) <= 1.0 for _, p in rows)
+
+
+def test_dip_at_extreme_scales_prints_the_unit_scale_rows(tmp_path):
+    # identical Lorentzians 1e160 THz wide at 1e170 THz, delays in 1e-160
+    # ps: once p_co = 0.5 at zero delay; now the rows of the same scan at
+    # 1 THz and delays in ps, and 0 for identical photons
+    def scan(width, center, span):
+        rc, text, err = run_strict(
+            ["dip", "--grid", "3", "--set", "photons=[[1,1]]", "--set", "phi=[0]",
+             "--set", f'profile_a={{"shape":"lorentzian","center_thz":{center},'
+                      f'"width_thz":{width}}}',
+             "--set", f'tau={{"min":0,"max":{span},"steps":3}}'], tmp_path)
+        assert rc == 0, err
+        return [float(ln.split(",")[1]) for ln in data_rows(text)]
+
+    far = scan(1e160, 1e170, 1e-160)
+    assert far[0] == 0.0
+    assert far == pytest.approx(scan(1, 193.55, 1), rel=1e-11)
 
 
 @pytest.mark.parametrize("sets", [["mode=broadening", "xi_max=1e308"],
@@ -1437,26 +1519,57 @@ def test_gaussian_widths_leaving_the_float_range_exit_2_naming_the_key(args, key
     assert "Warning" not in err and not text
 
 
+_BANDWIDTH = 'bandwidth={"sigma_c":%g,"factor":%g,"steps":3,"detunings":[0]}'
+
+
 @pytest.mark.parametrize("item, key", [
-    ("bandwidth.sigma_c=1e-300", "bandwidth.sigma_c"),
-    ("bandwidth.sigma_c=1e300", "bandwidth.sigma_c"),
-    ("bandwidth.factor=1e300", "bandwidth.factor"),
-    ('bandwidth={"sigma_c":1e-100,"factor":1e100,"steps":3,"detunings":[0]}',
-     "bandwidth.factor"),
-    ("bandwidth.detunings=[1e300]", "bandwidth.detunings[0]"),
-    ("bandwidth.detunings=[0,-1e200]", "bandwidth.detunings[1]"),
+    ("bandwidth.sigma_c=5e-324", "bandwidth.factor"),
+    ("bandwidth.sigma_c=1e308", "bandwidth.factor"),
+    (_BANDWIDTH % (100.0, 1e307), "bandwidth.factor"),
+    (_BANDWIDTH % (1e-100, 1e300), "bandwidth.factor"),
+    ("bandwidth.detunings=[1e308]", "bandwidth.detunings"),
+    ("bandwidth.detunings=[0,-1e308]", "bandwidth.detunings"),
 ], ids=["sigma_c_tiny", "sigma_c_huge", "factor_huge", "factor_to_tiny",
         "detuning_huge", "detuning_second"])
 def test_bandwidth_sweep_widths_leaving_the_float_range_exit_2_naming_the_key(item, key,
                                                                               tmp_path):
-    # the Gaussian overlap squares each width and detuning: out of range it
-    # printed nan, warned, or exited 3 with an unnamed "Numerical result
-    # out of range"
+    # a sigma_B grid whose end leaves the float range (sigma_c / factor
+    # rounds to 0, or sigma_c * factor overflows), or photon B's centre 2 |d|
+    # past it: numpy warned of the overflow, or an unnamed "width must be
+    # positive" ValueError exited 2
     rc, text, err = run_strict(["swap", "--set", "mode=bandwidth_sweep", "--set", item,
                                 "--grid", "2"], tmp_path)
     assert rc == 2, err
     assert err.startswith(f"config error: config field '{key}': "), err
     assert "Warning" not in err and not text
+
+
+@pytest.mark.parametrize("items", [
+    ["bandwidth.sigma_c=1e-300"], ["bandwidth.sigma_c=1e300"], ["bandwidth.factor=1e300"],
+    [_BANDWIDTH % (1e-100, 1e100)], ["bandwidth.detunings=[1e300]"],
+    ["bandwidth.detunings=[0,-1e200]"], ["bandwidth.sigma_c=1e-300", "bandwidth.detunings=[3e-300]"],
+], ids=["sigma_c_tiny", "sigma_c_huge", "factor_huge", "factor_to_tiny", "detuning_huge",
+        "detuning_second", "tiny_and_detuned"])
+def test_bandwidth_sweep_at_any_scale_prints_the_closed_form(items, tmp_path):
+    # widths and detunings whose squares leave the float range: these once
+    # exited 2, as the Gaussian overlap squared them; in units of sigma_c
+    # each fidelity is the closed form's, (1 + c^2) / 2
+    args = ["swap", "--set", "mode=bandwidth_sweep", "--grid", "3"]
+    for item in items:
+        args += ["--set", item]
+    rc, text, err = run_strict(args, tmp_path)
+    assert rc == 0, err
+    cfg = json.loads(text.splitlines()[1][len("# config "):])["bandwidth"]
+    sigmas = sweeps.log_grid(cfg["sigma_c"], cfg["factor"], 3).tolist()
+    rows = [[float(v) for v in ln.split(",")] for ln in data_rows(text)]
+    assert len(rows) == 3 * len(cfg["detunings"])
+    with mpmath.workdps(30):
+        for (d, sigma_b, fidelity), exact in zip(rows, sigmas * len(cfg["detunings"])):
+            assert sigma_b == float(f"{exact:.12g}")
+            sb, sc = mpmath.mpf(exact), mpmath.mpf(cfg["sigma_c"])
+            s2 = sb * sb + sc * sc
+            c2 = 2 * sb * sc / s2 * mpmath.exp(-mpmath.mpf(d) ** 2 / s2)
+            assert fidelity == pytest.approx(float((1 + c2) / 2), rel=1e-11), (d, sigma_b)
 
 
 def test_bandwidth_sweep_far_detuned_narrow_photons_print_one_half(tmp_path):

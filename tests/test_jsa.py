@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sampled_jsa as sampled
+from gaussian_reference import gaussian_overlap_closed_form
 from homsim import cli
 from homsim import jsa
 from homsim import spectral as spc
@@ -142,7 +143,7 @@ def test_separable_fidelity_closed_form_values():
     assert jsa.swap_fidelity_separable(0.0, math.pi / 2) == pytest.approx(0.5)
     assert jsa.swap_fidelity_separable(math.pi / 2, 0.3) == pytest.approx(0.0, abs=1e-30)
     # sigma_B = 2 sigma_C: cos Theta = sqrt(4/5)
-    ov = spc.gaussian_overlap_closed_form(2.0, 1.0)
+    ov = gaussian_overlap_closed_form(2.0, 1.0)
     theta = math.acos(ov)
     assert jsa.swap_fidelity_separable(0.0, theta) == pytest.approx(0.9, rel=1e-12)
 

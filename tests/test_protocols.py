@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussian_reference import gaussian_overlap_closed_form
 from homsim import polarization as pol
 from homsim import protocols as proto
 from homsim import spectral as spc
@@ -20,8 +21,8 @@ def transverse_overlap_2d(sigma_ax: float, sigma_ay: float,
     The product of the two 1-D overlap factors, each with the Gaussian
     closed form; dx/dy are the transverse center offsets.
     """
-    return (spc.gaussian_overlap_closed_form(sigma_ax, sigma_bx, dx, 0.0)
-            * spc.gaussian_overlap_closed_form(sigma_ay, sigma_by, dy, 0.0))
+    return (gaussian_overlap_closed_form(sigma_ax, sigma_bx, dx, 0.0)
+            * gaussian_overlap_closed_form(sigma_ay, sigma_by, dy, 0.0))
 
 
 def sigmoid(x: float) -> float:
@@ -319,8 +320,8 @@ def test_fusion_complements_classifier():
 def test_transverse_overlap():
     assert transverse_overlap_2d(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
     got = transverse_overlap_2d(1.0, 2.0, 2.0, 1.0)
-    expected = (spc.gaussian_overlap_closed_form(1.0, 2.0)
-                * spc.gaussian_overlap_closed_form(2.0, 1.0))
+    expected = (gaussian_overlap_closed_form(1.0, 2.0)
+                * gaussian_overlap_closed_form(2.0, 1.0))
     assert got == pytest.approx(expected, rel=1e-14)
     assert transverse_overlap_2d(1.0, 1.0, 1.0, 1.0, dx=100.0) < 1e-300
 

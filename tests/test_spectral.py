@@ -1,14 +1,16 @@
 import cmath
 import math
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gaussian_reference import gaussian_overlap_closed_form
 from homsim import polarization as pol
 from homsim import spectral as spc
 from homsim import sweeps
@@ -597,6 +599,39 @@ def test_sech_pairings_match_mpmath(shapes, fwhm_a, log_ratio, detuning,
     assert abs(spc.overlap(a, b).magnitude - mp_overlap_magnitude(a, b)) < 1e-12
 
 
+@pytest.mark.parametrize("shapes", PAIRINGS, ids=[f"{a.value}-{b.value}" for a, b in PAIRINGS])
+@settings(max_examples=20, deadline=None)
+@given(
+    fwhm_a=st.floats(0.5, 5.0), log_ratio=st.floats(-2.0, 2.0),
+    detuning=st.floats(-2.0, 2.0), delay_a=st.floats(-10.0, 10.0),
+    delay_b=st.floats(-10.0, 10.0), xi_a=st.floats(0.5, 2.0), xi_b=st.floats(0.5, 2.0),
+    k=st.integers(-900, 900),
+)
+def test_overlap_bits_do_not_depend_on_the_absolute_scale(shapes, fwhm_a, log_ratio, detuning,
+                                                          delay_a, delay_b, xi_a, xi_b, k):
+    # the pairings of the mpmath tests with every width and centre scaled by
+    # 2^k and every delay by 2^-k: the overlap depends on their ratios and
+    # products alone, so wherever every field stays a normal float the
+    # magnitude keeps its bits (at 2^600 a Lorentzian pair read twice its
+    # value, and at 2^-600 a Gaussian-sinc pair read 0)
+    fwhm_b = fwhm_a * math.exp(log_ratio)
+
+    def magnitude(k):
+        fields = [(math.ldexp(CENTER, k), math.ldexp(fwhm_a, k), math.ldexp(delay_a / fwhm_a, -k)),
+                  (math.ldexp(CENTER + detuning * fwhm_a, k), math.ldexp(fwhm_b, k),
+                   math.ldexp(delay_b / fwhm_b, -k))]
+        if any(0.0 < abs(x) < sys.float_info.min for photon in fields for x in photon):
+            return None
+        a, b = (spc.SpectralProfile.from_fwhm(shape, *photon, xi)
+                for shape, photon, xi in zip(shapes, fields, (xi_a, xi_b)))
+        return spc.overlap(a, b).magnitude.hex()
+
+    unit = magnitude(0)
+    assume(unit is not None)
+    for scale in (k, -900, -600, -300, -100, 100, 300, 600, 900):
+        assert magnitude(scale) in (None, unit), scale
+
+
 @pytest.mark.parametrize("shape_b, detuning, expected", [
     ("sinc", 1e3, 2.751720e-4), ("lorentzian", 1e3, 6.484729e-8)])
 def test_narrowband_sech_overlaps(shape_b, detuning, expected):
@@ -843,12 +878,19 @@ def test_overlaps_name_the_first_failing_point_past_the_first_chunk():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_overlap_closed_form_values():
-    assert spc.gaussian_overlap_closed_form(0.5, 0.5) == pytest.approx(1.0)
-    assert spc.gaussian_overlap_closed_form(1.0, 0.5) == pytest.approx(
+    # the tests' reference, in amplitude standard deviations: a profile's
+    # width is sigma / sqrt(2)
+    for sigma_b, sigma_c, d in ((0.5, 0.5, 0.0), (1.0, 0.5, 0.7), (0.3, 2.0, -1.9)):
+        got = spc.overlap(profile("gaussian", sigma_b / math.sqrt(2.0), CENTER + d),
+                          profile("gaussian", sigma_c / math.sqrt(2.0))).magnitude
+        assert got == pytest.approx(gaussian_overlap_closed_form(sigma_b, sigma_c, d),
+                                    rel=1e-14)
+    assert gaussian_overlap_closed_form(0.5, 0.5) == pytest.approx(1.0)
+    assert gaussian_overlap_closed_form(1.0, 0.5) == pytest.approx(
         math.sqrt(0.8), rel=1e-14)
-    assert spc.gaussian_overlap_closed_form(0.5, 0.5, 0.0, 50.0) < 1e-300
+    assert gaussian_overlap_closed_form(0.5, 0.5, 0.0, 50.0) < 1e-300
     with pytest.raises(ValueError):
-        spc.gaussian_overlap_closed_form(-1.0, 0.5)
+        gaussian_overlap_closed_form(-1.0, 0.5)
 
 
 def test_fwhm_values():
