@@ -320,10 +320,9 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
         pair = coh.CoherentPair(cfgmod.parse_real(cfg, "mu_a", nonnegative=True),
                                 cfgmod.parse_real(cfg, "mu_b", nonnegative=True),
                                 pol.H, pol_b)
-        # the coherent closed form takes one c at a time
         _emit_contour("coherent", cfg, out, prof_a,
-                      lambda cs: [coh.visibility_from_params(pair, app, c)
-                                  for c in cs.tolist()], pol_b, "profile_a")
+                      lambda cs: coh.visibility_from_params(pair, app, cs), pol_b,
+                      "profile_a")
     else:
         mus = _linspace(cfg, "mu_curve", nonnegative=True)
         phi = cfgmod.parse_real(cfg, "phi")

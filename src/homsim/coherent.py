@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
 
 _I0_SERIES_CUTOFF = 15.0
 _MU_DIRECT = 700.0  # coherent_visibility's direct form holds up to here
+_OVERFLOW = "coherent coincidence overflows double precision at mu_a={:.6g}, mu_b={:.6g}"
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,17 @@ def _i0_asymptotic_sum(x: float) -> float:
     return total
 
 
-def _b5_terms(mu_a: float, mu_b: float, bs: BeamSplitter,
-              eta_aa: float, eta_ab: float, eta_ba: float, eta_bb: float,
-              c: float) -> float:
-    """Evaluate the closed form with explicit efficiency assignments.
-
-    eta_aa / eta_ab: detector A's efficiency for arm-A / arm-B photons;
-    eta_ba / eta_bb: the same for detector B.  Raises a named
-    :class:`OverflowError` where a term leaves double precision.
+def _closed_form(mu_a: float, mu_b: float, bs: BeamSplitter,
+                 eta_aa: float, eta_ab: float, eta_ba: float, eta_bb: float
+                 ) -> Callable[[float], float]:
+    """The closed form at one input as a function of the overlap c: the
+    exponentials are formed once, and each c adds three I0 factors (none
+    at c = 0, where I0 = 1).  eta_aa / eta_ab: detector A's efficiency
+    for arm-A / arm-B photons; eta_ba / eta_bb: the same for detector B.
+    Raises a named :class:`OverflowError` where a term leaves double
+    precision.  Not clamped: like the Fock formula, the value can leave
+    [0, 1] outside the detection model's validity regime, and the series
+    oracle must see it.
     """
     t, r = bs.transmissivity, bs.reflectivity
     ca = mu_a * r * (1.0 - eta_ba)
@@ -123,29 +127,31 @@ def _b5_terms(mu_a: float, mu_b: float, bs: BeamSplitter,
     cc = mu_a * t * (1.0 - eta_aa)
     cd = mu_b * r * (1.0 - eta_ab)
     try:
-        val = (1.0
-               - math.exp(-mu_a * eta_ba - mu_b * eta_bb)
-               - math.exp(-mu_a * eta_aa - mu_b * eta_ab)
-               + math.exp(mu_a * (eta_aa * eta_ba - eta_aa - eta_ba)
-                          + mu_b * (eta_ab * eta_bb - eta_ab - eta_bb))
-               - math.exp(-mu_a - mu_b)
-               * (math.exp(mu_a * r + mu_b * t) + math.exp(mu_a * t + mu_b * r))
-               * bessel_i0(2.0 * math.sqrt(mu_a * mu_b * r * t) * c)
-               + math.exp(-mu_a - mu_b + ca + cb) * bessel_i0(2.0 * math.sqrt(ca * cb) * c)
-               + math.exp(-mu_a - mu_b + cc + cd) * bessel_i0(2.0 * math.sqrt(cc * cd) * c))
+        head = (1.0 - math.exp(-mu_a * eta_ba - mu_b * eta_bb)
+                - math.exp(-mu_a * eta_aa - mu_b * eta_ab)
+                + math.exp(mu_a * (eta_aa * eta_ba - eta_aa - eta_ba)
+                           + mu_b * (eta_ab * eta_bb - eta_ab - eta_bb)))
+        bunch = math.exp(-mu_a - mu_b) * (math.exp(mu_a * r + mu_b * t)
+                                          + math.exp(mu_a * t + mu_b * r))
+        e_ab, e_cd = math.exp(-mu_a - mu_b + ca + cb), math.exp(-mu_a - mu_b + cc + cd)
     except OverflowError:
-        raise OverflowError(
-            f"coherent coincidence overflows double precision at "
-            f"mu_a={mu_a:.6g}, mu_b={mu_b:.6g}") from None
-    # not clamped: like the Fock formula, the expression can leave [0, 1]
-    # outside the detection model's validity regime, and the series oracle
-    # must see the same raw value
-    return val
+        raise OverflowError(_OVERFLOW.format(mu_a, mu_b)) from None
+
+    def at(c: float) -> float:
+        if c == 0.0:
+            return head - bunch + e_ab + e_cd
+        try:
+            return (head - bunch * bessel_i0(2.0 * math.sqrt(mu_a * mu_b * r * t) * c)
+                    + e_ab * bessel_i0(2.0 * math.sqrt(ca * cb) * c)
+                    + e_cd * bessel_i0(2.0 * math.sqrt(cc * cd) * c))
+        except OverflowError:
+            raise OverflowError(_OVERFLOW.format(mu_a, mu_b)) from None
+    return at
 
 
 def _efficiencies(pol_a: pol.PolarizationVector, pol_b: pol.PolarizationVector,
                   app: Apparatus) -> tuple[float, float, float, float]:
-    """(eta_aa, eta_ab, eta_ba, eta_bb) of :func:`_b5_terms` for two arms'
+    """(eta_aa, eta_ab, eta_ba, eta_bb) of :func:`_closed_form` for two arms'
     polarizations."""
     return (pol.effective_efficiency(app.det_a, pol_a),
             pol.effective_efficiency(app.det_a, pol_b),
@@ -162,8 +168,8 @@ def total_coincidence(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
     """
     if c is None:
         c = pair.mode_overlap()
-    return _b5_terms(pair.mu_a, pair.mu_b, app.bs,
-                     *_efficiencies(pair.pol_a, pair.pol_b, app), c)
+    return _closed_form(pair.mu_a, pair.mu_b, app.bs,
+                        *_efficiencies(pair.pol_a, pair.pol_b, app))(c)
 
 
 def total_coincidence_series(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
@@ -250,11 +256,14 @@ def visibility_from_params(pair: CoherentPair, app: Apparatus = IDEAL_APPARATUS,
                            c: float | None = None) -> float:
     """General coherent visibility: dip at the pair's overlap vs c = 0 baseline.
 
-    ``c`` overrides the pair's overlap, as in :func:`total_coincidence`.
+    ``c`` overrides the pair's overlap, as in :func:`total_coincidence`; an
+    array ``c`` gives an array of visibilities from one closed-form set-up.
     """
     if c is None:
         c = pair.mode_overlap()
-    return dip_visibility(lambda x: total_coincidence(pair, app, x), c)
+    at = _closed_form(pair.mu_a, pair.mu_b, app.bs, *_efficiencies(pair.pol_a, pair.pol_b, app))
+    return dip_visibility(lambda x: np.array([at(v) for v in x.tolist()]) if np.ndim(x)
+                          else at(x), c)
 
 
 def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
@@ -272,8 +281,8 @@ def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
 
     Each cell is :func:`visibility_from_params` of its pair: the detector
     efficiencies and the overlap are formed once per map, each column's
-    beam splitter once and each row's intensities once, so a cell only
-    evaluates the closed form at its dip and its baseline.
+    beam splitter once and each row's intensities once, so a cell sets up
+    the closed form once and evaluates it at its dip and its baseline.
     """
     efficiencies = _efficiencies(pol.H, pol.H, app)
     c = mode_overlap(pol.H, pol.H)
@@ -286,8 +295,7 @@ def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
         else:
             mu_b = fixed_mu_b
             mu_a = q * fixed_mu_b
-        pair = CoherentPair(mu_a, mu_b)
+        CoherentPair(mu_a, mu_b)  # the pair's intensity check
         for j, bs in enumerate(splitters):
-            out[i, j] = dip_visibility(
-                lambda x: _b5_terms(pair.mu_a, pair.mu_b, bs, *efficiencies, x), c)
+            out[i, j] = dip_visibility(_closed_form(mu_a, mu_b, bs, *efficiencies), c)
     return out

@@ -311,8 +311,9 @@ def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
     if reverse:
         values = np.conj(values)
     # named factors, not in place: numpy reuses a temporary right factor in
-    # place, which rounds a point differently in a longer family
-    phase = np.exp(1j * arg)
+    # place, which rounds a point differently in a longer family; a phase
+    # whose argument overflows is 1, as the magnitude does not depend on it
+    phase = np.exp(1j * np.where(np.isfinite(arg), arg, 0.0))
     values = values * phase
     values[far] = 0.0
     return values.reshape(shape)
@@ -349,8 +350,10 @@ def _gaussian_overlaps(a: tuple, b: tuple, delay, detuning) -> np.ndarray:
     h = np.hypot(1.0, r)
     s = r / h
     x, y = detuning / h, delay * s
-    return (np.sqrt(2.0 * r) / h
-            * np.exp(-0.25 * (x * x) - y * y - 1j * ((detuning * s) * y))).reshape(-1)
+    root = np.sqrt(2.0 * r) / h
+    if np.isinf(root).any():  # 2 r overflows: sqrt(2 r) / h = sqrt 2 sqrt(r / h) / sqrt h
+        root = np.where(np.isinf(root), math.sqrt(2.0) * np.sqrt(s) / np.sqrt(h), root)
+    return (root * np.exp(-0.25 * (x * x) - y * y - 1j * ((detuning * s) * y))).reshape(-1)
 
 
 _SECH_TERMS = 24  # the series' a-priori error, 2 (3 + sqrt 8)^-24, is below 1e-18

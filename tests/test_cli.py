@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from homsim import channels as chn
 from homsim import cli
+from homsim import coherent as coh
 from homsim import config as cfgmod
 from homsim import fock
 from homsim import oracle
@@ -1045,6 +1046,22 @@ def test_dip_at_extreme_scales_prints_the_unit_scale_rows(tmp_path):
     assert far == pytest.approx(scan(1, 193.55, 1), rel=1e-11)
 
 
+def test_dip_whose_delay_phase_overflows_prints_the_unit_center_rows(tmp_path):
+    # a centre of 1e300 THz times a delay of 5e7 ps overflows the phase
+    # e^{i c_2 (tau_b - tau_a)}, which once made the overlap nan and the
+    # scan exit 3; the magnitude does not depend on the phase
+    def scan(center):
+        rc, text, err = run_strict(
+            ["dip", "--grid", "3", "--set", "photons=[[1,1]]", "--set", "phi=[0]",
+             "--set", f'profile_a={{"shape":"lorentzian","center_thz":{center},'
+                      '"width_thz":1e-7}',
+             "--set", 'tau={"min":0,"max":1e8,"steps":3}'], tmp_path)
+        assert rc == 0, err
+        return [float(ln.split(",")[1]) for ln in data_rows(text)]
+
+    assert scan(1e300) == pytest.approx(scan(1), abs=1e-15)
+
+
 @pytest.mark.parametrize("sets", [["mode=broadening", "xi_max=1e308"],
                                   ['channel_a={"xi":1e308}', 'channel_b={"xi":1e308}']])
 def test_overflowing_broadening_exits_3_without_a_warning(sets, tmp_path, capsys):
@@ -1781,6 +1798,22 @@ def test_contour_makes_one_visibility_call(tmp_path, monkeypatch):
     assert rc == 0 and len(data_rows(text)) == 21 * 21
     assert len(calls) == 1
     assert np.shape(calls[0][2]) == (21 * 21,)
+
+
+def test_coherent_contour_sets_up_the_closed_form_once(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, coh, "_closed_form")
+    rc, text = run(["coherent", "--set", "mode=contour"], tmp_path)
+    assert rc == 0 and len(data_rows(text)) == 41 * 41
+    assert len(calls) == 1
+
+
+def test_coherent_ratio_map_cells_skip_the_baseline_bessel_factors(tmp_path, monkeypatch):
+    # each cell sets up the closed form once and takes its three I0 factors
+    # at its dip; its c = 0 baseline takes none, as I0(0) = 1
+    calls = _counting(monkeypatch, coh, "bessel_i0")
+    rc, text = run(["coherent", "--grid", "41"], tmp_path)
+    assert rc == 0 and len(data_rows(text)) == 41 * 41
+    assert len(calls) == 3 * 41 * 41
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [("gaussian", "sech"), ("sech", "gaussian")])

@@ -4,7 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import coherent_reference
+from homsim import cli
 from homsim import coherent as coh
+from homsim import config as cfgmod
 from homsim import fock
 from homsim import polarization as pol
 from homsim import spectral as spc
@@ -238,7 +241,7 @@ def test_bessel_i0e_is_scaled_i0():
 
 
 def _ratio_map_reference(mu_ratios, tr_ratios, app, mu_mean=1.0, fixed_mu_b=None):
-    """Each cell on its own through the public visibility_from_params."""
+    """Each cell on its own through the whole closed form at its dip and baseline."""
     out = np.empty((len(mu_ratios), len(tr_ratios)))
     for i, q in enumerate(mu_ratios):
         if fixed_mu_b is None:
@@ -248,7 +251,7 @@ def _ratio_map_reference(mu_ratios, tr_ratios, app, mu_mean=1.0, fixed_mu_b=None
         for j, s in enumerate(tr_ratios):
             t = s / (1.0 + s)
             cell_app = fock.Apparatus(fock.BeamSplitter(t, 1.0 - t), app.det_a, app.det_b)
-            out[i, j] = coh.visibility_from_params(coh.CoherentPair(mu_a, mu_b), cell_app)
+            out[i, j] = coherent_reference.visibility(mu_a, mu_b, cell_app, 1.0)
     return out
 
 
@@ -270,3 +273,30 @@ def test_ratio_map_equals_per_cell_reference(app, mu_mean, fixed_mu_b):
 def test_ratio_map_overflow_names_mu():
     with pytest.raises(OverflowError, match="mu_a=1000, mu_b=4000"):
         coh.visibility_ratio_map([0.25], [1.0], mu_mean=2000.0)
+
+
+@pytest.mark.parametrize("detectors", [[], ['detector_a={"eta_h":0.8,"eta_v":0.83}',
+                                            'detector_b={"eta_h":0.78,"eta_v":0.85}']],
+                         ids=["ideal", "fig9"])
+def test_coherent_contour_equals_per_cell_reference(detectors, monkeypatch, capsys):
+    # the command's grid, before formatting, against each cell's c through
+    # the whole closed form at its dip and its baseline
+    grids = []
+    real_emit = cli._emit_grid
+    monkeypatch.setattr(cli, "_emit_grid",
+                        lambda *a, **k: grids.append(a[3:6]) or real_emit(*a, **k))
+    args = ["coherent", "--set", "mode=contour", "--grid", "7", "--set", "phi=0.4",
+            "--set", "mu_a=1.3", "--set", "mu_b=0.6"]
+    for item in detectors:
+        args += ["--set", item]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    (centers, fwhms, got), = grids
+    prof_a = cfgmod.parse_profile(cli._COHERENT_DEFAULTS["profile_a"], "profile_a")
+    pol_b = pol.rotate(pol.H, 0.4)
+    family = spc.SpectralProfile.from_fwhm(spc.Shape.GAUSSIAN, centers[:, None], fwhms)
+    cs = fock.mode_overlap(pol.H, pol_b, spc.overlaps(prof_a, family))
+    app = FIG9 if detectors else fock.IDEAL_APPARATUS
+    want = [[coherent_reference.visibility(1.3, 0.6, app, c, pol.H, pol_b) for c in row]
+            for row in cs.tolist()]
+    assert np.array_equal(got, want)  # bit for bit, not approximately

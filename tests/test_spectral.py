@@ -220,6 +220,19 @@ def test_gaussian_detuned_overlap_at_any_width_ratio(ratio):
     assert spc.overlap(a, wide).magnitude == pytest.approx(5.2026e-7, rel=1e-4)
 
 
+@pytest.mark.parametrize("width", [1e308, 1.7e308])
+def test_gaussian_overlap_where_twice_the_width_ratio_overflows(width):
+    # sqrt(2 r) / h once formed 2 r = inf and returned inf / h = nan past
+    # r ~ 9e307; the exact value at r = 1e308 is 1.41421356237e-154
+    a = spc.SpectralProfile(spc.Shape.GAUSSIAN, 1.0, 1.0)
+    b = spc.SpectralProfile(spc.Shape.GAUSSIAN, 1.0, width)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(width)
+        exact = float(mpmath.sqrt(2 * r / (1 + r * r)))
+    assert spc.overlap(a, b).magnitude == pytest.approx(exact, rel=1e-13)
+    assert spc.overlap(b, a).magnitude == pytest.approx(exact, rel=1e-13)
+
+
 def test_gaussian_closed_form_matches_quadrature():
     a = profile("gaussian", 0.5)
     b = spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER + 0.7, 0.9, delay=0.4)
