@@ -141,6 +141,19 @@ def _linspace(cfg: dict, field: str, nonnegative: bool = False,
         return np.linspace(lo, hi, _steps(cfg, steps))
 
 
+def _log_axis(cfg: dict, key: str, center: float, n: int) -> np.ndarray:
+    """``n`` log-spaced points from ``center`` over to times the factor at
+    `key` (:func:`sweeps.log_grid`); an end that rounds to 0 or overflows
+    exits 2 naming `key`."""
+    factor = cfgmod.parse_real(cfg, key, positive=True)
+    with np.errstate(over="ignore"):  # an infinite end exits below
+        axis = sweeps.log_grid(center, factor, n)
+    if not np.all((0.0 < axis) & (axis < math.inf)):
+        raise ConfigError(f"config field '{key}': the axis from {_fmt(center)} / {_fmt(factor)}"
+                          f" to {_fmt(center)} * {_fmt(factor)} leaves the float range")
+    return axis
+
+
 # ---------------------------------------------------------------------------
 # dip
 # ---------------------------------------------------------------------------
@@ -196,12 +209,12 @@ def _contour_axes(cfg: dict, prof_a: spc.SpectralProfile) -> tuple[np.ndarray, n
     n = _grid_n(cfg)
     fw = spc.fwhm(prof_a)
     span = cfgmod.parse_real(cfg, "center_span_fwhm", positive=True)
-    centers = np.linspace(prof_a.center - span * fw, prof_a.center + span * fw, n)
-    if not centers[0] > 0.0:
-        raise ConfigError("config field 'center_span_fwhm': the lowest center "
-                          f"frequency of photon B, {_fmt(centers[0])} rad/ps, must be positive")
-    fwhms = sweeps.log_grid(fw, cfgmod.parse_real(cfg, "width_factor", positive=True), n)
-    return centers, fwhms
+    lo, hi = prof_a.center - span * fw, prof_a.center + span * fw
+    if not (lo > 0.0 and hi < math.inf):  # an infinite span * fw fails both
+        raise ConfigError("config field 'center_span_fwhm': photon B's centers, photon A's "
+                          f"{_fmt(prof_a.center)} rad/ps -/+ {_fmt(span)} times its FWHM "
+                          f"{_fmt(fw)} rad/ps, must be positive and finite")
+    return np.linspace(lo, hi, n), _log_axis(cfg, "width_factor", fw, n)
 
 
 def _emit_grid(command: str, cfg: dict, out: str | None, xs, ys, grid,
@@ -254,14 +267,10 @@ def cmd_contour(cfg: dict, out: str | None) -> None:
 # tables
 # ---------------------------------------------------------------------------
 
-_TABLES_DEFAULTS = {
-    "center_thz": 193.55, "fwhm_nm": 1.0,
-    "photons": [[1, 1], [2, 2]],
-}
+_TABLES_DEFAULTS = {"photons": [[1, 1], [2, 2]]}
 
 
 def cmd_tables(cfg: dict, out: str | None) -> None:
-    cfgmod.parse_center_fwhm(cfg)  # checked and echoed; the cells do not depend on them
     pairs = cfgmod.parse_photons(cfg)
     for m, n in pairs:
         cfgmod.check_visibility_photons(m, n, "photons")
@@ -304,8 +313,7 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
     app = cfgmod.parse_apparatus(cfg)
     n = _grid_n(cfg)
     if mode == "ratio_map":
-        factor = cfgmod.parse_real(cfg, "ratio_factor", positive=True)
-        ratios = sweeps.log_grid(1.0, factor, n)
+        ratios = _log_axis(cfg, "ratio_factor", 1.0, n)
         mu_mean = cfgmod.parse_real(cfg, "mu_mean", nonnegative=True)
         fixed = cfg.get("fixed_mu_b")
         if fixed is not None:
@@ -445,14 +453,9 @@ def cmd_swap(cfg: dict, out: str | None) -> None:
                    ("phi_rad", "theta_bc_rad", "fidelity"))
     elif mode == "bandwidth_sweep":
         sigma_c = cfgmod.parse_real(cfg, "bandwidth.sigma_c", positive=True)
-        factor = cfgmod.parse_real(cfg, "bandwidth.factor", positive=True)
         steps = cfgmod.parse_count(cfg, "bandwidth.steps", minimum=2)
+        sigmas = _log_axis(cfg, "bandwidth.factor", sigma_c, _steps(cfg, steps))
         detunings = cfgmod.parse_reals(cfg, "bandwidth.detunings")
-        with np.errstate(over="ignore"):  # an infinite end exits below
-            sigmas = sweeps.log_grid(sigma_c, factor, _steps(cfg, steps))
-        if not np.all((0.0 < sigmas) & (sigmas < math.inf)):
-            raise ConfigError(f"config field 'bandwidth.factor': the sigma_B grid {_fmt(sigmas[0])}"
-                              f" to {_fmt(sigmas[-1])} leaves the float range")
         curves = cfgmod.build("bandwidth.detunings", jsa.detuned_bandwidth_sweep,
                               detunings, sigmas.tolist(), sigma_c)
         _emit_csv("swap", cfg, out, "detuning,sigma_b,fidelity",

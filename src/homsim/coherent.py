@@ -286,9 +286,11 @@ def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
     """
     efficiencies = _efficiencies(pol.H, pol.H, app)
     c = mode_overlap(pol.H, pol.H)
-    splitters = [BeamSplitter(t, 1.0 - t) for t in (s / (1.0 + s) for s in tr_ratios)]
+    # Python floats: past the float range they turn inf without a numpy warning
+    splitters = [BeamSplitter(t, 1.0 - t)
+                 for t in (s / (1.0 + s) for s in map(float, tr_ratios))]
     out = np.empty((len(mu_ratios), len(tr_ratios)))
-    for i, q in enumerate(mu_ratios):
+    for i, q in enumerate(map(float, mu_ratios)):
         if fixed_mu_b is None:
             mu_a = mu_mean * math.sqrt(q)
             mu_b = mu_mean / math.sqrt(q)
@@ -296,6 +298,8 @@ def visibility_ratio_map(mu_ratios: Sequence[float], tr_ratios: Sequence[float],
             mu_b = fixed_mu_b
             mu_a = q * fixed_mu_b
         CoherentPair(mu_a, mu_b)  # the pair's intensity check
+        if max(mu_a, mu_b) == math.inf:  # an infinite intensity times a zero term is nan
+            raise OverflowError(_OVERFLOW.format(mu_a, mu_b))
         for j, bs in enumerate(splitters):
             out[i, j] = dip_visibility(_closed_form(mu_a, mu_b, bs, *efficiencies), c)
     return out

@@ -243,7 +243,7 @@ def _fwhm_from_nm(obj: dict, field: str, center: float) -> float:
 
 
 def parse_center_fwhm(cfg: dict) -> tuple[float, float]:
-    """(omega_0, FWHM) in rad/ps of photon A in `contour` and `tables`.
+    """(omega_0, FWHM) in rad/ps of photon A in `contour`.
 
     Read from the top-level keys `center_thz` and `fwhm_nm` with the
     conversion that profile literals use.

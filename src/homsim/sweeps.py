@@ -3,15 +3,13 @@
 Pure functions producing the max-visibility tables (with the FWHM ratio
 at the optimum) and the visibility contours over photon B's spectral
 parameters, for Fock and coherent inputs alike.  Everything is
-deterministic: fixed grids, a fixed number of width-search rounds, no
-randomness.  Each contour grid, and each width-search round, is one
-:func:`spectral.overlaps` call on a profile family, and each contour one
-visibility call on its flat array of mode overlaps.  At matched centers
-and zero delay an overlap depends only on the two shapes and their width
-ratio, so each table cell is a constant of its pairing: its width search
-runs once per process, on a fixed reference photon.  Only a second table
-in the same process gains from this; a ``homsim tables`` run makes one
-table per process, so it always searches.
+deterministic: fixed grids, no search and no randomness.  Each contour
+grid is one :func:`spectral.overlaps` call on a profile family, and each
+contour one visibility call on its flat array of mode overlaps.  At
+matched centers and zero delay an overlap depends only on the two shapes
+and their width ratio, so each table cell is a constant of its pairing:
+the FWHM ratio at its optimum is a committed constant, and its cos Theta
+one :func:`spectral.overlap` there, made once per pairing and process.
 """
 
 from __future__ import annotations
@@ -27,15 +25,25 @@ from . import fock
 from . import polarization as pol
 from . import spectral as spc
 
-__all__ = [
-    "TableEntry", "max_overlap_width", "max_visibility_table",
-    "contour_grid", "log_grid",
-]
+__all__ = ["TableEntry", "max_visibility_table", "contour_grid", "log_grid"]
 
-_WIDTH_SPAN = 64.0  # width search bracket: photon A's FWHM / and * this
-_WIDTH_ROUNDS = 9  # each round narrows the bracket 16-fold, to 1e-10 in log FWHM
-_WIDTH_POINTS = 33
-_UNIT_CENTER = 1.0  # the reference photon A of the table: unit FWHM at this center
+# (shape A, shape B) -> FWHM of photon B at its largest overlap with photon
+# A of unit FWHM at matched centers (FWHM from spectral.fwhm's conventions);
+# tests/width_search.py finds each by a log-width search and checks these bits
+_OPTIMAL_FWHM_RATIO = {
+    (spc.Shape.GAUSSIAN, spc.Shape.SINC): float.fromhex("0x1.31a2e1ff74871p+0"),
+    (spc.Shape.GAUSSIAN, spc.Shape.LORENTZIAN): float.fromhex("0x1.1c89fa64ba08fp+0"),
+    (spc.Shape.GAUSSIAN, spc.Shape.SECH): float.fromhex("0x1.b078a9120a67ep-1"),
+    (spc.Shape.SINC, spc.Shape.GAUSSIAN): float.fromhex("0x1.acd98108e4577p-1"),
+    (spc.Shape.SINC, spc.Shape.LORENTZIAN): float.fromhex("0x1.ce4859faceb16p-1"),
+    (spc.Shape.SINC, spc.Shape.SECH): float.fromhex("0x1.5d02166ecd4a0p-1"),
+    (spc.Shape.LORENTZIAN, spc.Shape.GAUSSIAN): float.fromhex("0x1.cca59a851d41ap-1"),
+    (spc.Shape.LORENTZIAN, spc.Shape.SINC): float.fromhex("0x1.1b883d05584d9p+0"),
+    (spc.Shape.LORENTZIAN, spc.Shape.SECH): float.fromhex("0x1.8a59f918d3711p-1"),
+    (spc.Shape.SECH, spc.Shape.GAUSSIAN): float.fromhex("0x1.2f13a50e6df14p+0"),
+    (spc.Shape.SECH, spc.Shape.SINC): float.fromhex("0x1.778e41e1a2729p+0"),
+    (spc.Shape.SECH, spc.Shape.LORENTZIAN): float.fromhex("0x1.4c5fa1d707823p+0"),
+}
 
 
 def log_grid(center: float, factor: float, n: int) -> np.ndarray:
@@ -52,40 +60,15 @@ class TableEntry:
     fwhm_ratio: float
 
 
-def max_overlap_width(profile_a: spc.SpectralProfile,
-                      shape_b: spc.Shape) -> tuple[float, float]:
-    """(best FWHM for photon B, cos Theta there) at matched centers.
-
-    Each round of the search on log(FWHM_B) around photon A's width is one
-    :func:`spectral.overlaps` call on a log-spaced grid, and narrows the
-    bracket to the best point's neighbours.  Matched centers are optimal
-    for all four families (their time envelopes are non-negative, so any
-    detuning only dephases the product).
-    """
-    target = spc.fwhm(profile_a)
-    lo, hi = math.log(target / _WIDTH_SPAN), math.log(target * _WIDTH_SPAN)
-    for _ in range(_WIDTH_ROUNDS):
-        log_w = np.linspace(lo, hi, _WIDTH_POINTS)
-        widths = np.exp(log_w)
-        cos = spc.overlaps(profile_a, spc.SpectralProfile.from_fwhm(
-            shape_b, profile_a.center, widths))
-        k = int(np.argmax(cos))
-        lo, hi = log_w[max(k - 1, 0)], log_w[min(k + 1, _WIDTH_POINTS - 1)]
-    best = spc.SpectralProfile.from_fwhm(shape_b, profile_a.center, float(widths[k]))
-    return float(widths[k]), spc.overlap(profile_a, best).magnitude
-
-
 @functools.lru_cache(maxsize=None)
 def _unit_optimum(shape_a: spc.Shape, shape_b: spc.Shape) -> tuple[float, float]:
-    """(FWHM ratio B / A, cos Theta) at the optimum of photon B's width.
-
-    One :func:`max_overlap_width` search against a reference photon A of
-    unit FWHM at a fixed center, never the caller's photon, so the value
-    does not depend on which call filled the cache.
-    """
-    prof_a = spc.SpectralProfile.from_fwhm(shape_a, _UNIT_CENTER, 1.0)
-    width_b, cos_theta = max_overlap_width(prof_a, shape_b)
-    return width_b / spc.fwhm(prof_a), cos_theta
+    """(FWHM ratio B / A, cos Theta) at the optimum of photon B's width:
+    the committed ratio, and one overlap of photon A of unit FWHM with
+    photon B at that FWHM, at matched centers."""
+    ratio = _OPTIMAL_FWHM_RATIO[(shape_a, shape_b)]
+    best = spc.overlap(spc.SpectralProfile.from_fwhm(shape_a, 1.0, 1.0),
+                       spc.SpectralProfile.from_fwhm(shape_b, 1.0, ratio))
+    return ratio, best.magnitude
 
 
 def max_visibility_table(photon_pairs: list[tuple[int, int]]

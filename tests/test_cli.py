@@ -27,6 +27,7 @@ from test_golden import CASES as GOLDEN_CASES
 
 def run(args, tmp_path, name="out.txt"):
     out = tmp_path / name
+    out.unlink(missing_ok=True)  # a failing run prints nothing, not an earlier run's text
     rc = cli.main(args + ["--out", str(out)])
     return rc, (out.read_text() if out.exists() else "")
 
@@ -214,11 +215,11 @@ _BAD_PHOTON = '{"shape":"gaussian","center_thz":%s,"fwhm_nm":%s}'
 
 @pytest.mark.parametrize("args, key", [
     (["contour", "--set", "center_thz=0"], "center_thz"),
-    (["tables", "--set", "center_thz=0"], "center_thz"),
+    (["contour", "--set", "center_thz=-Infinity"], "center_thz"),
     (["dip", "--set", "profile_a=" + _BAD_PHOTON % (0, 1)], "profile_a.center_thz"),
     (["contour", "--set", "center_thz=-5"], "center_thz"),
     (["contour", "--set", "fwhm_nm=-1"], "fwhm_nm"),
-    (["tables", "--set", "fwhm_nm=-1"], "fwhm_nm"),
+    (["contour", "--set", "fwhm_nm=0"], "fwhm_nm"),
     (["dip", "--set", "profile_a=" + _BAD_PHOTON % (193.55, -1)], "profile_a.fwhm_nm"),
     (["contour", "--set", "center_thz=abc"], "center_thz"),
     (["contour", "--set", "shape_a=box"], "shape_a"),
@@ -256,7 +257,7 @@ _HUGE = "1" + "0" * 400  # a JSON integer past the float range
     (["coherent", "--set", "mode=curve", "--set", "phi=NaN"], "phi"),
     (["contour", "--set", "center_thz=NaN"], "center_thz"),
     (["contour", "--set", "fwhm_nm=Infinity"], "fwhm_nm"),
-    (["tables", "--set", "fwhm_nm=-Infinity"], "fwhm_nm"),
+    (["contour", "--set", "fwhm_nm=-Infinity"], "fwhm_nm"),
     (["dip", "--set", "profile_a=" + _NAN_PHOTON], "profile_a.center_thz"),
     # contour axes and the ratio map's axis (the grids the contour rows feed)
     (["contour", "--set", "width_factor=NaN"], "width_factor"),
@@ -851,9 +852,9 @@ def test_tables_contains_expected_cells(tmp_path):
 
 
 def test_tables_body_does_not_depend_on_the_job_that_filled_the_cache(tmp_path):
-    # each pairing's width search runs once per process, on a fixed
-    # reference photon: a cold run for an unusual photon A, a cold default
-    # run and a warm one print the same cells
+    # each pairing's cell overlap is made once per process, on a fixed
+    # reference photon: a cold run with unusual photon-A keys, a cold
+    # default run and a warm one print the same cells
     from homsim import sweeps
     unusual = ["--set", "center_thz=3e-6", "--set", "fwhm_nm=1e-200"]
     bodies = []
@@ -878,10 +879,24 @@ def _table_body(text):
     return text.split("\n", 2)[2]  # past the title and the # config line
 
 
+@pytest.mark.parametrize("item", ["center_thz=0", "fwhm_nm=-1", "fwhm_nm=-Infinity",
+                                  "center_thz=abc", 'fwhm_nm={"nm":1}'])
+def test_tables_reads_only_photons(item, tmp_path):
+    # the photon-A keys center_thz and fwhm_nm are retired from tables (the
+    # first three once exited 2 naming them): any value is echoed in the
+    # config line like any other unknown key, and the default body printed
+    rc, text, err = run_strict(["tables", "--set", item], tmp_path)
+    assert rc == 0 and not err, err
+    config = text.splitlines()[1]
+    assert config.startswith("# config {") and f'"{item.partition("=")[0]}":' in config
+    _, default, _ = run_strict(["tables"], tmp_path)
+    assert _table_body(text) == _table_body(default)
+
+
 def test_tables_property_prints_the_default_body_or_a_named_exit(tmp_path):
-    # photon A's centre and FWHM anywhere in the float range: the run prints
-    # the default table for its photons (the cells do not depend on photon
-    # A), or exits 2 naming a key; never a traceback, a warning or nan
+    # photon A's centre and FWHM anywhere in the float range: tables reads
+    # only photons, so the run prints the default table for its photons, or
+    # exits 2 naming photons; never a traceback, a warning or nan
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def check(data):
@@ -902,8 +917,8 @@ def test_tables_property_prints_the_default_body_or_a_named_exit(tmp_path):
             assert all(0.0 <= float(v) <= 1.0 and float(r) > 0.0 for v, r in cells)
         else:
             assert rc == 2, err
-            assert re.match(r"config error: config field '(center_thz|fwhm_nm|photons)': ",
-                            err), err
+            assert err.startswith("config error: config field 'photons': "), err
+            assert any(m + n < 2 for m, n in photons), (photons, err)
 
     check()
 
@@ -916,6 +931,86 @@ def test_contour_small_grid(tmp_path):
     vis = [float(r.split(",")[2]) for r in rows]
     assert max(vis) <= 1.0 + 1e-9
     assert min(vis) >= -1e-9
+
+
+_ENDS = st.sampled_from([5e-324, 1.7976931348623157e308])  # the positive floats' ends
+
+
+@pytest.mark.time_limit(10)
+def test_contour_property_ends_in_values_or_a_named_exit(tmp_path):
+    # every documented contour key over its documented range, photon A's
+    # centre and FWHM and both axes' factors about their defaults or over
+    # the whole positive float range: the run prints 9 finite values in
+    # [0, 1], or exits 2 naming a key, or exits 3 naming a numerical cause;
+    # never a traceback, a warning or nan
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        center, fwhm = data.draw(st.one_of(  # photon A about the defaults, or anywhere
+            st.tuples(st.floats(150.0, 250.0), st.floats(0.1, 10.0)),
+            st.tuples(_ANY_POSITIVE, _ANY_POSITIVE)))
+        sets = {
+            "shape_a": data.draw(_SHAPE), "shape_b": data.draw(_SHAPE),
+            "center_thz": center, "fwhm_nm": fwhm,
+            "width_factor": data.draw(st.one_of(st.floats(1.0, 20.0), _ANY_POSITIVE, _ENDS)),
+            "center_span_fwhm": data.draw(st.one_of(st.floats(0.5, 8.0), _ANY_POSITIVE, _ENDS)),
+            "m": data.draw(_PHOTON_NUMBER), "n": data.draw(_PHOTON_NUMBER),
+            "phi": data.draw(st.one_of(st.sampled_from([0.0, 0.25 * math.pi, 0.5 * math.pi]),
+                                       st.floats(-10.0, 10.0))),
+            "detector_a": data.draw(st.one_of(st.just(_IDEAL), _DETECTOR)),
+            "detector_b": data.draw(st.one_of(st.just(_IDEAL), _DETECTOR)),
+        }
+        args = ["contour", "--grid", "3"]
+        for key, value in sets.items():
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        rc, text, err = run_strict(args, tmp_path)
+        assert "Traceback" not in err and "Warning" not in err, err
+        if rc == 2:
+            assert err.startswith("config error: config field '"), err
+            assert not re.search(r"\bnan\b", err, re.IGNORECASE), err
+        elif rc == 3:
+            # the cause as its check saw it: a Gaussian-Faddeeva kernel's
+            # residual at width ratios near the float range's end reads nan
+            assert re.match(r"numerical failure: [a-z]+.{20,}", err), err
+        else:
+            assert rc == 0, err
+            assert not re.search(r"\bnan\b", text, re.IGNORECASE), text
+            values = [float(row.split(",")[2]) for row in data_rows(text)]
+            assert len(values) == 9, text
+            assert all(0.0 <= v <= 1.0 for v in values), values
+
+    check()
+
+
+_MAX = "1.7976931348623157e308"
+_HUGE_WIDE_PHOTON = '{"shape":"gaussian","center_thz":2.8e307,"width_thz":1e305}'
+
+
+@pytest.mark.parametrize("args, key", [
+    # an end rounds to 0 or overflows (warned of an overflow in exp, then
+    # named fwhm_nm, or under -W error a traceback)
+    (["contour", "--set", "width_factor=5e-324"], "width_factor"),
+    (["contour", "--set", "width_factor=1e300", "--set", "center_thz=1e-5",
+      "--set", "fwhm_nm=1e-300"], "width_factor"),
+    (["coherent", "--set", "mode=contour", "--set", "width_factor=5e-324"], "width_factor"),
+    # (warned twice, then exited 2 with "T and R must lie in [0, 1]")
+    (["coherent", "--set", "ratio_factor=5e-324"], "ratio_factor"),
+    (["coherent", "--set", "ratio_factor=1e-310"], "ratio_factor"),
+    (["swap", "--set", "mode=bandwidth_sweep", "--set", "bandwidth.factor=5e-324"],
+     "bandwidth.factor"),
+    # the centre axis: its span overflowed (warned in np.linspace, then named
+    # the key at "nan rad/ps"), and its upper end did
+    (["contour", "--set", f"center_span_fwhm={_MAX}"], "center_span_fwhm"),
+    (["coherent", "--set", "mode=contour", "--set", f"center_span_fwhm={_MAX}"],
+     "center_span_fwhm"),
+    (["coherent", "--set", "mode=contour", "--set", "profile_a=" + _HUGE_WIDE_PHOTON],
+     "center_span_fwhm"),
+])
+def test_axis_ends_past_the_float_range_exit_2_naming_their_key(args, key, tmp_path):
+    rc, text, err = run_strict(args + ["--grid", "3"], tmp_path)
+    assert rc == 2, err
+    assert err.startswith(f"config error: config field '{key}': "), err
+    assert not re.search(r"\b(nan|inf)\b", err), err
 
 
 # ---------------------------------------------------------------------------
@@ -1166,6 +1261,12 @@ def test_channels_vanishing_baseline_exits_3(tmp_path, capsys):
      "coherent coincidence overflows double precision at mu_a=1000, mu_b=4000"),
     (["mu_mean=0"], "baseline coincidence vanishes; visibility undefined"),
     (["fixed_mu_b=0"], "baseline coincidence vanishes; visibility undefined"),
+    # intensities past the float range: numpy scalars once warned of an
+    # overflow, or of an invalid inf * 0, in _closed_form before the exit
+    (["fixed_mu_b=" + _MAX],
+     "coherent coincidence overflows double precision at mu_a=4.49423e+307, mu_b=1.79769e+308"),
+    (["mu_mean=" + _MAX, "ratio_factor=800"],
+     "coherent coincidence overflows double precision at mu_a=6.35581e+306, mu_b=inf"),
 ])
 def test_ratio_map_numerical_failures_exit_3(sets, message, tmp_path, capsys):
     args = ["coherent", "--grid", "3"]

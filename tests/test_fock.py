@@ -262,7 +262,7 @@ def test_visibility_values():
 def test_visibility_gaussian_vs_sinc_pairing():
     # the tables report the best visibility over photon B's width; at the
     # exact FWHM match the dip is slightly shallower
-    from homsim.sweeps import max_overlap_width
+    from width_search import max_overlap_width
     fw = spc.wavelength_width_to_frequency(2 * math.pi * spc.SPEED_OF_LIGHT_NM_PS / CENTER, 1.0)
     prof_a = spc.SpectralProfile.from_fwhm("gaussian", CENTER, fw)
     _, c_best = max_overlap_width(prof_a, spc.Shape.SINC)

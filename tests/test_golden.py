@@ -6,11 +6,15 @@ studies write.  Header and label text must match exactly; every number in
 a data line must agree to 1e-12 absolute, so a numerics change shows here
 without blocking an intended change below that.  After an intended change,
 rewrite the files with ``python tests/test_golden.py`` (run with ``src``
-on the path).
+on the path).  ``python tests/test_golden.py --exact`` rewrites nothing:
+it regenerates every file in a temporary directory, compares each with
+its golden byte for byte, names each that differs and exits 1 if any does.
 """
 
+import contextlib
 import gzip
 import importlib.util
+import io
 import pathlib
 import re
 import sys
@@ -117,19 +121,70 @@ def _run_study(script, out):
         sys.argv = argv
 
 
+def _studies(out):
+    """Run every study script into the directory ``out``; its files, sorted."""
+    for script in SCRIPTS:
+        _run_study(script, out)
+    return sorted(out.iterdir())
+
+
 def test_study_outputs_match_golden(tmp_path):
     # the paper's figures and tables, as the study scripts write them: the
     # same files, each matching its golden
-    for script in SCRIPTS:
-        _run_study(script, tmp_path)
-    written = sorted(path.name for path in tmp_path.iterdir())
+    written = [path.name for path in _studies(tmp_path)]
     assert written == sorted(path.name[:-len(".gz")] for path in STUDIES.glob("*.gz"))
     for name in written:
         _assert_matches((tmp_path / name).read_text(),
                         gzip.decompress((STUDIES / f"{name}.gz").read_bytes()).decode())
 
 
+def _exact():
+    """Names of the goldens whose regenerated bytes differ from the
+    committed ones (a study file missing on either side differs too)."""
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        for name, args in CASES.items():
+            _render(args, out / name)
+            if (out / name).read_bytes() != (GOLDEN / name).read_bytes():
+                differ.append(name)
+        (out / "studies").mkdir()
+        with contextlib.redirect_stdout(io.StringIO()):  # the scripts' "wrote ..." lines
+            written = {path.name: path.read_bytes() for path in _studies(out / "studies")}
+    committed = {path.name[:-len(".gz")]: gzip.decompress(path.read_bytes())
+                 for path in STUDIES.glob("*.gz")}
+    return differ + [f"studies/{name}.gz" for name in sorted(written.keys() | committed.keys())
+                     if written.get(name) != committed.get(name)]
+
+
+def test_exact_mode_names_each_differing_file_and_rewrites_nothing(tmp_path, monkeypatch):
+    # a line ending that the 1e-12 comparer lets pass, an unchanged golden,
+    # and a study golden that no script writes: the first and the last are
+    # named, and no golden is touched
+    golden = tmp_path / "golden"
+    (golden / "studies").mkdir(parents=True)
+    cases = {name: CASES[name] for name in ("dip.csv", "protocols.json")}
+    for name, args in cases.items():
+        _render(args, golden / name)
+    dip = (golden / "dip.csv").read_text()
+    (golden / "dip.csv").write_bytes(dip.replace("\n", "\r\n", 1).encode())
+    _assert_matches((golden / "dip.csv").read_bytes().decode(), dip)
+    (golden / "studies" / "gone.csv.gz").write_bytes(gzip.compress(b"x\n", mtime=0))
+    before = {path: path.read_bytes() for path in golden.rglob("*") if path.is_file()}
+    for name, value in (("GOLDEN", golden), ("STUDIES", golden / "studies"),
+                        ("CASES", cases), ("SCRIPTS", [])):
+        monkeypatch.setitem(globals(), name, value)
+    assert _exact() == ["dip.csv", "studies/gone.csv.gz"]
+    assert {path: path.read_bytes() for path in golden.rglob("*") if path.is_file()} == before
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--exact"]:
+        differ = _exact()
+        for name in differ:
+            print(f"differs: {GOLDEN / name}")
+        print(f"{len(differ)} golden files differ byte for byte")
+        sys.exit(1 if differ else 0)
     GOLDEN.mkdir(exist_ok=True)
     for name, args in CASES.items():
         _render(args, GOLDEN / name)
@@ -138,9 +193,7 @@ if __name__ == "__main__":
     for stale in STUDIES.glob("*.gz"):
         stale.unlink()
     with tempfile.TemporaryDirectory() as out:
-        for script in SCRIPTS:
-            _run_study(script, pathlib.Path(out))
-        for path in sorted(pathlib.Path(out).iterdir()):
+        for path in _studies(pathlib.Path(out)):
             # mtime 0, so that an unchanged output rewrites the same bytes
             (STUDIES / f"{path.name}.gz").write_bytes(gzip.compress(path.read_bytes(), mtime=0))
             print(f"wrote {STUDIES / path.name}.gz")

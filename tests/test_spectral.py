@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import width_search
 from gaussian_reference import gaussian_overlap_closed_form
 from homsim import polarization as pol
 from homsim import spectral as spc
@@ -412,10 +413,10 @@ def test_width_search_is_fixed_rounds_of_one_call(shape_a, shape_b, monkeypatch)
     real_overlaps = spc.overlaps
     monkeypatch.setattr(spc, "overlaps", lambda a, b: calls.append(b) or real_overlaps(a, b))
     a = spc.SpectralProfile.from_fwhm(shape_a, CENTER, 2.0)
-    best_fwhm, best_cos = sweeps.max_overlap_width(a, shape_b)
-    assert len(calls) == sweeps._WIDTH_ROUNDS
-    assert all(np.shape(b.width) == (sweeps._WIDTH_POINTS,) for b in calls)
-    span = sweeps._WIDTH_SPAN
+    best_fwhm, best_cos = width_search.max_overlap_width(a, shape_b)
+    assert len(calls) == width_search.WIDTH_ROUNDS
+    assert all(np.shape(b.width) == (width_search.WIDTH_POINTS,) for b in calls)
+    span = width_search.WIDTH_SPAN
     dense = np.exp(np.linspace(math.log(2.0 / span), math.log(2.0 * span), 20_001))
     dense_max = max(real_overlaps(a, spc.SpectralProfile.from_fwhm(shape_b, CENTER, part)).max()
                     for part in np.array_split(dense, 21))
@@ -424,30 +425,47 @@ def test_width_search_is_fixed_rounds_of_one_call(shape_a, shape_b, monkeypatch)
                        ).magnitude == best_cos == real_overlaps(a, calls[-1]).max()
 
 
+def test_committed_table_optima_are_the_width_search_bit_for_bit():
+    # each off-diagonal cell's FWHM ratio is a committed constant: the
+    # search against the unit-FWHM photon A finds its very bits, and the
+    # cell's cos Theta is the search's; a kernel change that moves an
+    # optimum fails here and updates the constant
+    for shape in SHAPES:
+        assert spc.fwhm(spc.SpectralProfile.from_fwhm(shape, 1.0, 1.0)) == 1.0
+    assert sorted(sweeps._OPTIMAL_FWHM_RATIO, key=str) == sorted(
+        ((sa, sb) for sa, sb in PAIRINGS if sa is not sb), key=str)
+    table = sweeps.max_visibility_table([(1, 1)])
+    for (shape_a, shape_b), ratio in sweeps._OPTIMAL_FWHM_RATIO.items():
+        found, cos = width_search.unit_optimum(shape_a, shape_b)
+        assert ratio.hex() == found.hex(), (shape_a, shape_b, found.hex())
+        entry = table[(shape_b, shape_a)]
+        assert (entry.fwhm_ratio, entry.cos_theta) == (found, cos), (shape_a, shape_b)
+
+
 @pytest.mark.parametrize("shape_a, shape_b", [
     (sa, sb) for sa, sb in PAIRINGS if sa is not sb])
 def test_table_optimum_does_not_depend_on_photon_a(shape_a, shape_b):
     # at matched centres and zero delay the overlap depends only on the
-    # width ratio, so the unit-FWHM search stands for every photon A
+    # width ratio, so the unit-FWHM optimum stands for every photon A
     ratio, cos = sweeps._unit_optimum(shape_a, shape_b)
     for center, fw in ((1e2, 1e-3), (1e2, 1e2), (1e4, 1e-3), (1e4, 1e2),
                        (CENTER, 2.37), (3.3e3, 0.05)):
         a = spc.SpectralProfile.from_fwhm(shape_a, center, fw)
-        best_fwhm, best_cos = sweeps.max_overlap_width(a, shape_b)
+        best_fwhm, best_cos = width_search.max_overlap_width(a, shape_b)
         assert abs(best_cos - cos) <= 1e-14, (center, fw)
         assert best_fwhm / fw == pytest.approx(ratio, rel=1e-6), (center, fw)
 
 
 def test_table_searches_once_per_pairing_and_process(monkeypatch):
-    # cold: 12 width searches of 9 overlaps() rounds and one overlap() each;
-    # warm: no overlap call at all, and the same cells
+    # cold: no width search, only one overlap() per off-diagonal cell, at
+    # its committed optimum; warm: no overlap call at all, and the same cells
     calls = []
     for name in ("overlaps", "overlap"):
         monkeypatch.setattr(spc, name, lambda a, b, real=getattr(spc, name), name=name:
                             calls.append(name) or real(a, b))
     sweeps._unit_optimum.cache_clear()
     cold = sweeps.max_visibility_table([(1, 1), (2, 2)])
-    assert calls.count("overlaps") == 12 * sweeps._WIDTH_ROUNDS
+    assert calls.count("overlaps") == 0
     assert calls.count("overlap") == 12
     calls.clear()
     warm = sweeps.max_visibility_table([(1, 1), (2, 2), (70, 3)])
