@@ -14,21 +14,20 @@ Library layout:
 * :mod:`homsim.cli` -- the ``homsim`` command
 """
 
-from .channels import ChannelSpec, MixedSource, SourceSpec, apply_channel, \
-    damp_number, mixed_coincidence, mixed_visibility
+from .channels import ChannelSpec, SourceSpec, channel_visibility_contour, damp_number
 from .coherent import CoherentPair, bessel_i0, coherent_visibility, \
     total_coincidence, total_coincidence_series, visibility_ratio_map
 from .fock import Apparatus, BeamSplitter, FockPair, InvalidRegimeError, \
-    bunching_factor, coincidence, dip_curve, p_all_one_side, visibility
+    bunching_factor, coincidence, dip_blocks, visibility_from_c
 from .jsa import GaussianJSA, PhaseMatching, Pump, SeparableJSA, SwapScenario, \
     swap_fidelity, swap_fidelity_separable
-from .polarization import Detector, PolarizationDensity, PolarizationVector, \
-    click_probability, cos_phi, depolarize, effective_efficiency, rotate
+from .polarization import Detector, PolarizationVector, click_probability, cos_phi, \
+    depolarize, effective_efficiency, rotate
 from .protocols import ErrorBudget, KeyRateInputs, MdiScenario, \
     classifier_coincidence, fusion_fidelity, key_rate_bound, \
     mdi_outcome_table, noon_signal, spectral_error, total_error
 from .quadrature import IntegrationError
-from .spectral import OverlapResult, Shape, SpectralProfile, amplitude, fwhm, overlap, \
+from .spectral import OverlapResult, Shape, SpectralProfile, fwhm, overlap, \
     wavelength_width_to_frequency
 
 __version__ = "0.1.0"

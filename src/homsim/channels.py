@@ -15,12 +15,12 @@ weighted sum of the pure-state formula over branch pairs, which is exact
 within this model because the detection probability is evaluated per
 pure branch.
 
-A contour evaluates that sum for all its cells at once: each pair of
-branch *slots* (photon number k, branch vector; one per arm) that holds a
-photon is one :func:`fock.coincidence_raw` call per overlap grid (the
-c = 0 baseline and the dip) over the cells that hold it.  Every cell adds
-its terms in the same slot-pair order, so it is bit-equal to
-:func:`mixed_visibility` of its two channel outputs.
+:func:`channel_visibility_contour` is the one entry: it evaluates that sum
+for all its cells at once.  Each pair of branch *slots* (photon number k,
+branch vector; one per arm) that holds a photon is one
+:func:`fock.coincidence_raw` call per overlap grid (the c = 0 baseline and
+the dip) over the cells that hold it, and every cell adds its terms in the
+same slot-pair order.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .fock import (Apparatus, IDEAL_APPARATUS, coincidence_raw, mode_overlap,
                    visibility_ratio)
 
 __all__ = [
-    "ChannelSpec", "SourceSpec", "MixedSource", "IDENTITY_CHANNEL",
-    "damp_number", "apply_channel", "mixed_coincidence", "mixed_visibility",
-    "channel_visibility_contour", "MAX_PHOTONS",
+    "ChannelSpec", "SourceSpec", "damp_number", "channel_visibility_contour",
+    "MAX_PHOTONS",
 ]
 
 _TINY = 1e-15  # mixture terms of weight at or below this are dropped
@@ -66,9 +65,6 @@ class ChannelSpec:
             raise ValueError("broadening factor must be positive")
 
 
-IDENTITY_CHANNEL = ChannelSpec()
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """Pure input arm: Fock photon number, polarization, spectrum."""
@@ -80,26 +76,6 @@ class SourceSpec:
     def __post_init__(self):
         if self.photons < 0:
             raise ValueError("photon number must be non-negative")
-
-
-@dataclass(frozen=True)
-class MixedSource:
-    """Channel output: photon-number mixture, 2x2 polarization, spectrum."""
-
-    number_dist: tuple[tuple[int, float], ...]
-    pol: pol.PolarizationDensity
-    spec: spc.SpectralProfile
-
-    def __post_init__(self):
-        total = math.fsum(p for _, p in self.number_dist)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"number distribution sums to {total}, not 1")
-        if any(k < 0 or p < -1e-15 for k, p in self.number_dist):
-            raise ValueError("number distribution needs k >= 0 and p >= 0")
-
-    @staticmethod
-    def pure(src: SourceSpec) -> "MixedSource":
-        return MixedSource(((src.photons, 1.0),), src.pol.density(), src.spec)
 
 
 def damp_number(n: int, gamma: float) -> tuple[tuple[int, float], ...]:
@@ -128,15 +104,6 @@ def damp_number(n: int, gamma: float) -> tuple[tuple[int, float], ...]:
     return tuple(dist)
 
 
-def apply_channel(src: SourceSpec, ch: ChannelSpec) -> MixedSource:
-    """Push a pure arm through damping, depolarization and broadening."""
-    return MixedSource(
-        number_dist=damp_number(src.photons, ch.gamma),
-        pol=pol.depolarize(src.pol.density(), ch.p_depol),
-        spec=src.spec.broadened(ch.xi),
-    )
-
-
 class _Arm:
     """One arm's branch slots along its channel axis.
 
@@ -157,10 +124,6 @@ class _Arm:
                 held = np.flatnonzero((pk[:, j] > _TINY) & (wv > _TINY))
                 if held.size:
                     self.slots.append((k, v, pk[:, j], wv, held))
-
-    @staticmethod
-    def of(src: MixedSource) -> "_Arm":
-        return _Arm([src.number_dist], np.array([src.pol.w]), src.pol.state)
 
 
 def _branch_sums(arm_a: _Arm, arm_b: _Arm, app: Apparatus,
@@ -189,50 +152,11 @@ def _branch_sums(arm_a: _Arm, arm_b: _Arm, app: Apparatus,
     return sums
 
 
-def _cos_theta_cell(src_a: MixedSource, src_b: MixedSource,
-                    ctheta: float | None) -> np.ndarray:
-    """The 1 x 1 grid of the pair's spectral overlap, or of ``ctheta``."""
-    if ctheta is None:
-        ctheta = spc.overlap(src_a.spec, src_b.spec).magnitude
-    return np.full((1, 1), ctheta)
-
-
-def mixed_coincidence(src_a: MixedSource, src_b: MixedSource,
-                      app: Apparatus = IDEAL_APPARATUS,
-                      ctheta: float | None = None) -> float:
-    """Coincidence probability for two channel outputs.
-
-    Averages the pure-state coincidence over each arm's (photon number,
-    polarization branch) branches; branches with no photons at all
-    contribute zero.  ``ctheta`` overrides the spectral overlap (the
-    tau -> infinity baseline passes 0).
-    """
-    (p,) = _branch_sums(_Arm.of(src_a), _Arm.of(src_b), app,
-                        [_cos_theta_cell(src_a, src_b, ctheta)])
-    return p.item()
-
-
-def mixed_visibility(src_a: MixedSource, src_b: MixedSource,
-                     app: Apparatus = IDEAL_APPARATUS,
-                     ctheta: float | None = None) -> float:
-    """Visibility of the mixed-state dip against the analytic baseline.
-
-    ``ctheta`` overrides the spectral overlap, as in
-    :func:`mixed_coincidence`.  The 1 x 1 case of
-    :func:`channel_visibility_contour`.
-    """
-    ct = _cos_theta_cell(src_a, src_b, ctheta)
-    p_inf, p_0 = _branch_sums(_Arm.of(src_a), _Arm.of(src_b), app,
-                              [np.zeros_like(ct), ct])
-    return visibility_ratio(p_inf, p_0).item()
-
-
 def _channel_arm(src: SourceSpec, channels: Sequence[ChannelSpec]) -> _Arm:
     """The arm of ``src`` along ``channels``."""
-    rho = src.pol.density()
     return _Arm([damp_number(src.photons, ch.gamma) for ch in channels],
-                np.array([pol.depolarize(rho, ch.p_depol).w for ch in channels]),
-                rho.state)
+                np.array([pol.depolarize(1.0, ch.p_depol) for ch in channels]),
+                src.pol)
 
 
 def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
@@ -241,12 +165,12 @@ def channel_visibility_contour(src_a: SourceSpec, src_b: SourceSpec,
                                app: Apparatus = IDEAL_APPARATUS) -> list[list[float]]:
     """Visibility grid over per-arm channel parameter lists.
 
-    Entry [i][j] applies channels_a[i] to arm A and channels_b[j] to arm
-    B, and equals :func:`mixed_visibility` of the two channel outputs bit
-    for bit.  The grid's spectral overlaps are one :func:`spectral.overlaps`
-    call on arm A's (len A, 1) family of broadened spectra against arm B's
-    (len B,) one, and each slot pair is one :func:`coincidence_raw` call
-    for the baseline and one for the dip.
+    Entry [i][j] is the visibility of the mixed-state dip against its
+    c = 0 baseline, with channels_a[i] applied to arm A and channels_b[j]
+    to arm B.  The grid's spectral overlaps are one
+    :func:`spectral.overlaps` call on arm A's (len A, 1) family of broadened
+    spectra against arm B's (len B,) one, and each slot pair is one
+    :func:`coincidence_raw` call for the baseline and one for the dip.
     """
     if not channels_a or not channels_b:
         return [[] for _ in channels_a]

@@ -234,8 +234,9 @@ def _fwhm_from_nm(obj: dict, field: str, center: float) -> float:
         fwhm = None
     if fwhm is None or center_nm == math.inf:
         key = "center_thz" if "center_thz" in obj else "center_nm"
-        raise _fail(_name(field, key), f"the centre wavelength {center_nm:g} nm squared "
-                                       "leaves the float range, so fwhm_nm cannot be converted")
+        raise _fail(_name(field, key), f"{_number(obj, field, key)!r} puts the centre wavelength "
+                                       "squared outside the float range, so fwhm_nm cannot "
+                                       "be converted")
     if not 0.0 < fwhm < math.inf:
         raise _fail(_name(field, "fwhm_nm"), f"{fwhm_nm!r} nm about {center_nm:g} nm is "
                                              f"{fwhm:g} rad/ps, outside the float range")

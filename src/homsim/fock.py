@@ -32,9 +32,8 @@ from . import spectral as spc
 
 __all__ = [
     "BeamSplitter", "FockPair", "Apparatus", "InvalidRegimeError", "mode_overlap",
-    "bunching_factor", "p_all_one_side", "coincidence", "coincidence_raw",
-    "dip_blocks", "dip_curve", "dip_visibility", "visibility", "visibility_from_c",
-    "visibility_ratio",
+    "bunching_factor", "coincidence", "coincidence_raw", "dip_blocks",
+    "dip_visibility", "visibility_from_c", "visibility_ratio",
 ]
 
 _LOG_BINOM_CUTOFF = 62  # exact integer binomials up to here, log-domain beyond
@@ -195,13 +194,6 @@ def _one_side(m: int, n: int, c, bs: BeamSplitter) -> tuple:
     return weighted(m, n), weighted(n, m), 1.0
 
 
-def p_all_one_side(pair: FockPair, bs: BeamSplitter) -> tuple[float, float]:
-    """(P all m+n photons exit toward detector A, same toward B):
-    T^m R^n P_bunch and T^n R^m P_bunch."""
-    w_a, w_b, p = _one_side(pair.m, pair.n, pair.mode_overlap(), bs)
-    return (w_a * p, w_b * p)
-
-
 def _deltas(m: int, n: int, pol_a: pol.PolarizationVector,
             pol_b: pol.PolarizationVector, app: Apparatus) -> tuple[float, float]:
     """Click terms (Delta_A, Delta_B) of one pure branch: m photons in
@@ -262,30 +254,6 @@ def dip_blocks(m: int, n: int, pol_a: pol.PolarizationVector,
     return coincidence_raw(m, n, cs, app.bs, deltas[:, :1], deltas[:, 1:])
 
 
-def dip_curve(pair: FockPair, taus: Iterable[float],
-              app: Apparatus = IDEAL_APPARATUS,
-              cos_theta: Sequence[float] | None = None) -> list[tuple[float, float]]:
-    """Coincidence vs relative arrival delay of arm B (the HOM dip).
-
-    Arm B's profile is shifted by each tau on top of its configured delay;
-    polarization and detectors are held fixed, so only cos(Theta) moves.
-    cos(Theta(tau)) is one :func:`spectral.overlaps` call per scan, on
-    arm B's family of delayed profiles, and the curve is the one-row
-    :func:`dip_blocks` call.  Callers sweeping several (m, n, Phi) over the
-    same spectra and delays pass that cos(Theta) array as ``cos_theta``,
-    or call :func:`dip_blocks` once per photon pair.
-    """
-    if pair.spec_a is None or pair.spec_b is None:
-        raise ValueError("dip_curve needs spectral profiles on both arms")
-    taus = list(taus)
-    if cos_theta is None:
-        cos_theta = spc.overlaps(pair.spec_a, pair.spec_b.delayed(np.asarray(taus, float)))
-    elif len(cos_theta) != len(taus):
-        raise ValueError("cos_theta needs one value per tau")
-    row, = dip_blocks(pair.m, pair.n, pair.pol_a, [pair.pol_b], app, cos_theta)
-    return list(zip(taus, row.tolist()))
-
-
 def _nonzero_baseline(p_inf: float | np.ndarray) -> float | np.ndarray:
     if np.any(p_inf == 0.0) if isinstance(p_inf, np.ndarray) else p_inf == 0.0:
         raise ZeroDivisionError("baseline coincidence vanishes; visibility undefined")
@@ -325,8 +293,3 @@ def visibility_from_c(m: int, n: int, c0: float | np.ndarray, app: Apparatus,
     da, db = _deltas(m, n, pol_a, pol_b, app)
     return dip_visibility(lambda c: coincidence_raw(m, n, c, app.bs, da, db), c0)
 
-
-def visibility(pair: FockPair, app: Apparatus = IDEAL_APPARATUS) -> float:
-    """HOM visibility of the dip at the pair's configured delays."""
-    return visibility_from_c(pair.m, pair.n, pair.mode_overlap(), app,
-                             pair.pol_a, pair.pol_b)

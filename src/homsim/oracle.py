@@ -1,14 +1,15 @@
 """Brute-force reference engine for the Fock coincidence formula.
 
 The two input wavepackets are expanded over four orthonormal single-photon
-modes per output port: Gram-Schmidt of the two polarizations times
+modes per output port: the detectors' H and V polarizations times
 Gram-Schmidt of the two spectral profiles.  Arm A's creation operator only
-touches the (pol_parallel, spec_parallel) mode; arm B's spreads over all
-four.  Pushing the beam-splitter map through (t a + r b, r a - t b) and
-expanding the resulting operator polynomial exactly gives the full output
-photon-number distribution, from which any detector model can be applied
-configuration by configuration.  Intended for tests and acceptance only;
-guarded to m + n <= 12.
+touches the two spec_parallel modes; arm B's spreads over all four.
+Pushing the beam-splitter map through (t a + r b, r a - t b) and expanding
+the resulting operator polynomial exactly gives the full output
+photon-number distribution.  H and V are the detectors' eigenmodes, so a
+detector's dark probability is a product over modes, configuration by
+configuration.  Intended for tests and acceptance only; guarded to
+m + n <= 12.
 """
 
 from __future__ import annotations
@@ -43,14 +44,10 @@ class OutputDistribution:
     """Probabilities over output occupation patterns.
 
     Keys are (port_a_counts, port_b_counts), each a 4-tuple ordered as
-    (pol1 spec1, pol1 spec2, pol2 spec1, pol2 spec2) where pol1/spec1 are
-    arm A's polarization and spectrum.
+    (H spec1, H spec2, V spec1, V spec2) where spec1 is arm A's spectrum.
     """
 
     probs: dict[tuple[tuple[int, int, int, int], tuple[int, int, int, int]], float]
-    pol_decomp: ModeDecomposition
-    spec_decomp: ModeDecomposition
-    pol_basis: tuple[pol.PolarizationVector, pol.PolarizationVector]
 
     def total(self) -> float:
         return math.fsum(self.probs.values())
@@ -59,7 +56,9 @@ class OutputDistribution:
 def decompose_modes(pair: FockPair) -> tuple[ModeDecomposition, ModeDecomposition,
                                              tuple[pol.PolarizationVector,
                                                    pol.PolarizationVector]]:
-    """Gram-Schmidt of B's polarization and spectrum against A's."""
+    """Gram-Schmidt of B's polarization and spectrum against A's, with the
+    polarization basis it implies; :func:`expand` takes the spectral part and
+    keeps the polarizations in the detectors' H/V basis."""
     cp = (pair.pol_a.h.conjugate() * pair.pol_b.h
           + pair.pol_a.v.conjugate() * pair.pol_b.v)
     sp = math.sqrt(max(0.0, 1.0 - abs(cp) ** 2))
@@ -93,19 +92,17 @@ def expand(pair: FockPair, bs: BeamSplitter) -> OutputDistribution:
     m, n = pair.m, pair.n
     if m + n > _MAX_PHOTONS:
         raise ValueError(f"oracle limited to m + n <= {_MAX_PHOTONS}")
-    pol_d, spec_d, basis = decompose_modes(pair)
+    _, spec_d, _ = decompose_modes(pair)
     t = math.sqrt(bs.transmissivity)
     r = math.sqrt(bs.reflectivity)
 
     # variable order: a-port modes 0..3, b-port modes 4..7, mode index
-    # mu = 2*(pol component) + (spec component)
-    beta = [
-        pol_d.c_parallel * spec_d.c_parallel,
-        pol_d.c_parallel * spec_d.c_perp,
-        pol_d.c_perp * spec_d.c_parallel,
-        pol_d.c_perp * spec_d.c_perp,
-    ]
-    a_form = [(0, complex(t)), (4, complex(r))]
+    # mu = 2*(0 for H, 1 for V) + (spec component)
+    alpha = [pair.pol_a.h, 0.0, pair.pol_a.v, 0.0]
+    beta = [pair.pol_b.h * spec_d.c_parallel, pair.pol_b.h * spec_d.c_perp,
+            pair.pol_b.v * spec_d.c_parallel, pair.pol_b.v * spec_d.c_perp]
+    a_form = [(mu, t * alpha[mu]) for mu in range(4)]
+    a_form += [(4 + mu, r * alpha[mu]) for mu in range(4)]
     b_form = [(mu, r * beta[mu]) for mu in range(4)]
     b_form += [(4 + mu, -t * beta[mu]) for mu in range(4)]
 
@@ -125,7 +122,7 @@ def expand(pair: FockPair, bs: BeamSplitter) -> OutputDistribution:
         if p > 0.0:
             key = (mono[:4], mono[4:])
             probs[key] = probs.get(key, 0.0) + p
-    dist = OutputDistribution(probs, pol_d, spec_d, basis)
+    dist = OutputDistribution(probs)
     if abs(dist.total() - 1.0) > 1e-10:
         raise RuntimeError(f"oracle distribution not normalized: {dist.total()}")
     return dist
@@ -136,14 +133,13 @@ def coincidence_from_distribution(dist: OutputDistribution,
                                   det_b: pol.Detector) -> float:
     """Apply the threshold click model per output configuration and sum.
 
-    Each of the four basis modes carries one of the two Gram-Schmidt
-    polarizations; the per-port no-click probability is the product of
+    Modes 0 and 1 carry H and modes 2 and 3 carry V, the detectors'
+    eigenmodes, so the per-port no-click probability is the product of
     (1 - eta)^count over modes.
     """
-    p1, p2 = dist.pol_basis
-    eff_a = (pol.effective_efficiency(det_a, p1), pol.effective_efficiency(det_a, p2))
-    eff_b = (pol.effective_efficiency(det_b, p1), pol.effective_efficiency(det_b, p2))
-    mode_pol = (0, 0, 1, 1)  # modes 0,1 carry p1; modes 2,3 carry p2
+    eff_a = (det_a.eta_h, det_a.eta_v)
+    eff_b = (det_b.eta_h, det_b.eta_v)
+    mode_pol = (0, 0, 1, 1)
     total = 0.0
     for (ca, cb), p in sorted(dist.probs.items()):
         miss_a = 1.0

@@ -1,7 +1,7 @@
 """Polarization states, the cos(Phi) mismatch kernel, and detector response.
 
 Pure polarizations are complex two-vectors alpha |H> + beta |V>; a mixed
-one is a weight on a pure state and the rest on its orthogonal complement.
+one is a weight w on a pure state and 1 - w on its orthogonal complement.
 Detectors carry separate efficiencies for the H and V directions; the
 efficiency seen by an arbitrary polarization is the weighted average
 |alpha|^2 eta_H + |beta|^2 eta_V, and a threshold detector hit by m photons
@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
-    "PolarizationVector", "PolarizationDensity", "Detector",
+    "PolarizationVector", "Detector",
     "H", "V", "D", "A",
     "cos_phi", "rotate", "effective_efficiency", "click_probability",
     "depolarize", "orthogonal",
@@ -36,66 +34,11 @@ class PolarizationVector:
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"polarization vector not normalized (|.|^2 = {n})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.h, self.v], dtype=complex)
-
-    def density(self) -> "PolarizationDensity":
-        return PolarizationDensity(1.0, self)
-
 
 H = PolarizationVector(1.0, 0.0)
 V = PolarizationVector(0.0, 1.0)
 D = PolarizationVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 A = PolarizationVector(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class PolarizationDensity:
-    """2x2 polarization density held as its spectral decomposition, which
-    every density has: weight ``w`` on ``state``, 1 - w on its orthogonal."""
-
-    w: float
-    state: PolarizationVector
-
-    def __post_init__(self):
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError("density weight must lie in [0, 1]")
-
-    @property
-    def rho(self) -> np.ndarray:
-        """The matrix w |s><s| + (1 - w) |s_perp><s_perp|."""
-        s = self.state.as_array()
-        return (1.0 - self.w) * np.eye(2) + (2.0 * self.w - 1.0) * np.outer(s, s.conj())
-
-    @staticmethod
-    def from_matrix(rho) -> "PolarizationDensity":
-        """The density of a Hermitian, unit-trace, PSD 2x2 matrix.
-
-        rho = (I + r.sigma) / 2 has weight (1 + |r|) / 2 on the state whose
-        Bloch vector is r / |r| (H when r = 0); PSD means |r| <= 1.
-        """
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError("density matrix must be 2x2")
-        if not np.allclose(rho, rho.conj().T, atol=1e-12):
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-12:
-            raise ValueError("density matrix must have unit trace")
-        z = float((rho[0, 0] - rho[1, 1]).real)
-        xy = complex(rho[1, 0] + rho[0, 1].conjugate())  # x + iy
-        r = math.hypot(z, abs(xy))
-        if r > 1.0 + 2e-12:  # smallest eigenvalue (1 - |r|) / 2 below -1e-12
-            raise ValueError("density matrix must be positive semidefinite")
-        if r == 0.0:
-            return PolarizationDensity(0.5, H)
-        # the top eigenvector is (1 + z/r, (x + iy)/r), or the same ray as
-        # ((x - iy)/r, 1 - z/r) when z/r is near -1; dividing by r first keeps
-        # both in normal range when r is subnormal
-        nz, nxy = z / r, xy / r
-        h, v = (1.0 + nz, nxy) if nz >= 0.0 else (nxy.conjugate(), 1.0 - nz)
-        n = math.hypot(abs(h), abs(v))
-        return PolarizationDensity(min(0.5 + 0.5 * r, 1.0),
-                                   PolarizationVector(complex(h / n), complex(v / n)))
 
 
 def cos_phi(a: PolarizationVector, b: PolarizationVector) -> float:
@@ -145,13 +88,15 @@ def click_probability(d: Detector, pol_a: PolarizationVector,
             * (1.0 - effective_efficiency(d, pol_b)) ** n)
 
 
-def depolarize(rho: PolarizationDensity, p: float) -> PolarizationDensity:
-    """Isotropic depolarizing channel (1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z).
+def depolarize(w: float, p: float) -> float:
+    """Isotropic depolarizing channel (1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z)
+    on a density with weight w on a state and 1 - w on its orthogonal.
 
     It contracts the Bloch vector by (1 - 4p/3) and keeps the eigenvectors,
-    so w' = 1/2 + (w - 1/2)(1 - 4p/3); p = 3/4 maps everything to I/2.
+    so it returns the new weight on the same state,
+    w' = 1/2 + (w - 1/2)(1 - 4p/3); p = 3/4 maps everything to I/2.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing probability must lie in [0, 1]")
-    return PolarizationDensity(0.5 + (rho.w - 0.5) * (1.0 - 4.0 * p / 3.0), rho.state)
+    return 0.5 + (w - 0.5) * (1.0 - 4.0 * p / 3.0)
 

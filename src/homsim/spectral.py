@@ -56,7 +56,7 @@ from .quadrature import IntegrationError
 
 __all__ = [
     "Shape", "SpectralProfile", "OverlapResult",
-    "amplitude", "overlap", "overlaps", "fwhm",
+    "overlap", "overlaps", "fwhm",
     "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
 ]
@@ -99,8 +99,7 @@ class SpectralProfile:
     Numeric fields may be numpy arrays that broadcast together: such a
     profile family stands for one photon per element of the broadcast
     shape, and serves :func:`overlaps`, :func:`fwhm`, :meth:`delayed` and
-    :meth:`broadened`.  :func:`overlap`, :func:`amplitude` and hashing
-    take scalar fields.
+    :meth:`broadened`.  :func:`overlap` and hashing take scalar fields.
     """
 
     shape: Shape
@@ -165,36 +164,6 @@ def wavelength_width_to_frequency(center_nm: float, width_nm: float) -> float:
     if center_nm <= 0 or width_nm < 0:
         raise ValueError("center_nm must be positive and width_nm non-negative")
     return TWO_PI * SPEED_OF_LIGHT_NM_PS * width_nm / center_nm**2
-
-
-# ---------------------------------------------------------------------------
-# amplitudes
-# ---------------------------------------------------------------------------
-
-def amplitude(profile: SpectralProfile, omega) -> np.ndarray | complex:
-    """Normalized spectral amplitude phi(omega), including the delay phase.
-
-    The modulus squared of each family integrates to one:
-    Gaussian (1/sigma sqrt(2 pi))^(1/2) e^{-x^2/4 sigma^2}; sinc
-    sqrt(T/2 pi) sinc(T x / 2); Lorentzian sqrt(gamma^3/4 pi)/(x^2 +
-    (gamma/2)^2); sech sqrt(1/2 sigma) sech(x/sigma), with x = omega -
-    omega_0.
-    """
-    w = profile.effective_width
-    x = np.asarray(omega, dtype=float) - profile.center
-    if profile.shape is Shape.GAUSSIAN:
-        env = (1.0 / (w * math.sqrt(TWO_PI))) ** 0.5 * np.exp(-(x * x) / (4.0 * w * w))
-    elif profile.shape is Shape.SINC:
-        env = math.sqrt(w / TWO_PI) * np.sinc(w * x / TWO_PI)
-    elif profile.shape is Shape.LORENTZIAN:
-        env = math.sqrt(w**3 / (4.0 * math.pi)) / (x * x + 0.25 * w * w)
-    elif profile.shape is Shape.SECH:
-        env = math.sqrt(0.5 / w) / np.cosh(np.clip(x / w, -700, 700))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown shape {profile.shape}")
-    phase = np.exp(1j * np.asarray(omega, dtype=float) * profile.delay)
-    out = env * phase
-    return complex(out) if np.isscalar(omega) else out
 
 
 def _envelope_norm(shape: Shape, w):

@@ -13,6 +13,7 @@ import numpy as np
 
 from homsim import jsa
 from homsim import spectral as spc
+from spectral_amplitude import amplitude
 
 
 def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
@@ -52,8 +53,8 @@ def separable(j: jsa.SeparableJSA, axis_first: np.ndarray,
               axis_second: np.ndarray) -> Sampled:
     """``j`` sampled with :func:`spectral.amplitude` and normalized to 1 on
     the trapezoid rule."""
-    values = np.outer(spc.amplitude(j.spec_first, axis_first),
-                      spc.amplitude(j.spec_second, axis_second))
+    values = np.outer(amplitude(j.spec_first, axis_first),
+                      amplitude(j.spec_second, axis_second))
     norm = Sampled(axis_first, axis_second, values).norm_squared()
     return Sampled(axis_first, axis_second, values / math.sqrt(norm))
 

@@ -74,8 +74,9 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_canonical_dip():
-    pair = fock.FockPair(1, 1, pol.H, pol.H, GAUSS, GAUSS)
-    curve = dict(fock.dip_curve(pair, [0.0, 50.0]))
+    cos_theta = spc.overlaps(GAUSS, GAUSS.delayed(np.array([0.0, 50.0])))
+    row, = fock.dip_blocks(1, 1, pol.H, [pol.H], fock.IDEAL_APPARATUS, cos_theta)
+    curve = dict(zip([0.0, 50.0], row.tolist()))
     assert curve[0.0] <= 1e-9
     assert abs(curve[50.0] - 0.5) <= 1e-9
     baseline = fock.coincidence_raw(1, 1, 0.0, fock.BeamSplitter.balanced(),
@@ -152,26 +153,32 @@ def test_criterion_7_channels():
             dist = dict(chn.damp_number(n, gamma))
             for k in range(n + 1):
                 assert dist[k] == math.comb(n, k) * (1 - gamma) ** k * gamma ** (n - k)
-    # depolarizing fixed point
+    # depolarizing fixed point: weight w on a pure state and 1 - w on its
+    # orthogonal is w |s><s| + (1 - w) |s_perp><s_perp|
+    w = pol.depolarize(1.0, 0.75)
     for vec in (pol.H, pol.D, pol.rotate(pol.H, 0.7)):
-        out = pol.depolarize(vec.density(), 0.75)
-        assert np.max(np.abs(out.rho - np.eye(2) / 2)) < 1e-12
+        s, s_perp = (np.array([v.h, v.v]) for v in (vec, pol.orthogonal(vec)))
+        rho = w * np.outer(s, s.conj()) + (1.0 - w) * np.outer(s_perp, s_perp.conj())
+        assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
     # linearity of the mixed coincidence in the number distribution
     lam = 0.43
     d1, d2 = chn.damp_number(3, 0.2), chn.damp_number(3, 0.65)
     mixed_d = tuple((k, lam * dict(d1)[k] + (1 - lam) * dict(d2)[k])
                     for k in range(3, -1, -1))
-    partner = chn.MixedSource.pure(chn.SourceSpec(1, pol.H, GAUSS))
-    make = lambda nd: chn.MixedSource(nd, pol.D.density(), GAUSS)
-    lin_diff = abs(chn.mixed_coincidence(make(mixed_d), partner)
-                   - lam * chn.mixed_coincidence(make(d1), partner)
-                   - (1 - lam) * chn.mixed_coincidence(make(d2), partner))
+    partner = chn._Arm([((1, 1.0),)], np.array([1.0]), pol.H)
+
+    def mixed_coincidence(number_dist):
+        arm = chn._Arm([number_dist], np.array([1.0]), pol.D)
+        (p,) = chn._branch_sums(arm, partner, fock.IDEAL_APPARATUS, [np.ones((1, 1))])
+        return p.item()
+    lin_diff = abs(mixed_coincidence(mixed_d) - lam * mixed_coincidence(d1)
+                   - (1 - lam) * mixed_coincidence(d2))
     assert lin_diff <= 1e-12
     # a damping point that beats the undamped (2, 1) visibility
     src_a = chn.SourceSpec(2, pol.H, GAUSS)
     src_b = chn.SourceSpec(1, pol.H, GAUSS)
-    base = chn.mixed_visibility(chn.MixedSource.pure(src_a),
-                                chn.MixedSource.pure(src_b))
+    base = fock.visibility_from_c(2, 1, spc.overlap(GAUSS, GAUSS).magnitude,
+                                  fock.IDEAL_APPARATUS)
     gammas = [chn.ChannelSpec(gamma=g) for g in np.linspace(0.0, 0.9, 10)]
     grid = chn.channel_visibility_contour(src_a, src_b, gammas, gammas)
     best = max(max(row) for row in grid)

@@ -74,22 +74,46 @@ def test_damp_number_validation():
 # channel application
 # ---------------------------------------------------------------------------
 
+def arm(number_dist, w=1.0, state=pol.H):
+    """A one-point arm: a photon-number distribution, weight w on ``state``
+    and 1 - w on its orthogonal."""
+    return chn._Arm([number_dist], np.array([w]), state)
+
+
+def mixed_coincidence(arm_a, arm_b, cos_theta=1.0, app=fock.IDEAL_APPARATUS):
+    """The coincidence of two one-point arms at spectral overlap cos_theta."""
+    (p,) = chn._branch_sums(arm_a, arm_b, app, [np.full((1, 1), cos_theta)])
+    return p.item()
+
+
+def slots(source, ch):
+    """(photon number, branch vector, P(k) w) of each slot of ``source``
+    after the channel ``ch``."""
+    return [(k, v, pk[0] * w[0]) for k, v, pk, w, _ in chn._channel_arm(source, [ch]).slots]
+
+
+def branches(source, ch):
+    """(photon number, P(k) w, branch vector) of ``source`` after the
+    channel ``ch``: damp_number x the input polarization (weight w) and its
+    orthogonal (weight 1 - w)."""
+    w = pol.depolarize(1.0, ch.p_depol)
+    return [(k, pk * wv, v) for k, pk in chn.damp_number(source.photons, ch.gamma)
+            for wv, v in ((w, source.pol), (1.0 - w, pol.orthogonal(source.pol)))]
+
+
 def test_identity_channel_preserves_source():
-    mixed = chn.apply_channel(src(2, pol.D), chn.IDENTITY_CHANNEL)
-    assert dict(mixed.number_dist)[2] == 1.0
-    assert np.allclose(mixed.pol.rho, pol.D.density().rho, atol=1e-15)
-    assert mixed.spec == GAUSS
+    assert slots(src(2, pol.D), chn.ChannelSpec()) == [(2, pol.D, 1.0)]
+    assert GAUSS.broadened(chn.ChannelSpec().xi) == GAUSS
 
 
 def test_full_damping_gives_vacuum():
-    mixed = chn.apply_channel(src(3), chn.ChannelSpec(gamma=1.0))
-    assert dict(mixed.number_dist)[0] == 1.0
+    assert slots(src(3), chn.ChannelSpec(gamma=1.0)) == [(0, pol.H, 1.0)]
 
 
 def test_broadening_doubles_gaussian_width():
-    mixed = chn.apply_channel(src(1), chn.ChannelSpec(xi=2.0))
-    assert mixed.spec.effective_width == pytest.approx(2.0 * GAUSS.effective_width)
-    assert spc.fwhm(mixed.spec) == pytest.approx(2.0 * spc.fwhm(GAUSS), rel=1e-12)
+    broad = GAUSS.broadened(chn.ChannelSpec(xi=2.0).xi)
+    assert broad.effective_width == pytest.approx(2.0 * GAUSS.effective_width)
+    assert spc.fwhm(broad) == pytest.approx(2.0 * spc.fwhm(GAUSS), rel=1e-12)
 
 
 def test_channel_spec_validation():
@@ -101,6 +125,8 @@ def test_channel_spec_validation():
         chn.ChannelSpec(xi=0.0)
     with pytest.raises(ValueError):
         chn.ChannelSpec(xi=math.nan)
+    with pytest.raises(ValueError):
+        chn.SourceSpec(-1, pol.H, GAUSS)
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +136,17 @@ def test_channel_spec_validation():
 def test_pure_sources_reproduce_fock():
     for m, n, phi in ((1, 1, 0.0), (2, 1, 0.4), (3, 2, 1.0)):
         pol_b = pol.rotate(pol.H, phi)
-        mixed = chn.mixed_coincidence(
-            chn.MixedSource.pure(src(m)),
-            chn.MixedSource.pure(chn.SourceSpec(n, pol_b, GAUSS)))
+        mixed = mixed_coincidence(arm(((m, 1.0),)), arm(((n, 1.0),), 1.0, pol_b),
+                                  spc.overlap(GAUSS, GAUSS).magnitude)
         direct = fock.coincidence(fock.FockPair(m, n, pol.H, pol_b, GAUSS, GAUSS))
         assert mixed == pytest.approx(direct, abs=1e-14)
 
 
 def test_depolarized_arm_is_two_branch_average():
     # arm A maximally depolarized: H/V branches at weight 1/2 each
-    mixed_a = chn.apply_channel(src(1), chn.ChannelSpec(p_depol=0.75))
-    pure_b = chn.MixedSource.pure(src(1, pol.rotate(pol.H, 0.3)))
-    got = chn.mixed_coincidence(mixed_a, pure_b)
-    bs = fock.BeamSplitter.balanced()
+    mixed_a = chn._channel_arm(src(1), [chn.ChannelSpec(p_depol=0.75)])
+    pure_b = arm(((1, 1.0),), 1.0, pol.rotate(pol.H, 0.3))
+    got = mixed_coincidence(mixed_a, pure_b, spc.overlap(GAUSS, GAUSS).magnitude)
     branch_h = fock.coincidence(fock.FockPair(1, 1, pol.H, pol.rotate(pol.H, 0.3), GAUSS, GAUSS))
     branch_v = fock.coincidence(fock.FockPair(1, 1, pol.V, pol.rotate(pol.H, 0.3), GAUSS, GAUSS))
     assert got == pytest.approx(0.5 * branch_h + 0.5 * branch_v, abs=1e-14)
@@ -130,9 +154,8 @@ def test_depolarized_arm_is_two_branch_average():
 
 def test_damped_two_one_branch_enumeration():
     g = 0.3
-    mixed_a = chn.apply_channel(src(2), chn.ChannelSpec(gamma=g))
-    mixed_b = chn.apply_channel(src(1), chn.ChannelSpec(gamma=g))
-    got = chn.mixed_coincidence(mixed_a, mixed_b)
+    got = mixed_coincidence(chn._channel_arm(src(2), [chn.ChannelSpec(gamma=g)]),
+                            chn._channel_arm(src(1), [chn.ChannelSpec(gamma=g)]))
     p = lambda m, n: fock.coincidence_raw(m, n, 1.0, fock.BeamSplitter.balanced(),
                                           1.0, 1.0) if m + n >= 1 else 0.0
     w2 = (1 - g) ** 2
@@ -149,22 +172,18 @@ def test_mixed_coincidence_matches_branch_averaged_oracle():
     spec_b = spc.SpectralProfile(spc.Shape.SECH, CENTER, 0.8)
     src_a = chn.SourceSpec(2, pol.rotate(pol.H, 0.4), GAUSS)
     src_b = chn.SourceSpec(2, pol.D, spec_b)
-    mixed_a = chn.apply_channel(src_a, chn.ChannelSpec(gamma=0.35, p_depol=0.3))
-    mixed_b = chn.apply_channel(src_b, chn.ChannelSpec(gamma=0.1, p_depol=0.6))
-    got = chn.mixed_coincidence(mixed_a, mixed_b)
+    ch_a = chn.ChannelSpec(gamma=0.35, p_depol=0.3)
+    ch_b = chn.ChannelSpec(gamma=0.1, p_depol=0.6)
+    got = mixed_coincidence(chn._channel_arm(src_a, [ch_a]), chn._channel_arm(src_b, [ch_b]),
+                            spc.overlap(GAUSS, spec_b).magnitude)
     bs = fock.BeamSplitter.balanced()
-    branches = lambda rho: ((rho.w, rho.state), (1.0 - rho.w, pol.orthogonal(rho.state)))
     expected = 0.0
-    for ka, pka in mixed_a.number_dist:
-        for wa, va in branches(mixed_a.pol):
-            for kb, pkb in mixed_b.number_dist:
-                for wb, vb in branches(mixed_b.pol):
-                    if ka + kb < 1 or pka * wa * pkb * wb == 0.0:
-                        continue
-                    pair = fock.FockPair(ka, kb, va, vb, mixed_a.spec,
-                                         mixed_b.spec)
-                    expected += (pka * wa * pkb * wb
-                                 * oracle.oracle_coincidence(pair, bs))
+    for ka, pa, va in branches(src_a, ch_a):
+        for kb, pb, vb in branches(src_b, ch_b):
+            if ka + kb < 1 or pa * pb == 0.0:
+                continue
+            pair = fock.FockPair(ka, kb, va, vb, GAUSS, spec_b)
+            expected += pa * pb * oracle.oracle_coincidence(pair, bs)
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -175,67 +194,85 @@ def test_linearity_in_number_distribution():
     d2 = chn.damp_number(3, 0.7)
     mix = tuple((k, lam * dict(d1).get(k, 0.0) + (1 - lam) * dict(d2).get(k, 0.0))
                 for k in range(3, -1, -1))
-    rho = pol.D.density()
-    make = lambda nd: chn.MixedSource(nd, rho, GAUSS)
-    other = chn.MixedSource.pure(src(1))
-    got = chn.mixed_coincidence(make(mix), other)
-    expected = (lam * chn.mixed_coincidence(make(d1), other)
-                + (1 - lam) * chn.mixed_coincidence(make(d2), other))
+    make = lambda nd: arm(nd, 1.0, pol.D)
+    other = arm(((1, 1.0),))
+    got = mixed_coincidence(make(mix), other)
+    expected = (lam * mixed_coincidence(make(d1), other)
+                + (1 - lam) * mixed_coincidence(make(d2), other))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_linearity_in_commuting_polarization_mixtures():
+    # diag(0.8, 0.2), diag(0.3, 0.7) and their mixture: weights on H
     lam = 0.61
-    rho1 = pol.PolarizationDensity.from_matrix(np.diag([0.8, 0.2]).astype(complex))
-    rho2 = pol.PolarizationDensity.from_matrix(np.diag([0.3, 0.7]).astype(complex))
-    rho_mix = pol.PolarizationDensity.from_matrix(lam * rho1.rho + (1 - lam) * rho2.rho)
     nd = ((1, 1.0),)
-    other = chn.MixedSource.pure(src(1, pol.D))
-    make = lambda r: chn.MixedSource(nd, r, GAUSS)
-    got = chn.mixed_coincidence(make(rho_mix), other)
-    expected = (lam * chn.mixed_coincidence(make(rho1), other)
-                + (1 - lam) * chn.mixed_coincidence(make(rho2), other))
+    other = arm(nd, 1.0, pol.D)
+    make = lambda w: arm(nd, w, pol.H)
+    got = mixed_coincidence(make(lam * 0.8 + (1 - lam) * 0.3), other)
+    expected = (lam * mixed_coincidence(make(0.8), other)
+                + (1 - lam) * mixed_coincidence(make(0.3), other))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_trace_preservation():
     for g, p, xi in ((0.3, 0.2, 1.5), (0.9, 0.75, 0.6), (0.0, 1.0, 3.0)):
-        mixed = chn.apply_channel(src(4, pol.D), chn.ChannelSpec(g, p, xi))
-        assert math.fsum(pk for _, pk in mixed.number_dist) == pytest.approx(
+        ch = chn.ChannelSpec(g, p, xi)
+        assert math.fsum(pk for _, pk in chn.damp_number(4, ch.gamma)) == pytest.approx(
             1.0, abs=1e-12)
-        assert np.trace(mixed.pol.rho).real == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(w for _, _, w in slots(src(4, pol.D), ch)) == pytest.approx(
+            1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # visibility under channels
 # ---------------------------------------------------------------------------
 
+_FAR_DELAY_PS = 1e7  # arm B's delay for the c = 0 baseline: no overlap left
+
+
+def branch_reference(src_a, ch_a, src_b, ch_b, app=fock.IDEAL_APPARATUS, far=False):
+    """The coincidence of two channel outputs as the weighted sum of
+    fock.coincidence over both arms' branches; ``far`` delays arm B out of
+    overlap, for the c = 0 baseline."""
+    spec_a = src_a.spec.broadened(ch_a.xi)
+    spec_b = src_b.spec.broadened(ch_b.xi).delayed(_FAR_DELAY_PS if far else 0.0)
+    total = 0.0
+    for ka, pa, va in branches(src_a, ch_a):
+        for kb, pb, vb in branches(src_b, ch_b):
+            if ka + kb >= 1 and pa * pb > 0.0:
+                pair = fock.FockPair(ka, kb, va, vb, spec_a, spec_b)
+                total += pa * pb * fock.coincidence(pair, app)
+    return total
+
+
+def visibility_reference(src_a, ch_a, src_b, ch_b, app=fock.IDEAL_APPARATUS):
+    """The mixed-state dip's visibility against its c = 0 baseline."""
+    p_inf = branch_reference(src_a, ch_a, src_b, ch_b, app, far=True)
+    return (p_inf - branch_reference(src_a, ch_a, src_b, ch_b, app)) / p_inf
+
+
 def test_equal_damping_leaves_single_photon_visibility():
-    base = chn.mixed_visibility(chn.MixedSource.pure(src(1)),
-                                chn.MixedSource.pure(src(1)))
-    for g in np.linspace(0.0, 0.8, 9):
-        va = chn.mixed_visibility(chn.apply_channel(src(1), chn.ChannelSpec(gamma=g)),
-                                  chn.apply_channel(src(1), chn.ChannelSpec(gamma=g)))
-        assert va == pytest.approx(base, abs=1e-9)
+    chans = [chn.ChannelSpec(gamma=g) for g in np.linspace(0.0, 0.8, 9)]
+    grid = chn.channel_visibility_contour(src(1), src(1), chans, chans)
+    for i in range(len(chans)):
+        assert grid[i][i] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_identity_corner_matches_pure_visibility():
-    grid = chn.channel_visibility_contour(src(2), src(2),
-                                          [chn.IDENTITY_CHANNEL],
-                                          [chn.IDENTITY_CHANNEL])
-    pure = chn.mixed_visibility(chn.MixedSource.pure(src(2)),
-                                chn.MixedSource.pure(src(2)))
+    grid = chn.channel_visibility_contour(src(2), src(2), [chn.ChannelSpec()],
+                                          [chn.ChannelSpec()])
+    pure = fock.visibility_from_c(2, 2, spc.overlap(GAUSS, GAUSS).magnitude,
+                                  fock.IDEAL_APPARATUS)
     assert grid[0][0] == pytest.approx(pure, abs=1e-14)
     assert grid[0][0] == pytest.approx(5 / 7, rel=1e-12)
 
 
 def test_damping_can_improve_mismatched_visibility():
     # photon-number mismatch (2, 1): attenuating the heavier arm helps
-    base = chn.mixed_visibility(chn.MixedSource.pure(src(2)),
-                                chn.MixedSource.pure(src(1)))
+    base = fock.visibility_from_c(2, 1, spc.overlap(GAUSS, GAUSS).magnitude,
+                                  fock.IDEAL_APPARATUS)
     gammas = [chn.ChannelSpec(gamma=g) for g in np.linspace(0.0, 0.9, 10)]
-    grid = chn.channel_visibility_contour(src(2), src(1), gammas,
-                                          [chn.IDENTITY_CHANNEL] * 1)
+    grid = chn.channel_visibility_contour(src(2), src(1), gammas, [chn.ChannelSpec()])
     best = max(row[0] for row in grid)
     assert base == pytest.approx(2 / 3, rel=1e-12)
     assert best > base + 0.05
@@ -243,11 +280,9 @@ def test_damping_can_improve_mismatched_visibility():
 
 def test_strong_depolarization_saturates():
     # p = 3/4 reaches the maximally mixed fixed point on both arms
-    ch = chn.ChannelSpec(p_depol=0.75)
-    va = chn.mixed_visibility(chn.apply_channel(src(1, pol.D), ch),
-                              chn.apply_channel(src(1, pol.A), ch))
-    vb = chn.mixed_visibility(chn.apply_channel(src(1, pol.H), ch),
-                              chn.apply_channel(src(1, pol.V), ch))
+    ch = [chn.ChannelSpec(p_depol=0.75)]
+    [[va]] = chn.channel_visibility_contour(src(1, pol.D), src(1, pol.A), ch, ch)
+    [[vb]] = chn.channel_visibility_contour(src(1, pol.H), src(1, pol.V), ch, ch)
     assert va == pytest.approx(vb, abs=1e-12)
 
 
@@ -259,30 +294,17 @@ def test_depolarized_shared_label_is_continuous_at_three_quarters(psi):
     # 1e-10 moves V by about 4e-11; the second difference across 3/4 is
     # rounding alone only when the branch direction is exact on both sides
     ps = (0.75 - 1e-10, 0.75, 0.75 + 1e-10)
-    pure_a, arm_b = src(2), src(2, psi)
-    cells = [chn.mixed_visibility(chn.apply_channel(pure_a, chn.IDENTITY_CHANNEL),
-                                  chn.apply_channel(arm_b, chn.ChannelSpec(p_depol=p)))
-             for p in ps]
-    [row] = chn.channel_visibility_contour(pure_a, arm_b, [chn.IDENTITY_CHANNEL],
+    [row] = chn.channel_visibility_contour(src(2), src(2, psi), [chn.ChannelSpec()],
                                            [chn.ChannelSpec(p_depol=p) for p in ps])
-    for v in (cells, row):
-        assert abs(v[2] - 2.0 * v[1] + v[0]) <= 1e-12
+    assert abs(row[2] - 2.0 * row[1] + row[0]) <= 1e-12
 
 
 def test_broadening_mismatch_reduces_visibility():
-    matched = chn.mixed_visibility(chn.apply_channel(src(1), chn.ChannelSpec(xi=2.0)),
-                                   chn.apply_channel(src(1), chn.ChannelSpec(xi=2.0)))
-    mismatched = chn.mixed_visibility(chn.apply_channel(src(1), chn.ChannelSpec(xi=2.0)),
-                                      chn.apply_channel(src(1), chn.ChannelSpec(xi=0.5)))
+    [[matched, mismatched]] = chn.channel_visibility_contour(
+        src(1), src(1), [chn.ChannelSpec(xi=2.0)],
+        [chn.ChannelSpec(xi=2.0), chn.ChannelSpec(xi=0.5)])
     assert matched == pytest.approx(1.0, abs=1e-9)
     assert mismatched < matched - 0.1
-
-
-def test_mixed_source_validation():
-    with pytest.raises(ValueError):
-        chn.MixedSource(((1, 0.6), (0, 0.3)), pol.H.density(), GAUSS)
-    with pytest.raises(ValueError):
-        chn.SourceSpec(-1, pol.H, GAUSS)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +344,9 @@ def test_contour_equals_per_cell_mixed_visibility(field, values, m, n, pol_b, ap
     (a, b), = calls
     assert np.shape(a.broadening) == (len(chans), 1)
     assert np.shape(b.broadening) == (len(chans),)
-    reference = [[chn.mixed_visibility(chn.apply_channel(src_a, ch_a),
-                                       chn.apply_channel(src_b, ch_b), app)
-                  for ch_b in chans] for ch_a in chans]
-    assert grid == reference  # bit for bit, not approximately
+    reference = [[visibility_reference(src_a, ch_a, src_b, ch_b, app) for ch_b in chans]
+                 for ch_a in chans]
+    assert np.abs(np.array(grid) - reference).max() <= 1e-12
 
 
 def _counting(monkeypatch, module, name):
@@ -340,7 +361,7 @@ def _counting(monkeypatch, module, name):
     (spc.Shape.LORENTZIAN, spc.Shape.GAUSSIAN), (spc.Shape.SECH, spc.Shape.SECH)])
 def test_broadening_contour_makes_one_overlaps_call(shape_a, shape_b, monkeypatch):
     # a 21 x 21 broadening grid asks spectral.overlaps once for all 441
-    # cells, and each cell keeps the bits of its own single-photon overlap
+    # cells, and each cell keeps the bits of its own 1 x 1 contour
     calls = _counting(monkeypatch, spc, "overlaps")
     src_a = src(1, pol.H, spc.SpectralProfile(shape_a, CENTER, 1.3))
     src_b = src(1, pol.H, spc.SpectralProfile(shape_b, CENTER + 0.4, 0.9, delay=0.3))
@@ -348,10 +369,12 @@ def test_broadening_contour_makes_one_overlaps_call(shape_a, shape_b, monkeypatc
     chans = [chn.ChannelSpec(xi=float(x)) for x in xis]
     grid = chn.channel_visibility_contour(src_a, src_b, chans, chans)
     assert len(calls) == 1
-    cells = [[chn.mixed_visibility(chn.apply_channel(src_a, ch_a),
-                                   chn.apply_channel(src_b, ch_b))
+    cells = [[chn.channel_visibility_contour(src_a, src_b, [ch_a], [ch_b])[0][0]
               for ch_b in chans[::5]] for ch_a in chans[::5]]
     assert [row[::5] for row in grid[::5]] == cells
+    reference = [[visibility_reference(src_a, ch_a, src_b, ch_b) for ch_b in chans[::5]]
+                 for ch_a in chans[::5]]
+    assert np.abs(np.array(cells) - reference).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 21])

@@ -420,6 +420,23 @@ def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys, request):
     assert not (tmp_path / "x.csv").exists()
 
 
+
+@pytest.mark.parametrize("args, key", [
+    (["contour", "--set", "center_thz=5e-324"], "center_thz"),
+    (["dip", "--set", 'profile_a={"shape":"gaussian","center_thz":5e-324,"fwhm_nm":1.0}'],
+     "profile_a.center_thz"),
+])
+def test_centre_whose_wavelength_squared_overflows_quotes_its_own_value(args, key, tmp_path,
+                                                                        capsys):
+    # the message quoted the converted wavelength, "the centre wavelength
+    # inf nm squared leaves the float range"
+    rc = cli.main(args + ["--grid", "3", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error: config field '{key}': 5e-324 puts the centre wavelength squared "
+        "outside the float range, so fwhm_nm cannot be converted\n")
+    assert not (tmp_path / "x.csv").exists()
+
 def test_config_file_with_too_long_integer_exits_2(tmp_path, capsys):
     # past Python's 4,300-digit int-to-str limit json.load raises a bare
     # ValueError, which exited 2 as "config error: ValueError('Exceeds ...')"
@@ -824,11 +841,11 @@ def test_narrowband_lorentzian_dip_is_exact(tmp_path):
     b = cfgmod.parse_profile(profile_b, "profile_b")
     taus = np.linspace(-300.0, 300.0, 21)
     cos_theta = [lorentzian_overlap_by_residues(a, b.delayed(float(t))) for t in taus]
+    pols_b = [pol.rotate(pol.H, phi) for phi in (0.0, 0.25 * math.pi, 0.5 * math.pi)]
     expected = []
     for m, n in [(1, 1), (2, 2), (3, 3)]:
-        for phi in [0.0, 0.25 * math.pi, 0.5 * math.pi]:
-            pair = fock.FockPair(m, n, pol.H, pol.rotate(pol.H, phi), a, b)
-            expected += [p for _, p in fock.dip_curve(pair, taus, cos_theta=cos_theta)]
+        expected += fock.dip_blocks(m, n, pol.H, pols_b, fock.IDEAL_APPARATUS,
+                                    cos_theta).ravel().tolist()
     printed = [float(ln.split(",")[1]) for ln in data_rows(text)]
     assert len(printed) == len(expected)
     assert all(0.0 <= p <= 1.0 for p in printed)

@@ -83,12 +83,19 @@ def test_bunching_log_domain_consistency():
 # one-sided exits and coincidence
 # ---------------------------------------------------------------------------
 
+def p_all_one_side(m, n, c, bs):
+    """(P all m+n photons exit toward detector A, same toward B):
+    T^m R^n P_bunch and T^n R^m P_bunch."""
+    w_a, w_b, p = fock._one_side(m, n, c, bs)
+    return w_a * p, w_b * p
+
+
 def test_p_all_one_side_values():
-    pa, pb = fock.p_all_one_side(pair_with_overlap(1, 1, 1.0), BALANCED)
+    pa, pb = p_all_one_side(1, 1, 1.0, BALANCED)
     assert (pa, pb) == (pytest.approx(0.5), pytest.approx(0.5))
-    pa, pb = fock.p_all_one_side(pair_with_overlap(2, 1, 1.0), BALANCED)
+    pa, pb = p_all_one_side(2, 1, 1.0, BALANCED)
     assert (pa, pb) == (pytest.approx(3 / 8), pytest.approx(3 / 8))
-    pa, pb = fock.p_all_one_side(pair_with_overlap(1, 1, 0.0), BALANCED)
+    pa, pb = p_all_one_side(1, 1, 0.0, BALANCED)
     assert (pa, pb) == (pytest.approx(1 / 4), pytest.approx(1 / 4))
     assert pa + pb <= 1.0
 
@@ -190,10 +197,17 @@ def test_formula_matches_oracle_with_spectra_and_delay():
 # dip curves and visibility
 # ---------------------------------------------------------------------------
 
+def dip(m, n, pol_b, taus):
+    """One HOM dip of m photons in H against n in ``pol_b``, arm B delayed
+    by each tau: the one-row :func:`fock.dip_blocks` call."""
+    cos_theta = spc.overlaps(GAUSS, GAUSS.delayed(np.asarray(taus, float)))
+    row, = fock.dip_blocks(m, n, pol.H, [pol_b], fock.IDEAL_APPARATUS, cos_theta)
+    return dict(zip(taus, row.tolist()))
+
+
 def test_dip_curve_matched_single_photons():
-    pair = fock.FockPair(1, 1, pol.H, pol.H, GAUSS, GAUSS)
     taus = [-6.0, -3.6, -2.4, -1.2, 0.0, 1.2, 2.4, 3.6, 6.0]
-    curve = dict(fock.dip_curve(pair, taus))
+    curve = dip(1, 1, pol.H, taus)
     assert curve[0.0] < 1e-9
     assert curve[6.0] == pytest.approx(0.5, abs=1e-9)
     assert curve[-6.0] == pytest.approx(0.5, abs=1e-9)
@@ -202,43 +216,14 @@ def test_dip_curve_matched_single_photons():
 
 
 def test_dip_curve_orthogonal_polarization_is_flat():
-    pair = fock.FockPair(1, 1, pol.H, pol.V, GAUSS, GAUSS)
-    for _, p in fock.dip_curve(pair, np.linspace(-3, 3, 11)):
+    for p in dip(1, 1, pol.V, np.linspace(-3, 3, 11).tolist()).values():
         assert p == pytest.approx(0.5, abs=1e-9)
 
 
 def test_dip_curve_two_photon_endpoints():
-    pair = fock.FockPair(2, 2, pol.H, pol.H, GAUSS, GAUSS)
-    curve = dict(fock.dip_curve(pair, [0.0, 8.0]))
+    curve = dip(2, 2, pol.H, [0.0, 8.0])
     assert curve[0.0] == pytest.approx(0.25, abs=1e-9)
     assert curve[8.0] == pytest.approx(7 / 8, abs=1e-9)
-
-
-def test_dip_curve_shared_cos_theta_matches_per_block_scan(monkeypatch):
-    # one overlap scan shared by every (m, n, Phi) block gives exactly the
-    # numbers of each block scanning its own overlaps, one overlaps() call
-    # on arm B's family of delays per scan
-    a = spc.SpectralProfile(spc.Shape.SECH, CENTER, 0.8 * math.pi)
-    b = spc.SpectralProfile(spc.Shape.SINC, CENTER + 1.2, 2.5)
-    app = fock.Apparatus(BALANCED, pol.Detector(0.9, 0.8), pol.Detector(0.85, 0.95))
-    taus = np.linspace(-4.0, 4.0, 17)
-    cos_theta = spc.overlaps(a, b.delayed(taus))
-    real_overlaps = spc.overlaps
-    for (m, n), phi in itertools.product([(1, 1), (2, 2), (3, 3)],
-                                         [0.0, 0.25 * math.pi, 0.5 * math.pi]):
-        pair = fock.FockPair(m, n, pol.H, pol.rotate(pol.H, phi), a, b)
-        calls = []
-        monkeypatch.setattr(spc, "overlaps",
-                            lambda a, b: calls.append(b) or real_overlaps(a, b))
-        assert (fock.dip_curve(pair, taus, app, cos_theta)
-                == fock.dip_curve(pair, taus, app))
-        assert [b.delay.tolist() for b in calls] == [taus.tolist()]
-
-
-def test_dip_curve_rejects_mismatched_cos_theta():
-    pair = fock.FockPair(1, 1, pol.H, pol.H, GAUSS, GAUSS)
-    with pytest.raises(ValueError):
-        fock.dip_curve(pair, [0.0, 1.0], cos_theta=[1.0])
 
 
 def test_mode_overlap_is_shared_by_fock_and_coherent_pairs():
@@ -253,10 +238,10 @@ def test_mode_overlap_is_shared_by_fock_and_coherent_pairs():
 
 
 def test_visibility_values():
-    pair = fock.FockPair(1, 1, pol.H, pol.H, GAUSS, GAUSS)
-    assert fock.visibility(pair) == pytest.approx(1.0, abs=1e-12)
-    pair22 = fock.FockPair(2, 2, pol.H, pol.H, GAUSS, GAUSS)
-    assert fock.visibility(pair22) == pytest.approx(5 / 7, rel=1e-12)
+    c = fock.FockPair(1, 1, pol.H, pol.H, GAUSS, GAUSS).mode_overlap()
+    assert fock.visibility_from_c(1, 1, c, fock.IDEAL_APPARATUS) == pytest.approx(1.0, abs=1e-12)
+    assert fock.visibility_from_c(2, 2, c, fock.IDEAL_APPARATUS) == pytest.approx(5 / 7,
+                                                                                  rel=1e-12)
 
 
 def test_visibility_gaussian_vs_sinc_pairing():
@@ -268,8 +253,8 @@ def test_visibility_gaussian_vs_sinc_pairing():
     _, c_best = max_overlap_width(prof_a, spc.Shape.SINC)
     assert c_best**2 == pytest.approx(0.89, abs=0.02)
     prof_b = spc.SpectralProfile.from_fwhm("sinc", CENTER, fw)
-    pair = fock.FockPair(1, 1, pol.H, pol.H, prof_a, prof_b)
-    assert fock.visibility(pair) == pytest.approx(0.87, abs=0.03)
+    c = fock.FockPair(1, 1, pol.H, pol.H, prof_a, prof_b).mode_overlap()
+    assert fock.visibility_from_c(1, 1, c, fock.IDEAL_APPARATUS) == pytest.approx(0.87, abs=0.03)
 
 
 def test_visibility_undefined_for_dead_detectors():
@@ -456,7 +441,7 @@ def test_large_photon_coincidence_matches_mpmath(m, c, t):
     got = fock.coincidence(pair_with_overlap(m, m, c), fock.Apparatus(bs))
     assert math.isfinite(got)
     assert got == pytest.approx(_coincidence_reference(m, m, c, t, 1.0 - t), abs=1e-12)
-    pa, pb = fock.p_all_one_side(pair_with_overlap(m, m, c), bs)
+    pa, pb = p_all_one_side(m, m, pair_with_overlap(m, m, c).mode_overlap(), bs)
     assert 1.0 - (pa + pb) == pytest.approx(got, abs=1e-15)
 
 

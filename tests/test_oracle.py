@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim import fock
 from homsim import oracle
@@ -105,3 +107,102 @@ def test_oracle_with_polarization_dependent_detectors():
     # (H at a, V at b) and (V at a, H at b) each with probability 1/4
     expected += 0.25 * (0.9 * 0.3) * 2
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# an independent expansion in the detectors' H/V basis
+# ---------------------------------------------------------------------------
+
+def _compositions(total, parts):
+    """Every tuple of ``parts`` non-negative integers that sum to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for k in range(total + 1):
+        for rest in _compositions(total - k, parts - 1):
+            yield (k,) + rest
+
+
+def _multinomial_terms(photons, u):
+    """(u . a^dagger)^photons / photons! as {occupations: coefficient}: the
+    multinomial expansion, one term per way to place the photons in the
+    modes where ``u`` is non-zero."""
+    support = [mu for mu, x in enumerate(u) if x != 0]
+    terms = {}
+    for ks in _compositions(photons, len(support)) if support else ():
+        occ = [0] * len(u)
+        coeff = 1.0 + 0.0j
+        for mu, k in zip(support, ks):
+            occ[mu] = k
+            coeff *= u[mu] ** k / math.factorial(k)
+        terms[tuple(occ)] = coeff
+    return terms
+
+
+def hv_coincidence(pair, bs, det_a, det_b):
+    """P(both detectors click), expanded in the detectors' own basis.
+
+    The eight output modes are port x (H, V) x (spec_a, spec_a_perp), in
+    that nesting.  The input (u_A . a^dagger)^m (u_B . a^dagger)^n |0> /
+    sqrt(m! n!) gives the output pattern N the amplitude sqrt(m! n! prod N!)
+    times the sum, over the splits N = k_A + k_B, of the two arms'
+    multinomial terms prod u^k / k!.  H and V are the detectors' eigenmodes,
+    so a detector stays dark with probability prod (1 - eta_H)^N_H
+    (1 - eta_V)^N_V over its port's modes.  The splitter is the symmetric
+    (t, i r; i r, t), which gives the same photon statistics as any other
+    phase convention.
+    """
+    t, r = math.sqrt(bs.transmissivity), math.sqrt(bs.reflectivity)
+    cs = (spc.overlap(pair.spec_a, pair.spec_b).value
+          if pair.spec_a is not None and pair.spec_b is not None else 1.0)
+    ss = math.sqrt(max(0.0, 1.0 - abs(cs) ** 2))
+    u_a = np.kron(np.kron([t, 1j * r], [pair.pol_a.h, pair.pol_a.v]), [1.0, 0.0])
+    u_b = np.kron(np.kron([1j * r, t], [pair.pol_b.h, pair.pol_b.v]), [cs, ss])
+    amps = {}
+    for occ_a, c_a in _multinomial_terms(pair.m, u_a).items():
+        for occ_b, c_b in _multinomial_terms(pair.n, u_b).items():
+            occ = tuple(x + y for x, y in zip(occ_a, occ_b))
+            amps[occ] = amps.get(occ, 0.0) + c_a * c_b
+    total = 0.0
+    for occ, amp in amps.items():
+        weight = abs(amp) ** 2 * math.prod(math.factorial(k) for k in occ)
+        dark = [math.prod((1.0 - eta) ** k for eta, k in
+                          zip((d.eta_h, d.eta_h, d.eta_v, d.eta_v), occ[4 * port:4 * port + 4]))
+                for port, d in enumerate((det_a, det_b))]
+        total += weight * (1.0 - dark[0]) * (1.0 - dark[1])
+    return total * math.factorial(pair.m) * math.factorial(pair.n)
+
+
+def _random_polarization(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return pol.PolarizationVector(complex(v[0]), complex(v[1]))
+
+
+_polarizations = st.one_of(st.sampled_from([pol.H, pol.V, pol.D, pol.A]),
+                           st.builds(_random_polarization, st.integers(0, 10_000)))
+_detectors = st.builds(pol.Detector, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+_SPECTRA = [(None, None),
+            (spc.SpectralProfile(spc.Shape.GAUSSIAN, CENTER, 0.5),
+             spc.SpectralProfile(spc.Shape.SECH, CENTER + 0.4, 0.3, delay=0.2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(int(m == 0), 8 - m))),
+       _polarizations, _polarizations, st.floats(0.0, 1.0), _detectors, _detectors,
+       st.sampled_from(_SPECTRA))
+def test_oracle_matches_hv_basis_expansion(mn, pol_a, pol_b, t, det_a, det_b, spectra):
+    pair = fock.FockPair(*mn, pol_a, pol_b, *spectra)
+    bs = fock.BeamSplitter(t, 1.0 - t)
+    got = oracle.oracle_coincidence(pair, bs, det_a, det_b)
+    assert abs(got - hv_coincidence(pair, bs, det_a, det_b)) <= 1e-14
+
+
+@pytest.mark.parametrize("det, exact", [(pol.Detector(1.0, 0.0), 0.0),
+                                        (pol.Detector(0.9, 0.6), 0.27)])
+def test_oracle_counts_diagonal_photons_in_the_detectors_basis(det, exact):
+    # one D and one A photon never interfere, and leave as |2H> or |2V>
+    # with the |HV> terms cancelled; the D/A basis read 0.125 and 0.28125
+    got = oracle.oracle_coincidence(fock.FockPair(1, 1, pol.D, pol.A), BALANCED, det, det)
+    assert got == pytest.approx(exact, abs=1e-15)

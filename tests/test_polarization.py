@@ -23,9 +23,15 @@ _PAULIS = [np.array(m, dtype=complex)
            for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
 
 
-def bloch_vector(rho: pol.PolarizationDensity) -> np.ndarray:
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """(x, y, z) Bloch components of a 2x2 density matrix."""
-    return np.array([np.trace(m @ rho.rho).real for m in _PAULIS])
+    return np.array([np.trace(m @ rho).real for m in _PAULIS])
+
+
+def density(w: float, state: pol.PolarizationVector) -> np.ndarray:
+    """The matrix w |s><s| + (1 - w) |s_perp><s_perp| of weight w on s."""
+    s = np.array([state.h, state.v], dtype=complex)
+    return (1.0 - w) * np.eye(2) + (2.0 * w - 1.0) * np.outer(s, s.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -113,61 +119,49 @@ def pauli_depolarize(rho: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * rho + (p / 3.0) * sum(s @ rho @ s for s in _PAULIS)
 
 
-def random_matrix(seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
+def random_weighted(seed: int) -> tuple[float, pol.PolarizationVector]:
+    """A random weight on a random pure state."""
+    return float(np.random.default_rng(seed).random()), random_vector(seed)
 
 
-def random_density(seed: int) -> pol.PolarizationDensity:
-    return pol.PolarizationDensity.from_matrix(random_matrix(seed))
-
-
-def bloch_matrix(seed: int, length: float) -> np.ndarray:
-    """(I + r.sigma)/2 with |r| = length in a random direction."""
-    n = np.random.default_rng(seed).normal(size=3)
-    r = length * n / np.linalg.norm(n)
-    return 0.5 * (np.eye(2) + sum(c * s for c, s in zip(r, _PAULIS)))
-
-
-# random Wishart densities, and Bloch lengths out to the pure and the
-# maximally mixed edge
-density_matrices = st.one_of(
-    st.builds(random_matrix, st.integers(0, 10_000)),
-    st.builds(bloch_matrix, st.integers(0, 10_000),
-              st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]))))
+# random weights on random states, out to the pure and the maximally
+# mixed edge
+weighted_states = st.tuples(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 0.5 + 1e-12, 1.0 - 1e-12, 1.0])),
+    st.one_of(st.sampled_from([pol.H, pol.V, pol.D, pol.A]), unit_vectors))
 
 
 def test_depolarize_identity_at_zero():
-    rho = random_density(1)
-    assert np.allclose(pol.depolarize(rho, 0.0).rho, rho.rho, atol=1e-15)
+    w, s = random_weighted(1)
+    assert np.allclose(density(pol.depolarize(w, 0.0), s), density(w, s), atol=1e-15)
 
 
 def test_depolarize_fixed_point():
     for seed in range(4):
-        out = pol.depolarize(random_density(seed), 0.75)
-        assert np.allclose(out.rho, np.eye(2) / 2, atol=1e-12)
+        w, s = random_weighted(seed)
+        assert np.allclose(density(pol.depolarize(w, 0.75), s), np.eye(2) / 2, atol=1e-12)
 
 
 def test_depolarize_full_strength_on_h():
-    out = pol.depolarize(pol.H.density(), 1.0)
-    assert np.allclose(np.diag(out.rho).real, [1 / 3, 2 / 3], atol=1e-14)
+    out = density(pol.depolarize(1.0, 1.0), pol.H)
+    assert np.allclose(np.diag(out).real, [1 / 3, 2 / 3], atol=1e-14)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.4, 0.75, 1.0])
 def test_depolarize_preserves_density_invariants(p):
     for seed in range(6):
-        out = pol.depolarize(random_density(seed), p)  # validates in ctor
-        assert abs(np.trace(out.rho).real - 1.0) < 1e-12
-        assert np.linalg.eigvalsh(out.rho).min() > -1e-12
+        w, s = random_weighted(seed)
+        out = pol.depolarize(w, p)
+        assert 0.0 <= out <= 1.0
+        assert abs(np.trace(density(out, s)).real - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(density(out, s)).min() > -1e-12
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.6, 1.0])
 def test_depolarize_contracts_bloch_vector(p):
-    rho = random_density(11)
-    before = bloch_vector(rho)
-    after = bloch_vector(pol.depolarize(rho, p))
+    w, s = random_weighted(11)
+    before = bloch_vector(density(w, s))
+    after = bloch_vector(density(pol.depolarize(w, p), s))
     assert np.allclose(after, (1 - 4 * p / 3) * before, atol=1e-12)
 
 
@@ -175,13 +169,8 @@ def test_depolarize_contracts_bloch_vector(p):
 # branches: weight w on the state, 1 - w on its orthogonal
 # ---------------------------------------------------------------------------
 
-def branches(rho: pol.PolarizationDensity) -> list:
-    return [(rho.w, rho.state), (1.0 - rho.w, pol.orthogonal(rho.state))]
-
-
-def test_eigendecompose_maximally_mixed_uses_hv():
-    rho = pol.PolarizationDensity.from_matrix(np.eye(2) / 2)
-    assert branches(rho) == [(0.5, pol.H), (0.5, pol.V)]
+def branches(w: float, state: pol.PolarizationVector) -> list:
+    return [(w, state), (1.0 - w, pol.orthogonal(state))]
 
 
 @pytest.mark.parametrize("psi", [pol.D, pol.rotate(pol.H, 0.3),
@@ -189,52 +178,36 @@ def test_eigendecompose_maximally_mixed_uses_hv():
 def test_fully_depolarized_state_splits_in_its_input_basis(psi):
     # I/2 has no eigenbasis of its own: a depolarized pure state keeps
     # its input's frame, (1 - 2p/3, psi) and (2p/3, psi_perp), at p = 3/4
-    (w0, v0), (w1, v1) = branches(pol.depolarize(psi.density(), 0.75))
+    (w0, v0), (w1, v1) = branches(pol.depolarize(1.0, 0.75), psi)
     assert (v0, v1) == (psi, pol.orthogonal(psi))
     assert w0 == pytest.approx(0.5, abs=1e-15) and w1 == pytest.approx(0.5, abs=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
-@given(density_matrices)
-def test_from_matrix_gives_orthonormal_descending_branches(matrix):
-    rho = pol.PolarizationDensity.from_matrix(matrix)
-    (w0, v0), (w1, v1) = branches(rho)
-    assert 0.0 <= w1 <= w0 <= 1.0 and w0 + w1 == 1.0
-    vs = np.array([v0.as_array(), v1.as_array()])
-    assert np.abs(vs.conj() @ vs.T - np.eye(2)).max() <= 1e-15
-    acc = sum(w * np.outer(v.as_array(), v.as_array().conj()) for w, v in branches(rho))
-    assert np.abs(acc - matrix).max() <= 1e-14
-    assert np.abs(rho.rho - matrix).max() <= 1e-14
-
-
-@settings(max_examples=200, deadline=None)
-@given(density_matrices, st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.75, 1.0])))
-def test_depolarize_matches_pauli_sum(matrix, p):
-    rho = pol.PolarizationDensity.from_matrix(matrix)
-    got = pol.depolarize(rho, p).rho
-    assert np.abs(got - pauli_depolarize(rho.rho, p)).max() <= 1e-15
+@given(weighted_states, st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.75, 1.0])))
+def test_depolarize_matches_pauli_sum(weighted, p):
+    w, s = weighted
+    got = density(pol.depolarize(w, p), s)
+    assert np.abs(got - pauli_depolarize(density(w, s), p)).max() <= 1e-15
 
 
 def test_eigendecompose_reconstructs():
     for seed in range(8):
-        rho = random_density(seed)
+        w, s = random_weighted(seed)
         acc = np.zeros((2, 2), dtype=complex)
-        for w, v in branches(rho):
-            vec = v.as_array()
-            acc += w * np.outer(vec, vec.conj())
-        assert np.allclose(acc, rho.rho, atol=1e-10)
-        ws = [w for w, _ in branches(rho)]
-        assert sum(ws) == pytest.approx(1.0, abs=1e-12)
-        vs = [v.as_array() for _, v in branches(rho)]
+        for wv, v in branches(w, s):
+            vec = np.array([v.h, v.v], dtype=complex)
+            acc += wv * np.outer(vec, vec.conj())
+        assert np.allclose(acc, density(w, s), atol=1e-10)
+        assert sum(wv for wv, _ in branches(w, s)) == pytest.approx(1.0, abs=1e-12)
+        vs = [np.array([v.h, v.v], dtype=complex) for _, v in branches(w, s)]
         assert abs(np.vdot(vs[0], vs[1])) < 1e-10
 
 
 def test_density_validation():
     with pytest.raises(ValueError):
-        pol.PolarizationDensity.from_matrix(np.array([[0.5, 0.5], [0.4, 0.5]]))
+        pol.depolarize(0.5, 1.5)
     with pytest.raises(ValueError):
-        pol.PolarizationDensity.from_matrix(np.eye(2))
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        pol.PolarizationDensity.from_matrix(np.diag([1.1, -0.1]))
+        pol.depolarize(0.5, -0.1)
     with pytest.raises(ValueError):
         pol.PolarizationVector(1.0, 1.0)

@@ -16,6 +16,7 @@ from homsim import polarization as pol
 from homsim import spectral as spc
 from homsim import sweeps
 from homsim.quadrature import IntegrationError
+from spectral_amplitude import amplitude
 
 CENTER = 2 * math.pi * 193.55  # telecom C-band, rad/ps
 
@@ -61,14 +62,14 @@ def test_gaussian_peak_amplitude():
     sigma = 0.4
     p = profile("gaussian", sigma)
     expected = (1.0 / (sigma * math.sqrt(2 * math.pi))) ** 0.5
-    assert spc.amplitude(p, CENTER) == pytest.approx(expected, rel=1e-14)
+    assert amplitude(p, CENTER) == pytest.approx(expected, rel=1e-14)
 
 
 def test_delay_phase_at_center():
     tau = 0.73
     for shape in SHAPES:
         p = profile(shape, 0.5, delay=tau)
-        val = spc.amplitude(p, CENTER)
+        val = amplitude(p, CENTER)
         assert cmath.phase(val) == pytest.approx(
             math.remainder(CENTER * tau, 2 * math.pi), abs=1e-10)
 
@@ -78,8 +79,8 @@ def test_delay_leaves_modulus_unchanged():
     for shape in SHAPES:
         p0 = profile(shape, 0.5)
         p1 = profile(shape, 0.5, delay=1.3)
-        assert np.allclose(np.abs(spc.amplitude(p0, omegas)),
-                           np.abs(spc.amplitude(p1, omegas)), atol=1e-14)
+        assert np.allclose(np.abs(amplitude(p0, omegas)),
+                           np.abs(amplitude(p1, omegas)), atol=1e-14)
 
 
 def test_lorentzian_line_half_width():
@@ -87,10 +88,10 @@ def test_lorentzian_line_half_width():
     # to half its peak at w0 +- gamma/2 (so |phi|^2 falls to a quarter)
     gamma = 0.8
     p = profile("lorentzian", gamma)
-    peak = abs(spc.amplitude(p, CENTER))
-    side = abs(spc.amplitude(p, CENTER + gamma / 2))
+    peak = abs(amplitude(p, CENTER))
+    side = abs(amplitude(p, CENTER + gamma / 2))
     assert side == pytest.approx(peak / 2, rel=1e-12)
-    half_int = abs(spc.amplitude(p, CENTER + spc.fwhm(p) * math.sqrt(math.sqrt(2) - 1) / 2))
+    half_int = abs(amplitude(p, CENTER + spc.fwhm(p) * math.sqrt(math.sqrt(2) - 1) / 2))
     assert half_int**2 == pytest.approx(peak**2 / 2, rel=1e-9)
 
 
@@ -144,7 +145,7 @@ def test_frequency_domain_normalization(shape):
     win = (p.center - r, p.center + r)
 
     def f(w):
-        return abs(spc.amplitude(p, w)) ** 2
+        return abs(amplitude(p, w)) ** 2
 
     seeds = list(np.linspace(win[0], win[1], 9)) + [p.center - 0.4, p.center,
                                                     p.center + 0.4]
@@ -167,7 +168,7 @@ def test_amplitude_is_fourier_transform_of_envelope(shape):
         # rel_tol times the O(1) real part
         val = quad_integral(f, [-radius, -radius / 3, 0.0, radius / 3, radius],
                             rel_tol=1e-12, abs_tol=1e-12) / math.sqrt(2 * math.pi)
-        assert val == pytest.approx(spc.amplitude(p, p.center + dw), abs=1e-9)
+        assert val == pytest.approx(amplitude(p, p.center + dw), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,7 @@ def test_gaussian_closed_form_matches_quadrature():
     closed = spc.overlap(a, b).value
 
     def f(w):
-        return np.conj(spc.amplitude(a, w)) * spc.amplitude(b, w)
+        return np.conj(amplitude(a, w)) * amplitude(b, w)
 
     lo = CENTER - 14.0
     hi = CENTER + 14.0
@@ -948,8 +949,8 @@ def test_fwhm_is_actual_half_max_point():
     for shape in ("gaussian", "sinc", "sech"):
         p = profile(shape, 0.61)
         half = spc.fwhm(p) / 2
-        peak = abs(spc.amplitude(p, p.center)) ** 2
-        at_half = abs(spc.amplitude(p, p.center + half)) ** 2
+        peak = abs(amplitude(p, p.center)) ** 2
+        at_half = abs(amplitude(p, p.center + half)) ** 2
         assert at_half == pytest.approx(peak / 2, rel=1e-9)
 
 
