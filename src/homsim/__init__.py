@@ -27,7 +27,6 @@ from .protocols import ErrorBudget, KeyRateInputs, MdiScenario, \
     classifier_coincidence, fusion_fidelity, key_rate_bound, \
     mdi_outcome_table, noon_signal, spectral_error, total_error
 from .quadrature import IntegrationError
-from .spectral import OverlapResult, Shape, SpectralProfile, fwhm, overlap, \
-    wavelength_width_to_frequency
+from .spectral import Shape, SpectralProfile, fwhm, overlap, wavelength_width_to_frequency
 
 __version__ = "0.1.0"

@@ -332,6 +332,13 @@ def cmd_coherent(cfg: dict, out: str | None) -> None:
                       lambda cs: coh.visibility_from_params(pair, app, cs), pol_b,
                       "profile_a")
     else:
+        # the curve is the ideal, balanced closed form
+        for key, part, ideal in (("detector_a", app.det_a, pol.IDEAL_DETECTOR),
+                                 ("detector_b", app.det_b, pol.IDEAL_DETECTOR),
+                                 ("beam_splitter", app.bs, fock.BeamSplitter.balanced())):
+            if part != ideal:
+                raise ConfigError(f"config field '{key}': mode=curve takes ideal detectors "
+                                  "and a balanced beam splitter")
         mus = _linspace(cfg, "mu_curve", nonnegative=True)
         phi = cfgmod.parse_real(cfg, "phi")
         _emit_csv("coherent", cfg, out, "mu,visibility",

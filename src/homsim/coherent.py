@@ -27,9 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import polarization as pol
-from . import spectral as spc
-from .fock import (Apparatus, BeamSplitter, IDEAL_APPARATUS, _cos_theta,
-                   dip_visibility, mode_overlap)
+from .fock import Apparatus, BeamSplitter, IDEAL_APPARATUS, dip_visibility, mode_overlap
 
 __all__ = [
     "CoherentPair", "bessel_i0", "bessel_i0e", "total_coincidence",
@@ -50,15 +48,13 @@ class CoherentPair:
     mu_b: float
     pol_a: pol.PolarizationVector = pol.H
     pol_b: pol.PolarizationVector = pol.H
-    spec_a: spc.SpectralProfile | None = None
-    spec_b: spc.SpectralProfile | None = None
 
     def __post_init__(self):
         if self.mu_a < 0 or self.mu_b < 0:
             raise ValueError("mean photon numbers must be non-negative")
 
     def mode_overlap(self) -> float:
-        return mode_overlap(self.pol_a, self.pol_b, _cos_theta(self.spec_a, self.spec_b))
+        return mode_overlap(self.pol_a, self.pol_b)
 
 
 def bessel_i0(x: float) -> float:

@@ -74,14 +74,6 @@ def mode_overlap(pol_a: pol.PolarizationVector, pol_b: pol.PolarizationVector,
     return pol.cos_phi(pol_a, pol_b) * cos_theta
 
 
-def _cos_theta(spec_a: spc.SpectralProfile | None,
-               spec_b: spc.SpectralProfile | None) -> float:
-    """cos(Theta) of a pair's spectra; 1 when either arm has none."""
-    if spec_a is None or spec_b is None:
-        return 1.0
-    return spc.overlap(spec_a, spec_b).magnitude
-
-
 @dataclass(frozen=True)
 class FockPair:
     """Photon-number inputs for the two arms with their mode labels."""
@@ -98,7 +90,10 @@ class FockPair:
             raise ValueError("photon numbers must be non-negative")
 
     def mode_overlap(self) -> float:
-        return mode_overlap(self.pol_a, self.pol_b, _cos_theta(self.spec_a, self.spec_b))
+        """c of the pair; cos(Theta) is 1 when either arm has no spectrum."""
+        if self.spec_a is None or self.spec_b is None:
+            return mode_overlap(self.pol_a, self.pol_b)
+        return mode_overlap(self.pol_a, self.pol_b, spc.overlap(self.spec_a, self.spec_b))
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def _exchange_integral(scenario: SwapScenario):
     """The real double integral II K_ABCD K_CDAB dw_A dw_D in [0, 1]."""
     ab, cd = scenario.jsa_ab, scenario.jsa_cd
     if isinstance(ab, SeparableJSA) and isinstance(cd, SeparableJSA):
-        return spc.overlap(ab.spec_second, cd.spec_first).magnitude ** 2
+        return spc.overlap(ab.spec_second, cd.spec_first) ** 2
     if isinstance(ab, SeparableJSA):
         x = _separable_gaussian_exchange(ab.spec_second, cd, first=True)
     elif isinstance(cd, SeparableJSA):

@@ -3,7 +3,9 @@
 The two input wavepackets are expanded over four orthonormal single-photon
 modes per output port: the detectors' H and V polarizations times
 Gram-Schmidt of the two spectral profiles.  Arm A's creation operator only
-touches the two spec_parallel modes; arm B's spreads over all four.
+touches the two spec_parallel modes; arm B's spreads over all four, with
+spectral components cos(Theta) and sin(Theta) (the overlap's phase is a
+global phase of arm B's photons, which changes no probability).
 Pushing the beam-splitter map through (t a + r b, r a - t b) and expanding
 the resulting operator polynomial exactly gives the full output
 photon-number distribution.  H and V are the detectors' eigenmodes, so a
@@ -21,22 +23,10 @@ from . import polarization as pol
 from . import spectral as spc
 from .fock import BeamSplitter, FockPair
 
-__all__ = ["ModeDecomposition", "OutputDistribution", "decompose_modes",
-           "expand", "coincidence_from_distribution", "oracle_coincidence"]
+__all__ = ["OutputDistribution", "expand", "coincidence_from_distribution",
+           "oracle_coincidence"]
 
 _MAX_PHOTONS = 12
-
-
-@dataclass(frozen=True)
-class ModeDecomposition:
-    """Component of mode B along mode A (c_parallel) and orthogonal rest."""
-
-    c_parallel: complex
-    c_perp: float
-
-    def __post_init__(self):
-        if abs(abs(self.c_parallel) ** 2 + self.c_perp**2 - 1.0) > 1e-10:
-            raise ValueError("mode decomposition is not normalized")
 
 
 @dataclass(frozen=True)
@@ -51,25 +41,6 @@ class OutputDistribution:
 
     def total(self) -> float:
         return math.fsum(self.probs.values())
-
-
-def decompose_modes(pair: FockPair) -> tuple[ModeDecomposition, ModeDecomposition,
-                                             tuple[pol.PolarizationVector,
-                                                   pol.PolarizationVector]]:
-    """Gram-Schmidt of B's polarization and spectrum against A's, with the
-    polarization basis it implies; :func:`expand` takes the spectral part and
-    keeps the polarizations in the detectors' H/V basis."""
-    cp = (pair.pol_a.h.conjugate() * pair.pol_b.h
-          + pair.pol_a.v.conjugate() * pair.pol_b.v)
-    sp = math.sqrt(max(0.0, 1.0 - abs(cp) ** 2))
-    if pair.spec_a is not None and pair.spec_b is not None:
-        cs = spc.overlap(pair.spec_a, pair.spec_b).value
-    else:
-        cs = 1.0 + 0.0j
-    ss = math.sqrt(max(0.0, 1.0 - abs(cs) ** 2))
-    basis = (pair.pol_a, pol.orthogonal(pair.pol_a))
-    return (ModeDecomposition(complex(cp), sp), ModeDecomposition(complex(cs), ss),
-            basis)
 
 
 def _poly_multiply(poly: dict[tuple[int, ...], complex],
@@ -92,15 +63,18 @@ def expand(pair: FockPair, bs: BeamSplitter) -> OutputDistribution:
     m, n = pair.m, pair.n
     if m + n > _MAX_PHOTONS:
         raise ValueError(f"oracle limited to m + n <= {_MAX_PHOTONS}")
-    _, spec_d, _ = decompose_modes(pair)
+    if pair.spec_a is not None and pair.spec_b is not None:
+        cos = spc.overlap(pair.spec_a, pair.spec_b)
+    else:
+        cos = 1.0
+    sin = math.sqrt(max(0.0, 1.0 - cos * cos))
     t = math.sqrt(bs.transmissivity)
     r = math.sqrt(bs.reflectivity)
 
     # variable order: a-port modes 0..3, b-port modes 4..7, mode index
     # mu = 2*(0 for H, 1 for V) + (spec component)
     alpha = [pair.pol_a.h, 0.0, pair.pol_a.v, 0.0]
-    beta = [pair.pol_b.h * spec_d.c_parallel, pair.pol_b.h * spec_d.c_perp,
-            pair.pol_b.v * spec_d.c_parallel, pair.pol_b.v * spec_d.c_perp]
+    beta = [pair.pol_b.h * cos, pair.pol_b.h * sin, pair.pol_b.v * cos, pair.pol_b.v * sin]
     a_form = [(mu, t * alpha[mu]) for mu in range(4)]
     a_form += [(4 + mu, r * alpha[mu]) for mu in range(4)]
     b_form = [(mu, r * beta[mu]) for mu in range(4)]

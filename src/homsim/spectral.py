@@ -55,7 +55,7 @@ import numpy as np
 from .quadrature import IntegrationError
 
 __all__ = [
-    "Shape", "SpectralProfile", "OverlapResult",
+    "Shape", "SpectralProfile",
     "overlap", "overlaps", "fwhm",
     "wavelength_width_to_frequency",
     "SPEED_OF_LIGHT_NM_PS",
@@ -146,15 +146,6 @@ def _positive(x) -> bool:
     return np.greater(x, 0.0).all() if isinstance(x, np.ndarray) else x > 0
 
 
-@dataclass(frozen=True)
-class OverlapResult:
-    """Spectral overlap integral with its mismatch angle."""
-
-    value: complex
-    magnitude: float
-    theta: float
-
-
 def wavelength_width_to_frequency(center_nm: float, width_nm: float) -> float:
     """Convert a wavelength bandwidth to an angular-frequency bandwidth.
 
@@ -188,14 +179,12 @@ def _envelope_norm(shape: Shape, w):
 # overlap
 # ---------------------------------------------------------------------------
 
-def overlap(a: SpectralProfile, b: SpectralProfile) -> OverlapResult:
-    """Overlap integral int phi_a*(omega) phi_b(omega) d omega.
+def overlap(a: SpectralProfile, b: SpectralProfile) -> float:
+    """cos(Theta) = |int phi_a*(omega) phi_b(omega) d omega| in [0, 1].
 
-    The 0-d case of :func:`overlaps`, with the same bits and the complex
-    value kept: the magnitude is cos(Theta) in [0, 1], ``theta`` its angle.
+    The 0-d case of :func:`overlaps`, with the same bits.
     """
-    value, mag = _checked_overlaps(a, b)
-    return OverlapResult(value=complex(value), magnitude=float(mag), theta=math.acos(mag))
+    return float(_checked_overlaps(a, b))
 
 
 def overlaps(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
@@ -206,12 +195,12 @@ def overlaps(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
     bit.  The first point in C order that fails the Cauchy-Schwarz check
     raises an :class:`IntegrationError` naming it.
     """
-    return _checked_overlaps(a, b)[1]
+    return _checked_overlaps(a, b)
 
 
-def _checked_overlaps(a: SpectralProfile, b: SpectralProfile) -> tuple:
-    """(complex overlaps, cos(Theta) = |value| clamped to 1 within the
-    Cauchy-Schwarz slack).  The kernels and the check run without numpy's
+def _checked_overlaps(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
+    """cos(Theta) = the overlaps' magnitudes, clamped to 1 within the
+    Cauchy-Schwarz slack.  The kernels and the check run without numpy's
     warnings: a point that overflows ends non-finite and fails the check."""
     with np.errstate(all="ignore"):
         values = _overlap_values(a, b)
@@ -226,12 +215,13 @@ def _checked_overlaps(a: SpectralProfile, b: SpectralProfile) -> tuple:
                 f"{a.shape.value}-{b.shape.value} overlap magnitude is not finite or "
                 f"exceeds the Cauchy-Schwarz bound at B center {center:.6g} rad/ps, "
                 f"effective width {width:.6g}, delay {delay:.6g} ps", mag[at] - 1.0)
-    return values, np.minimum(mag, 1.0)
+    return np.minimum(mag, 1.0)
 
 
 def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
-    """The one pairing dispatch: the complex overlaps of ``a``'s photons
-    with ``b``'s, in the two families' broadcast shape.
+    """The one pairing dispatch: in the two families' broadcast shape,
+    complex values whose magnitudes are the overlaps of ``a``'s photons
+    with ``b``'s.
 
     Each point is reduced once to three numbers in units of the spectral
     scale u of the kernel's first photon (sigma, gamma or 1/T; the Gaussian
@@ -239,10 +229,11 @@ def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
     parameter r (its duration times u for a sinc), its detuning
     (c_2 - c_1) / u and its delay (tau_2 - tau_1) u, each one quotient or
     product of exact differences.  The kernel sees a unit first photon and
-    these, so a point's bits do not depend on the absolute scale; the phase
-    e^{i c_2 (tau_b - tau_a)} multiplies each value once, here.  A point
-    with an infinite delay or detuning, or past the two photons' reach
-    (:func:`_reach`), is exactly 0.  Kernels take chunks of at most
+    these, so a point's bits do not depend on the absolute scale.  A value
+    leaves out the phase e^{i c_2 (tau_2 - tau_1)}, and is the conjugate
+    when photon b is the kernel's first: neither changes the magnitude.  A
+    point with an infinite delay or detuning, or past the two photons'
+    reach (:func:`_reach`), is exactly 0.  Kernels take chunks of at most
     ``_PAIR_BUDGET`` term-pair points (a sech has 24 terms, the others
     one), work elementwise and sum term pairs in a fixed order, so a
     point's bits do not depend on its chunk or family.
@@ -258,13 +249,11 @@ def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
     # a frequency in units of u, a time in units of 1/u
     freq, time = ((np.divide, np.multiply) if first.shape is not Shape.SINC
                   else (np.multiply, np.divide))
-    lag = second.delay - first.delay
-    points = np.empty((4,) + shape)  # contiguous rows, in C order
+    points = np.empty((3,) + shape)  # contiguous rows, in C order
     points[0] = (time if second.shape is Shape.SINC else freq)(second.effective_width, u)
     points[1] = freq(second.center - first.center, u)
-    points[2] = time(lag, u)
-    points[3] = second.center * (-lag if reverse else lag)
-    ratio, detuning, delay, arg = points.reshape(4, -1)
+    points[2] = time(second.delay - first.delay, u)
+    ratio, detuning, delay = points.reshape(3, -1)
     (time_1, freq_1), (time_2, freq_2) = _reach(first.shape, 1.0), _reach(second.shape, ratio)
     far = (np.isinf(delay) | np.isinf(detuning)
            | (np.abs(delay) > time_1 + time_2) | (np.abs(detuning) > freq_1 + freq_2))
@@ -277,13 +266,6 @@ def _overlap_values(a: SpectralProfile, b: SpectralProfile) -> np.ndarray:
         part = slice(start, start + step)
         values[part] = kernel(first_cols, _columns(second.shape, ratio[part], 1),
                               delay[part].reshape(1, 1, -1), detuning[part].reshape(1, 1, -1))
-    if reverse:
-        values = np.conj(values)
-    # named factors, not in place: numpy reuses a temporary right factor in
-    # place, which rounds a point differently in a longer family; a phase
-    # whose argument overflows is 1, as the magnitude does not depend on it
-    phase = np.exp(1j * np.where(np.isfinite(arg), arg, 0.0))
-    values = values * phase
     values[far] = 0.0
     return values.reshape(shape)
 

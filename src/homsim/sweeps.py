@@ -56,7 +56,6 @@ class TableEntry:
     """One pairing's optimum: best visibility and the width ratio there."""
 
     visibility: dict[tuple[int, int], float]
-    cos_theta: float
     fwhm_ratio: float
 
 
@@ -68,7 +67,7 @@ def _unit_optimum(shape_a: spc.Shape, shape_b: spc.Shape) -> tuple[float, float]
     ratio = _OPTIMAL_FWHM_RATIO[(shape_a, shape_b)]
     best = spc.overlap(spc.SpectralProfile.from_fwhm(shape_a, 1.0, 1.0),
                        spc.SpectralProfile.from_fwhm(shape_b, 1.0, ratio))
-    return ratio, best.magnitude
+    return ratio, best
 
 
 def max_visibility_table(photon_pairs: list[tuple[int, int]]
@@ -91,7 +90,7 @@ def max_visibility_table(photon_pairs: list[tuple[int, int]]
                 ratio, c = _unit_optimum(shape_a, shape_b)
             vis = {mn: fock.visibility_from_c(mn[0], mn[1], c, fock.IDEAL_APPARATUS)
                    for mn in photon_pairs}
-            out[(shape_b, shape_a)] = TableEntry(vis, c, ratio)
+            out[(shape_b, shape_a)] = TableEntry(vis, ratio)
     return out
 
 

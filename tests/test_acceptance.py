@@ -177,7 +177,7 @@ def test_criterion_7_channels():
     # a damping point that beats the undamped (2, 1) visibility
     src_a = chn.SourceSpec(2, pol.H, GAUSS)
     src_b = chn.SourceSpec(1, pol.H, GAUSS)
-    base = fock.visibility_from_c(2, 1, spc.overlap(GAUSS, GAUSS).magnitude,
+    base = fock.visibility_from_c(2, 1, spc.overlap(GAUSS, GAUSS),
                                   fock.IDEAL_APPARATUS)
     gammas = [chn.ChannelSpec(gamma=g) for g in np.linspace(0.0, 0.9, 10)]
     grid = chn.channel_visibility_contour(src_a, src_b, gammas, gammas)
@@ -215,7 +215,7 @@ def test_criterion_8_swap_fidelity():
                     sampled_jsa.separable(cd, shared, sampled_jsa.support(spec_d, n, span)),
                     phi)
                 closed = jsa.swap_fidelity_separable(
-                    phi, spc.overlap(spec_b, spec_c).theta)
+                    phi, math.acos(spc.overlap(spec_b, spec_c)))
                 worst = max(worst, abs(gridded - closed))
     assert worst <= 1e-6
     # all four outcome probabilities at 1/8

@@ -137,7 +137,7 @@ def test_pure_sources_reproduce_fock():
     for m, n, phi in ((1, 1, 0.0), (2, 1, 0.4), (3, 2, 1.0)):
         pol_b = pol.rotate(pol.H, phi)
         mixed = mixed_coincidence(arm(((m, 1.0),)), arm(((n, 1.0),), 1.0, pol_b),
-                                  spc.overlap(GAUSS, GAUSS).magnitude)
+                                  spc.overlap(GAUSS, GAUSS))
         direct = fock.coincidence(fock.FockPair(m, n, pol.H, pol_b, GAUSS, GAUSS))
         assert mixed == pytest.approx(direct, abs=1e-14)
 
@@ -146,7 +146,7 @@ def test_depolarized_arm_is_two_branch_average():
     # arm A maximally depolarized: H/V branches at weight 1/2 each
     mixed_a = chn._channel_arm(src(1), [chn.ChannelSpec(p_depol=0.75)])
     pure_b = arm(((1, 1.0),), 1.0, pol.rotate(pol.H, 0.3))
-    got = mixed_coincidence(mixed_a, pure_b, spc.overlap(GAUSS, GAUSS).magnitude)
+    got = mixed_coincidence(mixed_a, pure_b, spc.overlap(GAUSS, GAUSS))
     branch_h = fock.coincidence(fock.FockPair(1, 1, pol.H, pol.rotate(pol.H, 0.3), GAUSS, GAUSS))
     branch_v = fock.coincidence(fock.FockPair(1, 1, pol.V, pol.rotate(pol.H, 0.3), GAUSS, GAUSS))
     assert got == pytest.approx(0.5 * branch_h + 0.5 * branch_v, abs=1e-14)
@@ -175,7 +175,7 @@ def test_mixed_coincidence_matches_branch_averaged_oracle():
     ch_a = chn.ChannelSpec(gamma=0.35, p_depol=0.3)
     ch_b = chn.ChannelSpec(gamma=0.1, p_depol=0.6)
     got = mixed_coincidence(chn._channel_arm(src_a, [ch_a]), chn._channel_arm(src_b, [ch_b]),
-                            spc.overlap(GAUSS, spec_b).magnitude)
+                            spc.overlap(GAUSS, spec_b))
     bs = fock.BeamSplitter.balanced()
     expected = 0.0
     for ka, pa, va in branches(src_a, ch_a):
@@ -261,7 +261,7 @@ def test_equal_damping_leaves_single_photon_visibility():
 def test_identity_corner_matches_pure_visibility():
     grid = chn.channel_visibility_contour(src(2), src(2), [chn.ChannelSpec()],
                                           [chn.ChannelSpec()])
-    pure = fock.visibility_from_c(2, 2, spc.overlap(GAUSS, GAUSS).magnitude,
+    pure = fock.visibility_from_c(2, 2, spc.overlap(GAUSS, GAUSS),
                                   fock.IDEAL_APPARATUS)
     assert grid[0][0] == pytest.approx(pure, abs=1e-14)
     assert grid[0][0] == pytest.approx(5 / 7, rel=1e-12)
@@ -269,7 +269,7 @@ def test_identity_corner_matches_pure_visibility():
 
 def test_damping_can_improve_mismatched_visibility():
     # photon-number mismatch (2, 1): attenuating the heavier arm helps
-    base = fock.visibility_from_c(2, 1, spc.overlap(GAUSS, GAUSS).magnitude,
+    base = fock.visibility_from_c(2, 1, spc.overlap(GAUSS, GAUSS),
                                   fock.IDEAL_APPARATUS)
     gammas = [chn.ChannelSpec(gamma=g) for g in np.linspace(0.0, 0.9, 10)]
     grid = chn.channel_visibility_contour(src(2), src(1), gammas, [chn.ChannelSpec()])

@@ -401,6 +401,15 @@ _HUGE = "1" + "0" * 400  # a JSON integer past the float range
     # a JSON value nested past Python's recursion limit (ended in a
     # RecursionError traceback and exit 1)
     (["contour", "--set", "m=" + "[" * 100_000], "m"),
+    # the coherent curve is the ideal, balanced closed form, which printed
+    # unchanged whatever detectors and beam splitter were set; the first
+    # part that is not ideal is named
+    (["coherent", "--set", "mode=curve", "--set", 'detector_a={"eta_h":0.1,"eta_v":0.1}',
+      "--set", 'beam_splitter={"t":0.9,"r":0.1}'], "detector_a"),
+    (["coherent", "--set", "mode=curve", "--set", 'beam_splitter={"t":0.9,"r":0.1}',
+      "--set", 'detector_b={"eta_h":1,"eta_v":0.9}'], "detector_b"),
+    (["coherent", "--set", "mode=curve", "--set", 'beam_splitter={"t":0.9,"r":0.1}'],
+     "beam_splitter"),
 ])
 def test_bad_scalar_exits_2_naming_key(args, key, tmp_path, capsys, request):
     grid = [] if any(a.startswith("grid_override=") for a in args) else ["--grid", "3"]
@@ -1035,11 +1044,17 @@ def test_axis_ends_past_the_float_range_exit_2_naming_their_key(args, key, tmp_p
 # ---------------------------------------------------------------------------
 
 def test_coherent_curve(tmp_path):
-    rc, text = run(["coherent", "--set", "mode=curve",
-                    "--set", 'mu_curve={"min":0.001,"max":2.0,"steps":5}'], tmp_path)
+    args = ["coherent", "--set", "mode=curve",
+            "--set", 'mu_curve={"min":0.001,"max":2.0,"steps":5}']
+    rc, text = run(args, tmp_path)
     assert rc == 0
     first = data_rows(text)[0].split(",")
     assert float(first[1]) == pytest.approx(0.5, abs=1e-4)
+    # an apparatus set to the ideal one explicitly prints the same curve
+    rc, explicit = run(args + ["--set", 'detector_a={"eta_h":1,"eta_v":1}',
+                               "--set", 'detector_b={"eta_h":1.0,"eta_v":1.0}',
+                               "--set", 'beam_splitter={"t":0.5,"r":0.5}'], tmp_path)
+    assert rc == 0 and data_rows(explicit) == data_rows(text)
 
 
 @pytest.mark.parametrize("phi", ["0", "1.5707963"])
@@ -1161,7 +1176,8 @@ def test_dip_at_extreme_scales_prints_the_unit_scale_rows(tmp_path):
 def test_dip_whose_delay_phase_overflows_prints_the_unit_center_rows(tmp_path):
     # a centre of 1e300 THz times a delay of 5e7 ps overflows the phase
     # e^{i c_2 (tau_b - tau_a)}, which once made the overlap nan and the
-    # scan exit 3; the magnitude does not depend on the phase
+    # scan exit 3; the magnitude does not depend on the phase, and the
+    # overlap no longer forms it
     def scan(center):
         rc, text, err = run_strict(
             ["dip", "--grid", "3", "--set", "photons=[[1,1]]", "--set", "phi=[0]",
@@ -1383,7 +1399,7 @@ def test_swap_pair_of_separable_literals_is_exact(tmp_path):
     assert rc == 0
     report = json.loads(text)
     cos_bc = spc.overlap(cfgmod.parse_profile(ab["separable"]["signal"], "b"),
-                         cfgmod.parse_profile(cd["separable"]["signal"], "c")).magnitude
+                         cfgmod.parse_profile(cd["separable"]["signal"], "c"))
     expected = 0.5 * math.cos(phi) ** 2 * (1.0 + cos_bc ** 2)
     assert abs(report["fidelity"] - expected) <= 1e-15
     assert report["bsm_outcome_probabilities"] == dict.fromkeys(

@@ -91,10 +91,12 @@ def test_series_matches_closed_form_random_sweep():
 
 
 def test_spectral_overlap_feeds_through():
+    # a spectral overlap reaches the closed form as the override c, as in
+    # the contours: the same value as a polarization mismatch of that c
     g = spc.SpectralProfile(spc.Shape.GAUSSIAN, 1216.0, 0.5)
-    pair = coh.CoherentPair(1.0, 1.0, pol.H, pol.H, g, g.delayed(1.0))
-    c = spc.overlap(g, g.delayed(1.0)).magnitude
-    assert coh.total_coincidence(pair) == pytest.approx(
+    c = spc.overlap(g, g.delayed(1.0))
+    pair = coh.CoherentPair(1.0, 1.0)
+    assert coh.total_coincidence(pair, c=fock.mode_overlap(pol.H, pol.H, c)) == pytest.approx(
         coh.total_coincidence(pair_with_overlap(1.0, 1.0, c)), rel=1e-12)
 
 

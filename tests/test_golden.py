@@ -4,17 +4,23 @@ Each file under ``tests/golden/`` holds the stdout of one command, and
 ``tests/golden/studies/`` the gzipped files that the ``scripts/run_*.py``
 studies write.  Header and label text must match exactly; every number in
 a data line must agree to 1e-12 absolute, so a numerics change shows here
-without blocking an intended change below that.  After an intended change,
-rewrite the files with ``python tests/test_golden.py`` (run with ``src``
-on the path).  ``python tests/test_golden.py --exact`` rewrites nothing:
-it regenerates every file in a temporary directory, compares each with
-its golden byte for byte, names each that differs and exits 1 if any does.
+without blocking an intended change below that.  ``tests/golden/`` also
+holds a digest manifest of the benchmark's jobs: the SHA-256 of the exit
+code, stdout and stderr of every pass-0 job that ``perfbench/workloads.py``
+draws at seeds 1-5, each run in process.  After an intended change,
+rewrite the files and the manifest with ``python tests/test_golden.py``
+(run with ``src`` on the path).  ``python tests/test_golden.py --exact``
+rewrites nothing: it regenerates every file in a temporary directory and
+every digest, compares each with its golden byte for byte, names each
+file and job that differs and exits 1 if any does.
 """
 
 import contextlib
 import gzip
+import hashlib
 import importlib.util
 import io
+import json
 import pathlib
 import re
 import sys
@@ -27,6 +33,9 @@ from homsim import cli
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 STUDIES = GOLDEN / "studies"
 SCRIPTS = sorted((GOLDEN.parent.parent / "scripts").glob("run_*.py"))
+WORKLOADS = GOLDEN.parent.parent / "perfbench" / "workloads.py"
+MANIFEST = GOLDEN / "perfbench_pass0.json"
+PERFBENCH_SEEDS = range(1, 6)
 FIG9_DETECTORS = ["--set", 'detector_a={"eta_h":0.8,"eta_v":0.83}',
                   "--set", 'detector_b={"eta_h":0.78,"eta_v":0.85}']
 CASES = {
@@ -138,9 +147,41 @@ def test_study_outputs_match_golden(tmp_path):
                         gzip.decompress((STUDIES / f"{name}.gz").read_bytes()).decode())
 
 
+def _perfbench_jobs():
+    """{"workload/seed/index": argument list} of every pass-0 job that
+    perfbench/workloads.py draws at PERFBENCH_SEEDS."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {f"{name}/{seed}/{index}": args
+            for name in workloads.WORKLOADS for seed in PERFBENCH_SEEDS
+            for index, (args, _) in enumerate(workloads.jobs(name, seed, 0))}
+
+
+def _digest(args):
+    """SHA-256 of one job's exit code, stdout and stderr, run in process
+    as the benchmark runs it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(args)
+        except SystemExit as exc:  # argparse rejects the arguments
+            rc = exc.code if isinstance(exc.code, int) else 2
+        except Exception as exc:  # a traceback the CLI did not turn into an exit code
+            rc = 1
+            err.write(f"uncaught {type(exc).__name__}: {exc}")
+    return hashlib.sha256(json.dumps([rc, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+
+
+def _digests():
+    return {name: _digest(args) for name, args in _perfbench_jobs().items()}
+
+
 def _exact():
     """Names of the goldens whose regenerated bytes differ from the
-    committed ones (a study file missing on either side differs too)."""
+    committed ones (a study file missing on either side differs too), then
+    of the manifest's jobs whose digests differ (a job on one side only
+    differs too)."""
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
@@ -153,14 +194,19 @@ def _exact():
             written = {path.name: path.read_bytes() for path in _studies(out / "studies")}
     committed = {path.name[:-len(".gz")]: gzip.decompress(path.read_bytes())
                  for path in STUDIES.glob("*.gz")}
-    return differ + [f"studies/{name}.gz" for name in sorted(written.keys() | committed.keys())
-                     if written.get(name) != committed.get(name)]
+    differ += [f"studies/{name}.gz" for name in sorted(written.keys() | committed.keys())
+               if written.get(name) != committed.get(name)]
+    digests, pinned = _digests(), json.loads(MANIFEST.read_text())
+    jobs = list(digests) + sorted(pinned.keys() - digests.keys())
+    return differ + [f"{MANIFEST.name}:{name}" for name in jobs
+                     if digests.get(name) != pinned.get(name)]
 
 
 def test_exact_mode_names_each_differing_file_and_rewrites_nothing(tmp_path, monkeypatch):
     # a line ending that the 1e-12 comparer lets pass, an unchanged golden,
-    # and a study golden that no script writes: the first and the last are
-    # named, and no golden is touched
+    # a study golden that no script writes, and a manifest with one right
+    # digest, one wrong and one of a job no workload draws: the golden, the
+    # study and the last two jobs are named, and no golden is touched
     golden = tmp_path / "golden"
     (golden / "studies").mkdir(parents=True)
     cases = {name: CASES[name] for name in ("dip.csv", "protocols.json")}
@@ -170,11 +216,17 @@ def test_exact_mode_names_each_differing_file_and_rewrites_nothing(tmp_path, mon
     (golden / "dip.csv").write_bytes(dip.replace("\n", "\r\n", 1).encode())
     _assert_matches((golden / "dip.csv").read_bytes().decode(), dip)
     (golden / "studies" / "gone.csv.gz").write_bytes(gzip.compress(b"x\n", mtime=0))
+    jobs = {"dip/1/0": CASES["dip.csv"], "protocols/1/0": CASES["protocols.json"]}
+    manifest = {"dip/1/0": _digest(jobs["dip/1/0"]),
+                "protocols/1/0": _digest(["dip", "--grid", "2"]), "gone/1/0": "0" * 64}
+    (golden / MANIFEST.name).write_text(json.dumps(manifest))
     before = {path: path.read_bytes() for path in golden.rglob("*") if path.is_file()}
     for name, value in (("GOLDEN", golden), ("STUDIES", golden / "studies"),
-                        ("CASES", cases), ("SCRIPTS", [])):
+                        ("CASES", cases), ("SCRIPTS", []), ("MANIFEST", golden / MANIFEST.name),
+                        ("_perfbench_jobs", lambda: jobs)):
         monkeypatch.setitem(globals(), name, value)
-    assert _exact() == ["dip.csv", "studies/gone.csv.gz"]
+    assert _exact() == ["dip.csv", "studies/gone.csv.gz", f"{MANIFEST.name}:protocols/1/0",
+                        f"{MANIFEST.name}:gone/1/0"]
     assert {path: path.read_bytes() for path in golden.rglob("*") if path.is_file()} == before
 
 
@@ -183,7 +235,7 @@ if __name__ == "__main__":
         differ = _exact()
         for name in differ:
             print(f"differs: {GOLDEN / name}")
-        print(f"{len(differ)} golden files differ byte for byte")
+        print(f"{len(differ)} golden files or jobs differ byte for byte")
         sys.exit(1 if differ else 0)
     GOLDEN.mkdir(exist_ok=True)
     for name, args in CASES.items():
@@ -197,4 +249,6 @@ if __name__ == "__main__":
             # mtime 0, so that an unchanged output rewrites the same bytes
             (STUDIES / f"{path.name}.gz").write_bytes(gzip.compress(path.read_bytes(), mtime=0))
             print(f"wrote {STUDIES / path.name}.gz")
+    MANIFEST.write_text(json.dumps(_digests(), indent=1) + "\n")
+    print(f"wrote {MANIFEST}")
     sys.exit(0)

@@ -153,7 +153,7 @@ def test_separable_scenario_uses_closed_form_route():
         jsa.SeparableJSA(gauss(CENTER - 3.0, 0.6), gauss(CENTER, 0.5)),
         jsa.SeparableJSA(gauss(CENTER, 1.0), gauss(CENTER + 3.0, 0.7)),
         phi=0.4)
-    theta = spc.overlap(gauss(CENTER, 0.5), gauss(CENTER, 1.0)).theta
+    theta = math.acos(spc.overlap(gauss(CENTER, 0.5), gauss(CENTER, 1.0)))
     assert jsa.swap_fidelity(sep) == pytest.approx(
         jsa.swap_fidelity_separable(0.4, theta), rel=1e-12)
 
@@ -164,8 +164,8 @@ def test_gridded_matches_closed_form_on_separable_inputs():
             for detune in (0.0, 0.6):
                 s = make_scenario(phi=phi, sigma_b=0.5, sigma_c=0.5 * ratio,
                                   detune=detune)
-                theta = spc.overlap(gauss(CENTER, 0.5),
-                                    gauss(CENTER + detune, 0.5 * ratio)).theta
+                theta = math.acos(spc.overlap(gauss(CENTER, 0.5),
+                                              gauss(CENTER + detune, 0.5 * ratio)))
                 assert sampled.fidelity(*sample_scenario(s), phi) == pytest.approx(
                     jsa.swap_fidelity_separable(phi, theta), abs=1e-6)
 

@@ -32,7 +32,7 @@ def max_overlap_width(profile_a: spc.SpectralProfile,
         k = int(np.argmax(cos))
         lo, hi = log_w[max(k - 1, 0)], log_w[min(k + 1, WIDTH_POINTS - 1)]
     best = spc.SpectralProfile.from_fwhm(shape_b, profile_a.center, float(widths[k]))
-    return float(widths[k]), spc.overlap(profile_a, best).magnitude
+    return float(widths[k]), spc.overlap(profile_a, best)
 
 
 def unit_optimum(shape_a: spc.Shape, shape_b: spc.Shape) -> tuple[float, float]:
